@@ -4,11 +4,12 @@
 //
 // The public API lives in package repro/wayback; the substrates (telescope,
 // IDS, TCP reassembly, rule language, datasets, lifecycle model) live under
-// repro/internal. The capture-to-session front-end is parallel end to end —
-// allocation-free packet decode (packet.DecodeInto), flow-sharded TCP
-// reassembly (tcpasm.Sharded), and per-segment pcap fan-out
-// (ids.ScanCaptureSharded) — and provably output-identical to the serial
-// path: scan_parity_test.go asserts byte-identical events and Table 4 for
+// repro/internal. The capture-to-session front-end is one scan spine
+// (internal/ids/scan.go), parallel end to end — allocation-free packet
+// decode (packet.DecodeInto), flow-sharded TCP reassembly (tcpasm.Sharded),
+// and per-segment pcap fan-out (ids.ScanCaptureSharded, or
+// ids.ScanCaptureStreamed to emit as it goes) — and provably
+// output-identical to the serial reference ids.ScanCapture: scan_parity_test.go asserts byte-identical events and Table 4 for
 // every shard width. Durability is tested by simulation: internal/fault is
 // the seeded fault-injection substrate (a VFS with torn writes, ENOSPC,
 // lying fsyncs and crash points, plus a partitioning network), and

@@ -714,6 +714,26 @@ func SortEvents(events []ids.Event) {
 	sort.SliceStable(events, func(i, j int) bool { return Less(&events[i], &events[j]) })
 }
 
+// MergeEvents materializes a read-side view, the one place that computation
+// is written: per-shard event prefixes concatenated in shard order,
+// stable-sorted into canonical order, with resolved amendments overlaid (so
+// consumers see post-rescan labels without the shard files ever rewriting).
+// Snapshot is this over the store's current view; read paths holding pinned
+// prefixes (PublishedEvents, Amendments) call it to replay the identical
+// computation later. The inputs are not modified.
+func MergeEvents(parts [][]ids.Event, amends []Amendment) []ids.Event {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	merged := make([]ids.Event, 0, total)
+	for _, p := range parts {
+		merged = append(merged, p...)
+	}
+	SortEvents(merged)
+	return applyAmendments(merged, amends)
+}
+
 // Snapshot returns a consistent point-in-time view of the store. Snapshots
 // are cheap when nothing changed (the previous one is reused) and immutable
 // forever; appends after the call are invisible to it.
@@ -728,26 +748,12 @@ func (s *Store) Snapshot() *Snapshot {
 		if sn := s.snap.Load(); sn != nil && sn.gen == gen {
 			return sn
 		}
-		parts := make([][]ids.Event, len(s.shards))
-		total := 0
-		for i, sh := range s.shards {
-			parts[i] = *sh.events.Load()
-			total += len(parts[i])
-		}
-		amends := *s.amends.Load()
+		parts := s.PublishedEvents()
+		amends := s.Amendments()
 		if s.gen.Load() != gen {
 			continue // an append raced the reads; retry for a stable view
 		}
-		merged := make([]ids.Event, 0, total)
-		for _, p := range parts {
-			merged = append(merged, p...)
-		}
-		SortEvents(merged)
-		// Re-attribution: resolved amendments overlay the raw log, so every
-		// snapshot consumer sees post-rescan labels without the shard files
-		// ever rewriting. With no amendments this is a no-op passthrough.
-		merged = applyAmendments(merged, amends)
-		sn := &Snapshot{gen: gen, events: merged}
+		sn := &Snapshot{gen: gen, events: MergeEvents(parts, amends)}
 		s.snap.Store(sn)
 		return sn
 	}

@@ -97,6 +97,42 @@ func (osFS) ReadDir(dir string) ([]string, error) {
 	return names, nil // os.ReadDir already sorts by name
 }
 
+// WriteFileAtomic replaces path with data via a fully fsynced temp file and a
+// rename — the one routine for whole-file atomic replacement (timeline
+// segments and checkpoints, ingest checkpoints, the registry's automaton
+// cache), so a file under its final name is complete by construction. The
+// fsync before the rename is load-bearing: without it a crash shortly after
+// the rename can leave an empty or torn file under the final name. On any
+// failure the handle is closed and tmp removed; a crash between write and
+// rename leaves tmp behind for the owner's recovery (or its next write, which
+// truncates it) to clear.
+func WriteFileAtomic(fs FS, tmp, path string, data []byte) error {
+	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	abort := func(err error) error {
+		f.Close()
+		fs.Remove(tmp) // best effort
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		return abort(err)
+	}
+	if err := f.Sync(); err != nil {
+		return abort(err)
+	}
+	if err := f.Close(); err != nil {
+		fs.Remove(tmp)
+		return err
+	}
+	if err := fs.Rename(tmp, path); err != nil {
+		fs.Remove(tmp)
+		return err
+	}
+	return nil
+}
+
 // Or returns fs, or OS when fs is nil — the "zero Config means production"
 // helper every threaded component uses.
 func Or(fs FS) FS {

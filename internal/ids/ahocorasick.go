@@ -6,6 +6,10 @@ package ids
 // session. Patterns are matched case-insensitively in the automaton (the
 // full rule evaluation re-checks case when the rule is case-sensitive), so
 // one automaton serves both nocase and exact rules.
+//
+// This file is the build step only: Compile flattens the trie into the
+// double-array CompiledMatcher, the one automaton that scans at run time. The
+// trie's own walker is the test oracle (ahocorasick_test.go).
 
 // acNode is one trie node. Children are byte-indexed; the alphabet is
 // lower-cased bytes, so the arrays stay dense for ASCII rule patterns while
@@ -20,16 +24,16 @@ type acNode struct {
 	dictLink int32
 }
 
-// Matcher is an immutable Aho–Corasick automaton over a pattern set.
-type Matcher struct {
+// acTrie is an Aho–Corasick trie over a lower-cased pattern set.
+type acTrie struct {
 	nodes    []acNode
 	patterns [][]byte
 }
 
-// NewMatcher builds an automaton over patterns. Matching is
-// case-insensitive (ASCII). The pattern slices are copied.
-func NewMatcher(patterns [][]byte) *Matcher {
-	m := &Matcher{nodes: []acNode{{children: map[byte]int32{}, fail: 0, dictLink: -1}}}
+// newACTrie builds the trie and its links over patterns, folding ASCII
+// case. The pattern slices are copied.
+func newACTrie(patterns [][]byte) *acTrie {
+	m := &acTrie{nodes: []acNode{{children: map[byte]int32{}, fail: 0, dictLink: -1}}}
 	for _, p := range patterns {
 		lowered := toLowerBytes(p)
 		m.patterns = append(m.patterns, lowered)
@@ -52,7 +56,7 @@ func toLowerBytes(p []byte) []byte {
 	return out
 }
 
-func (m *Matcher) insert(pattern []byte, id int32) {
+func (m *acTrie) insert(pattern []byte, id int32) {
 	cur := int32(0)
 	for _, c := range pattern {
 		next, ok := m.nodes[cur].children[c]
@@ -67,7 +71,7 @@ func (m *Matcher) insert(pattern []byte, id int32) {
 }
 
 // buildLinks computes fail and dictionary links breadth-first.
-func (m *Matcher) buildLinks() {
+func (m *acTrie) buildLinks() {
 	queue := make([]int32, 0, len(m.nodes))
 	for _, child := range m.nodes[0].children {
 		m.nodes[child].fail = 0
@@ -103,48 +107,3 @@ func (m *Matcher) buildLinks() {
 		}
 	}
 }
-
-// Scan reports the set of pattern IDs occurring in text (case-insensitive).
-// The result is a deduplicated set delivered through hit, which must not be
-// nil; Scan calls hit(id) exactly once per distinct matching pattern.
-func (m *Matcher) Scan(text []byte, hit func(id int32)) {
-	if len(m.patterns) == 0 {
-		return
-	}
-	seen := make(map[int32]struct{})
-	cur := int32(0)
-	for _, c := range text {
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		for {
-			if next, ok := m.nodes[cur].children[c]; ok {
-				cur = next
-				break
-			}
-			if cur == 0 {
-				break
-			}
-			cur = m.nodes[cur].fail
-		}
-		for n := cur; n != -1; {
-			for _, id := range m.nodes[n].outputs {
-				if _, dup := seen[id]; !dup {
-					seen[id] = struct{}{}
-					hit(id)
-				}
-			}
-			n = m.nodes[n].dictLink
-		}
-	}
-}
-
-// Contains reports whether any pattern occurs in text.
-func (m *Matcher) Contains(text []byte) bool {
-	found := false
-	m.Scan(text, func(int32) { found = true })
-	return found
-}
-
-// NumPatterns returns the number of patterns in the automaton.
-func (m *Matcher) NumPatterns() int { return len(m.patterns) }

@@ -7,7 +7,51 @@ import (
 	"testing"
 )
 
-func scanAll(m *Matcher, text string) []int32 {
+// Scan is the reference walker over the map trie — the oracle
+// FuzzCompiledAutomaton and TestCompiledMatcher*Parity hold CompiledMatcher.Scan
+// to. It reports the set of pattern IDs occurring in text (case-insensitive).
+// The result is a deduplicated set delivered through hit, which must not be
+// nil; Scan calls hit(id) exactly once per distinct matching pattern.
+func (m *acTrie) Scan(text []byte, hit func(id int32)) {
+	if len(m.patterns) == 0 {
+		return
+	}
+	seen := make(map[int32]struct{})
+	cur := int32(0)
+	for _, c := range text {
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		for {
+			if next, ok := m.nodes[cur].children[c]; ok {
+				cur = next
+				break
+			}
+			if cur == 0 {
+				break
+			}
+			cur = m.nodes[cur].fail
+		}
+		for n := cur; n != -1; {
+			for _, id := range m.nodes[n].outputs {
+				if _, dup := seen[id]; !dup {
+					seen[id] = struct{}{}
+					hit(id)
+				}
+			}
+			n = m.nodes[n].dictLink
+		}
+	}
+}
+
+// Contains reports whether any pattern occurs in text.
+func (m *acTrie) Contains(text []byte) bool {
+	found := false
+	m.Scan(text, func(int32) { found = true })
+	return found
+}
+
+func scanAll(m *acTrie, text string) []int32 {
 	var ids []int32
 	m.Scan([]byte(text), func(id int32) { ids = append(ids, id) })
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -15,7 +59,7 @@ func scanAll(m *Matcher, text string) []int32 {
 }
 
 func TestMatcherBasics(t *testing.T) {
-	m := NewMatcher([][]byte{
+	m := newACTrie([][]byte{
 		[]byte("he"), []byte("she"), []byte("his"), []byte("hers"),
 	})
 	got := scanAll(m, "ushers")
@@ -31,7 +75,7 @@ func TestMatcherBasics(t *testing.T) {
 }
 
 func TestMatcherCaseInsensitive(t *testing.T) {
-	m := NewMatcher([][]byte{[]byte("${JNDI:")})
+	m := newACTrie([][]byte{[]byte("${JNDI:")})
 	if !m.Contains([]byte("x=${jndi:ldap://e/a}")) {
 		t.Error("case-insensitive match failed")
 	}
@@ -44,17 +88,17 @@ func TestMatcherCaseInsensitive(t *testing.T) {
 }
 
 func TestMatcherEmptySet(t *testing.T) {
-	m := NewMatcher(nil)
+	m := newACTrie(nil)
 	if m.Contains([]byte("anything")) {
 		t.Error("empty matcher matched")
 	}
-	if m.NumPatterns() != 0 {
-		t.Errorf("NumPatterns = %d", m.NumPatterns())
+	if len(m.patterns) != 0 {
+		t.Errorf("patterns = %d", len(m.patterns))
 	}
 }
 
 func TestMatcherOverlapping(t *testing.T) {
-	m := NewMatcher([][]byte{[]byte("abc"), []byte("bcd"), []byte("cde"), []byte("abcde")})
+	m := newACTrie([][]byte{[]byte("abc"), []byte("bcd"), []byte("cde"), []byte("abcde")})
 	got := scanAll(m, "abcde")
 	if len(got) != 4 {
 		t.Errorf("Scan = %v, want all 4 patterns", got)
@@ -62,7 +106,7 @@ func TestMatcherOverlapping(t *testing.T) {
 }
 
 func TestMatcherDedup(t *testing.T) {
-	m := NewMatcher([][]byte{[]byte("aa")})
+	m := newACTrie([][]byte{[]byte("aa")})
 	count := 0
 	m.Scan([]byte("aaaa"), func(int32) { count++ })
 	if count != 1 {
@@ -71,7 +115,7 @@ func TestMatcherDedup(t *testing.T) {
 }
 
 func TestMatcherBinaryPatterns(t *testing.T) {
-	m := NewMatcher([][]byte{{0x90, 0x90, 0x90}, {0x00, 0xff}})
+	m := newACTrie([][]byte{{0x90, 0x90, 0x90}, {0x00, 0xff}})
 	if !m.Contains([]byte{0x41, 0x90, 0x90, 0x90, 0x42}) {
 		t.Error("binary NOP sled not found")
 	}
@@ -99,7 +143,7 @@ func TestMatcherAgainstNaive(t *testing.T) {
 		for i := range text {
 			text[i] = alphabet[rng.Intn(len(alphabet))]
 		}
-		m := NewMatcher(patterns)
+		m := newACTrie(patterns)
 		got := map[int32]bool{}
 		m.Scan(text, func(id int32) { got[id] = true })
 		for id, p := range patterns {
@@ -109,22 +153,5 @@ func TestMatcherAgainstNaive(t *testing.T) {
 					trial, p, text, got[int32(id)], want)
 			}
 		}
-	}
-}
-
-func BenchmarkMatcherScan(b *testing.B) {
-	patterns := [][]byte{
-		[]byte("${jndi:"), []byte("${lower:"), []byte("${upper:"),
-		[]byte("/cgi-bin/"), []byte("..%2f..%2f"), []byte("tomcat"),
-		[]byte("SELECT "), []byte("webLanguage"), []byte("/actuator/gateway"),
-		[]byte("XDEBUG_SESSION_START"), []byte("/wls-wsat/"), []byte("ognl"),
-	}
-	m := NewMatcher(patterns)
-	text := bytes.Repeat([]byte("GET /index.html HTTP/1.1\r\nHost: example\r\nUser-Agent: Mozilla ${jndi:ldap://e/a}\r\n\r\n"), 8)
-	b.SetBytes(int64(len(text)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Scan(text, func(int32) {})
 	}
 }

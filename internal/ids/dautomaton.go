@@ -1,20 +1,20 @@
 package ids
 
-// Compiled double-array Aho–Corasick automaton: the Talos-scale successor to
-// the map-trie Matcher. The trie's transition function is flattened into two
-// parallel int32 arrays (base/check), so following a byte is one add and one
-// compare against contiguous memory instead of a map probe per node — the
-// difference between cache lines and pointer soup at 48k patterns. The
-// automaton is immutable once compiled, builds once per ruleset generation,
-// and serializes to a flat little-endian form the registry caches on disk
-// (the layout is position-independent, so a future loader can map it
-// straight from the file).
+// Compiled double-array Aho–Corasick automaton: the one runtime matcher,
+// built from the map trie in ahocorasick.go. The trie's transition function
+// is flattened into two parallel int32 arrays (base/check), so following a
+// byte is one add and one compare against contiguous memory instead of a map
+// probe per node — the difference between cache lines and pointer soup at
+// 48k patterns. The automaton is immutable once compiled, builds once per
+// ruleset generation, and serializes to a flat little-endian form the
+// registry caches on disk (the layout is position-independent, so a future
+// loader can map it straight from the file).
 //
-// Matching semantics are byte-for-byte identical to Matcher.Scan — same
-// case folding, same hit order, same dedup — which FuzzCompiledAutomaton
-// enforces. The Scan hot path performs zero allocations given a reusable
-// ScanScratch; that property is gated by BenchmarkAutomatonMatch48k's
-// recorded allocs_per_op of 0.
+// Matching semantics are byte-for-byte identical to the trie's reference
+// walker (acTrie.Scan, test-only) — same case folding, same hit order, same
+// dedup — which FuzzCompiledAutomaton enforces. The Scan hot path performs
+// zero allocations given a reusable ScanScratch; that property is gated by
+// BenchmarkAutomatonMatch48k's recorded allocs_per_op of 0.
 
 import (
 	"encoding/binary"
@@ -29,7 +29,7 @@ type CompiledMatcher struct {
 	base  []int32
 	check []int32
 	// fail is the longest-proper-suffix state, dict the nearest fail-chain
-	// ancestor with outputs (-1 when none) — exactly Matcher's links.
+	// ancestor with outputs (-1 when none) — exactly the trie's links.
 	fail []int32
 	dict []int32
 	// outStart/outCount slice outs per state: outs[outStart[s]:+outCount[s]]
@@ -47,8 +47,8 @@ const (
 )
 
 // ScanScratch is the reusable per-goroutine state a zero-allocation Scan
-// needs: an epoch-stamped per-pattern mark array replacing Matcher.Scan's
-// per-call map. The zero value is ready to use; a scratch grows to the
+// needs: an epoch-stamped per-pattern mark array in place of a per-call
+// map. The zero value is ready to use; a scratch grows to the
 // largest pattern count it has seen and may be reused across automata.
 type ScanScratch struct {
 	mark  []uint32
@@ -72,19 +72,18 @@ func (s *ScanScratch) begin(n int) uint32 {
 }
 
 // Compile builds the double-array automaton over patterns, matching
-// case-insensitively like NewMatcher. It compiles through the map-trie
-// Matcher, so links and output order cannot drift from the reference
-// implementation.
+// case-insensitively. It compiles through the map trie, so links and output
+// order cannot drift from the reference walker the tests keep.
 func Compile(patterns [][]byte) *CompiledMatcher {
-	return compileFrom(NewMatcher(patterns))
+	return compileFrom(newACTrie(patterns))
 }
 
-// compileFrom flattens a built Matcher into double-array form. State IDs are
+// compileFrom flattens a built trie into double-array form. State IDs are
 // remapped to cell indices; the root is cell 0.
-func compileFrom(m *Matcher) *CompiledMatcher {
+func compileFrom(m *acTrie) *CompiledMatcher {
 	c := &CompiledMatcher{numPatterns: int32(len(m.patterns))}
 	n := len(m.nodes)
-	// cellOf maps Matcher node index -> double-array cell.
+	// cellOf maps trie node index -> double-array cell.
 	cellOf := make([]int32, n)
 
 	// Initial capacity: nodes plus slack for placement spread.
@@ -96,7 +95,7 @@ func compileFrom(m *Matcher) *CompiledMatcher {
 	c.check[0] = 0 // self-parented; never consulted (no fail into root cell lookups use check[t]==s with s>=0, and t==0 only for s==0,c==0 when base[0]==0 — base search avoids it via free list)
 	cellOf[0] = 0
 
-	// BFS in Matcher node order: Matcher appends nodes in insertion order and
+	// BFS in trie node order: newACTrie appends nodes in insertion order and
 	// built its links breadth-first, so parents always precede children; a
 	// simple queue over node IDs preserves that.
 	queue := make([]int32, 0, n)
@@ -317,8 +316,8 @@ func (c *CompiledMatcher) NumPatterns() int { return int(c.numPatterns) }
 func (c *CompiledMatcher) States() int { return len(c.check) }
 
 // Scan reports the set of pattern IDs occurring in text, case-insensitively,
-// through hit — exactly once per distinct pattern, in the same order
-// Matcher.Scan reports them. scratch must not be shared between concurrent
+// through hit — exactly once per distinct pattern, ordered by where each
+// first ends in text (longest first at one position). scratch must not be shared between concurrent
 // Scans; passing the same scratch to successive calls makes Scan
 // allocation-free.
 func (c *CompiledMatcher) Scan(text []byte, scratch *ScanScratch, hit func(id int32)) {

@@ -13,8 +13,8 @@ import (
 )
 
 // scanIDs collects the hit sequence (order-sensitive) from a reference
-// Matcher scan.
-func scanIDs(m *Matcher, text []byte) []int32 {
+// trie scan.
+func scanIDs(m *acTrie, text []byte) []int32 {
 	var out []int32
 	m.Scan(text, func(id int32) { out = append(out, id) })
 	return out
@@ -72,7 +72,7 @@ func TestCompiledMatcherEmpty(t *testing.T) {
 
 // TestCompiledMatcherParity drives randomized pattern sets and texts through
 // both implementations and requires identical hit sequences — order included,
-// since compileFrom inherits the Matcher's link and output structure.
+// since compileFrom inherits the trie's link and output structure.
 func TestCompiledMatcherParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	alpha := []byte("abAB01|/")
@@ -89,7 +89,7 @@ func TestCompiledMatcherParity(t *testing.T) {
 		for i := range patterns {
 			patterns[i] = randBytes(1 + rng.Intn(6))
 		}
-		m := NewMatcher(patterns)
+		m := newACTrie(patterns)
 		c := compileFrom(m)
 		var scratch ScanScratch
 		for txt := 0; txt < 8; txt++ {
@@ -208,7 +208,7 @@ func FuzzCompiledAutomaton(f *testing.F) {
 		if len(patterns) == 0 {
 			return
 		}
-		m := NewMatcher(patterns)
+		m := newACTrie(patterns)
 		c := compileFrom(m)
 		var scratch ScanScratch
 		want := scanIDs(m, text)
@@ -282,7 +282,7 @@ func TestCompiledMatcher48kParity(t *testing.T) {
 		t.Skip("48k build in -short mode")
 	}
 	patterns := corpus48kPatterns(t, 48000)
-	m := NewMatcher(patterns)
+	m := newACTrie(patterns)
 	c := compileFrom(m)
 	t.Logf("48k corpus: %d distinct fast patterns, %d cells", len(patterns), c.States())
 	texts := [][]byte{
@@ -366,21 +366,5 @@ func BenchmarkAutomatonMatch48k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Scan(text, &scratch, hit)
-	}
-}
-
-// BenchmarkAutomatonMatch48kLegacy is the map-trie baseline for the same
-// scan, for local comparison (not gated).
-func BenchmarkAutomatonMatch48kLegacy(b *testing.B) {
-	patterns := corpus48kPatterns(b, 48000)
-	m := NewMatcher(patterns)
-	text := benchScanText()
-	hits := 0
-	hit := func(int32) { hits++ }
-	b.SetBytes(int64(len(text)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Scan(text, hit)
 	}
 }

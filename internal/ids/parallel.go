@@ -43,7 +43,7 @@ func MatchSessionsEach(sessions []tcpasm.Session, e *Engine, workers int) ([]Eve
 	}
 	if workers == 1 || len(sessions) < 2*workers {
 		for i := range sessions {
-			evs[i], oks[i] = matchSession(&sessions[i], e)
+			evs[i], oks[i] = MatchSession(&sessions[i], e)
 		}
 		return evs, oks
 	}
@@ -54,7 +54,7 @@ func MatchSessionsEach(sessions []tcpasm.Session, e *Engine, workers int) ([]Eve
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				evs[i], oks[i] = matchSession(&sessions[i], e)
+				evs[i], oks[i] = MatchSession(&sessions[i], e)
 			}
 		}()
 	}

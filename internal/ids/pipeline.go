@@ -55,10 +55,12 @@ type ScanStats struct {
 // pcapio.OpenCapture) through reassembly and the engine, returning one Event
 // per matched session. This is the paper's post-facto evaluation: the
 // capture spans the whole study and the ruleset carries publication dates,
-// so matches may predate their rule's release.
+// so matches may predate their rule's release. Single-goroutine and inline,
+// it is the reference the parity suites hold the scan spine (scan.go) to.
 func ScanCapture(r pcapio.PacketSource, e *Engine) ([]Event, ScanStats, error) {
 	asm := tcpasm.NewAssembler(tcpasm.Config{})
 	var stats ScanStats
+	var dec packet.Packet // reused: reassembly copies what it retains
 	for {
 		pkt, err := r.Next()
 		if err == io.EOF {
@@ -68,12 +70,11 @@ func ScanCapture(r pcapio.PacketSource, e *Engine) ([]Event, ScanStats, error) {
 			return nil, stats, fmt.Errorf("ids: reading capture: %w", err)
 		}
 		stats.Packets++
-		dec, err := packet.Decode(pkt.Data)
-		if err != nil {
+		if packet.DecodeInto(&dec, pkt.Data) != nil {
 			stats.DecodeErrors++
 			continue
 		}
-		asm.Feed(pkt.Timestamp, dec)
+		asm.Feed(pkt.Timestamp, &dec)
 		if stats.Packets%4096 == 0 {
 			asm.Advance(pkt.Timestamp)
 		}
@@ -88,27 +89,20 @@ func ScanCapture(r pcapio.PacketSource, e *Engine) ([]Event, ScanStats, error) {
 func MatchSessions(sessions []tcpasm.Session, e *Engine, stats *ScanStats) []Event {
 	var events []Event
 	for i := range sessions {
-		s := &sessions[i]
-		ev, ok := matchSession(s, e)
-		if !ok {
-			continue
+		if ev, ok := MatchSession(&sessions[i], e); ok {
+			events = append(events, ev)
 		}
-		events = append(events, ev)
 	}
 	setMatchStats(stats, sessions, events)
 	return events
 }
 
 // MatchSession evaluates one session, returning its attributed event when a
-// rule fires — the exact event the batch pipelines produce. The registry's
-// retroactive rescan uses it so re-derived labels are byte-identical to what
-// a cold ingest over the same ruleset would have written.
-func MatchSession(s *tcpasm.Session, e *Engine) (Event, bool) { return matchSession(s, e) }
-
-// matchSession evaluates one session, returning its attributed event when a
-// rule fires. Both the serial and parallel paths build events here, so the
-// attribution (earliest-published rule, primary CVE) cannot diverge.
-func matchSession(s *tcpasm.Session, e *Engine) (Event, bool) {
+// rule fires. Every path — serial, parallel, and the registry's retroactive
+// rescan — builds events here, so the attribution (earliest-published rule,
+// primary CVE) cannot diverge and re-derived labels are byte-identical to
+// what a cold ingest over the same ruleset would have written.
+func MatchSession(s *tcpasm.Session, e *Engine) (Event, bool) {
 	m, ok := e.Earliest(s)
 	if !ok {
 		return Event{}, false

@@ -1,0 +1,171 @@
+package ids
+
+import (
+	"fmt"
+	"io"
+	"sync"
+	"time"
+
+	"repro/internal/packet"
+	"repro/internal/pcapio"
+	"repro/internal/tcpasm"
+)
+
+// The capture scan spine: one decoder goroutine per capture segment feeds a
+// flow-sharded assembler (see tcpasm.Sharded) and a worker pool matches the
+// sessions. ScanCaptureStreamed and ScanCaptureSharded are the same driver
+// with and without streaming emission; output equals the serial ScanCapture's
+// — same events, same stats — for any shard or worker count.
+
+// ScanConfig tunes the capture scan. The zero value picks sensible defaults
+// for the host.
+type ScanConfig struct {
+	// Shards is the reassembly shard count; zero means the tcpasm default
+	// of min(8, GOMAXPROCS).
+	Shards int
+	// MatchWorkers is the signature-matching pool size; zero means
+	// GOMAXPROCS (see MatchSessionsParallel).
+	MatchWorkers int
+	// Assembler overrides reassembly limits (idle timeout, stream caps) and
+	// declares flow-partitioned sources (FlowDisjointFeeders). The scan
+	// sets its Emit field, and its Shards field when ScanConfig.Shards is.
+	Assembler tcpasm.Config
+}
+
+// FeedRecords is the capture record loop: it reads up to max records from
+// src (max <= 0: all of them), decodes each into a pooled item and routes it
+// to its flow's shard. Zero-copy sources lend the item's buffer to NextInto;
+// others cost one copy per record. It returns the records read, how many of
+// them did not decode, and the last one's capture timestamp; err is io.EOF
+// once src is exhausted and nil when max stopped the loop first.
+func FeedRecords(src pcapio.PacketSource, f *tcpasm.Feeder, max int) (packets, decodeErrs int, last time.Time, err error) {
+	zc, zeroCopy := src.(pcapio.ZeroCopySource)
+	var rec pcapio.Packet
+	for max <= 0 || packets < max {
+		it := f.Get()
+		if zeroCopy {
+			// Lend the item's buffer to the reader; take back whatever
+			// (possibly grown) buffer it filled.
+			rec.Data = it.Buf
+			err = zc.NextInto(&rec)
+			it.Buf = rec.Data
+		} else if rec, err = src.Next(); err == nil {
+			it.Buf = append(it.Buf[:0], rec.Data...)
+		}
+		if err != nil {
+			f.Recycle(it)
+			return packets, decodeErrs, last, err
+		}
+		packets++
+		last = rec.Timestamp
+		if packet.DecodeInto(&it.Pkt, it.Buf) != nil {
+			decodeErrs++
+			f.Recycle(it)
+			continue
+		}
+		it.TS = rec.Timestamp
+		f.Feed(it)
+	}
+	return packets, decodeErrs, last, nil
+}
+
+// scan drives srcs through decode and flow-sharded reassembly, one decode
+// goroutine per source. With emit set, session batches stream to it from the
+// shard workers (all delivered before scan returns) and none are returned;
+// without, every session is returned in canonical order. Only the
+// capture-side stats are filled in.
+func scan(srcs []pcapio.PacketSource, cfg ScanConfig, emit func([]tcpasm.Session)) ([]tcpasm.Session, ScanStats, error) {
+	var stats ScanStats
+	if len(srcs) == 0 {
+		return nil, stats, fmt.Errorf("ids: no capture sources")
+	}
+	acfg := cfg.Assembler
+	if cfg.Shards != 0 {
+		acfg.Shards = cfg.Shards
+	}
+	acfg.Emit = emit
+	asm := tcpasm.NewSharded(acfg, len(srcs))
+
+	type fed struct {
+		packets, decodeErrs int
+		err                 error
+	}
+	feds := make([]fed, len(srcs))
+	var wg sync.WaitGroup
+	for i, src := range srcs {
+		wg.Add(1)
+		go func(r *fed, src pcapio.PacketSource, f *tcpasm.Feeder) {
+			defer wg.Done()
+			defer f.Close()
+			r.packets, r.decodeErrs, _, r.err = FeedRecords(src, f, 0)
+		}(&feds[i], src, asm.Feeder(i))
+	}
+	wg.Wait()
+	sessions := asm.Wait() // under emit: nil, after the final flush batches
+
+	var err error
+	for i, r := range feds {
+		stats.Packets += r.packets
+		stats.DecodeErrors += r.decodeErrs
+		if r.err != io.EOF && err == nil {
+			err = fmt.Errorf("ids: segment %d: reading capture: %w", i, r.err)
+		}
+	}
+	return sessions, stats, err
+}
+
+// ScanCaptureSharded replays one or more capture segments through the scan
+// spine and returns events and stats exactly as ScanCapture would over their
+// concatenation. srcs must be time-ordered (segment N captured before
+// segment N+1) — pcapio.OpenFiles order, or a one-element slice — unless
+// cfg.Assembler.FlowDisjointFeeders declares them flow-partitioned.
+func ScanCaptureSharded(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig) ([]Event, ScanStats, error) {
+	sessions, stats, err := scan(srcs, cfg, nil)
+	if err != nil {
+		return nil, stats, err
+	}
+	events := MatchSessionsParallel(sessions, e, &stats, cfg.MatchWorkers)
+	return events, stats, nil
+}
+
+// ScanCaptureStreamed is ScanCaptureSharded with streaming emission: instead
+// of accumulating every session until the capture ends, completed sessions
+// flow straight from the shard workers through a matcher goroutine to sink,
+// so peak memory is bounded by the in-flight window rather than the capture
+// size. The trade: events reach sink in completion order, not the canonical
+// (End, Start, Client, Server) order, and no event slice is returned — exact
+// aggregate stats still are, via the order-independent StatsBuilder.
+//
+// sink is called from a single goroutine and each call owns its slice; nil
+// drops the events. A sink error stops delivery (the capture is still
+// drained, so the pipeline cannot deadlock) and is returned after the scan's
+// own errors.
+func ScanCaptureStreamed(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig, sink func([]Event) error) (ScanStats, error) {
+	// Shard workers hand session batches to the matcher goroutine over a
+	// bounded channel: matching overlaps with reassembly and decode, and
+	// backpressure from a slow sink propagates all the way to generation.
+	sessCh := make(chan []tcpasm.Session, 4)
+	sb := NewStatsBuilder()
+	var sinkErr error
+	matcherDone := make(chan struct{})
+	go func() {
+		defer close(matcherDone)
+		for batch := range sessCh {
+			events := MatchSessionsParallel(batch, e, nil, cfg.MatchWorkers)
+			sb.AddSessionBatch(batch)
+			sb.AddEvents(events)
+			if sink != nil && sinkErr == nil && len(events) > 0 {
+				sinkErr = sink(events)
+			}
+		}
+	}()
+	_, stats, err := scan(srcs, cfg, func(batch []tcpasm.Session) { sessCh <- batch })
+	close(sessCh)
+	<-matcherDone
+
+	sb.fillMatchStats(&stats)
+	if err == nil {
+		err = sinkErr
+	}
+	return stats, err
+}

@@ -10,8 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/pcapio"
+	"repro/internal/scanner"
+	"repro/internal/telescope"
 )
 
 // packetWriter is the slice of pcapio writers the generator needs.
@@ -104,11 +107,54 @@ func diffEvents(t *testing.T, got, want []Event, gotStats, wantStats ScanStats) 
 	}
 }
 
-// TestScanCaptureShardedParity: the parallel scan must reproduce the serial
-// scan exactly — events, order, stats — for every shard count.
-func TestScanCaptureShardedParity(t *testing.T) {
+// openPcap opens a fresh reader over in-memory pcap bytes.
+func openPcap(t testing.TB, data []byte) pcapio.PacketSource {
+	t.Helper()
+	r, err := pcapio.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// nextOnly hides a source's NextInto, so the record loop takes its copying
+// fallback for sources that are not pcapio.ZeroCopySource.
+type nextOnly struct{ src pcapio.PacketSource }
+
+func (n nextOnly) Next() (pcapio.Packet, error) { return n.src.Next() }
+
+// legacyCapture is a small study capture dominated by scans for pre-study
+// CVEs — what a real telescope mostly sees — with the unfiltered ruleset
+// that attributes them.
+func legacyCapture(t testing.TB) ([]byte, *Engine) {
+	t.Helper()
+	bps, err := scanner.Build(scanner.Config{Seed: 5, Scale: 2000, LegacyScans: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	w, err := pcapio.NewWriter(&buf, pcapio.LinkTypeEthernet, pcapio.WithNanoPrecision())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := telescope.NewSim(telescope.SimConfig{Seed: 5}).WritePcap(bps, w); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := scanner.FullRuleset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), NewEngine(rs, Config{PortInsensitive: true})
+}
+
+// TestScanCaptureShardedParity: the parallel scan must reproduce the serial
+// scan exactly — events, order, stats — for every shard count, on clean,
+// link-damaged and legacy-dominated captures alike. Shards 1 / workers 1 is
+// the serial path of the same spine; the streamed driver and the Next()-only
+// record loop are held to the same reference.
+func TestScanCaptureShardedParity(t *testing.T) {
+	var clean bytes.Buffer
+	w, err := pcapio.NewWriter(&clean, pcapio.LinkTypeEthernet, pcapio.WithNanoPrecision())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,36 +162,68 @@ func TestScanCaptureShardedParity(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	e := jndiEngine(t)
+	pcapSource := func(data []byte) func() pcapio.PacketSource {
+		return func() pcapio.PacketSource { return openPcap(t, data) }
+	}
+	impaired := impairedCaptureFrames(t, impairmentProfiles()["full"])
+	legacy, legacyEngine := legacyCapture(t)
 
-	serialR, err := pcapio.NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantEvents, wantStats, err := ScanCapture(serialR, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wantEvents) < 10 {
-		t.Fatalf("weak test input: only %d events", len(wantEvents))
-	}
-
-	for _, shards := range []int{1, 3, 8} {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("shards%d_workers%d", shards, workers), func(t *testing.T) {
-				r, err := pcapio.NewReader(bytes.NewReader(buf.Bytes()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				events, stats, err := ScanCaptureSharded(
-					[]pcapio.PacketSource{r}, e,
-					ScanConfig{Shards: shards, MatchWorkers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				diffEvents(t, events, wantEvents, stats, wantStats)
-			})
+	for _, c := range []struct {
+		name   string
+		open   func() pcapio.PacketSource
+		engine *Engine
+	}{
+		{"clean", pcapSource(clean.Bytes()), jndiEngine(t)},
+		{"impaired", func() pcapio.PacketSource { return netsim.NewFrameSource(impaired) }, jndiEngine(t)},
+		{"legacy", pcapSource(legacy), legacyEngine},
+	} {
+		e := c.engine
+		wantEvents, wantStats, err := ScanCapture(c.open(), e)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(wantEvents) < 10 {
+			t.Fatalf("%s: weak test input: only %d events", c.name, len(wantEvents))
+		}
+
+		for _, shards := range []int{1, 3, 8} {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/shards%d_workers%d", c.name, shards, workers), func(t *testing.T) {
+					events, stats, err := ScanCaptureSharded(
+						[]pcapio.PacketSource{c.open()}, e,
+						ScanConfig{Shards: shards, MatchWorkers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					diffEvents(t, events, wantEvents, stats, wantStats)
+				})
+			}
+		}
+		t.Run(c.name+"/next_only", func(t *testing.T) {
+			events, stats, err := ScanCaptureSharded(
+				[]pcapio.PacketSource{nextOnly{c.open()}}, e, ScanConfig{Shards: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffEvents(t, events, wantEvents, stats, wantStats)
+		})
+		t.Run(c.name+"/streamed_serial", func(t *testing.T) {
+			var got []Event
+			stats, err := ScanCaptureStreamed(
+				[]pcapio.PacketSource{c.open()}, e,
+				ScanConfig{Shards: 1, MatchWorkers: 1},
+				func(evs []Event) error {
+					got = append(got, evs...)
+					return nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append([]Event(nil), wantEvents...)
+			sortEventsCanonical(want)
+			sortEventsCanonical(got)
+			diffEvents(t, got, want, stats, wantStats)
+		})
 	}
 }
 

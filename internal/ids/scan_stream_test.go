@@ -127,3 +127,23 @@ func TestScanCaptureStreamedSinkError(t *testing.T) {
 		t.Fatalf("err = %v, want the sink error", err)
 	}
 }
+
+// TestScanCaptureStreamedNilSink: a nil sink means "drop the events" — the
+// scan still runs to completion and reports exact stats.
+func TestScanCaptureStreamedNilSink(t *testing.T) {
+	data := buildCapture(t)
+	_, want, err := ScanCapture(openPcap(t, data), jndiEngine(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.MatchedEvents == 0 {
+		t.Fatal("weak test input: no events")
+	}
+	got, err := ScanCaptureStreamed([]pcapio.PacketSource{openPcap(t, data)}, jndiEngine(t), ScanConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("stats %+v, want %+v", got, want)
+	}
+}

@@ -9,11 +9,11 @@ import (
 	"repro/internal/tcpasm"
 )
 
-// StatsBuilder accumulates ScanStats incrementally. It is the one shared
-// aggregation used by MatchSessions, MatchSessionsParallel, and the
-// streaming ingest pipeline, so the three paths cannot drift: a session
-// counts once, an event counts once, and distinct CVEs and source
-// addresses are deduplicated across every batch fed to the builder.
+// StatsBuilder accumulates ScanStats incrementally. It is the one aggregation
+// behind every ScanStats — batch matchers, streamed scan, incremental read
+// path, timeline checkpoints — so no two paths can drift: a session counts
+// once, an event counts once, and distinct CVEs and source addresses are
+// deduplicated across every batch fed to the builder.
 type StatsBuilder struct {
 	sessions  int
 	matched   int
@@ -191,8 +191,16 @@ func (b *StatsBuilder) Stats() ScanStats {
 	}
 }
 
-// setMatchStats fills the match-derived fields of stats (leaving the
-// capture-derived Packets and DecodeErrors untouched). stats may be nil.
+// fillMatchStats overwrites stats' match-derived fields with the builder's
+// aggregate; the capture-derived Packets and DecodeErrors stay.
+func (b *StatsBuilder) fillMatchStats(stats *ScanStats) {
+	agg := b.Stats()
+	agg.Packets, agg.DecodeErrors = stats.Packets, stats.DecodeErrors
+	*stats = agg
+}
+
+// setMatchStats fills the match-derived fields of stats for one batch scan.
+// stats may be nil.
 func setMatchStats(stats *ScanStats, sessions []tcpasm.Session, events []Event) {
 	if stats == nil {
 		return
@@ -200,10 +208,5 @@ func setMatchStats(stats *ScanStats, sessions []tcpasm.Session, events []Event) 
 	b := NewStatsBuilder()
 	b.AddSessionBatch(sessions)
 	b.AddEvents(events)
-	agg := b.Stats()
-	stats.Sessions = agg.Sessions
-	stats.MatchedEvents = agg.MatchedEvents
-	stats.DistinctCVEs = agg.DistinctCVEs
-	stats.DistinctSrcIPs = agg.DistinctSrcIPs
-	stats.AmbiguousSessions = agg.AmbiguousSessions
+	b.fillMatchStats(stats)
 }

@@ -34,7 +34,6 @@ import (
 	"repro/internal/eventstore"
 	"repro/internal/fault"
 	"repro/internal/ids"
-	"repro/internal/packet"
 	"repro/internal/pcapio"
 	"repro/internal/registry"
 	"repro/internal/tcpasm"
@@ -383,44 +382,17 @@ func (p *Pipeline) loadCheckpoint() (checkpoint, bool) {
 	return checkpoint{Segment: seg, Offset: off}, true
 }
 
-// saveCheckpoint persists ck with write-to-tmp, fsync, rename. The fsync
-// before the rename is load-bearing: without it a crash shortly after the
-// rename can leave an empty checkpoint file, which reads as "no checkpoint"
-// and re-ingests the whole capture — every event since the beginning would
-// re-ship under fresh sequence numbers and apply twice. Failure paths close
-// the tmp handle and delete the tmp file.
+// saveCheckpoint atomically replaces the checkpoint file. A torn or empty
+// checkpoint would read as "no checkpoint" and re-ingest the whole capture —
+// every event since the beginning would re-ship under fresh sequence numbers
+// and apply twice — which is why this goes through fault.WriteFileAtomic.
 func (p *Pipeline) saveCheckpoint(ck checkpoint) error {
 	path := p.checkpointPath()
 	if ck.Segment == "" || path == "" {
 		return nil
 	}
-	fs := fault.Or(p.cfg.FS)
-	tmp := path + ".tmp"
 	data := fmt.Sprintf("%s %d\n", ck.Segment, ck.Offset)
-	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	abort := func(err error) error {
-		f.Close()
-		fs.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write([]byte(data)); err != nil {
-		return abort(err)
-	}
-	if err := f.Sync(); err != nil {
-		return abort(err)
-	}
-	if err := f.Close(); err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	return nil
+	return fault.WriteFileAtomic(fault.Or(p.cfg.FS), path+".tmp", path, []byte(data))
 }
 
 // noteCheckpoint records a candidate position. The caller (the tailer)
@@ -627,35 +599,20 @@ func (p *Pipeline) pump(st *tailState, draining bool) (bool, error) {
 		st.tail = pcapio.NewTailReader(f)
 		st.lastOff = 0
 	}
-	progress := false
-	caughtUp := false
-	var rec pcapio.Packet
-	for n := 0; n < 8192; n++ {
-		// Lend the pooled item's buffer to the tail reader, decode in place,
-		// and route to the flow's shard — no per-record allocation.
-		it := p.feeder.Get()
-		rec.Data = it.Buf
-		err := st.tail.NextInto(&rec)
-		it.Buf = rec.Data
-		if err == io.EOF {
-			p.feeder.Recycle(it)
-			caughtUp = true
-			break
-		}
-		if err != nil {
-			p.feeder.Recycle(it)
-			return progress, fmt.Errorf("ingest: %s: %w", st.path, err)
-		}
-		p.packets.Add(1)
-		st.lastTS = rec.Timestamp
-		if derr := packet.DecodeInto(&it.Pkt, it.Buf); derr != nil {
-			p.decodeErrs.Add(1)
-			p.feeder.Recycle(it)
-			continue
-		}
-		it.TS = rec.Timestamp
-		p.feeder.Feed(it)
+	// One bounded slice of the shared record loop: decode in place into
+	// pooled buffers and route to the flow's shard, no per-record allocation.
+	// The bound keeps Drain barriers and stop checks regular under a backlog.
+	packets, decodeErrs, lastTS, err := ids.FeedRecords(st.tail, p.feeder, 8192)
+	p.packets.Add(uint64(packets))
+	p.decodeErrs.Add(uint64(decodeErrs))
+	if packets > 0 {
+		st.lastTS = lastTS
 	}
+	caughtUp := err == io.EOF
+	if err != nil && !caughtUp {
+		return false, fmt.Errorf("ingest: %s: %w", st.path, err)
+	}
+	progress := false
 	if off := st.tail.Offset(); off > st.lastOff {
 		p.consumed.Add(off - st.lastOff)
 		st.lastOff = off

@@ -328,14 +328,6 @@ func BenchmarkDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Decode(frame); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("into", func(b *testing.B) {
 		var p Packet
 		b.ReportAllocs()

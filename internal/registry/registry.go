@@ -382,12 +382,6 @@ func (c *dirCache) Load(key string) []byte {
 }
 
 func (c *dirCache) Store(key string, data []byte) {
-	// Write-then-rename so a crash mid-store never leaves a torn cache file
-	// under the final name (ids validates on load anyway; this keeps the
-	// common path clean).
-	tmp := c.path(key) + ".tmp"
-	if err := c.fs.WriteFile(tmp, data, 0o644); err != nil {
-		return
-	}
-	c.fs.Rename(tmp, c.path(key))
+	// Best effort (see dirCache); a failed store leaves no file behind.
+	_ = fault.WriteFileAtomic(c.fs, c.path(key)+".tmp", c.path(key), data)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/eventstore"
+	"repro/internal/fault"
 	"repro/internal/fuzzcorpus"
 	"repro/internal/ids"
 	"repro/internal/packet"
@@ -113,6 +114,76 @@ func TestPublishSwapsEngineAndPersists(t *testing.T) {
 	}
 	if !cached {
 		t.Error("no automaton cache files written")
+	}
+}
+
+// TestAutomatonCacheCrashSafe: the automaton cache is replaced atomically. A
+// crash between the temp file's write and its rename leaves nothing under the
+// final name, a reopen leaves no stray temp file, and once a store has
+// returned the cached bytes are durable — a power loss cannot tear them.
+func TestAutomatonCacheCrashSafe(t *testing.T) {
+	fs := fault.NewSimFS(3, fault.Profile{})
+	cfg := Config{Dir: "reg", FS: fs, Base: baseRuleset(t)}
+	cacheFiles := func() (final, tmp []string) {
+		for _, name := range fs.Files() {
+			switch base := filepath.Base(name); {
+			case !strings.HasPrefix(base, "automaton-"):
+			case strings.HasSuffix(base, ".tmp"):
+				tmp = append(tmp, name)
+			default:
+				final = append(final, name)
+			}
+		}
+		return final, tmp
+	}
+
+	// Power fails at the rename: the temp file is written and synced, the
+	// final name never appears.
+	crashed := false
+	fs.FailWith(func(op, name string) error {
+		if crashed || (op == "rename" && strings.HasSuffix(name, ".bin.tmp")) {
+			crashed = true
+			return fault.ErrCrashed
+		}
+		return nil
+	})
+	r, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.FailWith(nil)
+	fs.Crash()
+	r.Close()
+	fs.Restart()
+	if !crashed {
+		t.Fatal("crash point never fired; the cache store did not rename a temp file")
+	}
+	if final, _ := cacheFiles(); len(final) != 0 {
+		t.Fatalf("crash before rename left %v under the final name", final)
+	}
+
+	// Reopen: the cache is rebuilt, and no temp file survives it.
+	if r, err = Open(cfg); err != nil {
+		t.Fatal(err)
+	}
+	final, tmp := cacheFiles()
+	if len(final) != 1 || len(tmp) != 0 {
+		t.Fatalf("after reopen: cache files %v, temp files %v; want one and none", final, tmp)
+	}
+	want, err := fs.ReadFile(final[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ids.LoadCompiledMatcher(want); err != nil {
+		t.Fatalf("cached automaton does not load: %v", err)
+	}
+
+	// Power loss at rest: the stored bytes were synced before the rename.
+	fs.Crash()
+	r.Close()
+	fs.Restart()
+	if got, err := fs.ReadFile(final[0]); err != nil || string(got) != string(want) {
+		t.Fatalf("cache entry not durable across a crash: err=%v, %d bytes, want %d", err, len(got), len(want))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"time"
 
 	"repro/internal/eventstore"
@@ -485,38 +484,6 @@ func (m *segmentMeta) scanCVE(fs fault.FS, cve string, hi time.Time, fn func(ids
 	}
 	if err != nil {
 		return fmt.Errorf("timeline: %s: %w", m.path, err)
-	}
-	return nil
-}
-
-// writeFileAtomic writes data to path via a fully fsynced temp file and a
-// rename — the only way segment and checkpoint files come into existence, so
-// a listed file is complete by construction. On any failure the temp file is
-// removed; a crash between write and rename leaves a *.tmp that recovery
-// deletes.
-func writeFileAtomic(fs fault.FS, tmp, path string, data []byte) error {
-	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	cleanup := func(err error) error {
-		f.Close()
-		fs.Remove(tmp) // best effort; recovery also sweeps *.tmp
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		fs.Remove(tmp)
-		return err
 	}
 	return nil
 }

@@ -281,7 +281,7 @@ func (e *Engine) Seal() (bool, error) {
 	path := e.dir + "/" + segmentName(seq)
 	tmp := e.dir + "/" + fmt.Sprintf("segment-%06d.tmp", seq)
 	data := encodeSegment(seq, counts, batch)
-	if err := writeFileAtomic(e.fs, tmp, path, data); err != nil {
+	if err := fault.WriteFileAtomic(e.fs, tmp, path, data); err != nil {
 		return false, fmt.Errorf("timeline: sealing segment %d: %w", seq, err)
 	}
 	m, err := parseSegment(path, data)
@@ -362,7 +362,7 @@ func (e *Engine) writeCheckpointLocked() error {
 	tmp := e.dir + "/" + fmt.Sprintf("ckpt-%06d.tmp", seq)
 	writtenAt := time.Now().UTC()
 	data := encodeCheckpoint(seq, k, cut, writtenAt, agg)
-	if err := writeFileAtomic(e.fs, tmp, path, data); err != nil {
+	if err := fault.WriteFileAtomic(e.fs, tmp, path, data); err != nil {
 		return err
 	}
 	e.checkpoints = append(e.checkpoints, &ckptMeta{

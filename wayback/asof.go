@@ -1,9 +1,7 @@
 package wayback
 
 import (
-	"repro/internal/datasets"
 	"repro/internal/eventstore"
-	"repro/internal/lifecycle"
 	"repro/internal/timeline"
 )
 
@@ -28,14 +26,5 @@ func (s *Study) OpenTimeline(dir string, st *eventstore.Store, cfg timeline.Conf
 // used, exactly as in ResultsFromEvents — as-of then only affects stats,
 // figures, and event-derived analyses.
 func (s *Study) ResultsFromView(v *timeline.View) *Results {
-	res := newResults(s.cfg)
-	res.Stats = v.Stats()
-	if s.cfg.PipelineTimelines {
-		res.Timelines = v.Timelines()
-	} else {
-		res.Timelines = lifecycle.StudyTimelines()
-	}
-	res.KEV = datasets.GenerateKEV(datasets.KEVConfig{Seed: s.cfg.Seed})
-	res.eventsFn = v.Events
-	return res
+	return s.finish(&Results{Stats: v.Stats(), eventsFn: v.Events}, v.Timelines)
 }

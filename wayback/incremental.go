@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/datasets"
 	"repro/internal/eventstore"
 	"repro/internal/ids"
 	"repro/internal/lifecycle"
@@ -27,9 +26,8 @@ import (
 //
 // Results handed out are byte-for-byte identical to a cold
 // Study.ResultsFromStore at the same generation (proven by parity tests):
-// the aggregates commute, the lazy event set replays exactly Snapshot's
-// merge-sort-amend computation over pinned immutable shard prefixes, and the
-// KEV catalog is deterministic in the seed so caching it changes nothing.
+// the aggregates commute, and the lazy event set replays exactly Snapshot's
+// computation (eventstore.MergeEvents) over pinned immutable shard prefixes.
 type Incremental struct {
 	study *Study
 	store *eventstore.Store
@@ -40,15 +38,9 @@ type Incremental struct {
 	positions  []int // per-shard events already folded
 	amendCount int   // amendment records accounted for (via the last rebuild)
 	wins       map[any]eventstore.Amendment
-	parts      [][]ids.Event          // pinned per-shard prefixes of the current view
-	amends     []eventstore.Amendment // pinned amendment prefix of the current view
-	merged     []ids.Event            // materialized events, when the rebuild already paid for them
 	gen        uint64
 	res        *Results
 	valid      bool
-
-	kev    datasets.KEVCatalog
-	kevSet bool
 
 	folds        atomic.Uint64
 	foldedEvents atomic.Uint64
@@ -101,12 +93,11 @@ func (inc *Incremental) Results() (*Results, uint64) {
 		if inc.store.Generation() != gen {
 			continue // an append raced the reads; retry for a stable view
 		}
+		var merged []ids.Event // set when a rebuild already paid for the merge
 		if !inc.fold(parts, amends) {
-			inc.rebuild(parts, amends, gen)
+			merged = inc.rebuild(parts, amends, gen)
 		}
-		inc.parts, inc.amends, inc.gen = parts, amends, gen
-		inc.res = inc.materialize()
-		inc.valid = true
+		inc.res, inc.gen, inc.valid = inc.materialize(parts, amends, merged), gen, true
 		return inc.res, inc.gen
 	}
 }
@@ -140,7 +131,6 @@ func (inc *Incremental) fold(parts [][]ids.Event, amends []eventstore.Amendment)
 		inc.positions[i] = len(p)
 		n += len(suffix)
 	}
-	inc.merged = nil
 	inc.folds.Add(1)
 	inc.foldedEvents.Add(uint64(n))
 	return true
@@ -148,18 +138,9 @@ func (inc *Incremental) fold(parts [][]ids.Event, amends []eventstore.Amendment)
 
 // rebuild recomputes the aggregates from scratch over the pinned view —
 // exactly the cold path's merge, sort, and amendment overlay — and resets the
-// fold positions to the view's edge.
-func (inc *Incremental) rebuild(parts [][]ids.Event, amends []eventstore.Amendment, gen uint64) {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	merged := make([]ids.Event, 0, total)
-	for _, p := range parts {
-		merged = append(merged, p...)
-	}
-	eventstore.SortEvents(merged)
-	merged = eventstore.ApplyAmendments(merged, amends)
+// fold positions to the view's edge. It returns the merged events.
+func (inc *Incremental) rebuild(parts [][]ids.Event, amends []eventstore.Amendment, gen uint64) []ids.Event {
+	merged := eventstore.MergeEvents(parts, amends)
 	inc.stats = ids.NewStatsBuilder()
 	inc.stats.AddEvents(merged)
 	inc.lc = lifecycle.NewBuilder()
@@ -172,7 +153,6 @@ func (inc *Incremental) rebuild(parts [][]ids.Event, amends []eventstore.Amendme
 	}
 	inc.amendCount = len(amends)
 	inc.wins = eventstore.ResolveAmendments(amends)
-	inc.merged = merged
 	inc.rebuilds.Add(1)
 	if inc.valid {
 		// A fallback, not the initial build: the incremental promise was not
@@ -182,49 +162,21 @@ func (inc *Incremental) rebuild(parts [][]ids.Event, amends []eventstore.Amendme
 		log.Printf("wayback: incremental fallback: full rebuild at generation %d (%d events, %d amendment records)",
 			gen, len(merged), len(amends))
 	}
+	return merged
 }
 
-// materialize builds the Results for the current aggregates. Everything
-// derived matches what finish() computes on the cold path; the raw event set
-// is lazy when the generation was absorbed by folding (figures and Table 5
-// pay the merge only if asked for).
-func (inc *Incremental) materialize() *Results {
-	res := newResults(inc.study.cfg)
-	res.Stats = inc.stats.Stats()
-	if inc.study.cfg.PipelineTimelines {
-		res.Timelines = inc.lc.Timelines()
-	} else {
-		res.Timelines = lifecycle.StudyTimelines()
-	}
-	if !inc.kevSet {
-		// Deterministic in the seed, so one generation's catalog is every
-		// generation's catalog.
-		inc.kev = datasets.GenerateKEV(datasets.KEVConfig{Seed: inc.study.cfg.Seed})
-		inc.kevSet = true
-	}
-	res.KEV = inc.kev
-	if inc.merged != nil {
-		res.Events = inc.merged
-		inc.merged = nil
-		return res
-	}
-	// Pin the immutable shard prefixes and amendment prefix of this view and
-	// replay Snapshot's exact computation on demand: concatenate in shard
-	// order, stable-sort into canonical order, resolve amendments. Appends
-	// after this point only ever extend past the pinned lengths, so the
-	// closure's inputs never change under it.
-	parts, amends := inc.parts, inc.amends
-	res.eventsFn = func() ([]ids.Event, error) {
-		total := 0
-		for _, p := range parts {
-			total += len(p)
+// materialize builds the Results for the current aggregates through the same
+// finisher as the cold path. merged is the event set when the rebuild already
+// paid for it; otherwise the set is lazy (figures and Table 5 pay the merge
+// only if asked for), replaying Snapshot's exact computation over this view's
+// pinned shard and amendment prefixes — appends only ever extend past the
+// pinned lengths, so the closure's inputs never change under it.
+func (inc *Incremental) materialize(parts [][]ids.Event, amends []eventstore.Amendment, merged []ids.Event) *Results {
+	res := &Results{Stats: inc.stats.Stats(), Events: merged}
+	if merged == nil {
+		res.eventsFn = func() ([]ids.Event, error) {
+			return eventstore.MergeEvents(parts, amends), nil
 		}
-		merged := make([]ids.Event, 0, total)
-		for _, p := range parts {
-			merged = append(merged, p...)
-		}
-		eventstore.SortEvents(merged)
-		return eventstore.ApplyAmendments(merged, amends), nil
 	}
-	return res
+	return inc.study.finish(res, inc.lc.Timelines)
 }

@@ -25,13 +25,9 @@ func OpenStore(dir string) (*eventstore.Store, error) {
 // CVEs and sources. Capture-side numbers (packets, sessions) live with the
 // capture pipeline, not the store.
 func (s *Study) ResultsFromEvents(events []ids.Event) *Results {
-	res := newResults(s.cfg)
-	res.Events = events
 	b := ids.NewStatsBuilder()
 	b.AddEvents(events)
-	res.Stats = b.Stats()
-	res.finish(s)
-	return res
+	return s.finish(&Results{Events: events, Stats: b.Stats()}, nil)
 }
 
 // ResultsFromStore builds a Results from the store's current snapshot and

@@ -67,12 +67,12 @@ type Config struct {
 	// legacy CVEs appear in the attributed events (the filtering
 	// ablation). Default false: the paper's methodology.
 	UnfilteredRules bool
-	// ReasmShards is the flow-sharded reassembly width for the UsePcap path
-	// (ids.ScanCaptureSharded). Zero picks min(8, GOMAXPROCS); every value
-	// yields identical events.
+	// ReasmShards is the flow-sharded reassembly width of the capture scan
+	// (UsePcap, Streaming, RunStream). Zero picks min(8, GOMAXPROCS); every
+	// value yields identical events.
 	ReasmShards int
-	// MatchWorkers sizes the signature-matching pool for both capture
-	// paths. Zero picks GOMAXPROCS.
+	// MatchWorkers sizes the signature-matching pool on every path. Zero
+	// picks GOMAXPROCS.
 	MatchWorkers int
 	// Streaming synthesizes the capture lazily straight into the sharded
 	// scan front-end: no pcap bytes are materialized in memory or on disk,
@@ -109,9 +109,13 @@ type Study struct {
 	ruleset map[int]time.Time
 	tel     *telescope.Telescope
 
-	// stream is the most recent streaming capture (Run with Streaming, or
-	// RunStream), kept after the run so monitoring surfaces can report final
-	// totals. See StreamMetrics.
+	// kev is the comparison catalog: deterministic in the seed, so every
+	// Results of this study shares it.
+	kev datasets.KEVCatalog
+
+	// stream is the most recent streaming capture (StreamCapture), kept after
+	// the run so monitoring surfaces can report final totals. See
+	// StreamMetrics.
 	stream atomic.Pointer[telescope.Stream]
 }
 
@@ -154,6 +158,7 @@ func NewStudy(cfg Config) (*Study, error) {
 		rules:   rs,
 		ruleset: pub,
 		tel:     telescope.NewSim(telescope.SimConfig{Seed: cfg.Seed}),
+		kev:     datasets.GenerateKEV(datasets.KEVConfig{Seed: cfg.Seed}),
 	}, nil
 }
 
@@ -229,45 +234,52 @@ func (s *Study) streamSegments() int {
 // StreamCapture starts the zero-materialization capture: a lazy blueprint
 // stream feeding per-flow-partitioned virtual capture segments whose frames
 // are synthesized on demand (see telescope.Stream). The caller owns the
-// stream and must drain every segment or Close it.
+// stream and must drain every segment or Close it; StreamMetrics reports it.
 func (s *Study) StreamCapture() (*telescope.Stream, error) {
 	src, err := scanner.NewStream(s.scannerConfig())
 	if err != nil {
 		return nil, fmt.Errorf("wayback: building workload stream: %w", err)
 	}
-	return s.tel.Stream(src, telescope.StreamConfig{Segments: s.streamSegments()}), nil
+	st := s.tel.Stream(src, telescope.StreamConfig{Segments: s.streamSegments()})
+	s.stream.Store(st)
+	return st, nil
+}
+
+// scanConfig is the ids.ScanConfig every capture scan shares. disjoint
+// declares flow-partitioned sources (the streamed capture's virtual
+// segments) rather than time-ordered slices of one capture.
+func (s *Study) scanConfig(disjoint bool) ids.ScanConfig {
+	return ids.ScanConfig{Shards: s.cfg.ReasmShards, MatchWorkers: s.cfg.MatchWorkers,
+		Assembler: tcpasm.Config{OverlapPolicy: s.cfg.OverlapPolicy, FlowDisjointFeeders: disjoint}}
 }
 
 // Run generates the workload, captures it, runs the IDS, and assembles
-// lifecycles.
+// lifecycles. The Streaming and UsePcap captures differ only in where their
+// packet sources come from: both make the one scan call, proven
+// byte-identical to the serial ids.ScanCapture (parity tests in packages ids
+// and wayback). The default matches the telescope's sessions directly.
 func (s *Study) Run() (*Results, error) {
+	var srcs []pcapio.PacketSource
 	if s.cfg.Streaming {
 		st, err := s.StreamCapture()
 		if err != nil {
 			return nil, err
 		}
 		defer st.Close()
-		s.stream.Store(st)
-		res := newResults(s.cfg)
-		res.Events, res.Stats, err = ids.ScanCaptureSharded(
-			st.PacketSources(), s.engine,
-			ids.ScanConfig{Shards: s.cfg.ReasmShards, MatchWorkers: s.cfg.MatchWorkers,
-				DisjointSegments: true,
-				Assembler:        tcpasm.Config{OverlapPolicy: s.cfg.OverlapPolicy}})
+		srcs = st.PacketSources()
+	} else {
+		bps, err := scanner.Build(s.scannerConfig())
 		if err != nil {
-			return nil, fmt.Errorf("wayback: scanning streamed capture: %w", err)
+			return nil, fmt.Errorf("wayback: building workload: %w", err)
 		}
-		res.finish(s)
-		return res, nil
-	}
-
-	bps, err := scanner.Build(s.scannerConfig())
-	if err != nil {
-		return nil, fmt.Errorf("wayback: building workload: %w", err)
-	}
-	res := newResults(s.cfg)
-
-	if s.cfg.UsePcap {
+		if !s.cfg.UsePcap {
+			sessions := s.tel.Sessions(bps)
+			res := &Results{Coverage: telescope.Coverage(sessions)}
+			// Parallel matching preserves session order, so results are
+			// byte-identical to the serial path (tested in package ids).
+			res.Events = ids.MatchSessionsParallel(sessions, s.engine, &res.Stats, s.cfg.MatchWorkers)
+			return s.finish(res, nil), nil
+		}
 		var buf bytes.Buffer
 		w, err := pcapio.NewWriter(&buf, pcapio.LinkTypeEthernet, pcapio.WithNanoPrecision())
 		if err != nil {
@@ -280,26 +292,13 @@ func (s *Study) Run() (*Results, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The parallel front-end is proven byte-identical to ids.ScanCapture
-		// (parity tests in packages ids and wayback), so the fast path is
-		// the only path.
-		res.Events, res.Stats, err = ids.ScanCaptureSharded(
-			[]pcapio.PacketSource{r}, s.engine,
-			ids.ScanConfig{Shards: s.cfg.ReasmShards, MatchWorkers: s.cfg.MatchWorkers,
-				Assembler: tcpasm.Config{OverlapPolicy: s.cfg.OverlapPolicy}})
-		if err != nil {
-			return nil, fmt.Errorf("wayback: scanning capture: %w", err)
-		}
-	} else {
-		sessions := s.tel.Sessions(bps)
-		res.Coverage = telescope.Coverage(sessions)
-		// Parallel matching preserves session order, so results are
-		// byte-identical to the serial path (tested in package ids).
-		res.Events = ids.MatchSessionsParallel(sessions, s.engine, &res.Stats, s.cfg.MatchWorkers)
+		srcs = []pcapio.PacketSource{r}
 	}
-
-	res.finish(s)
-	return res, nil
+	events, stats, err := ids.ScanCaptureSharded(srcs, s.engine, s.scanConfig(s.cfg.Streaming))
+	if err != nil {
+		return nil, fmt.Errorf("wayback: scanning capture: %w", err)
+	}
+	return s.finish(&Results{Events: events, Stats: stats}, nil), nil
 }
 
 // RunStream is Run in full streaming mode: generation, frame synthesis,
@@ -313,42 +312,35 @@ func (s *Study) RunStream(sink func([]ids.Event) error) (*Results, error) {
 	if s.cfg.PipelineTimelines {
 		return nil, fmt.Errorf("wayback: RunStream cannot derive pipeline timelines; use Run")
 	}
-	if sink == nil {
-		sink = func([]ids.Event) error { return nil }
-	}
 	st, err := s.StreamCapture()
 	if err != nil {
 		return nil, err
 	}
 	defer st.Close()
-	s.stream.Store(st)
-	res := newResults(s.cfg)
-	res.Stats, err = ids.ScanCaptureStreamed(
-		st.PacketSources(), s.engine,
-		ids.ScanConfig{Shards: s.cfg.ReasmShards, MatchWorkers: s.cfg.MatchWorkers,
-			DisjointSegments: true,
-			Assembler:        tcpasm.Config{OverlapPolicy: s.cfg.OverlapPolicy}},
-		sink)
+	stats, err := ids.ScanCaptureStreamed(st.PacketSources(), s.engine, s.scanConfig(true), sink)
 	if err != nil {
 		return nil, fmt.Errorf("wayback: streaming scan: %w", err)
 	}
-	res.finish(s)
-	return res, nil
+	return s.finish(&Results{Stats: stats}, nil), nil
 }
 
-func newResults(cfg Config) *Results {
-	return &Results{cfg: cfg, baselines: core.PublishedBaselines()}
-}
-
-// finish derives everything downstream of the event set: timelines per the
-// study configuration, and the KEV comparison catalog.
-func (r *Results) finish(s *Study) {
-	if s.cfg.PipelineTimelines {
-		r.Timelines = lifecycle.FromPipeline(r.events(), s.ruleset)
-	} else {
-		r.Timelines = lifecycle.StudyTimelines()
+// finish is the one Results finisher: given a Results holding its events (or
+// their lazy loader) and stats, it fills in what every construction path
+// shares — configuration, baselines, analysis timelines and the seeded KEV
+// catalog. Under Config.PipelineTimelines the timelines are the measured
+// ones: from measured when the caller holds them as an aggregate (an as-of
+// view, the incremental fold), else derived from the Results' own events.
+func (s *Study) finish(res *Results, measured func() []lifecycle.Timeline) *Results {
+	res.cfg, res.baselines, res.KEV = s.cfg, core.PublishedBaselines(), s.kev
+	switch {
+	case !s.cfg.PipelineTimelines:
+		res.Timelines = lifecycle.StudyTimelines()
+	case measured != nil:
+		res.Timelines = measured()
+	default:
+		res.Timelines = lifecycle.FromPipeline(res.events(), s.ruleset)
 	}
-	r.KEV = datasets.GenerateKEV(datasets.KEVConfig{Seed: s.cfg.Seed})
+	return res
 }
 
 // Engine exposes the compiled IDS engine (for custom pipelines and the
