@@ -10,7 +10,11 @@
 // and per-segment pcap fan-out (ids.ScanCaptureSharded, or
 // ids.ScanCaptureStreamed to emit as it goes) — and provably
 // output-identical to the serial reference ids.ScanCapture: scan_parity_test.go asserts byte-identical events and Table 4 for
-// every shard width. Durability is tested by simulation: internal/fault is
+// every shard width. Everything durable is an internal/wal log — one frame
+// codec, one open/recover routine, one append-with-rollback and one
+// compaction behind the event shards, commit journal, amendment log, fleet
+// spool and watermarks, and the registry's journal and digests — and
+// durability is tested by simulation: internal/fault is
 // the seeded fault-injection substrate (a VFS with torn writes, ENOSPC,
 // lying fsyncs and crash points, plus a partitioning network), and
 // internal/simtest replays the whole sensor-fleet pipeline under seeded

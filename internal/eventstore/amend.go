@@ -1,14 +1,13 @@
 package eventstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
-	"os"
 	"path/filepath"
 
 	"repro/internal/ids"
+	"repro/internal/wal"
 )
 
 // Retroactive re-attribution. Publishing a rule after ingest can change what
@@ -18,11 +17,11 @@ import (
 // separate amendment log, and every read funnel (Snapshot here, the timeline
 // View in internal/timeline) resolves amendments over the raw events.
 //
-// amend.log is framed like the shards (magic + length/CRC records) but has
-// its own durability contract: every AppendAmendments fsyncs before
-// returning. Amendments are produced by an idempotent rescan that restarts
-// from scratch after a crash, so a lost tail costs re-derivation, never
-// correctness — there is no commit-journal coupling to get wrong.
+// amend.log is a wal.Log like the shards but has its own durability
+// contract: every AppendAmendments fsyncs before returning. Amendments are
+// produced by an idempotent rescan that restarts from scratch after a crash,
+// so a lost tail costs re-derivation, never correctness — there is no
+// commit-journal coupling to get wrong.
 //
 // An Amendment reassigns one session's label. Sessions are identified by
 // (start time, source endpoint, destination endpoint) — the identity the
@@ -92,62 +91,22 @@ func decodeAmendment(b []byte) (Amendment, error) {
 	return a, nil
 }
 
-// openAmendLog opens (creating if needed) dir/amend.log, recovering intact
-// records and truncating any torn tail.
+// openAmendLog opens (creating if needed) dir/amend.log and recovers its
+// intact records.
 func (s *Store) openAmendLog() error {
-	path := filepath.Join(s.dir, "amend.log")
-	f, err := s.fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	raw, err := s.fs.ReadFile(path)
-	if err != nil {
-		f.Close()
-		return err
-	}
 	var amends []Amendment
-	var size int64
-	switch {
-	case len(raw) < len(amendMagic) && bytes.Equal(raw, amendMagic[:len(raw)]):
-		if _, err := f.Write(amendMagic[:]); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Truncate(int64(len(amendMagic))); err != nil {
-			f.Close()
-			return err
-		}
-		size = int64(len(amendMagic))
-	case [8]byte(raw[:8]) != amendMagic:
-		f.Close()
-		return fmt.Errorf("eventstore: %s is not an amendment log", path)
-	default:
-		good, _, err := scanFrames(raw[len(amendMagic):], func(payload []byte) error {
-			a, err := decodeAmendment(payload)
-			if err != nil {
-				return err
-			}
-			amends = append(amends, a)
-			return nil
-		})
+	log, err := wal.Open(s.fs, filepath.Join(s.dir, "amend.log"), amendMagic, maxRecordLen, func(payload []byte) error {
+		a, err := decodeAmendment(payload)
 		if err != nil {
-			f.Close()
-			return fmt.Errorf("eventstore: %s: %w", path, err)
+			return err
 		}
-		size = int64(len(amendMagic) + good)
-		if size < int64(len(raw)) {
-			if err := f.Truncate(size); err != nil {
-				f.Close()
-				return err
-			}
-		}
+		amends = append(amends, a)
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("eventstore: amendment log: %w", err)
 	}
-	if _, err := f.Seek(size, 0); err != nil {
-		f.Close()
-		return err
-	}
-	s.amendF = f
-	s.amendSize = size
+	s.amendLog = log
 	s.amends.Store(&amends)
 	if len(amends) > 0 {
 		s.gen.Add(1)
@@ -167,27 +126,13 @@ func (s *Store) AppendAmendments(as []Amendment) error {
 	var payload []byte
 	for i := range as {
 		payload = appendAmendment(payload[:0], &as[i])
-		buf = appendFrame(buf, payload)
+		buf = wal.AppendFrame(buf, payload)
 	}
 	s.amendMu.Lock()
 	defer s.amendMu.Unlock()
-	if s.amendBad != nil {
-		return s.amendBad
-	}
-	if _, err := s.amendF.Write(buf); err != nil {
-		// Roll back to the last good boundary; poison on failure, as the
-		// shards do, so later appends cannot land after garbage.
-		if terr := s.amendF.Truncate(s.amendSize); terr != nil {
-			s.amendBad = fmt.Errorf("eventstore: amendment log poisoned: %w", terr)
-		} else {
-			s.amendF.Seek(s.amendSize, 0)
-		}
+	if err := s.amendLog.AppendSync(buf); err != nil {
 		return fmt.Errorf("eventstore: appending amendments: %w", err)
 	}
-	if err := s.amendF.Sync(); err != nil {
-		return fmt.Errorf("eventstore: syncing amendment log: %w", err)
-	}
-	s.amendSize += int64(len(buf))
 	cur := *s.amends.Load()
 	next := append(cur, as...)
 	s.amends.Store(&next)

@@ -3,7 +3,6 @@ package eventstore
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"net/netip"
 	"time"
@@ -12,15 +11,8 @@ import (
 	"repro/internal/packet"
 )
 
-// On-disk format. Each shard file is:
-//
-//	8-byte magic "EVLOG\x00\x01\n"
-//	repeated records: u32 payload length | u32 CRC-32 (IEEE) of payload | payload
-//
-// Everything is little-endian. The length prefix plus CRC makes the tail
-// self-describing: on open, the store replays records until the first
-// short, oversized, or corrupt one and truncates the file there — a torn
-// append from a crash costs at most the torn record, never the log.
+// On-disk format. Each shard file is a wal.Log: the 8-byte magic
+// "EVLOG\x00\x01\n", then wal.AppendFrame records, everything little-endian.
 //
 // A payload encodes one ids.Event:
 //
@@ -40,15 +32,10 @@ import (
 
 var fileMagic = [8]byte{'E', 'V', 'L', 'O', 'G', 0x00, 0x01, '\n'}
 
-const (
-	recordFrameLen = 8 // u32 length + u32 crc
-	// maxRecordLen bounds a single record payload; anything larger in a
-	// length prefix is treated as trailing garbage. Msg and CVE are u16-
-	// length strings, so valid payloads are far below this.
-	maxRecordLen = 1 << 20
-)
-
-var crcTable = crc32.MakeTable(crc32.IEEE)
+// maxRecordLen is the record cap of the store's three logs (shards, commit
+// journal, amendment log). Msg and CVE are u16-length strings, so valid
+// payloads are far below it.
+const maxRecordLen = 1 << 20
 
 // appendEvent appends ev's payload encoding to buf.
 func appendEvent(buf []byte, ev *ids.Event) []byte {
@@ -220,55 +207,3 @@ func EncodeEvent(buf []byte, ev *ids.Event) []byte { return appendEvent(buf, ev)
 // DecodeEvent decodes one EncodeEvent payload. It returns an error (never
 // panics) on malformed input.
 func DecodeEvent(payload []byte) (ids.Event, error) { return decodeEvent(payload) }
-
-// AppendFrame appends a length+CRC framed record to buf — the store's
-// self-describing record framing, exported for other framed logs (the fleet
-// spool, watermark journal, and wire protocol) to share.
-func AppendFrame(buf, payload []byte) []byte { return appendFrame(buf, payload) }
-
-// MaxRecordLen is the largest frame payload ScanFrames accepts; anything
-// beyond it is treated as corruption. Writers that recover their logs via
-// ScanFrames must keep each AppendFrame payload at or below this bound, or
-// their own valid frames read back as trailing garbage.
-const MaxRecordLen = maxRecordLen
-
-// ScanFrames walks AppendFrame records in b, calling fn for each intact
-// payload. It returns the byte offset of the first incomplete or corrupt
-// frame — the truncation point for crash recovery — and whether the whole
-// buffer was clean. fn errors abort the scan.
-func ScanFrames(b []byte, fn func(payload []byte) error) (good int, clean bool, err error) {
-	return scanFrames(b, fn)
-}
-
-// appendFrame appends a length+CRC framed record to buf.
-func appendFrame(buf, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	return append(buf, payload...)
-}
-
-// scanFrames walks framed records in b, calling fn for each intact payload.
-// It returns the byte offset of the first incomplete or corrupt frame —
-// the truncation point for crash recovery — and whether the whole buffer
-// was clean.
-func scanFrames(b []byte, fn func(payload []byte) error) (good int, clean bool, err error) {
-	off := 0
-	for {
-		if len(b)-off < recordFrameLen {
-			return off, len(b) == off, nil
-		}
-		length := binary.LittleEndian.Uint32(b[off : off+4])
-		sum := binary.LittleEndian.Uint32(b[off+4 : off+8])
-		if length > maxRecordLen || len(b)-off-recordFrameLen < int(length) {
-			return off, false, nil
-		}
-		payload := b[off+recordFrameLen : off+recordFrameLen+int(length)]
-		if crc32.Checksum(payload, crcTable) != sum {
-			return off, false, nil
-		}
-		if err := fn(payload); err != nil {
-			return off, false, err
-		}
-		off += recordFrameLen + int(length)
-	}
-}

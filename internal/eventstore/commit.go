@@ -1,13 +1,13 @@
 package eventstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 
 	"repro/internal/fault"
+	"repro/internal/wal"
 )
 
 // The commit journal is what turns the store's per-shard fsyncs into one
@@ -24,12 +24,11 @@ import (
 // could leave events in the store that the commit meta does not cover, and a
 // redelivering sensor would apply them twice.
 //
-// File layout: 8-byte magic, then AppendFrame records. Record payload:
+// The file is a wal.Log. Record payload:
 //
 //	u32 shardCount | shardCount x u64 committed size | u32 metaLen | meta
 //
-// The journal compacts to its newest record once it grows past a threshold,
-// the same tmp-write + fsync + rename dance the watermark journal uses.
+// The journal compacts to its newest record once it grows past a threshold.
 
 var commitMagic = [8]byte{'E', 'V', 'C', 'M', 'T', 0x00, 0x01, '\n'}
 
@@ -47,71 +46,26 @@ type commitRecord struct {
 }
 
 type commitJournal struct {
-	fs   fault.FS
-	f    fault.File
-	path string
-	size int64
+	log  *wal.Log
 	last *commitRecord // newest recovered or appended record, nil if none
-	bad  error         // set when a failed append could not be rolled back
 }
 
 // openCommitJournal opens (creating if needed) the journal in dir and
-// recovers the newest intact record, truncating any torn tail.
+// recovers the newest intact record.
 func openCommitJournal(fs fault.FS, dir string) (*commitJournal, error) {
-	path := filepath.Join(dir, commitLogName)
-	f, err := fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := fs.ReadFile(path)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	j := &commitJournal{fs: fs, f: f, path: path}
-	switch {
-	case len(raw) < len(commitMagic) && bytes.Equal(raw, commitMagic[:len(raw)]):
-		// Empty, or a strict prefix of the magic: a crash tore the file's
-		// creation before the header fully reached disk. Nothing else can
-		// ever have been written, so reinitialize instead of refusing to
-		// open (which would wedge every restart until manual cleanup).
-		if _, err := f.Write(commitMagic[:]); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Truncate(int64(len(commitMagic))); err != nil {
-			f.Close()
-			return nil, err
-		}
-		j.size = int64(len(commitMagic))
-	case len(raw) < len(commitMagic) || [8]byte(raw[:8]) != commitMagic:
-		f.Close()
-		return nil, fmt.Errorf("eventstore: %s is not a commit journal", path)
-	default:
-		good, _, err := scanFrames(raw[len(commitMagic):], func(payload []byte) error {
-			rec, err := decodeCommitRecord(payload)
-			if err != nil {
-				return err
-			}
-			j.last = rec
-			return nil
-		})
+	j := &commitJournal{}
+	log, err := wal.Open(fs, filepath.Join(dir, commitLogName), commitMagic, maxRecordLen, func(payload []byte) error {
+		rec, err := decodeCommitRecord(payload)
 		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("eventstore: %s: %w", path, err)
+			return err
 		}
-		j.size = int64(len(commitMagic) + good)
-		if j.size < int64(len(raw)) {
-			if err := f.Truncate(j.size); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
+		j.last = rec
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("eventstore: commit journal: %w", err)
 	}
-	if _, err := f.Seek(j.size, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
+	j.log = log
 	return j, nil
 }
 
@@ -147,85 +101,32 @@ func decodeCommitRecord(b []byte) (*commitRecord, error) {
 	return rec, nil
 }
 
-// append writes and fsyncs one record, making it the recovery point.
+// append writes and fsyncs one record, making it the recovery point. The
+// record is the durability promise for everything the shard fsyncs just
+// covered — it must hit the disk, not the page cache, before the caller acts
+// on it (acks a sensor, advances a checkpoint). A record that fails to write
+// or sync is dropped from the chain (wal.Log.AppendSync): were it left in
+// place, the next commit's record would land behind a potential tear, and
+// recovery would fall back to a stale record — truncating shards below sizes
+// that later commits promised durable.
 func (j *commitJournal) append(sizes []int64, meta []byte) error {
-	if j.bad != nil {
-		return j.bad
-	}
 	rec := &commitRecord{sizes: append([]int64(nil), sizes...), meta: append([]byte(nil), meta...)}
-	frame := appendFrame(nil, encodeCommitRecord(rec.sizes, rec.meta))
-	// rollback restores the journal to its last good boundary after a failed
-	// append. Without it, a torn record write leaves garbage mid-file: the
-	// NEXT commit's record lands after the garbage and reports success, but
-	// recovery's frame scan stops at the tear and falls back to a stale
-	// record — truncating shards below sizes that later commits promised
-	// durable. If even the rollback fails, the journal is poisoned: no
-	// further commit may extend a chain whose tail is unknown.
-	rollback := func(cause error) error {
-		if terr := j.f.Truncate(j.size); terr != nil {
-			j.bad = fmt.Errorf("eventstore: commit journal poisoned: rollback of failed append: %w", terr)
-		} else if _, serr := j.f.Seek(j.size, 0); serr != nil {
-			j.bad = fmt.Errorf("eventstore: commit journal poisoned: seek after failed append: %w", serr)
-		}
-		return cause
+	if err := j.log.AppendSync(wal.AppendFrame(nil, encodeCommitRecord(rec.sizes, rec.meta))); err != nil {
+		return fmt.Errorf("eventstore: appending commit record: %w", err)
 	}
-	if _, err := j.f.Write(frame); err != nil {
-		return rollback(fmt.Errorf("eventstore: appending commit record: %w", err))
-	}
-	// The record is the durability promise for everything the shard fsyncs
-	// just covered — it must hit the disk, not the page cache, before the
-	// caller acts on it (acks a sensor, advances a checkpoint). On failure
-	// the record may be partially durable; drop it from the chain so the
-	// next append never writes beyond a potential tear.
-	if err := j.f.Sync(); err != nil {
-		return rollback(fmt.Errorf("eventstore: syncing commit journal: %w", err))
-	}
-	j.size += int64(len(frame))
 	j.last = rec
-	if j.size >= commitCompactAt {
+	if j.log.Size() >= commitCompactAt {
 		return j.compact()
 	}
 	return nil
 }
 
-// compact rewrites the journal as its single newest record. Every failure
-// path closes the tmp handle and removes the tmp file, so a full disk never
-// leaks descriptors or strands journal tmp files.
+// compact rewrites the journal as its single newest record.
 func (j *commitJournal) compact() error {
-	buf := append([]byte(nil), commitMagic[:]...)
-	buf = appendFrame(buf, encodeCommitRecord(j.last.sizes, j.last.meta))
-	tmp := j.path + ".tmp"
-	if err := j.fs.WriteFile(tmp, buf, 0o644); err != nil {
-		j.fs.Remove(tmp)
+	return j.log.Rewrite(func(w io.Writer) error {
+		_, err := w.Write(wal.AppendFrame(nil, encodeCommitRecord(j.last.sizes, j.last.meta)))
 		return err
-	}
-	f, err := j.fs.OpenFile(tmp, os.O_RDWR, 0o644)
-	if err != nil {
-		j.fs.Remove(tmp)
-		return err
-	}
-	abort := func(err error) error {
-		f.Close()
-		j.fs.Remove(tmp)
-		return err
-	}
-	// The rewrite replaces a record already promised durable; it must be on
-	// disk before it replaces the journal.
-	if err := f.Sync(); err != nil {
-		return abort(err)
-	}
-	if _, err := f.Seek(int64(len(buf)), 0); err != nil {
-		return abort(err)
-	}
-	if err := j.fs.Rename(tmp, j.path); err != nil {
-		return abort(err)
-	}
-	old := j.f
-	j.f = f
-	j.size = int64(len(buf))
-	return old.Close()
+	})
 }
 
-func (j *commitJournal) Close() error {
-	return j.f.Close()
-}
+func (j *commitJournal) Close() error { return j.log.Close() }

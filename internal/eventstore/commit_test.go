@@ -184,7 +184,7 @@ func TestCommitSkipsCleanShards(t *testing.T) {
 	if err := st.Commit([]byte("m")); err != nil {
 		t.Fatal(err)
 	}
-	size0 := st.cj.size
+	size0 := st.cj.log.Size()
 	// All events share one CVE, so exactly one shard dirties.
 	ev := testEvent(0)
 	ev.CVE = "2021-44228"
@@ -194,7 +194,7 @@ func TestCommitSkipsCleanShards(t *testing.T) {
 	var dirtyBefore int
 	for _, sh := range st.shards {
 		sh.mu.Lock()
-		if sh.size > sh.synced {
+		if sh.log.Size() > sh.synced {
 			dirtyBefore++
 		}
 		sh.mu.Unlock()
@@ -205,13 +205,13 @@ func TestCommitSkipsCleanShards(t *testing.T) {
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	size1 := st.cj.size
+	size1 := st.cj.log.Size()
 	if size1 <= size0 {
 		t.Fatal("dirty commit wrote no journal record")
 	}
 	for i, sh := range st.shards {
 		sh.mu.Lock()
-		if sh.size != sh.synced {
+		if sh.log.Size() != sh.synced {
 			t.Errorf("shard %d still dirty after commit", i)
 		}
 		sh.mu.Unlock()
@@ -220,7 +220,7 @@ func TestCommitSkipsCleanShards(t *testing.T) {
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if st.cj.size != size1 {
+	if st.cj.log.Size() != size1 {
 		t.Fatal("idle Sync wrote a journal record")
 	}
 }
@@ -292,7 +292,7 @@ func TestConcurrentShardAppendsAndCommits(t *testing.T) {
 }
 
 // TestCommitJournalCompactAbortLeaksNothing drives journal compaction into
-// each failure branch (tmp write, reopen, fsync, rename) and asserts every
+// each failure branch (tmp create, write, fsync, rename) and asserts every
 // abort leaves no stranded COMMITS.log.tmp and no leaked handle, and that
 // the journal still accepts commits afterwards.
 func TestCommitJournalCompactAbortLeaksNothing(t *testing.T) {
@@ -309,7 +309,7 @@ func TestCommitJournalCompactAbortLeaksNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseline := fs.OpenHandles()
-	for _, op := range []string{"writefile", "open", "sync", "rename"} {
+	for _, op := range []string{"open", "write", "sync", "rename"} {
 		fs.FailWith(func(o, name string) error {
 			if o == op && strings.HasSuffix(name, ".tmp") {
 				return fault.ErrInjected

@@ -8,9 +8,10 @@
 //   - Events are routed to a shard by their CVE (falling back to SID), so
 //     one CVE's history lives in one shard file and per-CVE queries touch a
 //     single log.
-//   - Each shard file is length-prefixed, CRC-checked records behind a
-//     magic header. Opening a store replays every shard and truncates
-//     trailing garbage — a torn append costs the torn record, nothing else.
+//   - Each shard file is a wal.Log: length-prefixed, CRC-checked records
+//     behind a magic header. Opening a store replays every shard and
+//     truncates a torn tail — a torn append costs the torn record, nothing
+//     else.
 //   - Readers never block writers and vice versa: each shard publishes its
 //     event slice through an atomic pointer, and appends extend the slice
 //     before republishing, so a reader's view is an immutable prefix.
@@ -33,7 +34,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -44,6 +44,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/ids"
+	"repro/internal/wal"
 )
 
 // Options tunes a store.
@@ -98,11 +99,9 @@ type Store struct {
 
 	// Amendment log state (see amend.go). amendMu serializes appends; the
 	// published slice is lock-free for readers like the shard event slices.
-	amendMu   sync.Mutex
-	amendF    fault.File
-	amendSize int64
-	amendBad  error
-	amends    atomic.Pointer[[]Amendment]
+	amendMu  sync.Mutex
+	amendLog *wal.Log
+	amends   atomic.Pointer[[]Amendment]
 
 	closeMu sync.Mutex
 	closed  bool
@@ -110,9 +109,7 @@ type Store struct {
 
 type shard struct {
 	mu         sync.Mutex
-	f          fault.File
-	size       int64
-	bad        error // set when a failed append could not be rolled back
+	log        *wal.Log
 	synced     int64 // bytes covered by the last commit (guarded by Store.commitMu)
 	events     atomic.Pointer[[]ids.Event]
 	committed  atomic.Int64 // events covered by the last commit record
@@ -155,7 +152,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		sh, n, err := openShard(fs, filepath.Join(dir, shardName(i)), committed)
 		if err != nil {
 			for _, prev := range s.shards {
-				prev.f.Close()
+				prev.log.Close()
 			}
 			cj.Close()
 			return nil, err
@@ -167,7 +164,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	if err := s.openAmendLog(); err != nil {
 		for _, sh := range s.shards {
-			sh.f.Close()
+			sh.log.Close()
 		}
 		cj.Close()
 		return nil, err
@@ -184,11 +181,11 @@ func Open(dir string, opts Options) (*Store, error) {
 		// appender has touched.
 		sizes := make([]int64, len(s.shards))
 		for i, sh := range s.shards {
-			sizes[i] = sh.size
+			sizes[i] = sh.log.Size()
 		}
 		if err := cj.append(sizes, s.meta); err != nil {
 			for _, sh := range s.shards {
-				sh.f.Close()
+				sh.log.Close()
 			}
 			cj.Close()
 			return nil, fmt.Errorf("eventstore: sealing recovered state: %w", err)
@@ -243,76 +240,33 @@ func trimNL(b []byte) []byte {
 	return b
 }
 
-// openShard reads one shard file, truncates trailing garbage, and leaves
-// the handle positioned for appends. It returns the recovered event count.
+// openShard opens one shard log and returns the recovered event count.
 // committed, when >= 0, is the shard's size in the last commit record: it
-// bounds what recovery trusts — bytes beyond it are an uncommitted tail and
-// are dropped even when their frames are intact, so a crash between append
-// and commit never resurrects events the commit meta does not cover. Bytes
-// below it recover frame by frame as before (a tear inside the committed
-// region means storage failure; recovery salvages the intact prefix rather
-// than refusing to open).
+// bounds what recovery trusts — a frame reaching beyond it is an uncommitted
+// tail and ends the log even when intact, so a crash between append and
+// commit never resurrects events the commit meta does not cover. Bytes below
+// it recover frame by frame (a tear inside the committed region means
+// storage failure; recovery salvages the intact prefix rather than refusing
+// to open).
 func openShard(fs fault.FS, path string, committed int64) (*shard, int, error) {
-	f, err := fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, 0, err
-	}
-	raw, err := fs.ReadFile(path)
-	if err != nil {
-		f.Close()
-		return nil, 0, err
-	}
 	var events []ids.Event
-	var size int64
-	switch {
-	case len(raw) < len(fileMagic) && bytes.Equal(raw, fileMagic[:len(raw)]):
-		// Empty, or a strict prefix of the magic: a crash tore the shard's
-		// creation before the header fully reached disk. Nothing else can
-		// ever have been written, so reinitialize instead of refusing to
-		// open (which would wedge every restart until manual cleanup).
-		if _, err := f.Write(fileMagic[:]); err != nil {
-			f.Close()
-			return nil, 0, err
+	end := int64(len(fileMagic))
+	log, err := wal.Open(fs, path, fileMagic, maxRecordLen, func(payload []byte) error {
+		end += int64(wal.FrameHeaderLen + len(payload))
+		if committed >= int64(len(fileMagic)) && end > committed {
+			return wal.ErrStop
 		}
-		if err := f.Truncate(int64(len(fileMagic))); err != nil {
-			f.Close()
-			return nil, 0, err
-		}
-		size = int64(len(fileMagic))
-	case len(raw) < len(fileMagic) || [8]byte(raw[:8]) != fileMagic:
-		f.Close()
-		return nil, 0, fmt.Errorf("eventstore: %s is not an event log", path)
-	default:
-		trust := raw
-		if committed >= int64(len(fileMagic)) && committed < int64(len(raw)) {
-			trust = raw[:committed]
-		}
-		good, _, err := scanFrames(trust[len(fileMagic):], func(payload []byte) error {
-			ev, err := decodeEvent(payload)
-			if err != nil {
-				return err
-			}
-			events = append(events, ev)
-			return nil
-		})
+		ev, err := decodeEvent(payload)
 		if err != nil {
-			f.Close()
-			return nil, 0, fmt.Errorf("eventstore: %s: %w", path, err)
+			return err
 		}
-		size = int64(len(fileMagic) + good)
-		if size < int64(len(raw)) {
-			// Torn or uncommitted tail from a crash: drop it.
-			if err := f.Truncate(size); err != nil {
-				f.Close()
-				return nil, 0, err
-			}
-		}
+		events = append(events, ev)
+		return nil
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("eventstore: shard: %w", err)
 	}
-	if _, err := f.Seek(size, 0); err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	sh := &shard{f: f, size: size, synced: size}
+	sh := &shard{log: log, synced: log.Size()}
 	sh.events.Store(&events)
 	// Recovery truncated to the committed cut, so everything recovered is
 	// committed by definition.
@@ -379,7 +333,7 @@ func (s *Store) AppendBatchFunc(events []ids.Event, applied func()) error {
 		var buf []byte
 		for i := range groups[si] {
 			payload = appendEvent(payload[:0], &groups[si][i])
-			buf = appendFrame(buf, payload)
+			buf = wal.AppendFrame(buf, payload)
 		}
 		bufs[k] = buf
 	}
@@ -417,41 +371,21 @@ func (s *Store) appendLocked(order []int, bufs [][]byte, groups map[int][]ids.Ev
 			s.shards[si].mu.Unlock()
 		}
 	}()
-	for _, si := range order {
-		if bad := s.shards[si].bad; bad != nil {
-			return bad
-		}
-	}
-	written := -1 // index into order of the last shard whose write started
-	var werr error
 	for k, si := range order {
-		written = k
-		if _, werr = s.shards[si].f.Write(bufs[k]); werr != nil {
-			break
-		}
-	}
-	if werr != nil {
-		// A short write (ENOSPC, torn write) leaves a partial frame past
-		// sh.size while the handle offset has advanced. Without a rollback,
-		// the NEXT successful append lands after that garbage; a later commit
-		// then covers the garbage region, and recovery's frame scan stops
-		// there — truncating committed frames. Roll every touched shard back
-		// to its last good boundary; if even that fails, poison the shard so
-		// no further append can widen the damage.
-		for k := 0; k <= written; k++ {
-			sh := s.shards[order[k]]
-			if terr := sh.f.Truncate(sh.size); terr != nil {
-				sh.bad = fmt.Errorf("eventstore: shard poisoned: rollback of failed append: %w", terr)
-			} else if _, serr := sh.f.Seek(sh.size, io.SeekStart); serr != nil {
-				sh.bad = fmt.Errorf("eventstore: shard poisoned: seek after failed append: %w", serr)
+		if err := s.shards[si].log.Append(bufs[k]); err != nil {
+			// The failing shard rolled itself back; undo the shards that had
+			// already taken their group, or a later commit would cover half a
+			// batch the caller was told failed.
+			for j, sj := range order[:k] {
+				l := s.shards[sj].log
+				l.Rollback(l.Size() - int64(len(bufs[j])))
 			}
+			return fmt.Errorf("eventstore: appending: %w", err)
 		}
-		return fmt.Errorf("eventstore: appending: %w", werr)
 	}
 	now := time.Now().UnixNano()
-	for k, si := range order {
+	for _, si := range order {
 		sh := s.shards[si]
-		sh.size += int64(len(bufs[k]))
 		// Publish to readers: extending the slice only ever writes past every
 		// published length, so holders of older headers see a stable prefix.
 		cur := *sh.events.Load()
@@ -484,7 +418,7 @@ func (s *Store) SizeBytes() int64 {
 	var n int64
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		n += sh.size
+		n += sh.log.Size()
 		sh.mu.Unlock()
 	}
 	return n
@@ -512,7 +446,7 @@ func (s *Store) ShardStats() []ShardStats {
 		out[i].Shard = i
 		out[i].Records = len(*sh.events.Load())
 		sh.mu.Lock()
-		out[i].SizeBytes = sh.size
+		out[i].SizeBytes = sh.log.Size()
 		sh.mu.Unlock()
 		if ns := sh.lastAppend.Load(); ns != 0 {
 			out[i].LastAppend = time.Unix(0, ns).UTC()
@@ -588,14 +522,14 @@ func (s *Store) CommitFunc(metaFn func() []byte) error {
 	sizes := make([]int64, len(s.shards))
 	counts := make([]int64, len(s.shards))
 	for i, sh := range s.shards {
-		sizes[i] = sh.size
+		sizes[i] = sh.log.Size()
 		counts[i] = int64(len(*sh.events.Load()))
 	}
 	s.appendMu.Unlock()
 	dirty := false
 	for i, sh := range s.shards {
 		if sizes[i] > sh.synced {
-			if err := sh.f.Sync(); err != nil {
+			if err := sh.log.Sync(); err != nil {
 				return fmt.Errorf("eventstore: syncing shard %d: %w", i, err)
 			}
 			dirty = true
@@ -639,13 +573,13 @@ func (s *Store) Close() error {
 	first := s.Commit(nil)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		if err := sh.f.Close(); err != nil && first == nil {
+		if err := sh.log.Close(); err != nil && first == nil {
 			first = err
 		}
 		sh.mu.Unlock()
 	}
 	s.amendMu.Lock()
-	if err := s.amendF.Close(); err != nil && first == nil {
+	if err := s.amendLog.Close(); err != nil && first == nil {
 		first = err
 	}
 	s.amendMu.Unlock()

@@ -397,3 +397,26 @@ func TestNetworkPartition(t *testing.T) {
 	}
 	c2.Close()
 }
+
+// TestFailWithErrTorn: a hook returning ErrTorn for a write lands the first
+// half of the buffer and fails the write.
+func TestFailWithErrTorn(t *testing.T) {
+	fs := NewSimFS(1, Profile{})
+	f, err := fs.OpenFile("f", os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fs.FailWith(func(op, name string) error {
+		if op == "write" {
+			return ErrTorn
+		}
+		return nil
+	})
+	if n, err := f.Write([]byte("12345678")); n != 4 || !errors.Is(err, ErrInjected) {
+		t.Fatalf("torn write: n=%d err=%v, want 4 and an injected error", n, err)
+	}
+	if got, _ := fs.ReadFile("f"); string(got) != "1234" {
+		t.Fatalf("file holds %q after a torn write, want %q", got, "1234")
+	}
+}

@@ -20,6 +20,12 @@ var ErrCrashed = errors.New("fault: simulated crash")
 // ErrInjected) distinguishes scheduled faults from real bugs in a test.
 var ErrInjected = errors.New("fault: injected error")
 
+// ErrTorn is ErrInjected with a side effect: returned from a FailWith hook
+// for a "write" op, it makes that Write a torn one — the first half of the
+// buffer lands, then the write fails with this error. It is how a test tears
+// one exact write instead of fishing with Profile.TornWrite.
+var ErrTorn = fmt.Errorf("torn write: %w", ErrInjected)
+
 // Profile tunes a SimFS's fault schedule. The zero Profile injects nothing:
 // SimFS is then just a deterministic in-memory filesystem with an explicit
 // page-cache model (writes are volatile until Sync; Crash discards them).
@@ -151,7 +157,7 @@ func (fs *SimFS) Faults() int {
 // the profile's random faults, every mutating operation consults
 // hook(op, name) — op is one of "open", "write", "writefile", "sync",
 // "truncate", "rename", "remove" — and fails with the returned error when
-// non-nil. The hook runs with the filesystem lock held: it must not call
+// non-nil (ErrTorn on a "write" tears it instead of suppressing it). The hook runs with the filesystem lock held: it must not call
 // back into the SimFS.
 func (fs *SimFS) FailWith(hook func(op, name string) error) {
 	fs.mu.Lock()
@@ -411,16 +417,17 @@ func (h *simHandle) Write(p []byte) (int, error) {
 	if h.closed {
 		return 0, os.ErrClosed
 	}
-	if err := h.fs.failLocked("write", h.name); err != nil {
-		return 0, err
-	}
-	if pr := h.fs.prof.ENOSPC; pr > 0 && h.fs.rng.Float64() < pr {
-		h.fs.faults++
-		return 0, injected("ENOSPC", h.name)
-	}
 	n := len(p)
 	var err error
-	if pr := h.fs.prof.TornWrite; pr > 0 && h.fs.rng.Float64() < pr {
+	if err = h.fs.failLocked("write", h.name); err != nil {
+		if !errors.Is(err, ErrTorn) {
+			return 0, err
+		}
+		n /= 2
+	} else if pr := h.fs.prof.ENOSPC; pr > 0 && h.fs.rng.Float64() < pr {
+		h.fs.faults++
+		return 0, injected("ENOSPC", h.name)
+	} else if pr := h.fs.prof.TornWrite; pr > 0 && h.fs.rng.Float64() < pr {
 		h.fs.faults++
 		n = h.fs.rng.Intn(len(p) + 1)
 		err = injected("torn write", h.name)

@@ -1,35 +1,11 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"testing"
 
 	"repro/internal/fuzzcorpus"
 )
-
-func fuzzReadFrameSeeds(tb testing.TB) [][]byte {
-	frame := func(payload []byte) []byte {
-		var b bytes.Buffer
-		if err := writeFrame(&b, payload); err != nil {
-			tb.Fatal(err)
-		}
-		return b.Bytes()
-	}
-	torn := frame([]byte("torn mid-payload"))
-	corrupt := append([]byte(nil), frame([]byte("crc mismatch"))...)
-	corrupt[len(corrupt)-1] ^= 0x01
-	return [][]byte{
-		frame([]byte("hello fleet")),
-		frame(nil),
-		frame(encodeAck(42)),
-		{},
-		{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, // length far past maxFrame
-		torn[:len(torn)-3],
-		corrupt,
-	}
-}
 
 func fuzzDecodeBatchSeeds(tb testing.TB) [][]byte {
 	var seeds [][]byte
@@ -71,54 +47,7 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	if !fuzzcorpus.Regen() {
 		t.Skip("set REGEN_FUZZ_CORPUS=1 to rewrite testdata/fuzz")
 	}
-	fuzzcorpus.Write(t, "FuzzReadFrame", fuzzReadFrameSeeds(t))
 	fuzzcorpus.Write(t, "FuzzDecodeBatch", fuzzDecodeBatchSeeds(t))
-}
-
-// FuzzReadFrame feeds arbitrary bytes to the wire framing — the first thing
-// either end of a fleet connection does with untrusted input. The frame
-// reader must never panic, never return a payload larger than maxFrame, and
-// must reject any payload whose CRC does not match. It also checks the
-// round-trip property: any payload the writer accepts must read back intact.
-func FuzzReadFrame(f *testing.F) {
-	for _, seed := range fuzzReadFrameSeeds(f) {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := readFrame(bytes.NewReader(data), nil)
-		if err == nil {
-			if len(payload) > maxFrame {
-				t.Fatalf("accepted a %d-byte payload past the %d frame limit", len(payload), maxFrame)
-			}
-			// An accepted frame's header must actually describe it.
-			if len(data) < 8+len(payload) {
-				t.Fatalf("returned %d payload bytes from %d input bytes", len(payload), len(data))
-			}
-			declared := binary.LittleEndian.Uint32(data[0:4])
-			if int(declared) != len(payload) {
-				t.Fatalf("payload is %d bytes, header declared %d", len(payload), declared)
-			}
-			if sum := crc32.Checksum(payload, wireCRC); sum != binary.LittleEndian.Uint32(data[4:8]) {
-				t.Fatal("accepted a frame whose CRC does not cover its payload")
-			}
-		}
-
-		// Round trip: the fuzz input as a payload must survive the writer.
-		if len(data) > maxFrame {
-			return
-		}
-		var b bytes.Buffer
-		if err := writeFrame(&b, data); err != nil {
-			t.Fatalf("writeFrame rejected a %d-byte payload: %v", len(data), err)
-		}
-		back, err := readFrame(bytes.NewReader(b.Bytes()), nil)
-		if err != nil {
-			t.Fatalf("round trip failed: %v", err)
-		}
-		if !bytes.Equal(back, data) {
-			t.Fatalf("round trip corrupted payload: sent %d bytes, got %d back", len(data), len(back))
-		}
-	})
 }
 
 // FuzzDecodeBatch hammers the batch decoder — the only fleet message whose

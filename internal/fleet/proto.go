@@ -5,9 +5,9 @@
 // with exactly-once semantics.
 //
 // The wire protocol is length-prefixed, CRC-framed messages over one TCP
-// connection per sensor — the same self-describing record framing the
-// eventstore uses on disk, so a frame torn by a dying connection is detected
-// the same way a torn append is. Event batches carry per-sensor monotonic
+// connection per sensor — internal/wal's record framing, the one every log
+// uses on disk, so a frame torn by a dying connection is detected the same
+// way a torn append is. Event batches carry per-sensor monotonic
 // sequence numbers; the coordinator persists a per-sensor high watermark
 // alongside the eventstore and drops any redelivered batch at or below it,
 // which converts the shipper's at-least-once retransmission into
@@ -63,6 +63,7 @@ import (
 
 	"repro/internal/eventstore"
 	"repro/internal/ids"
+	"repro/internal/wal"
 )
 
 // ProtocolVersion is the handshake version; a mismatch fails the handshake
@@ -118,60 +119,34 @@ const (
 )
 
 const (
-	// maxFrame bounds one wire frame; a length prefix beyond it means a
-	// corrupt or hostile peer and fails the connection.
-	maxFrame = 16 << 20
+	// MaxFrame bounds one wire frame; a length prefix beyond it means a
+	// corrupt or hostile peer and fails the connection. Exported for the
+	// replica feed, which ships EncodeEventBatch frames over its own wire.
+	MaxFrame = 16 << 20
 	// maxBatchRaw bounds the decompressed size of one batch.
 	maxBatchRaw = 64 << 20
 )
 
-var wireCRC = crc32.MakeTable(crc32.IEEE)
-
-// writeFrame writes one framed payload: u32 length | u32 CRC | payload,
-// little-endian — AppendFrame's format on a socket.
+// writeFrame writes one payload as a wal frame under the wire's frame limit.
 func writeFrame(w io.Writer, payload []byte) error {
-	frame := eventstore.AppendFrame(make([]byte, 0, 8+len(payload)), payload)
-	return writeRawFrame(w, payload, frame)
+	return wal.WriteFrame(w, payload, MaxFrame)
 }
 
 // writeFrameReusing is writeFrame assembling the wire bytes in *scratch, for
 // hot paths (batch sends, acks) that would otherwise allocate and copy a
 // frame per message.
 func writeFrameReusing(w io.Writer, payload []byte, scratch *[]byte) error {
-	*scratch = eventstore.AppendFrame((*scratch)[:0], payload)
-	return writeRawFrame(w, payload, *scratch)
-}
-
-func writeRawFrame(w io.Writer, payload, frame []byte) error {
-	if len(payload) > maxFrame {
+	if len(payload) > MaxFrame {
 		return fmt.Errorf("fleet: frame of %d bytes exceeds limit", len(payload))
 	}
-	_, err := w.Write(frame)
+	*scratch = wal.AppendFrame((*scratch)[:0], payload)
+	_, err := w.Write(*scratch)
 	return err
 }
 
 // readFrame reads one framed payload, verifying length bound and CRC.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if length > maxFrame {
-		return nil, fmt.Errorf("fleet: frame length %d exceeds limit", length)
-	}
-	if cap(buf) < int(length) {
-		buf = make([]byte, length)
-	}
-	buf = buf[:length]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("fleet: truncated frame: %w", err)
-	}
-	if crc32.Checksum(buf, wireCRC) != sum {
-		return nil, fmt.Errorf("fleet: frame CRC mismatch")
-	}
-	return buf, nil
+	return wal.ReadFrame(r, buf, MaxFrame)
 }
 
 // hello is the sensor's handshake.
@@ -499,17 +474,9 @@ func appendString16(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// The replica protocol (internal/replica) reuses this package's framing and
-// batch encoding for log shipping: same torn-frame detection, same
-// compression, different message vocabulary on a different listener. The
-// exported wrappers below are its surface.
-
-// WriteFrame writes one framed payload: u32 length | u32 CRC | payload.
-func WriteFrame(w io.Writer, payload []byte) error { return writeFrame(w, payload) }
-
-// ReadFrame reads one framed payload into buf's storage (growing it as
-// needed), verifying the length bound and CRC.
-func ReadFrame(r io.Reader, buf []byte) ([]byte, error) { return readFrame(r, buf) }
+// The replica protocol (internal/replica) reuses this package's batch
+// encoding for log shipping: same compression, different message vocabulary
+// on a different listener. The exported wrappers below are its surface.
 
 // MsgBatch is the wire type tag (first payload byte) of an event batch frame.
 const MsgBatch = msgBatch
@@ -533,6 +500,8 @@ func ShardOf(addr netip.Addr, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := crc32.Checksum(addr.AsSlice(), wireCRC)
+	// An address hash whose value routes sensors — not record framing, so it
+	// does not come from wal.
+	h := crc32.ChecksumIEEE(addr.AsSlice())
 	return int(h % uint32(n))
 }

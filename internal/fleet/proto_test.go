@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/eventstore"
+	"repro/internal/wal"
 )
 
 func TestHelloRoundtrip(t *testing.T) {
@@ -169,7 +169,7 @@ func TestFrameOverTCP(t *testing.T) {
 		defer conn.Close()
 		writeFrame(conn, payload)
 		// Second frame: valid header, one payload byte flipped -> CRC mismatch.
-		frame := eventstore.AppendFrame(nil, payload)
+		frame := wal.AppendFrame(nil, payload)
 		frame[8] ^= 0xff
 		conn.Write(frame)
 	}()

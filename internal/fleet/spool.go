@@ -1,38 +1,30 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
 	"path/filepath"
 	"sync"
 
 	"repro/internal/eventstore"
 	"repro/internal/fault"
 	"repro/internal/ids"
+	"repro/internal/wal"
 )
 
 // spool is the sensor's durable outbound queue: every batch headed upstream
-// is first appended (with its assigned sequence number) to a crash-safe
-// framed log, so a dead coordinator — or a dead sensor — loses nothing. The
-// log uses the eventstore's record framing and the same recovery rule: on
-// open, replay until the first torn frame and truncate there. Every frame
-// written honors the scan's record-size limit (Add splits larger batches),
-// and recovery refuses — loudly, instead of truncating — a frame that is
-// intact but oversized, so the truncation rule can never eat valid batches.
+// is first appended (with its assigned sequence number) to a wal.Log, so a
+// dead coordinator — or a dead sensor — loses nothing. Every frame written
+// honors the log's record cap (Add splits larger batches), so recovery never
+// has to refuse the file over a batch of its own.
 //
 // Acks only advance an in-memory watermark; the file compacts (rewrites with
 // just the unacked suffix) once the acked prefix dominates, so steady-state
 // disk use tracks the unacked window, not history.
 type spool struct {
 	mu      sync.Mutex
-	fs      fault.FS
-	f       fault.File
-	path    string
-	size    int64
+	log     *wal.Log
 	pending []spoolBatch // unacked, ascending seq
 	acked   uint64       // highest acked (and pruned) sequence
 	lastSeq uint64       // highest assigned sequence
@@ -57,11 +49,10 @@ var spoolMagic = [8]byte{'F', 'S', 'P', 'L', 0x00, 0x01, '\n'}
 // spoolCompactAt triggers a rewrite once this many acked bytes accumulate.
 const spoolCompactAt = 4 << 20
 
-// spoolMaxPayload caps one spooled frame's payload: recovery scans with the
-// eventstore's record limit, so a larger frame — however valid when written
-// — would read back as corruption, truncating every batch from it onward.
-// Add splits bigger appends across consecutive sequence numbers instead.
-const spoolMaxPayload = eventstore.MaxRecordLen
+// spoolMaxPayload caps one spooled frame's payload — the log's record cap,
+// beyond which recovery refuses the file. Add splits bigger appends across
+// consecutive sequence numbers instead.
+const spoolMaxPayload = 1 << 20
 
 // openSpool opens (creating if needed) the spool log in dir.
 func openSpool(fs fault.FS, dir string) (*spool, error) {
@@ -69,88 +60,24 @@ func openSpool(fs fault.FS, dir string) (*spool, error) {
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	path := filepath.Join(dir, "spool.log")
-	f, err := fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := fs.ReadFile(path)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	sp := &spool{fs: fs, f: f, path: path}
-	switch {
-	case len(raw) < len(spoolMagic) && bytes.Equal(raw, spoolMagic[:len(raw)]):
-		// Empty, or a strict prefix of the magic: a crash tore the file's
-		// creation before the header fully reached disk. Nothing else can
-		// ever have been written, so reinitialize instead of refusing to
-		// open (which would wedge every restart until manual cleanup).
-		if _, err := f.Write(spoolMagic[:]); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Truncate(int64(len(spoolMagic))); err != nil {
-			f.Close()
-			return nil, err
-		}
-		sp.size = int64(len(spoolMagic))
-	case len(raw) < len(spoolMagic) || [8]byte(raw[:8]) != spoolMagic:
-		f.Close()
-		return nil, fmt.Errorf("fleet: %s is not a spool log", path)
-	default:
-		good, _, err := eventstore.ScanFrames(raw[len(spoolMagic):], func(payload []byte) error {
-			b, err := decodeSpoolBatch(payload)
-			if err != nil {
-				return err
-			}
-			b.bytes = int64(len(payload) + 8)
-			if b.seq > sp.lastSeq {
-				sp.lastSeq = b.seq
-			}
-			sp.pending = append(sp.pending, b)
-			return nil
-		})
+	sp := &spool{}
+	log, err := wal.Open(fs, filepath.Join(dir, "spool.log"), spoolMagic, spoolMaxPayload, func(payload []byte) error {
+		b, err := decodeSpoolBatch(payload)
 		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("fleet: %s: %w", path, err)
+			return err
 		}
-		sp.size = int64(len(spoolMagic) + good)
-		if sp.size < int64(len(raw)) {
-			if oversizedFrame(raw[sp.size:]) {
-				f.Close()
-				return nil, fmt.Errorf("fleet: %s: intact frame beyond the %d-byte scan limit at offset %d; refusing to truncate unacked batches", path, spoolMaxPayload, sp.size)
-			}
-			if err := f.Truncate(sp.size); err != nil {
-				f.Close()
-				return nil, err
-			}
+		b.bytes = int64(wal.FrameHeaderLen + len(payload))
+		if b.seq > sp.lastSeq {
+			sp.lastSeq = b.seq
 		}
+		sp.pending = append(sp.pending, b)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fleet: spool: %w", err)
 	}
-	if _, err := f.Seek(sp.size, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
+	sp.log = log
 	return sp, nil
-}
-
-// oversizedFrame reports whether b begins with a complete, CRC-valid frame
-// whose payload exceeds the recovery scan limit. ScanFrames stops at such a
-// frame exactly as it stops at a torn tail, but the two must not be treated
-// alike: a torn tail is a crashed append (safe to truncate), while an intact
-// oversized frame is real spooled data whose truncation would silently drop
-// every unacked batch from it onward and regress lastSeq into already-acked
-// sequence space.
-func oversizedFrame(b []byte) bool {
-	if len(b) < 8 {
-		return false
-	}
-	n := binary.LittleEndian.Uint32(b)
-	if uint64(n) <= spoolMaxPayload || uint64(len(b)-8) < uint64(n) {
-		return false
-	}
-	sum := binary.LittleEndian.Uint32(b[4:8])
-	return crc32.Checksum(b[8:8+int(n)], wireCRC) == sum
 }
 
 // spool batch payload: u64 seq | u32 count | framed events.
@@ -238,16 +165,15 @@ func (sp *spool) Add(events []ids.Event) (uint64, error) {
 			return 0, err
 		}
 		sp.encBuf = payload
-		frame := eventstore.AppendFrame(sp.frameBuf[:0], payload)
+		frame := wal.AppendFrame(sp.frameBuf[:0], payload)
 		sp.frameBuf = frame
-		if _, err := sp.f.Write(frame); err != nil {
+		if err := sp.log.Append(frame); err != nil {
 			return 0, fmt.Errorf("fleet: spooling batch %d: %w", seq, err)
 		}
 		// Copy the kept events: pending outlives this call and must not
 		// alias a slice the caller still owns.
 		n := len(events) - len(rest)
 		evs := append([]ids.Event(nil), events[:n]...)
-		sp.size += int64(len(frame))
 		sp.lastSeq = seq
 		sp.pending = append(sp.pending, spoolBatch{seq: seq, events: evs, bytes: int64(len(frame))})
 		events = rest
@@ -280,7 +206,7 @@ func (sp *spool) AckTo(w uint64) error {
 		// already-applied ones and get dropped as duplicates.
 		sp.lastSeq = w
 	}
-	if sp.ackedBytes >= spoolCompactAt && sp.ackedBytes*2 >= sp.size {
+	if sp.ackedBytes >= spoolCompactAt && sp.ackedBytes*2 >= sp.log.Size() {
 		return sp.compactLocked()
 	}
 	return nil
@@ -290,47 +216,20 @@ func (sp *spool) AckTo(w uint64) error {
 // cumulative, so the pending batches are always a contiguous tail of the
 // file; the rewrite copies that byte range as-is rather than re-encoding
 // every pending event (which made deep-backlog compaction the hottest path
-// in the whole shipper). Failure paths close the tmp handle and delete the
-// tmp file — a compaction abandoned to ENOSPC must not leak either.
+// in the whole shipper).
 func (sp *spool) compactLocked() error {
 	var pendBytes int64
 	for _, b := range sp.pending {
 		pendBytes += b.bytes
 	}
-	tmp := sp.path + ".tmp"
-	f, err := sp.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
-	if err != nil {
+	err := sp.log.Rewrite(func(w io.Writer) error {
+		_, err := io.Copy(w, io.NewSectionReader(sp.log, sp.log.Size()-pendBytes, pendBytes))
 		return err
+	})
+	if err == nil {
+		sp.ackedBytes = 0
 	}
-	abort := func(err error) error {
-		f.Close()
-		sp.fs.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write(spoolMagic[:]); err != nil {
-		return abort(err)
-	}
-	if pendBytes > 0 {
-		src := io.NewSectionReader(sp.f, sp.size-pendBytes, pendBytes)
-		if _, err := io.Copy(f, src); err != nil {
-			return abort(err)
-		}
-	}
-	// Sync before rename: without it the rename can be journaled while the
-	// tmp's data blocks never reach the platter, and a power loss replaces
-	// the spool with an empty file — every unacked (undelivered) batch gone.
-	if err := f.Sync(); err != nil {
-		return abort(err)
-	}
-	size := int64(len(spoolMagic)) + pendBytes
-	if err := sp.fs.Rename(tmp, sp.path); err != nil {
-		return abort(err)
-	}
-	old := sp.f
-	sp.f = f
-	sp.size = size
-	sp.ackedBytes = 0
-	return old.Close()
+	return err
 }
 
 // NextAfter returns the first pending batch with seq > after.
@@ -370,16 +269,16 @@ func (sp *spool) Acked() uint64 {
 func (sp *spool) Sync() error {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	return sp.f.Sync()
+	return sp.log.Sync()
 }
 
 // Close syncs and closes the log.
 func (sp *spool) Close() error {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	if err := sp.f.Sync(); err != nil {
-		sp.f.Close()
+	if err := sp.log.Sync(); err != nil {
+		sp.log.Close()
 		return err
 	}
-	return sp.f.Close()
+	return sp.log.Close()
 }

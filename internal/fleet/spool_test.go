@@ -7,9 +7,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/eventstore"
 	"repro/internal/fault"
 	"repro/internal/ids"
+	"repro/internal/wal"
 )
 
 func TestSpoolAddAckRecover(t *testing.T) {
@@ -218,7 +218,7 @@ func TestSpoolRefusesIntactOversizedFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oversize := eventstore.AppendFrame(raw, make([]byte, spoolMaxPayload+1))
+	oversize := wal.AppendFrame(raw, make([]byte, spoolMaxPayload+1))
 	if err := os.WriteFile(path, oversize, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,15 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 	"sort"
 	"sync"
 
-	"repro/internal/eventstore"
 	"repro/internal/fault"
+	"repro/internal/wal"
 )
 
 // Watermarks is the coordinator's per-sensor high-watermark journal: the
@@ -20,27 +19,28 @@ import (
 // coordinator restart is dropped idempotently, which is what turns the wire
 // protocol's at-least-once retransmission into exactly-once ingest.
 //
-// The journal is an append-only framed log (one record per advance) with the
-// eventstore's torn-tail recovery; on open the last record per sensor wins.
-// It compacts to one record per sensor when the appended history grows past
-// a threshold. Each advance is written and fsynced before the batch is
-// acked, so an ack implies the watermark — and therefore the dedup decision
-// — survives even power loss. That ordering is load-bearing: once acked, the
-// sensor may prune the batch, and a watermark that regressed afterwards
-// would ask for a sequence nobody can resend.
+// The journal is a wal.Log, one record per advance; on open the last record
+// per sensor wins. It compacts to one record per sensor when the appended
+// history grows past a threshold. Each advance is written and fsynced before
+// the batch is acked, so an ack implies the watermark — and therefore the
+// dedup decision — survives even power loss. That ordering is load-bearing:
+// once acked, the sensor may prune the batch, and a watermark that regressed
+// afterwards would ask for a sequence nobody can resend.
 type Watermarks struct {
 	mu    sync.Mutex
-	fs    fault.FS
-	f     fault.File
-	path  string
-	size  int64
+	log   *wal.Log
 	marks map[string]uint64
 }
 
 var wmMagic = [8]byte{'F', 'W', 'M', 'K', 0x00, 0x01, '\n'}
 
-// wmCompactAt triggers a rewrite once the journal grows past this size.
-const wmCompactAt = 1 << 20
+const (
+	// wmCompactAt triggers a rewrite once the journal grows past this size.
+	wmCompactAt = 1 << 20
+	// wmMaxRecord is the journal's record cap; a record is a u16-length
+	// sensor id plus a sequence number, far below it.
+	wmMaxRecord = 1 << 20
+)
 
 // OpenWatermarks opens (creating if needed) the journal in dir — typically
 // the eventstore directory, so store and watermarks live or die together.
@@ -49,68 +49,18 @@ func OpenWatermarks(dir string) (*Watermarks, error) {
 }
 
 // OpenWatermarksFS is OpenWatermarks against an explicit filesystem; nil
-// means the real one.
+// means the real one. On open the last record per sensor wins.
 func OpenWatermarksFS(fs fault.FS, dir string) (*Watermarks, error) {
 	fs = fault.Or(fs)
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	path := filepath.Join(dir, "FLEET-WATERMARKS.log")
-	f, err := fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	w := &Watermarks{marks: map[string]uint64{}}
+	log, err := wal.Open(fs, filepath.Join(dir, "FLEET-WATERMARKS.log"), wmMagic, wmMaxRecord, mergeMarkInto(w.marks))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fleet: watermark journal: %w", err)
 	}
-	raw, err := fs.ReadFile(path)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	w := &Watermarks{fs: fs, f: f, path: path, marks: map[string]uint64{}}
-	switch {
-	case len(raw) < len(wmMagic) && bytes.Equal(raw, wmMagic[:len(raw)]):
-		// Empty, or a strict prefix of the magic: a crash tore the file's
-		// creation before the header fully reached disk. Nothing else can
-		// ever have been written, so reinitialize instead of refusing to
-		// open (which would wedge every restart until manual cleanup).
-		if _, err := f.Write(wmMagic[:]); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Truncate(int64(len(wmMagic))); err != nil {
-			f.Close()
-			return nil, err
-		}
-		w.size = int64(len(wmMagic))
-	case len(raw) < len(wmMagic) || [8]byte(raw[:8]) != wmMagic:
-		f.Close()
-		return nil, fmt.Errorf("fleet: %s is not a watermark journal", path)
-	default:
-		good, _, err := eventstore.ScanFrames(raw[len(wmMagic):], func(payload []byte) error {
-			id, seq, err := decodeMark(payload)
-			if err != nil {
-				return err
-			}
-			if seq > w.marks[id] {
-				w.marks[id] = seq
-			}
-			return nil
-		})
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("fleet: %s: %w", path, err)
-		}
-		w.size = int64(len(wmMagic) + good)
-		if w.size < int64(len(raw)) {
-			if err := f.Truncate(w.size); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
-	}
-	if _, err := f.Seek(w.size, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
+	w.log = log
 	return w, nil
 }
 
@@ -131,6 +81,21 @@ func decodeMark(b []byte) (string, uint64, error) {
 	return string(b[:n]), binary.LittleEndian.Uint64(b[n:]), nil
 }
 
+// mergeMarkInto returns the frame callback that decodes one mark record and
+// raises the sensor's entry in marks to it.
+func mergeMarkInto(marks map[string]uint64) func(payload []byte) error {
+	return func(payload []byte) error {
+		id, seq, err := decodeMark(payload)
+		if err != nil {
+			return err
+		}
+		if seq > marks[id] {
+			marks[id] = seq
+		}
+		return nil
+	}
+}
+
 // Get returns the sensor's high watermark (0 if never seen).
 func (w *Watermarks) Get(id string) uint64 {
 	w.mu.Lock()
@@ -147,21 +112,7 @@ func (w *Watermarks) Advance(id string, seq uint64) error {
 	if cur := w.marks[id]; seq <= cur {
 		return fmt.Errorf("fleet: watermark for %s would regress %d -> %d", id, cur, seq)
 	}
-	frame := eventstore.AppendFrame(nil, encodeMark(id, seq))
-	if _, err := w.f.Write(frame); err != nil {
-		return fmt.Errorf("fleet: advancing watermark for %s: %w", id, err)
-	}
-	// The ack that follows this advance promises the sensor it may prune the
-	// batch, so the record must be on disk — not in the page cache — first.
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("fleet: syncing watermark for %s: %w", id, err)
-	}
-	w.size += int64(len(frame))
-	w.marks[id] = seq
-	if w.size >= wmCompactAt {
-		return w.compactLocked()
-	}
-	return nil
+	return w.advanceLocked(map[string]uint64{id: seq})
 }
 
 // AdvanceAll durably raises several sensors' watermarks with one write and
@@ -172,33 +123,42 @@ func (w *Watermarks) Advance(id string, seq uint64) error {
 func (w *Watermarks) AdvanceAll(marks map[string]uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.advanceLocked(marks)
+}
+
+func (w *Watermarks) advanceLocked(marks map[string]uint64) error {
 	var frames []byte
 	for id, seq := range marks {
 		if seq > w.marks[id] {
-			frames = eventstore.AppendFrame(frames, encodeMark(id, seq))
+			frames = wal.AppendFrame(frames, encodeMark(id, seq))
 		}
 	}
 	if len(frames) == 0 {
 		return nil
 	}
-	if _, err := w.f.Write(frames); err != nil {
+	// The acks that follow promise each sensor it may prune its batches, so
+	// the records must be on disk — not in the page cache — first; one fsync
+	// covers every sensor in the group.
+	if err := w.log.AppendSync(frames); err != nil {
 		return fmt.Errorf("fleet: advancing %d watermarks: %w", len(marks), err)
 	}
-	// One fsync covers every sensor in the group — the acks the committer
-	// releases next all depend on it.
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("fleet: syncing %d watermarks: %w", len(marks), err)
+	w.mergeLocked(marks)
+	if w.log.Size() >= wmCompactAt {
+		// Rewrite the journal as one record per sensor.
+		return w.log.Rewrite(func(dst io.Writer) error {
+			_, err := dst.Write(w.encodeLocked(nil))
+			return err
+		})
 	}
-	w.size += int64(len(frames))
+	return nil
+}
+
+func (w *Watermarks) mergeLocked(marks map[string]uint64) {
 	for id, seq := range marks {
 		if seq > w.marks[id] {
 			w.marks[id] = seq
 		}
 	}
-	if w.size >= wmCompactAt {
-		return w.compactLocked()
-	}
-	return nil
 }
 
 // adopt merges marks into memory without journalling. Used when the marks'
@@ -207,11 +167,7 @@ func (w *Watermarks) AdvanceAll(marks map[string]uint64) error {
 func (w *Watermarks) adopt(marks map[string]uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for id, seq := range marks {
-		if seq > w.marks[id] {
-			w.marks[id] = seq
-		}
-	}
+	w.mergeLocked(marks)
 }
 
 // encodeWith returns the commit-record meta encoding of the current marks
@@ -222,6 +178,10 @@ func (w *Watermarks) adopt(marks map[string]uint64) {
 func (w *Watermarks) encodeWith(extra map[string]uint64) []byte {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.encodeLocked(extra)
+}
+
+func (w *Watermarks) encodeLocked(extra map[string]uint64) []byte {
 	merged := make(map[string]uint64, len(w.marks)+len(extra))
 	for id, seq := range w.marks {
 		merged[id] = seq
@@ -238,7 +198,7 @@ func (w *Watermarks) encodeWith(extra map[string]uint64) []byte {
 	sort.Strings(ids)
 	var buf []byte
 	for _, id := range ids {
-		buf = eventstore.AppendFrame(buf, encodeMark(id, merged[id]))
+		buf = wal.AppendFrame(buf, encodeMark(id, merged[id]))
 	}
 	return buf
 }
@@ -246,16 +206,7 @@ func (w *Watermarks) encodeWith(extra map[string]uint64) []byte {
 // decodeMeta parses an encodeWith payload back into marks.
 func decodeMeta(b []byte) (map[string]uint64, error) {
 	out := map[string]uint64{}
-	good, _, err := eventstore.ScanFrames(b, func(payload []byte) error {
-		id, seq, err := decodeMark(payload)
-		if err != nil {
-			return err
-		}
-		if seq > out[id] {
-			out[id] = seq
-		}
-		return nil
-	})
+	good, _, err := wal.ScanFrames(b, wmMaxRecord, mergeMarkInto(out))
 	if err != nil {
 		return nil, err
 	}
@@ -263,50 +214,6 @@ func decodeMeta(b []byte) (map[string]uint64, error) {
 		return nil, fmt.Errorf("fleet: %d stray bytes in watermark commit meta", len(b)-good)
 	}
 	return out, nil
-}
-
-// compactLocked rewrites the journal as one record per sensor. Failure
-// paths close the tmp handle and delete the tmp file.
-func (w *Watermarks) compactLocked() error {
-	ids := make([]string, 0, len(w.marks))
-	for id := range w.marks {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	buf := append([]byte(nil), wmMagic[:]...)
-	for _, id := range ids {
-		buf = eventstore.AppendFrame(buf, encodeMark(id, w.marks[id]))
-	}
-	tmp := w.path + ".tmp"
-	if err := w.fs.WriteFile(tmp, buf, 0o644); err != nil {
-		w.fs.Remove(tmp)
-		return err
-	}
-	f, err := w.fs.OpenFile(tmp, os.O_RDWR, 0o644)
-	if err != nil {
-		w.fs.Remove(tmp)
-		return err
-	}
-	abort := func(err error) error {
-		f.Close()
-		w.fs.Remove(tmp)
-		return err
-	}
-	// The rewrite replaces records already acked as durable; it must hit the
-	// disk before it replaces the journal.
-	if err := f.Sync(); err != nil {
-		return abort(err)
-	}
-	if _, err := f.Seek(int64(len(buf)), 0); err != nil {
-		return abort(err)
-	}
-	if err := w.fs.Rename(tmp, w.path); err != nil {
-		return abort(err)
-	}
-	old := w.f
-	w.f = f
-	w.size = int64(len(buf))
-	return old.Close()
 }
 
 // All returns a copy of every sensor's watermark.
@@ -324,16 +231,16 @@ func (w *Watermarks) All() map[string]uint64 {
 func (w *Watermarks) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.f.Sync()
+	return w.log.Sync()
 }
 
 // Close syncs and closes the journal.
 func (w *Watermarks) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
+	if err := w.log.Sync(); err != nil {
+		w.log.Close()
 		return err
 	}
-	return w.f.Close()
+	return w.log.Close()
 }

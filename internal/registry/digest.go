@@ -1,20 +1,18 @@
 package registry
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
-	"repro/internal/eventstore"
 	"repro/internal/fault"
 	"repro/internal/ids"
 	"repro/internal/packet"
 	"repro/internal/tcpasm"
+	"repro/internal/wal"
 )
 
 // Per-session digests are what make retroactive re-attribution possible: at
@@ -25,13 +23,16 @@ import (
 // tcpasm.Session from the digest and re-runs the engine cold; when the
 // effective label differs from the recorded one, it emits an amendment.
 //
-// digests.log shares the event store's frame codec (records stay far below
-// its 1 MB bound given the sample caps) behind its own magic. Appends are
-// buffered in the OS; Sync is called from the ingest checkpoint path so
-// digest durability rides the same cadence as event durability. A lost tail
-// after a crash costs re-attribution coverage for the lost sessions only.
+// digests.log is a wal.Log behind its own magic. Records stay far below the
+// 1 MB cap at the default sample caps; under a larger SampleLimit Append trims
+// a digest that would exceed it and marks it Truncated. Appends are buffered in the OS;
+// Sync is called from the ingest checkpoint path so digest durability rides
+// the same cadence as event durability. A lost tail after a crash costs
+// re-attribution coverage for the lost sessions only.
 
 var digestMagic = [8]byte{'S', 'D', 'I', 'G', 0x01, 0x01, 0x01, '\n'}
+
+const digestMaxRecord = 1 << 20
 
 // DefaultSampleLimit caps each direction's stored stream sample. The
 // telescope's sessions are short probes; 64 KiB keeps virtually all of them
@@ -215,65 +216,24 @@ type digestLog struct {
 	fs   fault.FS
 	path string
 
-	mu   sync.Mutex
-	f    fault.File
-	size int64
-	bad  error
-	n    int64 // recovered + appended record count
+	mu  sync.Mutex
+	log *wal.Log
+	n   int64 // recovered + appended record count
 }
 
 func openDigestLog(fs fault.FS, dir string) (*digestLog, error) {
-	path := filepath.Join(dir, "digests.log")
-	f, err := fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	l := &digestLog{fs: fs, path: filepath.Join(dir, "digests.log")}
+	log, err := wal.Open(fs, l.path, digestMagic, digestMaxRecord, func(payload []byte) error {
+		if _, err := decodeDigest(payload); err != nil {
+			return err
+		}
+		l.n++
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("registry: digest log: %w", err)
 	}
-	raw, err := fs.ReadFile(path)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	l := &digestLog{fs: fs, path: path, f: f}
-	var size int64
-	switch {
-	case len(raw) < len(digestMagic) && bytes.Equal(raw, digestMagic[:len(raw)]):
-		if _, err := f.Write(digestMagic[:]); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Truncate(int64(len(digestMagic))); err != nil {
-			f.Close()
-			return nil, err
-		}
-		size = int64(len(digestMagic))
-	case [8]byte(raw[:8]) != digestMagic:
-		f.Close()
-		return nil, fmt.Errorf("registry: %s is not a digest log", path)
-	default:
-		good, _, err := eventstore.ScanFrames(raw[len(digestMagic):], func(payload []byte) error {
-			if _, derr := decodeDigest(payload); derr != nil {
-				return derr
-			}
-			l.n++
-			return nil
-		})
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("registry: %s: %w", path, err)
-		}
-		size = int64(len(digestMagic) + good)
-		if size < int64(len(raw)) {
-			if err := f.Truncate(size); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
-	}
-	if _, err := f.Seek(size, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	l.size = size
+	l.log = log
 	return l, nil
 }
 
@@ -285,22 +245,26 @@ func (l *digestLog) Append(ds []Digest) error {
 	var buf, payload []byte
 	for i := range ds {
 		payload = appendDigest(payload[:0], &ds[i])
-		buf = eventstore.AppendFrame(buf, payload)
+		if over := len(payload) - digestMaxRecord; over > 0 {
+			// Only a SampleLimit far above the default gets here. Keep what
+			// fits — the server sample goes first, rules mostly read the
+			// request — rather than fail the batch or write a frame recovery
+			// would refuse. The fixed fields are far below the cap, so the
+			// samples always hold the excess.
+			d := ds[i]
+			d.Truncated = true
+			cut := min(over, len(d.ServerData))
+			d.ServerData = d.ServerData[:len(d.ServerData)-cut]
+			d.ClientData = d.ClientData[:len(d.ClientData)-(over-cut)]
+			payload = appendDigest(payload[:0], &d)
+		}
+		buf = wal.AppendFrame(buf, payload)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.bad != nil {
-		return l.bad
-	}
-	if _, err := l.f.Write(buf); err != nil {
-		if terr := l.f.Truncate(l.size); terr != nil {
-			l.bad = fmt.Errorf("registry: digest log poisoned: %w", terr)
-		} else {
-			l.f.Seek(l.size, 0)
-		}
+	if err := l.log.Append(buf); err != nil {
 		return fmt.Errorf("registry: appending digests: %w", err)
 	}
-	l.size += int64(len(buf))
 	l.n += int64(len(ds))
 	return nil
 }
@@ -309,7 +273,7 @@ func (l *digestLog) Append(ds []Digest) error {
 func (l *digestLog) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.f.Sync()
+	return l.log.Sync()
 }
 
 // Len returns the record count.
@@ -330,7 +294,7 @@ func (l *digestLog) walk(fn func(Digest) error) error {
 	if len(raw) < len(digestMagic) {
 		return nil
 	}
-	_, _, err = eventstore.ScanFrames(raw[len(digestMagic):], func(payload []byte) error {
+	_, _, err = wal.ScanFrames(raw[len(digestMagic):], digestMaxRecord, func(payload []byte) error {
 		d, derr := decodeDigest(payload)
 		if derr != nil {
 			return derr

@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"os"
 	"path/filepath"
 
 	"repro/internal/fault"
 	"repro/internal/rules"
+	"repro/internal/wal"
 )
 
 // The ruleset journal is the registry's source of truth: an append-only log
@@ -19,28 +18,23 @@ import (
 // same tooling as the study ruleset and folds back through the one parser
 // everything else uses.
 //
-// Framing is the store family's length+CRC scheme but with its own payload
-// cap: a full Talos-scale delta is a few megabytes of text, far beyond the
-// event store's 1 MB record bound.
+// The file is a wal.Log (magic "RSJRNL\x01\n") with its own record cap: a
+// full Talos-scale delta is a few megabytes of text, far beyond the event
+// store's 1 MB record bound. Entry payload:
 //
-//	8-byte magic "RSJRNL\x01\n"
-//	repeated entries: u32 payload length | u32 CRC-32 (IEEE) of payload | payload
-//	payload: u64 generation | dated-ruleset text
+//	u64 generation | dated-ruleset text
 //
-// Recovery truncates at the first torn or corrupt frame — a crash mid-publish
-// costs that publish (the caller re-publishes), never the journal.
+// Recovery is stricter than the framing alone: an entry that does not parse,
+// or whose generation does not increase, ends the log there (the file was
+// spliced, or corruption beat the CRC). A crash mid-publish costs that
+// publish (the caller re-publishes), never the journal.
 
 var journalMagic = [8]byte{'R', 'S', 'J', 'R', 'N', 'L', 0x01, '\n'}
 
-const (
-	journalFrameLen = 8
-	// maxJournalEntry bounds one delta's encoded size. A 48k-rule full
-	// snapshot in text form is ~6 MB; 64 MB leaves an order of magnitude of
-	// headroom while still rejecting garbage length prefixes.
-	maxJournalEntry = 64 << 20
-)
-
-var journalCRC = crc32.MakeTable(crc32.IEEE)
+// maxJournalEntry bounds one delta's encoded size. A 48k-rule full snapshot
+// in text form is ~6 MB; 64 MB leaves an order of magnitude of headroom while
+// still rejecting garbage length prefixes.
+const maxJournalEntry = 64 << 20
 
 // journalEntry is one decoded publication.
 type journalEntry struct {
@@ -51,94 +45,34 @@ type journalEntry struct {
 // rulesetJournal is the open journal file plus its recovered entries' high
 // generation.
 type rulesetJournal struct {
-	fs   fault.FS
-	f    fault.File
-	path string
-	size int64
-	gen  uint64 // generation of the newest entry (0 = empty journal)
-	bad  error
+	log *wal.Log
+	gen uint64 // generation of the newest entry (0 = empty journal)
 }
 
-// openJournal opens (creating if needed) dir/ruleset.journal, replays every
-// intact entry through apply in order, and truncates any torn tail.
+// openJournal opens (creating if needed) dir/ruleset.journal and replays
+// every trusted entry through apply in order.
 func openJournal(fs fault.FS, dir string, apply func(journalEntry)) (*rulesetJournal, error) {
-	path := filepath.Join(dir, "ruleset.journal")
-	f, err := fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	j := &rulesetJournal{}
+	log, err := wal.Open(fs, filepath.Join(dir, "ruleset.journal"), journalMagic, maxJournalEntry, j.replay(apply))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("registry: ruleset journal: %w", err)
 	}
-	j := &rulesetJournal{fs: fs, f: f, path: path}
-	if err := j.recover(apply); err != nil {
-		f.Close()
-		return nil, err
-	}
+	j.log = log
 	return j, nil
 }
 
-func (j *rulesetJournal) recover(apply func(journalEntry)) error {
-	raw, err := j.fs.ReadFile(j.path)
-	if err != nil {
-		return err
-	}
-	var size int64
-	switch {
-	case len(raw) < len(journalMagic) && bytes.Equal(raw, journalMagic[:len(raw)]):
-		// Empty or a torn header: nothing can have been published; rewrite.
-		if _, err := j.f.Write(journalMagic[:]); err != nil {
-			return err
-		}
-		if err := j.f.Truncate(int64(len(journalMagic))); err != nil {
-			return err
-		}
-		size = int64(len(journalMagic))
-	case [8]byte(raw[:8]) != journalMagic:
-		return fmt.Errorf("registry: %s is not a ruleset journal", j.path)
-	default:
-		good, err := j.scan(raw[len(journalMagic):], apply)
-		if err != nil {
-			return err
-		}
-		size = int64(len(journalMagic) + good)
-		if size < int64(len(raw)) {
-			if err := j.f.Truncate(size); err != nil {
-				return err
-			}
-		}
-	}
-	if _, err := j.f.Seek(size, 0); err != nil {
-		return err
-	}
-	j.size = size
-	return nil
-}
-
-// scan walks intact frames, applying each decoded entry. It returns the
-// clean byte count. Generations must be strictly increasing; a decreasing or
-// repeated generation means the file was spliced and recovery stops there.
-func (j *rulesetJournal) scan(b []byte, apply func(journalEntry)) (int, error) {
-	off := 0
-	for {
-		if len(b)-off < journalFrameLen {
-			return off, nil
-		}
-		length := binary.LittleEndian.Uint32(b[off : off+4])
-		sum := binary.LittleEndian.Uint32(b[off+4 : off+8])
-		if length > maxJournalEntry || len(b)-off-journalFrameLen < int(length) {
-			return off, nil
-		}
-		payload := b[off+journalFrameLen : off+journalFrameLen+int(length)]
-		if crc32.Checksum(payload, journalCRC) != sum {
-			return off, nil
-		}
+// replay returns the frame callback that decodes one entry, applies it and
+// advances j.gen — ending the log at the first entry that does not parse or
+// whose generation is not strictly above the previous one.
+func (j *rulesetJournal) replay(apply func(journalEntry)) func(payload []byte) error {
+	return func(payload []byte) error {
 		entry, err := decodeEntry(payload)
 		if err != nil || entry.gen <= j.gen {
-			return off, nil
+			return wal.ErrStop
 		}
 		j.gen = entry.gen
-		if apply != nil {
-			apply(entry)
-		}
-		off += journalFrameLen + int(length)
+		apply(entry)
+		return nil
 	}
 }
 
@@ -162,9 +96,6 @@ func decodeEntry(payload []byte) (journalEntry, error) {
 // append durably writes one publication: the frame is written and fsynced
 // before append returns, so a returned generation is a promise.
 func (j *rulesetJournal) append(gen uint64, delta []rules.DatedRule) error {
-	if j.bad != nil {
-		return j.bad
-	}
 	var text bytes.Buffer
 	if err := rules.WriteDatedRuleset(&text, delta); err != nil {
 		return err
@@ -175,50 +106,19 @@ func (j *rulesetJournal) append(gen uint64, delta []rules.DatedRule) error {
 	if len(payload) > maxJournalEntry {
 		return fmt.Errorf("registry: delta of %d bytes exceeds journal entry cap", len(payload))
 	}
-	frame := make([]byte, 0, journalFrameLen+len(payload))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, journalCRC))
-	frame = append(frame, payload...)
-	if _, err := j.f.Write(frame); err != nil {
-		if terr := j.f.Truncate(j.size); terr != nil {
-			j.bad = fmt.Errorf("registry: journal poisoned after failed publish: %w", terr)
-		} else {
-			j.f.Seek(j.size, 0)
-		}
+	frame := wal.AppendFrame(make([]byte, 0, wal.FrameHeaderLen+len(payload)), payload)
+	if err := j.log.AppendSync(frame); err != nil {
 		return fmt.Errorf("registry: appending publish: %w", err)
 	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("registry: syncing journal: %w", err)
-	}
-	j.size += int64(len(frame))
 	j.gen = gen
 	return nil
 }
 
-// tail re-reads the journal file and applies entries newer than j.gen — the
+// tail applies entries another process appended since j.gen — the
 // cross-process pickup path (waybackctl publishing into a directory a
 // running daemon also has open).
 func (j *rulesetJournal) tail(apply func(journalEntry)) error {
-	raw, err := j.fs.ReadFile(j.path)
-	if err != nil {
-		return err
-	}
-	if int64(len(raw)) <= j.size {
-		return nil
-	}
-	if int64(len(raw)) < j.size || len(raw) < len(journalMagic) {
-		return fmt.Errorf("registry: journal shrank underneath an open handle")
-	}
-	good, err := j.scan(raw[j.size:], apply)
-	if err != nil {
-		return err
-	}
-	newSize := j.size + int64(good)
-	if _, err := j.f.Seek(newSize, 0); err != nil {
-		return err
-	}
-	j.size = newSize
-	return nil
+	return j.log.Tail(j.replay(apply))
 }
 
-func (j *rulesetJournal) Close() error { return j.f.Close() }
+func (j *rulesetJournal) Close() error { return j.log.Close() }

@@ -354,7 +354,7 @@ func (r *Registry) Close() error {
 		return nil
 	}
 	err := r.journal.Close()
-	if derr := r.digests.f.Close(); derr != nil && err == nil {
+	if derr := r.digests.log.Close(); derr != nil && err == nil {
 		err = derr
 	}
 	return err

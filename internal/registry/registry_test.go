@@ -357,6 +357,55 @@ func TestDigestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDigestLogTrimsOversizedDigest: a digest beyond the record cap (a
+// SampleLimit far above the default) is trimmed to fit and marked Truncated;
+// it neither fails its batch nor leaves a frame that the next open refuses.
+func TestDigestLogTrimsOversizedDigest(t *testing.T) {
+	fs := fault.NewSimFS(1, fault.Profile{})
+	if err := fs.MkdirAll("reg", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	l, err := openDigestLog(fs, "reg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := testSession(1, "GET / HTTP/1.1\r\n\r\n")
+	big := testSession(2, strings.Repeat("A", 700<<10))
+	big.ServerData = []byte(strings.Repeat("B", 700<<10))
+	batch := []Digest{DigestOf(&small, nil, 0), DigestOf(&big, nil, 1<<20), DigestOf(&small, nil, 0)}
+	if batch[1].Truncated {
+		t.Fatal("the big digest was already capped by its sample limit")
+	}
+	if err := l.Append(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err = openDigestLog(fs, "reg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.log.Close()
+	var got []Digest
+	if err := l.walk(func(d Digest) error { got = append(got, d); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || l.Len() != 3 {
+		t.Fatalf("recovered %d digests (Len %d), want 3", len(got), l.Len())
+	}
+	if d := got[1]; !d.Truncated || len(d.ClientData) != 700<<10 || len(d.ServerData) == 0 ||
+		len(appendDigest(nil, &d)) != digestMaxRecord {
+		t.Fatalf("big digest: truncated=%v client=%d server=%d", d.Truncated, len(d.ClientData), len(d.ServerData))
+	}
+	if got[0].Truncated || got[2].Truncated {
+		t.Fatal("a digest under the cap was marked truncated")
+	}
+}
+
 // FuzzRulesetJournal feeds arbitrary bytes as an on-disk journal: Open must
 // never panic, must recover a clean prefix, and the journal must remain
 // usable (publish + reopen round-trip) afterwards.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/eventstore"
 	"repro/internal/fleet"
 	"repro/internal/ids"
+	"repro/internal/wal"
 )
 
 // FeedConfig wires the coordinator-side replication feed.
@@ -166,18 +167,18 @@ func (f *Feed) update(fn func(*FeedStatus)) func(id string) {
 // ship-suffixes / barrier / ack until the connection dies or the feed closes.
 func (f *Feed) serve(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	payload, err := fleet.ReadFrame(conn, nil)
+	payload, err := wal.ReadFrame(conn, nil, fleet.MaxFrame)
 	if err != nil {
 		return
 	}
 	hello, err := decodeRHello(payload)
 	if err != nil {
-		fleet.WriteFrame(conn, encodeRErr(err.Error()))
+		writeFrame(conn, encodeRErr(err.Error()))
 		return
 	}
 	parts := f.cfg.Store.CommittedEvents()
 	if len(hello.Counts) != len(parts) {
-		fleet.WriteFrame(conn, encodeRErr(fmt.Sprintf(
+		writeFrame(conn, encodeRErr(fmt.Sprintf(
 			"shard count mismatch: replica has %d, coordinator %d — replicate between stores of equal width",
 			len(hello.Counts), len(parts))))
 		return
@@ -200,7 +201,7 @@ func (f *Feed) serve(conn net.Conn) {
 			// Make the published tail committed so it is shippable; cheap
 			// no-op when nothing is dirty.
 			if err := f.cfg.Store.Sync(); err != nil {
-				fleet.WriteFrame(conn, encodeRErr("coordinator store: "+err.Error()))
+				writeFrame(conn, encodeRErr("coordinator store: "+err.Error()))
 				return
 			}
 		}
@@ -217,14 +218,14 @@ func (f *Feed) serve(conn net.Conn) {
 		// interleave two histories.
 		for i := range pos {
 			if pos[i] > target.Counts[i] {
-				fleet.WriteFrame(conn, encodeRErr(fmt.Sprintf(
+				writeFrame(conn, encodeRErr(fmt.Sprintf(
 					"replica ahead of coordinator on shard %d (%d > %d): wipe the replica store and resync",
 					i, pos[i], target.Counts[i])))
 				return
 			}
 		}
 		if apos > target.Amends {
-			fleet.WriteFrame(conn, encodeRErr(fmt.Sprintf(
+			writeFrame(conn, encodeRErr(fmt.Sprintf(
 				"replica amendment log ahead of coordinator (%d > %d): wipe the replica store and resync",
 				apos, target.Amends)))
 			return
@@ -246,7 +247,7 @@ func (f *Feed) serve(conn net.Conn) {
 			}
 		}
 		if apos < target.Amends {
-			if err := fleet.WriteFrame(conn, encodeAmends(amends[apos:])); err != nil {
+			if err := writeFrame(conn, encodeAmends(amends[apos:])); err != nil {
 				return
 			}
 			sentAmends = target.Amends - apos
@@ -254,14 +255,14 @@ func (f *Feed) serve(conn net.Conn) {
 		}
 
 		if sentEvents > 0 || sentAmends > 0 || time.Since(lastState) >= f.cfg.Heartbeat {
-			if err := fleet.WriteFrame(conn, encodeProgressMsg(msgRState, &target)); err != nil {
+			if err := writeFrame(conn, encodeProgressMsg(msgRState, &target)); err != nil {
 				return
 			}
 			lastState = time.Now()
 			// The replica commits the cut, then acks; the ack is this round's
 			// barrier.
 			conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-			payload, err := fleet.ReadFrame(conn, nil)
+			payload, err := wal.ReadFrame(conn, nil, fleet.MaxFrame)
 			if err != nil {
 				return
 			}
@@ -296,5 +297,5 @@ func (f *Feed) writeBatch(conn net.Conn, seq uint64, events []ids.Event) error {
 	if err != nil {
 		return err
 	}
-	return fleet.WriteFrame(conn, payload)
+	return writeFrame(conn, payload)
 }

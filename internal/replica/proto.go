@@ -1,6 +1,6 @@
 // Package replica implements read replicas for the waybackd event store: a
-// coordinator-side feed that ships its committed log over the fleet wire
-// framing, and a replica that tails it into a store of its own and serves the
+// coordinator-side feed that ships its committed log as wal frames over a
+// socket, and a replica that tails it into a store of its own and serves the
 // full read API from there.
 //
 // The protocol leans on two properties of the eventstore. First, shard
@@ -14,7 +14,7 @@
 // applied round resumes from a consistent cut: anything torn by a crash is
 // truncated locally and simply re-shipped.
 //
-// Message flow (all frames use the fleet length+CRC framing):
+// Message flow (all messages are wal frames, as on the fleet wire):
 //
 //	replica                          coordinator feed
 //	  | -- Hello{id, counts, amends} ----> |   resume point = replica's own store
@@ -33,14 +33,23 @@ package replica
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 
 	"repro/internal/eventstore"
+	"repro/internal/fleet"
+	"repro/internal/wal"
 )
 
 // ProtocolVersion gates the handshake, independently of the fleet sensor
 // protocol's version.
 const ProtocolVersion = 1
+
+// writeFrame frames under the fleet wire's limit: batch frames are
+// fleet.EncodeEventBatch output, sized against it.
+func writeFrame(w io.Writer, payload []byte) error {
+	return wal.WriteFrame(w, payload, fleet.MaxFrame)
+}
 
 // Message types. Distinct from the fleet sensor message space except for
 // batch frames, which are shared deliberately: event shipping reuses

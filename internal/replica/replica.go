@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/eventstore"
 	"repro/internal/fleet"
+	"repro/internal/wal"
 )
 
 // Config wires a read replica.
@@ -163,7 +164,7 @@ func (r *Replica) tail() (fatal bool) {
 	}()
 
 	hello := rhello{Version: ProtocolVersion, ID: r.cfg.ID, progress: r.local()}
-	if err := fleet.WriteFrame(conn, hello.encode()); err != nil {
+	if err := writeFrame(conn, hello.encode()); err != nil {
 		return false
 	}
 	r.set(func(st *Status) { st.Connected = true })
@@ -176,7 +177,7 @@ func (r *Replica) tail() (fatal bool) {
 		default:
 		}
 		conn.SetReadDeadline(time.Now().Add(r.cfg.ReadTimeout))
-		buf, err = fleet.ReadFrame(conn, buf)
+		buf, err = wal.ReadFrame(conn, buf, fleet.MaxFrame)
 		if err != nil {
 			return false
 		}
@@ -223,7 +224,7 @@ func (r *Replica) tail() (fatal bool) {
 				return false
 			}
 			local := r.local()
-			if err := fleet.WriteFrame(conn, encodeProgressMsg(msgRAck, &local)); err != nil {
+			if err := writeFrame(conn, encodeProgressMsg(msgRAck, &local)); err != nil {
 				return false
 			}
 			r.set(func(st *Status) {

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/eventstore"
 	"repro/internal/ids"
 	"repro/internal/lifecycle"
+	"repro/internal/wal"
 )
 
 // Aggregate is the mergeable summary a checkpoint persists: scan statistics
@@ -91,9 +91,9 @@ func encodeCheckpoint(seq uint64, k int, cut, writtenAt time.Time, agg *Aggregat
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(k))
 	hdr = appendSegTime(hdr, cut)
 	hdr = appendSegTime(hdr, writtenAt)
-	buf = eventstore.AppendFrame(buf, hdr)
-	buf = eventstore.AppendFrame(buf, agg.Stats.AppendBinary([]byte{tagStats}))
-	buf = eventstore.AppendFrame(buf, agg.Life.AppendBinary([]byte{tagLife}))
+	buf = wal.AppendFrame(buf, hdr)
+	buf = wal.AppendFrame(buf, agg.Stats.AppendBinary([]byte{tagStats}))
+	buf = wal.AppendFrame(buf, agg.Life.AppendBinary([]byte{tagLife}))
 	return buf
 }
 
@@ -107,7 +107,7 @@ func parseCheckpoint(path string, raw []byte) (*ckptMeta, *Aggregate, error) {
 	}
 	meta := &ckptMeta{path: path, K: -1, SizeBytes: int64(len(raw))}
 	agg := &Aggregate{}
-	_, clean, err := eventstore.ScanFrames(raw[len(ckptMagic):], func(payload []byte) error {
+	_, clean, err := wal.ScanFrames(raw[len(ckptMagic):], maxRecord, func(payload []byte) error {
 		if len(payload) == 0 {
 			return fmt.Errorf("empty frame")
 		}

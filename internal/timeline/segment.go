@@ -9,12 +9,18 @@ import (
 	"repro/internal/eventstore"
 	"repro/internal/fault"
 	"repro/internal/ids"
+	"repro/internal/wal"
 )
+
+// maxRecord is the frame payload cap of the timeline's files (segments and
+// checkpoints), the event store's record bound: their frames are single
+// events, fixed-size headers and per-segment indexes.
+const maxRecord = 1 << 20
 
 // On-disk segment format. A segment file is:
 //
 //	8-byte magic "TLSEG\x00\x01\n"
-//	repeated eventstore.AppendFrame records, each payload tagged by its
+//	repeated wal.AppendFrame records, each payload tagged by its
 //	first byte:
 //
 //	  'H' header   u32 version | u64 seq | u32 shards | shards x u64
@@ -106,7 +112,7 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 	header = binary.LittleEndian.AppendUint32(header, uint32(len(events)))
 	header = appendSegTime(header, minT)
 	header = appendSegTime(header, maxT)
-	buf = eventstore.AppendFrame(buf, header)
+	buf = wal.AppendFrame(buf, header)
 
 	// Event frames, recording every timeIndexEvery-th frame's offset for the
 	// sparse index, and per-CVE ordinals for the CVE index.
@@ -127,7 +133,7 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 		}
 		payload = append(payload[:0], tagEvent)
 		payload = eventstore.EncodeEvent(payload, &events[i])
-		buf = eventstore.AppendFrame(buf, payload)
+		buf = wal.AppendFrame(buf, payload)
 	}
 
 	tIdx := []byte{tagTime}
@@ -138,7 +144,7 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 		tIdx = binary.LittleEndian.AppendUint64(tIdx, uint64(e.off))
 		tIdx = binary.LittleEndian.AppendUint32(tIdx, e.ordinal)
 	}
-	buf = eventstore.AppendFrame(buf, tIdx)
+	buf = wal.AppendFrame(buf, tIdx)
 
 	cves := make([]string, 0, len(cveOrds))
 	for cve := range cveOrds {
@@ -156,7 +162,7 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 			cIdx = binary.LittleEndian.AppendUint32(cIdx, o)
 		}
 	}
-	buf = eventstore.AppendFrame(buf, cIdx)
+	buf = wal.AppendFrame(buf, cIdx)
 
 	bloom := newBloom(len(cves))
 	for _, cve := range cves {
@@ -166,7 +172,7 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 	bIdx = binary.LittleEndian.AppendUint32(bIdx, bloomHashes)
 	bIdx = binary.LittleEndian.AppendUint64(bIdx, uint64(bloom.mBits))
 	bIdx = append(bIdx, bloom.bits...)
-	buf = eventstore.AppendFrame(buf, bIdx)
+	buf = wal.AppendFrame(buf, bIdx)
 
 	return buf
 }
@@ -204,7 +210,7 @@ func parseSegment(path string, raw []byte) (*segmentMeta, error) {
 		return nil, fmt.Errorf("timeline: %s is not a segment file", path)
 	}
 	m := &segmentMeta{path: path, Count: -1, SizeBytes: int64(len(raw))}
-	good, clean, err := eventstore.ScanFrames(raw[len(segMagic):], func(payload []byte) error {
+	good, clean, err := wal.ScanFrames(raw[len(segMagic):], maxRecord, func(payload []byte) error {
 		if len(payload) == 0 {
 			return fmt.Errorf("empty frame")
 		}
@@ -388,7 +394,7 @@ func (m *segmentMeta) scanRange(fs fault.FS, hasLo bool, lo, hi time.Time, fn fu
 		return fmt.Errorf("timeline: %s: index offset %d beyond file (%d bytes)", m.path, start, len(raw))
 	}
 	stop := fmt.Errorf("stop") //nolint:err113 — internal scan sentinel
-	_, _, err = eventstore.ScanFrames(raw[start:], func(payload []byte) error {
+	_, _, err = wal.ScanFrames(raw[start:], maxRecord, func(payload []byte) error {
 		if len(payload) == 0 {
 			return fmt.Errorf("empty frame")
 		}
@@ -452,7 +458,7 @@ func (m *segmentMeta) scanCVE(fs fault.FS, cve string, hi time.Time, fn func(ids
 	}
 	last := ords[len(ords)-1]
 	stop := fmt.Errorf("stop") //nolint:err113
-	_, _, err = eventstore.ScanFrames(raw[start:], func(payload []byte) error {
+	_, _, err = wal.ScanFrames(raw[start:], maxRecord, func(payload []byte) error {
 		if len(payload) == 0 {
 			return fmt.Errorf("empty frame")
 		}
