@@ -2,7 +2,6 @@ package packet
 
 import (
 	"fmt"
-	"math/rand"
 	"net/netip"
 )
 
@@ -76,7 +75,8 @@ func (p *Packet) Payload() []byte { return p.TCP.LayerPayload() }
 
 // Builder assembles valid Ethernet/IPv4/TCP frames. It exists so the traffic
 // generator and tests can produce byte-exact wire frames that round-trip
-// through Decode, the pcap files, and TCP reassembly.
+// through Decode, the pcap files, and TCP reassembly. Its only randomness is
+// a single splitmix64 state word, so reseeding per session costs two stores.
 type Builder struct {
 	// SrcMAC and DstMAC are used for every frame. The defaults are
 	// locally administered addresses.
@@ -86,8 +86,9 @@ type Builder struct {
 	TTL uint8
 
 	ipID uint16
-	src  rand.Source
-	rng  *rand.Rand
+	// state is the splitmix64 counter behind RandomISN; the seed is its
+	// initial value.
+	state uint64
 
 	// Scratch for the inner layers of BuildTo, reused across frames so the
 	// streaming synthesis path allocates nothing per packet.
@@ -95,24 +96,24 @@ type Builder struct {
 	ipScratch  []byte
 }
 
-// NewBuilder returns a Builder with deterministic IP IDs seeded from seed.
+// NewBuilder returns a Builder whose IP IDs and ISNs are deterministic in
+// seed (the initial splitmix64 state).
 func NewBuilder(seed int64) *Builder {
-	src := rand.NewSource(seed)
 	return &Builder{
 		SrcMAC: MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x01},
 		DstMAC: MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x02},
 		TTL:    64,
-		src:    src,
-		rng:    rand.New(src),
+		state:  uint64(seed),
 	}
 }
 
 // Reset rewinds the builder to its just-constructed state under a new seed:
-// IP IDs restart at one and RandomISN replays the seed's sequence. Streamed
-// synthesis reseeds one builder per session so frame bytes depend only on the
-// session, not on how sessions are interleaved across generators.
+// IP IDs restart at one and RandomISN replays the seed's sequence. It only
+// stores the splitmix64 state, so streamed synthesis can reseed one builder
+// per session — frame bytes then depend only on the session, not on how
+// sessions are interleaved across generators — at no cost.
 func (b *Builder) Reset(seed int64) {
-	b.src.Seed(seed)
+	b.state = uint64(seed)
 	b.ipID = 0
 }
 
@@ -180,9 +181,16 @@ func (b *Builder) ttl() uint8 {
 	return b.TTL
 }
 
-// RandomISN returns a pseudorandom initial sequence number. The builder's
-// RNG is seeded, so frame generation is reproducible.
-func (b *Builder) RandomISN() uint32 { return b.rng.Uint32() }
+// RandomISN returns a pseudorandom initial sequence number: one splitmix64
+// step of the seeded state (the mixer scanner.procSeed uses), so adjacent
+// seeds give decorrelated ISNs and frame generation is reproducible.
+func (b *Builder) RandomISN() uint32 {
+	b.state += 0x9e3779b97f4a7c15
+	z := b.state
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return uint32((z ^ (z >> 31)) >> 32)
+}
 
 // MustAddr parses a dotted-quad IPv4 address, panicking on failure. Intended
 // for tests and static configuration.

@@ -221,6 +221,45 @@ func TestBuilderResetReplaysSequence(t *testing.T) {
 	}
 }
 
+// TestBuilderResetAllocFree: the per-session synthesis cycle — reseed, draw
+// both ISNs, build into a reused buffer — allocates nothing.
+func TestBuilderResetAllocFree(t *testing.T) {
+	b := NewBuilder(1)
+	buf := make([]byte, 0, 2048)
+	seg := Segment{Src: srcEP, Dst: dstEP, Flags: FlagSYN, Payload: []byte("hello")}
+	if _, err := b.BuildTo(buf, seg); err != nil { // size the scratch once
+		t.Fatal(err)
+	}
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		seed++
+		b.Reset(seed)
+		seg.Seq = b.RandomISN()
+		seg.Ack = b.RandomISN()
+		buf, _ = b.BuildTo(buf[:0], seg)
+	})
+	if allocs != 0 {
+		t.Errorf("Reset+RandomISN+BuildTo allocs/op = %v, want 0", allocs)
+	}
+}
+
+// TestBuilderAdjacentSeedsDiffer: telescope reseeds per session from
+// sessionFrameSeed, so the cheap mixer must still give every seed in a dense
+// run its own (client, server) ISN pair.
+func TestBuilderAdjacentSeedsDiffer(t *testing.T) {
+	const n = 10000
+	b := NewBuilder(0)
+	seen := make(map[[2]uint32]int64, n)
+	for seed := int64(0); seed < n; seed++ {
+		b.Reset(seed)
+		pair := [2]uint32{b.RandomISN(), b.RandomISN()}
+		if prev, dup := seen[pair]; dup {
+			t.Fatalf("seeds %d and %d drew the same ISN pair %v", prev, seed, pair)
+		}
+		seen[pair] = seed
+	}
+}
+
 func TestBuildToAppendsAndMatchesBuild(t *testing.T) {
 	b1, b2 := NewBuilder(3), NewBuilder(3)
 	seg := Segment{Src: srcEP, Dst: dstEP, Flags: FlagPSH | FlagACK, Seq: 42, Payload: []byte("payload")}
@@ -338,6 +377,20 @@ func BenchmarkDecode(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkBuilderReset is the per-session seeding cost telescope pays:
+// reseed plus the two ISN draws.
+func BenchmarkBuilderReset(b *testing.B) {
+	bld := NewBuilder(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bld.Reset(int64(i))
+		isnSink ^= bld.RandomISN() ^ bld.RandomISN()
+	}
+}
+
+// isnSink keeps BenchmarkBuilderReset's draws observable.
+var isnSink uint32
 
 func BenchmarkBuild(b *testing.B) {
 	bld := NewBuilder(1)

@@ -53,7 +53,13 @@ const (
 	feedBatch = 128
 	// queueBatches bounds in-flight batches per (feeder, shard) pair — the
 	// backpressure that keeps a fast decoder from outrunning reassembly.
-	queueBatches = 32
+	// Every queued FeedItem pins a 2 KiB frame buffer, so the bound is
+	// queueBatches × feedBatch × 2 KiB = 1 MiB per pair, shards × feeders
+	// MiB for the front-end. It is small on purpose: once frame synthesis
+	// got cheap (PR 21) the producer keeps every queue full, and at 32 the
+	// window alone doubled stream_study's heap_p90 (≈48 → ≈95 MiB), while
+	// 2, 4 and 8 ran at the same throughput (4 measured ≈26 MiB).
+	queueBatches = 4
 	// advanceEvery matches the serial scan cadence: each shard reclaims
 	// idle-connection memory after this many applied packets.
 	advanceEvery = 4096
