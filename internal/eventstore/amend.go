@@ -67,26 +67,25 @@ func keyOfEvent(ev *ids.Event) sessionKey {
 // store's amendment resolution and the timeline's overlay.
 func SessionKeyOf(ev *ids.Event) any { return keyOfEvent(ev) }
 
-func appendAmendment(buf []byte, a *Amendment) []byte {
-	buf = appendEvent(buf, &a.Event)
+// EncodeAmendment appends a's encoding to buf: the event, then u32 OrigSID,
+// string16 OrigCVE and u64 Gen — the record amend.log frames on disk,
+// exported so the replica protocol can ship amendment records verbatim.
+func EncodeAmendment(buf []byte, a *Amendment) []byte {
+	buf = EncodeEvent(buf, &a.Event)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.OrigSID))
-	buf = appendString16(buf, a.OrigCVE)
-	buf = binary.LittleEndian.AppendUint64(buf, a.Gen)
-	return buf
+	buf = wal.AppendString16(buf, a.OrigCVE)
+	return binary.LittleEndian.AppendUint64(buf, a.Gen)
 }
 
-func decodeAmendment(b []byte) (Amendment, error) {
-	var a Amendment
-	d := decoder{b: b}
-	a.Event = decodeEventFields(&d)
-	a.OrigSID = int(d.u32())
-	a.OrigCVE = d.string16()
-	a.Gen = d.u64()
-	if d.err != nil {
-		return Amendment{}, d.err
-	}
-	if len(d.b) != 0 {
-		return Amendment{}, fmt.Errorf("eventstore: %d stray bytes after amendment", len(d.b))
+// DecodeAmendment decodes one EncodeAmendment payload.
+func DecodeAmendment(b []byte) (Amendment, error) {
+	c := wal.NewCursor(b)
+	a := Amendment{Event: readEvent(&c)}
+	a.OrigSID = int(c.U32())
+	a.OrigCVE = c.String16()
+	a.Gen = c.U64()
+	if err := c.Finish("amendment"); err != nil {
+		return Amendment{}, err
 	}
 	return a, nil
 }
@@ -96,7 +95,7 @@ func decodeAmendment(b []byte) (Amendment, error) {
 func (s *Store) openAmendLog() error {
 	var amends []Amendment
 	log, err := wal.Open(s.fs, filepath.Join(s.dir, "amend.log"), amendMagic, maxRecordLen, func(payload []byte) error {
-		a, err := decodeAmendment(payload)
+		a, err := DecodeAmendment(payload)
 		if err != nil {
 			return err
 		}
@@ -125,7 +124,7 @@ func (s *Store) AppendAmendments(as []Amendment) error {
 	var buf []byte
 	var payload []byte
 	for i := range as {
-		payload = appendAmendment(payload[:0], &as[i])
+		payload = EncodeAmendment(payload[:0], &as[i])
 		buf = wal.AppendFrame(buf, payload)
 	}
 	s.amendMu.Lock()
@@ -208,18 +207,6 @@ func applyAmendments(events []ids.Event, as []Amendment) []ids.Event {
 // materialize events outside the store (the timeline's as-of overlay).
 func ApplyAmendments(events []ids.Event, as []Amendment) []ids.Event {
 	return applyAmendments(events, as)
-}
-
-// EncodeAmendment appends a's wire encoding to buf — the same record format
-// amend.log frames on disk, exported so the replica protocol can ship
-// amendment records verbatim.
-func EncodeAmendment(buf []byte, a *Amendment) []byte {
-	return appendAmendment(buf, a)
-}
-
-// DecodeAmendment decodes one EncodeAmendment payload.
-func DecodeAmendment(b []byte) (Amendment, error) {
-	return decodeAmendment(b)
 }
 
 // AmendmentStats summarizes the resolved amendment set for metrics.

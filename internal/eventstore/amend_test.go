@@ -20,8 +20,8 @@ func amendFor(ev ids.Event, newSID int, pub time.Time, cve string, gen uint64) A
 
 func TestAmendmentCodecRoundTrip(t *testing.T) {
 	a := Amendment{Event: testEvent(3), OrigSID: 12345, OrigCVE: "2021-44228", Gen: 7}
-	payload := appendAmendment(nil, &a)
-	got, err := decodeAmendment(payload)
+	payload := EncodeAmendment(nil, &a)
+	got, err := DecodeAmendment(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,10 +29,10 @@ func TestAmendmentCodecRoundTrip(t *testing.T) {
 		got.OrigCVE != a.OrigCVE || got.Gen != a.Gen {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, a)
 	}
-	if _, err := decodeAmendment(payload[:len(payload)-2]); err == nil {
+	if _, err := DecodeAmendment(payload[:len(payload)-2]); err == nil {
 		t.Error("truncated amendment decoded")
 	}
-	if _, err := decodeAmendment(append(payload, 0)); err == nil {
+	if _, err := DecodeAmendment(append(payload, 0)); err == nil {
 		t.Error("oversized amendment decoded")
 	}
 }

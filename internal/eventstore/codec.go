@@ -2,27 +2,25 @@ package eventstore
 
 import (
 	"encoding/binary"
-	"fmt"
-	"math"
-	"net/netip"
-	"time"
 
 	"repro/internal/ids"
 	"repro/internal/packet"
+	"repro/internal/wal"
 )
 
 // On-disk format. Each shard file is a wal.Log: the 8-byte magic
-// "EVLOG\x00\x01\n", then wal.AppendFrame records, everything little-endian.
+// "EVLOG\x00\x01\n", then wal.AppendFrame records whose payloads use the
+// wal field codec.
 //
 // A payload encodes one ids.Event:
 //
-//	i64 sec, u32 nsec            session start (Time)
-//	u8 addrLen, addr bytes, u16 port   source endpoint
-//	u8 addrLen, addr bytes, u16 port   destination endpoint
+//	time                         session start (Time)
+//	addr, u16 port               source endpoint
+//	addr, u16 port               destination endpoint
 //	u32 SID
-//	i64 sec, u32 nsec            rule publication time
-//	u16 len, bytes               CVE
-//	u16 len, bytes               Msg
+//	time                         rule publication time
+//	string16                     CVE
+//	string16                     Msg
 //	u32 Bytes
 //	u8 flags                     bit 0: Ambiguous
 //
@@ -37,15 +35,23 @@ var fileMagic = [8]byte{'E', 'V', 'L', 'O', 'G', 0x00, 0x01, '\n'}
 // payloads are far below it.
 const maxRecordLen = 1 << 20
 
-// appendEvent appends ev's payload encoding to buf.
-func appendEvent(buf []byte, ev *ids.Event) []byte {
-	buf = appendTime(buf, ev.Time)
-	buf = appendEndpoint(buf, ev.Src)
-	buf = appendEndpoint(buf, ev.Dst)
+// MinEventLen is the length of the smallest EncodeEvent payload: zero
+// addresses and empty strings. Decoders of event lists bound a declared
+// count with it, so a lying count cannot size an allocation beyond what the
+// bytes behind it could hold.
+const MinEventLen = 43
+
+// EncodeEvent appends ev's binary payload encoding to buf. The encoding is
+// the store's on-disk record payload; the fleet wire protocol reuses it so a
+// sensor's batches and the coordinator's log speak one format.
+func EncodeEvent(buf []byte, ev *ids.Event) []byte {
+	buf = wal.AppendTime(buf, ev.Time)
+	buf = AppendEndpoint(buf, ev.Src)
+	buf = AppendEndpoint(buf, ev.Dst)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(ev.SID))
-	buf = appendTime(buf, ev.Published)
-	buf = appendString16(buf, ev.CVE)
-	buf = appendString16(buf, ev.Msg)
+	buf = wal.AppendTime(buf, ev.Published)
+	buf = wal.AppendString16(buf, ev.CVE)
+	buf = wal.AppendString16(buf, ev.Msg)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(ev.Bytes))
 	var flags byte
 	if ev.Ambiguous {
@@ -54,156 +60,42 @@ func appendEvent(buf []byte, ev *ids.Event) []byte {
 	return append(buf, flags)
 }
 
-func appendTime(buf []byte, t time.Time) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.Unix()))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.Nanosecond()))
-	return buf
-}
-
-func appendEndpoint(buf []byte, e packet.Endpoint) []byte {
-	addr := e.Addr.AsSlice() // nil for the zero Addr
-	buf = append(buf, byte(len(addr)))
-	buf = append(buf, addr...)
-	buf = binary.LittleEndian.AppendUint16(buf, e.Port)
-	return buf
-}
-
-func appendString16(buf []byte, s string) []byte {
-	if len(s) > math.MaxUint16 {
-		s = s[:math.MaxUint16]
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
-}
-
-// decodeEvent decodes one payload. It returns an error (never panics) on
-// any malformed input, since payloads come off disk.
-func decodeEvent(b []byte) (ids.Event, error) {
-	d := decoder{b: b}
-	ev := decodeEventFields(&d)
-	if d.err != nil {
-		return ids.Event{}, d.err
-	}
-	if len(d.b) != 0 {
-		return ids.Event{}, fmt.Errorf("eventstore: %d stray bytes after event", len(d.b))
+// DecodeEvent decodes one EncodeEvent payload. It returns an error (never
+// panics) on malformed input, since payloads come off disk and the wire.
+func DecodeEvent(payload []byte) (ids.Event, error) {
+	c := wal.NewCursor(payload)
+	ev := readEvent(&c)
+	if err := c.Finish("event"); err != nil {
+		return ids.Event{}, err
 	}
 	return ev, nil
 }
 
-// decodeEventFields consumes one event's fields from d, leaving any
-// remaining bytes for composite payloads (the amendment log embeds an event
-// before its own fields).
-func decodeEventFields(d *decoder) ids.Event {
+// readEvent reads one event's fields, leaving any remaining bytes for
+// composite payloads (the amendment record embeds an event before its own
+// fields).
+func readEvent(c *wal.Cursor) ids.Event {
 	var ev ids.Event
-	ev.Time = d.time()
-	ev.Src = d.endpoint()
-	ev.Dst = d.endpoint()
-	ev.SID = int(d.u32())
-	ev.Published = d.time()
-	ev.CVE = d.string16()
-	ev.Msg = d.string16()
-	ev.Bytes = int(d.u32())
-	ev.Ambiguous = d.u8()&1 != 0
+	ev.Time = c.Time()
+	ev.Src = ReadEndpoint(c)
+	ev.Dst = ReadEndpoint(c)
+	ev.SID = int(c.U32())
+	ev.Published = c.Time()
+	ev.CVE = c.String16()
+	ev.Msg = c.String16()
+	ev.Bytes = int(c.U32())
+	ev.Ambiguous = c.U8()&1 != 0
 	return ev
 }
 
-type decoder struct {
-	b   []byte
-	err error
+// AppendEndpoint appends e as a wal addr field and a u16 port — the one
+// endpoint encoding, shared by events, amendments and registry digests.
+func AppendEndpoint(buf []byte, e packet.Endpoint) []byte {
+	return binary.LittleEndian.AppendUint16(wal.AppendAddr(buf, e.Addr), e.Port)
 }
 
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.b) < n {
-		d.err = fmt.Errorf("eventstore: event payload truncated (%d of %d bytes)", len(d.b), n)
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	return out
+// ReadEndpoint reads an AppendEndpoint field.
+func ReadEndpoint(c *wal.Cursor) packet.Endpoint {
+	addr := c.Addr()
+	return packet.Endpoint{Addr: addr, Port: c.U16()}
 }
-
-func (d *decoder) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *decoder) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (d *decoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *decoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *decoder) time() time.Time {
-	b := d.take(12)
-	if b == nil {
-		return time.Time{}
-	}
-	sec := int64(binary.LittleEndian.Uint64(b[0:8]))
-	nsec := binary.LittleEndian.Uint32(b[8:12])
-	return time.Unix(sec, int64(nsec)).UTC()
-}
-
-func (d *decoder) endpoint() packet.Endpoint {
-	lb := d.take(1)
-	if lb == nil {
-		return packet.Endpoint{}
-	}
-	n := int(lb[0])
-	var ep packet.Endpoint
-	if n > 0 {
-		ab := d.take(n)
-		if ab == nil {
-			return packet.Endpoint{}
-		}
-		addr, ok := netip.AddrFromSlice(ab)
-		if !ok {
-			d.err = fmt.Errorf("eventstore: bad address length %d", n)
-			return packet.Endpoint{}
-		}
-		ep.Addr = addr
-	}
-	ep.Port = d.u16()
-	return ep
-}
-
-func (d *decoder) string16() string {
-	n := int(d.u16())
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-// EncodeEvent appends ev's binary payload encoding to buf. The encoding is
-// the store's on-disk record payload; the fleet wire protocol reuses it so a
-// sensor's batches and the coordinator's log speak one format.
-func EncodeEvent(buf []byte, ev *ids.Event) []byte { return appendEvent(buf, ev) }
-
-// DecodeEvent decodes one EncodeEvent payload. It returns an error (never
-// panics) on malformed input.
-func DecodeEvent(payload []byte) (ids.Event, error) { return decodeEvent(payload) }

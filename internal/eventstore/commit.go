@@ -2,6 +2,7 @@ package eventstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -26,7 +27,7 @@ import (
 //
 // The file is a wal.Log. Record payload:
 //
-//	u32 shardCount | shardCount x u64 committed size | u32 metaLen | meta
+//	count shards | shards x u64 committed size | bytes32 meta
 //
 // The journal compacts to its newest record once it grows past a threshold.
 
@@ -74,30 +75,23 @@ func encodeCommitRecord(sizes []int64, meta []byte) []byte {
 	for _, n := range sizes {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(meta)))
-	return append(buf, meta...)
+	return wal.AppendBytes32(buf, meta)
 }
 
 func decodeCommitRecord(b []byte) (*commitRecord, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("eventstore: commit record truncated")
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if n <= 0 || n > 1<<16 || len(b) < n*8+4 {
-		return nil, fmt.Errorf("eventstore: commit record declares %d shards in %d bytes", n, len(b))
+	c := wal.NewCursor(b)
+	n := c.Count(8)
+	if n == 0 {
+		c.Fail(errors.New("no shards"))
 	}
 	rec := &commitRecord{sizes: make([]int64, n)}
-	for i := 0; i < n; i++ {
-		rec.sizes[i] = int64(binary.LittleEndian.Uint64(b))
-		b = b[8:]
+	for i := range rec.sizes {
+		rec.sizes[i] = int64(c.U64())
 	}
-	metaLen := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if len(b) != metaLen {
-		return nil, fmt.Errorf("eventstore: commit record meta is %d bytes, declared %d", len(b), metaLen)
+	rec.meta = append([]byte(nil), c.Bytes32()...)
+	if err := c.Finish("commit record"); err != nil {
+		return nil, err
 	}
-	rec.meta = append([]byte(nil), b...)
 	return rec, nil
 }
 

@@ -256,7 +256,7 @@ func openShard(fs fault.FS, path string, committed int64) (*shard, int, error) {
 		if committed >= int64(len(fileMagic)) && end > committed {
 			return wal.ErrStop
 		}
-		ev, err := decodeEvent(payload)
+		ev, err := DecodeEvent(payload)
 		if err != nil {
 			return err
 		}
@@ -332,7 +332,7 @@ func (s *Store) AppendBatchFunc(events []ids.Event, applied func()) error {
 	for k, si := range order {
 		var buf []byte
 		for i := range groups[si] {
-			payload = appendEvent(payload[:0], &groups[si][i])
+			payload = EncodeEvent(payload[:0], &groups[si][i])
 			buf = wal.AppendFrame(buf, payload)
 		}
 		bufs[k] = buf

@@ -95,7 +95,7 @@ func benchFleet(b *testing.B, sensors int) {
 
 func BenchmarkSnappyEncode(b *testing.B) {
 	events := testEvents(b, 500)
-	raw := encodeSpoolBatch(1, events)
+	raw, _, _ := encodeSpoolBatch(nil, 1, events)
 	b.SetBytes(int64(len(raw)))
 	var dst []byte
 	for i := 0; i < b.N; i++ {

@@ -48,6 +48,7 @@ func TestRegenFuzzCorpus(t *testing.T) {
 		t.Skip("set REGEN_FUZZ_CORPUS=1 to rewrite testdata/fuzz")
 	}
 	fuzzcorpus.Write(t, "FuzzDecodeBatch", fuzzDecodeBatchSeeds(t))
+	fuzzcorpus.Write(t, "FuzzRecords", fuzzRecordsSeeds(t))
 }
 
 // FuzzDecodeBatch hammers the batch decoder — the only fleet message whose

@@ -160,24 +160,24 @@ type hello struct {
 
 func (h *hello) encode() []byte {
 	buf := []byte{msgHello, h.Version}
-	buf = appendString16(buf, h.SensorID)
+	buf = wal.AppendString16(buf, h.SensorID)
 	buf = binary.LittleEndian.AppendUint32(buf, h.ShardIndex)
 	buf = binary.LittleEndian.AppendUint32(buf, h.ShardCount)
 	return append(buf, byte(h.Codec))
 }
 
 func decodeHello(b []byte) (hello, error) {
-	d := wireDecoder{b: b}
+	c := wal.NewCursor(b)
 	var h hello
-	if t := d.u8(); t != msgHello {
+	if t := c.U8(); t != msgHello {
 		return h, fmt.Errorf("fleet: expected Hello, got message type %d", t)
 	}
-	h.Version = d.u8()
-	h.SensorID = d.string16()
-	h.ShardIndex = d.u32()
-	h.ShardCount = d.u32()
-	h.Codec = Codec(d.u8())
-	if err := d.finish("Hello"); err != nil {
+	h.Version = c.U8()
+	h.SensorID = c.String16()
+	h.ShardIndex = c.U32()
+	h.ShardCount = c.U32()
+	h.Codec = Codec(c.U8())
+	if err := c.Finish("Hello"); err != nil {
 		return h, err
 	}
 	if h.Version != ProtocolVersion {
@@ -204,14 +204,14 @@ func (h *helloAck) encode() []byte {
 }
 
 func decodeHelloAck(b []byte) (helloAck, error) {
-	d := wireDecoder{b: b}
+	c := wal.NewCursor(b)
 	var h helloAck
-	if t := d.u8(); t != msgHelloAck {
+	if t := c.U8(); t != msgHelloAck {
 		return h, fmt.Errorf("fleet: expected HelloAck, got message type %d", t)
 	}
-	h.Version = d.u8()
-	h.Watermark = d.u64()
-	if err := d.finish("HelloAck"); err != nil {
+	h.Version = c.U8()
+	h.Watermark = c.U64()
+	if err := c.Finish("HelloAck"); err != nil {
 		return h, err
 	}
 	if h.Version != ProtocolVersion {
@@ -226,9 +226,8 @@ type batchMsg struct {
 	Events []ids.Event
 }
 
-// encodeBatch encodes and compresses a batch. Events are concatenated as
-// framed EncodeEvent payloads (u32 length | bytes), then the concatenation is
-// compressed with the given codec.
+// encodeBatch encodes and compresses a batch: the events as an event list
+// (appendEvents), compressed with the given codec.
 func encodeBatch(seq uint64, events []ids.Event, codec Codec) ([]byte, error) {
 	buf, _, err := encodeBatchScratch(nil, nil, seq, events, codec)
 	return buf, err
@@ -239,13 +238,7 @@ func encodeBatch(seq uint64, events []ids.Event, codec Codec) ([]byte, error) {
 // loop reuses two buffers instead of allocating both per batch. Returns the
 // encoded message and the (possibly grown) raw scratch.
 func encodeBatchScratch(dst, raw []byte, seq uint64, events []ids.Event, codec Codec) ([]byte, []byte, error) {
-	raw = raw[:0]
-	var tmp []byte
-	for i := range events {
-		tmp = eventstore.EncodeEvent(tmp[:0], &events[i])
-		raw = binary.LittleEndian.AppendUint32(raw, uint32(len(tmp)))
-		raw = append(raw, tmp...)
-	}
+	raw, _ = appendEvents(raw[:0], events, math.MaxInt)
 	buf := append(dst[:0], msgBatch)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = append(buf, byte(codec))
@@ -287,41 +280,43 @@ func decodeBatch(b []byte) (batchMsg, error) {
 // (possibly grown) buffer is returned for the next call. Safe to reuse
 // immediately — decoded events never alias it (DecodeEvent copies).
 func decodeBatchScratch(b, scratch []byte) (batchMsg, []byte, error) {
-	d := wireDecoder{b: b}
+	c := wal.NewCursor(b)
 	var m batchMsg
-	if t := d.u8(); t != msgBatch {
+	if t := c.U8(); t != msgBatch {
 		return m, scratch, fmt.Errorf("fleet: expected Batch, got message type %d", t)
 	}
-	m.Seq = d.u64()
-	codec := Codec(d.u8())
-	count := d.u32()
-	rawLen := d.u32()
-	if d.err != nil {
-		return m, scratch, d.err
+	m.Seq = c.U64()
+	codec := Codec(c.U8())
+	count := c.U32()
+	rawLen := c.U32()
+	body := c.Rest()
+	if err := c.Err(); err != nil {
+		return m, scratch, err
 	}
 	if rawLen > maxBatchRaw {
 		return m, scratch, fmt.Errorf("fleet: batch declares %d raw bytes, limit %d", rawLen, maxBatchRaw)
 	}
-	// Every event frame costs at least its 4-byte length prefix, so rawLen
-	// bytes cannot hold more than rawLen/4 events. The count is untrusted
-	// input and sizes an allocation — a lying header must not reserve
-	// gigabytes before the body is even decompressed (found by fuzzing).
-	if uint64(count) > uint64(rawLen)/4 {
+	// Every event entry costs at least minEventEntry bytes, so rawLen bytes
+	// cannot hold more than rawLen/minEventEntry events. The count is
+	// untrusted input and sizes an allocation — a lying header must not
+	// reserve gigabytes before the body is even decompressed (found by
+	// fuzzing).
+	if uint64(count) > uint64(rawLen)/minEventEntry {
 		return m, scratch, fmt.Errorf("fleet: batch declares %d events in %d raw bytes", count, rawLen)
 	}
 	var raw []byte
 	switch codec {
 	case CodecRaw:
-		raw = d.b
+		raw = body
 	case CodecSnappy:
 		var err error
-		raw, err = snappyDecodeInto(scratch, d.b, int(rawLen))
+		raw, err = snappyDecodeInto(scratch, body, int(rawLen))
 		if err != nil {
 			return m, scratch, err
 		}
 		scratch = raw
 	case CodecDeflate:
-		zr := flate.NewReader(bytes.NewReader(d.b))
+		zr := flate.NewReader(bytes.NewReader(body))
 		var err error
 		raw, err = io.ReadAll(io.LimitReader(zr, int64(rawLen)+1))
 		if cerr := zr.Close(); err == nil {
@@ -336,27 +331,45 @@ func decodeBatchScratch(b, scratch []byte) (batchMsg, []byte, error) {
 	if len(raw) != int(rawLen) {
 		return m, scratch, fmt.Errorf("fleet: batch decompressed to %d bytes, declared %d", len(raw), rawLen)
 	}
-	m.Events = make([]ids.Event, 0, count)
-	for len(raw) > 0 {
-		if len(raw) < 4 {
-			return m, scratch, fmt.Errorf("fleet: truncated event frame in batch")
+	rc := wal.NewCursor(raw)
+	m.Events = readEvents(&rc, int(count))
+	return m, scratch, rc.Finish("batch events")
+}
+
+// appendEvents appends events to buf as an event list — each event a u32
+// length and its EncodeEvent payload, the layout batches and spool records
+// share — stopping before the first event that would grow buf past limit
+// bytes. It returns the grown buffer and how many events it took.
+func appendEvents(buf []byte, events []ids.Event, limit int) ([]byte, int) {
+	for i := range events {
+		start := len(buf)
+		buf = eventstore.EncodeEvent(append(buf, 0, 0, 0, 0), &events[i])
+		if len(buf) > limit {
+			return buf[:start], i
 		}
-		n := binary.LittleEndian.Uint32(raw)
-		raw = raw[4:]
-		if uint32(len(raw)) < n {
-			return m, scratch, fmt.Errorf("fleet: event frame of %d bytes overruns batch", n)
-		}
-		ev, err := eventstore.DecodeEvent(raw[:n])
+		binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
+	}
+	return buf, len(events)
+}
+
+// minEventEntry is the smallest appendEvents entry: a length prefix and the
+// smallest event.
+const minEventEntry = 4 + eventstore.MinEventLen
+
+// readEvents reads n appendEvents entries. n must already be bounded by the
+// bytes behind it (Cursor.Count(minEventEntry), or the batch header's
+// raw-length rule): it sizes the allocation.
+func readEvents(c *wal.Cursor, n int) []ids.Event {
+	events := make([]ids.Event, 0, n)
+	for i := 0; i < n; i++ {
+		ev, err := eventstore.DecodeEvent(c.Bytes32())
 		if err != nil {
-			return m, scratch, err
+			c.Fail(err)
+			return nil
 		}
-		m.Events = append(m.Events, ev)
-		raw = raw[n:]
+		events = append(events, ev)
 	}
-	if uint32(len(m.Events)) != count {
-		return m, scratch, fmt.Errorf("fleet: batch holds %d events, declared %d", len(m.Events), count)
-	}
-	return m, scratch, nil
+	return events
 }
 
 func encodeAck(watermark uint64) []byte {
@@ -364,12 +377,12 @@ func encodeAck(watermark uint64) []byte {
 }
 
 func decodeAck(b []byte) (uint64, error) {
-	d := wireDecoder{b: b}
-	if t := d.u8(); t != msgAck {
+	c := wal.NewCursor(b)
+	if t := c.U8(); t != msgAck {
 		return 0, fmt.Errorf("fleet: expected Ack, got message type %d", t)
 	}
-	w := d.u64()
-	return w, d.finish("Ack")
+	w := c.U64()
+	return w, c.Finish("Ack")
 }
 
 // heartbeat carries sensor-side liveness and lag: the next sequence it will
@@ -388,90 +401,15 @@ func (h *heartbeat) encode() []byte {
 }
 
 func decodeHeartbeat(b []byte) (heartbeat, error) {
-	d := wireDecoder{b: b}
+	c := wal.NewCursor(b)
 	var h heartbeat
-	if t := d.u8(); t != msgHeartbeat {
+	if t := c.U8(); t != msgHeartbeat {
 		return h, fmt.Errorf("fleet: expected Heartbeat, got message type %d", t)
 	}
-	h.NextSeq = d.u64()
-	h.Spooled = d.u32()
-	h.IngestLag = int64(d.u64())
-	return h, d.finish("Heartbeat")
-}
-
-// wireDecoder mirrors the eventstore's defensive decoding: every take is
-// bounds-checked, the first failure sticks.
-type wireDecoder struct {
-	b   []byte
-	err error
-}
-
-func (d *wireDecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.b) < n {
-		d.err = fmt.Errorf("fleet: message truncated (%d of %d bytes)", len(d.b), n)
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	return out
-}
-
-func (d *wireDecoder) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *wireDecoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *wireDecoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *wireDecoder) string16() string {
-	b := d.take(2)
-	if b == nil {
-		return ""
-	}
-	n := int(binary.LittleEndian.Uint16(b))
-	s := d.take(n)
-	if s == nil {
-		return ""
-	}
-	return string(s)
-}
-
-func (d *wireDecoder) finish(what string) error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("fleet: %d stray bytes after %s", len(d.b), what)
-	}
-	return nil
-}
-
-func appendString16(buf []byte, s string) []byte {
-	if len(s) > math.MaxUint16 {
-		s = s[:math.MaxUint16]
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
+	h.NextSeq = c.U64()
+	h.Spooled = c.U32()
+	h.IngestLag = int64(c.U64())
+	return h, c.Finish("Heartbeat")
 }
 
 // The replica protocol (internal/replica) reuses this package's batch

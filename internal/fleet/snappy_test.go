@@ -57,7 +57,7 @@ func TestSnappyCompressesEventBatches(t *testing.T) {
 	var raw []byte
 	var tmp []byte
 	for i := range events {
-		tmp = encodeSpoolBatch(uint64(i), events[i:i+1])
+		tmp, _, _ = encodeSpoolBatch(tmp, uint64(i), events[i:i+1])
 		raw = append(raw, tmp...)
 	}
 	enc := snappyEncode(nil, raw)

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"repro/internal/eventstore"
 	"repro/internal/fault"
 	"repro/internal/ids"
 	"repro/internal/wal"
@@ -80,75 +79,29 @@ func openSpool(fs fault.FS, dir string) (*spool, error) {
 	return sp, nil
 }
 
-// spool batch payload: u64 seq | u32 count | framed events.
-func encodeSpoolBatch(seq uint64, events []ids.Event) []byte {
-	buf := binary.LittleEndian.AppendUint64(nil, seq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(events)))
-	var tmp []byte
-	for i := range events {
-		tmp = eventstore.EncodeEvent(tmp[:0], &events[i])
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tmp)))
-		buf = append(buf, tmp...)
-	}
-	return buf
-}
-
-// encodeSpoolBatchCapped encodes as many leading events as fit under the
-// spoolMaxPayload cap with sequence seq, returning the payload and the
-// events left over for the next frame. A single event too large for a frame
-// of its own is an error (encoded events are bounded far below the cap by
-// their u16-length strings; this guards against a codec change breaking that
-// invariant silently).
-func encodeSpoolBatchCapped(dst []byte, seq uint64, events []ids.Event) ([]byte, []ids.Event, error) {
+// encodeSpoolBatch encodes a spool record — u64 seq | u32 count | event list
+// (appendEvents) — holding as many leading events as fit under the
+// spoolMaxPayload cap, building into dst's storage. It returns the payload
+// and the events left over for the next record. A single event too large
+// for a record of its own is an error (encoded events are bounded far below
+// the cap by their u16-length strings; this guards against a codec change
+// breaking that invariant silently).
+func encodeSpoolBatch(dst []byte, seq uint64, events []ids.Event) ([]byte, []ids.Event, error) {
 	buf := binary.LittleEndian.AppendUint64(dst[:0], seq)
 	buf = binary.LittleEndian.AppendUint32(buf, 0) // count, patched below
-	var tmp []byte
-	n := 0
-	for i := range events {
-		tmp = eventstore.EncodeEvent(tmp[:0], &events[i])
-		if len(buf)+4+len(tmp) > spoolMaxPayload {
-			if n == 0 {
-				return nil, nil, fmt.Errorf("fleet: event encodes to %d bytes, beyond the %d-byte spool frame cap", len(tmp), spoolMaxPayload)
-			}
-			break
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tmp)))
-		buf = append(buf, tmp...)
-		n++
+	buf, n := appendEvents(buf, events, spoolMaxPayload)
+	if n == 0 && len(events) > 0 {
+		return nil, nil, fmt.Errorf("fleet: an event encodes beyond the %d-byte spool record cap", spoolMaxPayload)
 	}
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(n))
 	return buf, events[n:], nil
 }
 
 func decodeSpoolBatch(b []byte) (spoolBatch, error) {
-	var out spoolBatch
-	if len(b) < 12 {
-		return out, fmt.Errorf("fleet: spool batch header truncated")
-	}
-	out.seq = binary.LittleEndian.Uint64(b)
-	count := binary.LittleEndian.Uint32(b[8:12])
-	b = b[12:]
-	out.events = make([]ids.Event, 0, count)
-	for len(b) > 0 {
-		if len(b) < 4 {
-			return out, fmt.Errorf("fleet: spool event frame truncated")
-		}
-		n := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint32(len(b)) < n {
-			return out, fmt.Errorf("fleet: spool event frame overruns record")
-		}
-		ev, err := eventstore.DecodeEvent(b[:n])
-		if err != nil {
-			return out, err
-		}
-		out.events = append(out.events, ev)
-		b = b[n:]
-	}
-	if uint32(len(out.events)) != count {
-		return out, fmt.Errorf("fleet: spool batch holds %d events, declared %d", len(out.events), count)
-	}
-	return out, nil
+	c := wal.NewCursor(b)
+	out := spoolBatch{seq: c.U64()}
+	out.events = readEvents(&c, c.Count(minEventEntry))
+	return out, c.Finish("spool batch")
 }
 
 // Add assigns sequence numbers to events, appends them durably, and returns
@@ -160,7 +113,7 @@ func (sp *spool) Add(events []ids.Event) (uint64, error) {
 	defer sp.mu.Unlock()
 	for len(events) > 0 {
 		seq := sp.lastSeq + 1
-		payload, rest, err := encodeSpoolBatchCapped(sp.encBuf, seq, events)
+		payload, rest, err := encodeSpoolBatch(sp.encBuf, seq, events)
 		if err != nil {
 			return 0, err
 		}

@@ -64,21 +64,15 @@ func OpenWatermarksFS(fs fault.FS, dir string) (*Watermarks, error) {
 	return w, nil
 }
 
+// A mark record is string16 sensor id | u64 sequence.
 func encodeMark(id string, seq uint64) []byte {
-	buf := appendString16(nil, id)
-	return binary.LittleEndian.AppendUint64(buf, seq)
+	return binary.LittleEndian.AppendUint64(wal.AppendString16(nil, id), seq)
 }
 
 func decodeMark(b []byte) (string, uint64, error) {
-	if len(b) < 2 {
-		return "", 0, fmt.Errorf("fleet: watermark record truncated")
-	}
-	n := int(binary.LittleEndian.Uint16(b))
-	b = b[2:]
-	if len(b) != n+8 {
-		return "", 0, fmt.Errorf("fleet: watermark record of %d bytes, want %d", len(b), n+8)
-	}
-	return string(b[:n]), binary.LittleEndian.Uint64(b[n:]), nil
+	c := wal.NewCursor(b)
+	id, seq := c.String16(), c.U64()
+	return id, seq, c.Finish("watermark record")
 }
 
 // mergeMarkInto returns the frame callback that decodes one mark record and

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/tcpasm"
+	"repro/internal/wal"
 )
 
 // StatsBuilder accumulates ScanStats incrementally. It is the one aggregation
@@ -95,27 +96,16 @@ func (b *StatsBuilder) AppendBinary(buf []byte) []byte {
 	sort.Strings(cves)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cves)))
 	for _, cve := range cves {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(cve)))
-		buf = append(buf, cve...)
+		buf = wal.AppendString16(buf, cve)
 	}
 	srcs := make([][]byte, 0, len(b.srcs))
 	for src := range b.srcs {
-		srcs = append(srcs, src.AsSlice()) // nil for the zero Addr
+		srcs = append(srcs, wal.AppendAddr(nil, src))
 	}
-	sort.Slice(srcs, func(i, j int) bool {
-		if len(srcs[i]) != len(srcs[j]) {
-			return len(srcs[i]) < len(srcs[j])
-		}
-		for k := range srcs[i] {
-			if srcs[i][k] != srcs[j][k] {
-				return srcs[i][k] < srcs[j][k]
-			}
-		}
-		return false
-	})
+	// Sorting the encoded fields orders by length, then address bytes.
+	sort.Slice(srcs, func(i, j int) bool { return string(srcs[i]) < string(srcs[j]) })
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(srcs)))
 	for _, src := range srcs {
-		buf = append(buf, byte(len(src)))
 		buf = append(buf, src...)
 	}
 	return buf
@@ -125,59 +115,21 @@ func (b *StatsBuilder) AppendBinary(buf []byte) []byte {
 // and the remaining bytes. It returns an error (never panics) on malformed
 // input, since encodings come off disk.
 func DecodeStatsBuilder(b []byte) (*StatsBuilder, []byte, error) {
+	c := wal.NewCursor(b)
 	sb := NewStatsBuilder()
-	need := func(n int) ([]byte, error) {
-		if len(b) < n {
-			return nil, fmt.Errorf("ids: stats encoding truncated (%d of %d bytes)", len(b), n)
-		}
-		out := b[:n]
-		b = b[n:]
-		return out, nil
+	sb.sessions = int(c.U64())
+	sb.matched = int(c.U64())
+	sb.ambiguous = int(c.U64())
+	for n := c.Count(2); n > 0; n-- {
+		sb.cves[c.String16()] = struct{}{}
 	}
-	hdr, err := need(24)
-	if err != nil {
-		return nil, nil, err
+	for n := c.Count(1); n > 0; n-- {
+		sb.srcs[c.Addr()] = struct{}{}
 	}
-	sb.sessions = int(binary.LittleEndian.Uint64(hdr[0:8]))
-	sb.matched = int(binary.LittleEndian.Uint64(hdr[8:16]))
-	sb.ambiguous = int(binary.LittleEndian.Uint64(hdr[16:24]))
-	nb, err := need(4)
-	if err != nil {
-		return nil, nil, err
+	if err := c.Err(); err != nil {
+		return nil, nil, fmt.Errorf("ids: stats encoding: %w", err)
 	}
-	for n := binary.LittleEndian.Uint32(nb); n > 0; n-- {
-		lb, err := need(2)
-		if err != nil {
-			return nil, nil, err
-		}
-		cb, err := need(int(binary.LittleEndian.Uint16(lb)))
-		if err != nil {
-			return nil, nil, err
-		}
-		sb.cves[string(cb)] = struct{}{}
-	}
-	if nb, err = need(4); err != nil {
-		return nil, nil, err
-	}
-	for n := binary.LittleEndian.Uint32(nb); n > 0; n-- {
-		lb, err := need(1)
-		if err != nil {
-			return nil, nil, err
-		}
-		ab, err := need(int(lb[0]))
-		if err != nil {
-			return nil, nil, err
-		}
-		var src netip.Addr
-		if len(ab) > 0 {
-			var ok bool
-			if src, ok = netip.AddrFromSlice(ab); !ok {
-				return nil, nil, fmt.Errorf("ids: stats encoding has bad address length %d", len(ab))
-			}
-		}
-		sb.srcs[src] = struct{}{}
-	}
-	return sb, b, nil
+	return sb, c.Rest(), nil
 }
 
 // Stats returns the aggregate. The builder remains usable afterwards.

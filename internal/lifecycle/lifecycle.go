@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/datasets"
 	"repro/internal/ids"
+	"repro/internal/wal"
 )
 
 // EventType identifies one of the six lifecycle events.
@@ -326,13 +327,12 @@ func (b *Builder) AppendBinary(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cves)))
 	for _, cve := range cves {
 		a := b.byCVE[cve]
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(cve)))
-		buf = append(buf, cve...)
-		buf = appendBinTime(buf, a.firstAttack)
+		buf = wal.AppendString16(buf, cve)
+		buf = wal.AppendTime(buf, a.firstAttack)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(a.count))
 		if a.hasRule {
 			buf = append(buf, 1)
-			buf = appendBinTime(buf, a.firstRule)
+			buf = wal.AppendTime(buf, a.firstRule)
 		} else {
 			buf = append(buf, 0)
 		}
@@ -344,73 +344,29 @@ func (b *Builder) AppendBinary(buf []byte) []byte {
 // the remaining bytes. It returns an error (never panics) on malformed
 // input, since encodings come off disk.
 func DecodeBuilder(raw []byte) (*Builder, []byte, error) {
+	c := wal.NewCursor(raw)
 	b := NewBuilder()
-	need := func(n int) ([]byte, error) {
-		if len(raw) < n {
-			return nil, fmt.Errorf("lifecycle: aggregate encoding truncated (%d of %d bytes)", len(raw), n)
-		}
-		out := raw[:n]
-		raw = raw[n:]
-		return out, nil
-	}
-	nb, err := need(4)
-	if err != nil {
-		return nil, nil, err
-	}
-	for n := binary.LittleEndian.Uint32(nb); n > 0; n-- {
-		lb, err := need(2)
-		if err != nil {
-			return nil, nil, err
-		}
-		cb, err := need(int(binary.LittleEndian.Uint16(lb)))
-		if err != nil {
-			return nil, nil, err
-		}
-		cve := string(cb)
+	// An entry is at least a string16, a time, a count and the hasRule byte.
+	for n := c.Count(2 + 12 + 8 + 1); n > 0 && c.Err() == nil; n-- {
+		cve := c.String16()
 		if _, dup := b.byCVE[cve]; dup {
 			return nil, nil, fmt.Errorf("lifecycle: aggregate encoding repeats CVE %q", cve)
 		}
-		a := &pipelineAcc{}
-		if a.firstAttack, err = decodeBinTime(need); err != nil {
-			return nil, nil, err
-		}
-		countB, err := need(8)
-		if err != nil {
-			return nil, nil, err
-		}
-		a.count = int(binary.LittleEndian.Uint64(countB))
-		hb, err := need(1)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch hb[0] {
+		a := &pipelineAcc{firstAttack: c.Time(), count: int(c.U64())}
+		switch hasRule := c.U8(); hasRule {
 		case 1:
 			a.hasRule = true
-			if a.firstRule, err = decodeBinTime(need); err != nil {
-				return nil, nil, err
-			}
+			a.firstRule = c.Time()
 		case 0:
 		default:
-			return nil, nil, fmt.Errorf("lifecycle: aggregate encoding has bad hasRule byte %d", hb[0])
+			return nil, nil, fmt.Errorf("lifecycle: aggregate encoding has bad hasRule byte %d", hasRule)
 		}
 		b.byCVE[cve] = a
 	}
-	return b, raw, nil
-}
-
-func appendBinTime(buf []byte, t time.Time) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.Unix()))
-	return binary.LittleEndian.AppendUint32(buf, uint32(t.Nanosecond()))
-}
-
-func decodeBinTime(need func(int) ([]byte, error)) (time.Time, error) {
-	b, err := need(12)
-	if err != nil {
-		return time.Time{}, err
+	if err := c.Err(); err != nil {
+		return nil, nil, fmt.Errorf("lifecycle: aggregate encoding: %w", err)
 	}
-	sec := int64(binary.LittleEndian.Uint64(b[0:8]))
-	nsec := binary.LittleEndian.Uint32(b[8:12])
-	return time.Unix(sec, int64(nsec)).UTC(), nil
+	return b, c.Rest(), nil
 }
 
 // neverPublishedCutoff separates real rule publications from the

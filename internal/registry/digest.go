@@ -3,11 +3,11 @@ package registry
 import (
 	"encoding/binary"
 	"fmt"
-	"net/netip"
 	"path/filepath"
 	"sync"
 	"time"
 
+	"repro/internal/eventstore"
 	"repro/internal/fault"
 	"repro/internal/ids"
 	"repro/internal/packet"
@@ -78,13 +78,16 @@ func (d *Digest) Session() tcpasm.Session {
 	}
 }
 
+// A digest record is time Start | Client and Server endpoints (the event
+// codec's) | bytes32 ClientData | bytes32 ServerData | u8 flags (bit 0
+// Complete, 1 Truncated, 2 Ambiguous) | u32 OrigSID | string16 OrigCVE |
+// time OrigPublished.
 func appendDigest(buf []byte, d *Digest) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Start.Unix()))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.Start.Nanosecond()))
-	buf = appendEndpoint(buf, d.Client)
-	buf = appendEndpoint(buf, d.Server)
-	buf = appendBytes32(buf, d.ClientData)
-	buf = appendBytes32(buf, d.ServerData)
+	buf = wal.AppendTime(buf, d.Start)
+	buf = eventstore.AppendEndpoint(buf, d.Client)
+	buf = eventstore.AppendEndpoint(buf, d.Server)
+	buf = wal.AppendBytes32(buf, d.ClientData)
+	buf = wal.AppendBytes32(buf, d.ServerData)
 	var flags byte
 	if d.Complete {
 		flags |= 1
@@ -97,116 +100,27 @@ func appendDigest(buf []byte, d *Digest) []byte {
 	}
 	buf = append(buf, flags)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.OrigSID))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(d.OrigCVE)))
-	buf = append(buf, d.OrigCVE...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.OrigPublished.Unix()))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.OrigPublished.Nanosecond()))
-	return buf
-}
-
-func appendEndpoint(buf []byte, e packet.Endpoint) []byte {
-	addr := e.Addr.AsSlice()
-	buf = append(buf, byte(len(addr)))
-	buf = append(buf, addr...)
-	return binary.LittleEndian.AppendUint16(buf, e.Port)
-}
-
-func appendBytes32(buf, b []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
-}
-
-type digestDecoder struct {
-	b   []byte
-	err error
-}
-
-func (d *digestDecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.b) < n {
-		d.err = fmt.Errorf("registry: digest truncated (%d of %d bytes)", len(d.b), n)
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	return out
-}
-
-func (d *digestDecoder) time() time.Time {
-	b := d.take(12)
-	if b == nil {
-		return time.Time{}
-	}
-	return time.Unix(int64(binary.LittleEndian.Uint64(b[:8])),
-		int64(binary.LittleEndian.Uint32(b[8:12]))).UTC()
-}
-
-func (d *digestDecoder) endpoint() packet.Endpoint {
-	lb := d.take(1)
-	if lb == nil {
-		return packet.Endpoint{}
-	}
-	var ep packet.Endpoint
-	if n := int(lb[0]); n > 0 {
-		ab := d.take(n)
-		if ab == nil {
-			return packet.Endpoint{}
-		}
-		addr, ok := netip.AddrFromSlice(ab)
-		if !ok {
-			d.err = fmt.Errorf("registry: digest has bad address length %d", n)
-			return packet.Endpoint{}
-		}
-		ep.Addr = addr
-	}
-	pb := d.take(2)
-	if pb != nil {
-		ep.Port = binary.LittleEndian.Uint16(pb)
-	}
-	return ep
-}
-
-func (d *digestDecoder) bytes32() []byte {
-	lb := d.take(4)
-	if lb == nil {
-		return nil
-	}
-	b := d.take(int(binary.LittleEndian.Uint32(lb)))
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
+	buf = wal.AppendString16(buf, d.OrigCVE)
+	return wal.AppendTime(buf, d.OrigPublished)
 }
 
 func decodeDigest(payload []byte) (Digest, error) {
+	c := wal.NewCursor(payload)
 	var dg Digest
-	d := digestDecoder{b: payload}
-	dg.Start = d.time()
-	dg.Client = d.endpoint()
-	dg.Server = d.endpoint()
-	dg.ClientData = d.bytes32()
-	dg.ServerData = d.bytes32()
-	if fb := d.take(1); fb != nil {
-		dg.Complete = fb[0]&1 != 0
-		dg.Truncated = fb[0]&2 != 0
-		dg.Ambiguous = fb[0]&4 != 0
-	}
-	if sb := d.take(4); sb != nil {
-		dg.OrigSID = int(binary.LittleEndian.Uint32(sb))
-	}
-	if lb := d.take(2); lb != nil {
-		if cb := d.take(int(binary.LittleEndian.Uint16(lb))); cb != nil {
-			dg.OrigCVE = string(cb)
-		}
-	}
-	dg.OrigPublished = d.time()
-	if d.err != nil {
-		return Digest{}, d.err
-	}
-	if len(d.b) != 0 {
-		return Digest{}, fmt.Errorf("registry: %d stray bytes after digest", len(d.b))
+	dg.Start = c.Time()
+	dg.Client = eventstore.ReadEndpoint(&c)
+	dg.Server = eventstore.ReadEndpoint(&c)
+	dg.ClientData = append([]byte(nil), c.Bytes32()...)
+	dg.ServerData = append([]byte(nil), c.Bytes32()...)
+	flags := c.U8()
+	dg.Complete = flags&1 != 0
+	dg.Truncated = flags&2 != 0
+	dg.Ambiguous = flags&4 != 0
+	dg.OrigSID = int(c.U32())
+	dg.OrigCVE = c.String16()
+	dg.OrigPublished = c.Time()
+	if err := c.Finish("digest"); err != nil {
+		return Digest{}, err
 	}
 	return dg, nil
 }

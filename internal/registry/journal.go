@@ -77,11 +77,12 @@ func (j *rulesetJournal) replay(apply func(journalEntry)) func(payload []byte) e
 }
 
 func decodeEntry(payload []byte) (journalEntry, error) {
-	if len(payload) < 8 {
-		return journalEntry{}, fmt.Errorf("registry: journal entry shorter than its generation header")
+	c := wal.NewCursor(payload)
+	e := journalEntry{gen: c.U64()}
+	if err := c.Err(); err != nil {
+		return journalEntry{}, fmt.Errorf("registry: journal entry generation: %w", err)
 	}
-	e := journalEntry{gen: binary.LittleEndian.Uint64(payload[:8])}
-	parsed, errs := rules.ParseDatedSet(bytes.NewReader(payload[8:]))
+	parsed, errs := rules.ParseDatedSet(bytes.NewReader(c.Rest()))
 	for _, err := range errs {
 		// The journal only ever holds deltas that parsed cleanly at Publish
 		// time; an error here means corruption that beat the CRC, or a

@@ -406,6 +406,49 @@ func TestDigestLogTrimsOversizedDigest(t *testing.T) {
 	}
 }
 
+// TestDigestLogLongCVEReopens: a digest's OrigCVE is the matched rule's CVE
+// reference, which has no length limit. The digest log stores it the way the
+// event store stores an event's CVE — clamped to the string16 limit — so
+// one over-long reference cannot write a record that makes the log refuse
+// to reopen.
+func TestDigestLogLongCVEReopens(t *testing.T) {
+	fs := fault.NewSimFS(1, fault.Profile{})
+	if err := fs.MkdirAll("reg", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	l, err := openDigestLog(fs, "reg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := testSession(1, "GET / HTTP/1.1\r\n\r\n")
+	ev := ids.Event{SID: 7, CVE: strings.Repeat("9", 70000), Published: earlyPub}
+	if err := l.Append([]Digest{DigestOf(&s, &ev, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err = openDigestLog(fs, "reg")
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer l.log.Close()
+	var got []Digest
+	if err := l.walk(func(d Digest) error { got = append(got, d); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := eventstore.DecodeEvent(eventstore.EncodeEvent(nil, &ev))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || len(stored.CVE) != 65535 || got[0].OrigCVE != stored.CVE {
+		t.Fatalf("recovered %d digests; want one whose OrigCVE is the event store's %d-byte CVE", len(got), len(stored.CVE))
+	}
+}
+
 // FuzzRulesetJournal feeds arbitrary bytes as an on-disk journal: Open must
 // never panic, must recover a clean prefix, and the journal must remain
 // usable (publish + reopen round-trip) afterwards.

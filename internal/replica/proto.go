@@ -34,7 +34,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/eventstore"
 	"repro/internal/fleet"
@@ -86,21 +85,12 @@ func appendProgress(buf []byte, p *progress) []byte {
 	return binary.LittleEndian.AppendUint64(buf, p.Amends)
 }
 
-// maxShards bounds the shard count a peer may declare; the count sizes an
-// allocation and is untrusted input.
-const maxShards = 4096
-
-func (d *rdecoder) progress() progress {
-	n := d.u32()
-	if n > maxShards {
-		d.fail(fmt.Errorf("replica: peer declares %d shards, limit %d", n, maxShards))
-		return progress{}
+func readProgress(c *wal.Cursor) progress {
+	p := progress{Counts: make([]uint64, c.Count(8))}
+	for i := range p.Counts {
+		p.Counts[i] = c.U64()
 	}
-	p := progress{Counts: make([]uint64, 0, n)}
-	for i := uint32(0); i < n; i++ {
-		p.Counts = append(p.Counts, d.u64())
-	}
-	p.Amends = d.u64()
+	p.Amends = c.U64()
 	return p
 }
 
@@ -112,20 +102,20 @@ type rhello struct {
 
 func (h *rhello) encode() []byte {
 	buf := []byte{msgRHello, h.Version}
-	buf = appendString16(buf, h.ID)
+	buf = wal.AppendString16(buf, h.ID)
 	return appendProgress(buf, &h.progress)
 }
 
 func decodeRHello(b []byte) (rhello, error) {
-	d := rdecoder{b: b}
+	c := wal.NewCursor(b)
 	var h rhello
-	if t := d.u8(); t != msgRHello {
+	if t := c.U8(); t != msgRHello {
 		return h, fmt.Errorf("replica: expected Hello, got message type %d", t)
 	}
-	h.Version = d.u8()
-	h.ID = d.string16()
-	h.progress = d.progress()
-	if err := d.finish("Hello"); err != nil {
+	h.Version = c.U8()
+	h.ID = c.String16()
+	h.progress = readProgress(&c)
+	if err := c.Finish("Hello"); err != nil {
 		return h, err
 	}
 	if h.Version != ProtocolVersion {
@@ -142,12 +132,12 @@ func encodeProgressMsg(typ byte, p *progress) []byte {
 }
 
 func decodeProgressMsg(b []byte, typ byte, what string) (progress, error) {
-	d := rdecoder{b: b}
-	if t := d.u8(); t != typ {
+	c := wal.NewCursor(b)
+	if t := c.U8(); t != typ {
 		return progress{}, fmt.Errorf("replica: expected %s, got message type %d", what, t)
 	}
-	p := d.progress()
-	return p, d.finish(what)
+	p := readProgress(&c)
+	return p, c.Finish(what)
 }
 
 // encodeAmends frames an amendment-log suffix: each record is the same
@@ -158,131 +148,37 @@ func encodeAmends(as []eventstore.Amendment) []byte {
 	var payload []byte
 	for i := range as {
 		payload = eventstore.EncodeAmendment(payload[:0], &as[i])
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = append(buf, payload...)
+		buf = wal.AppendBytes32(buf, payload)
 	}
 	return buf
 }
 
 func decodeAmends(b []byte) ([]eventstore.Amendment, error) {
-	d := rdecoder{b: b}
-	if t := d.u8(); t != msgRAmends {
+	c := wal.NewCursor(b)
+	if t := c.U8(); t != msgRAmends {
 		return nil, fmt.Errorf("replica: expected Amends, got message type %d", t)
 	}
-	count := d.u32()
-	if d.err != nil {
-		return nil, d.err
-	}
-	// Each record costs at least its length prefix; a lying count must not
-	// size a huge allocation.
-	if uint64(count) > uint64(len(d.b))/4+1 {
-		return nil, fmt.Errorf("replica: Amends declares %d records in %d bytes", count, len(d.b))
-	}
-	as := make([]eventstore.Amendment, 0, count)
-	for i := uint32(0); i < count; i++ {
-		n := d.u32()
-		payload := d.take(int(n))
-		if d.err != nil {
-			return nil, d.err
-		}
-		a, err := eventstore.DecodeAmendment(payload)
+	// Each record is a length prefix and an amendment, which embeds an event.
+	as := make([]eventstore.Amendment, c.Count(4+eventstore.MinEventLen))
+	for i := range as {
+		a, err := eventstore.DecodeAmendment(c.Bytes32())
 		if err != nil {
 			return nil, err
 		}
-		as = append(as, a)
+		as[i] = a
 	}
-	return as, d.finish("Amends")
+	return as, c.Finish("Amends")
 }
 
 func encodeRErr(msg string) []byte {
-	return appendString16([]byte{msgRErr}, msg)
+	return wal.AppendString16([]byte{msgRErr}, msg)
 }
 
 func decodeRErr(b []byte) (string, error) {
-	d := rdecoder{b: b}
-	if t := d.u8(); t != msgRErr {
+	c := wal.NewCursor(b)
+	if t := c.U8(); t != msgRErr {
 		return "", fmt.Errorf("replica: expected Err, got message type %d", t)
 	}
-	msg := d.string16()
-	return msg, d.finish("Err")
-}
-
-// rdecoder mirrors the fleet wire decoder: bounds-checked takes, first
-// failure sticks.
-type rdecoder struct {
-	b   []byte
-	err error
-}
-
-func (d *rdecoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *rdecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.b) < n {
-		d.fail(fmt.Errorf("replica: message truncated (%d of %d bytes)", len(d.b), n))
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	return out
-}
-
-func (d *rdecoder) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *rdecoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *rdecoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *rdecoder) string16() string {
-	b := d.take(2)
-	if b == nil {
-		return ""
-	}
-	s := d.take(int(binary.LittleEndian.Uint16(b)))
-	if s == nil {
-		return ""
-	}
-	return string(s)
-}
-
-func (d *rdecoder) finish(what string) error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("replica: %d stray bytes after %s", len(d.b), what)
-	}
-	return nil
-}
-
-func appendString16(buf []byte, s string) []byte {
-	if len(s) > math.MaxUint16 {
-		s = s[:math.MaxUint16]
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
+	msg := c.String16()
+	return msg, c.Finish("Err")
 }

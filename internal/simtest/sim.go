@@ -145,7 +145,11 @@ func batchTruth(scale int) (*truth, error) {
 	return tr, nil
 }
 
+// shardCounts memoizes per-shard counts in the shared truth; parallel seeds
+// call it concurrently, so it holds truthMu.
 func (tr *truth) shardCounts(shards int) []int {
+	truthMu.Lock()
+	defer truthMu.Unlock()
 	if c, ok := tr.byShard[shards]; ok {
 		return c
 	}

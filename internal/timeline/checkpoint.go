@@ -51,7 +51,7 @@ func (a *Aggregate) EventCount() int { return a.Life.EventCount() }
 //
 //	8-byte magic "TLCKP\x00\x01\n"
 //	frame 'K': u32 version | u64 seq | u32 k (sealed segments covered)
-//	           | cutTime | writtenAt        (i64 sec + u32 nsec each)
+//	           | time cutTime | time writtenAt        (wal field codec)
 //	frame 'S': ids.StatsBuilder binary encoding
 //	frame 'L': lifecycle.Builder binary encoding
 //
@@ -89,8 +89,8 @@ func encodeCheckpoint(seq uint64, k int, cut, writtenAt time.Time, agg *Aggregat
 	hdr = binary.LittleEndian.AppendUint32(hdr, ckptVersion)
 	hdr = binary.LittleEndian.AppendUint64(hdr, seq)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(k))
-	hdr = appendSegTime(hdr, cut)
-	hdr = appendSegTime(hdr, writtenAt)
+	hdr = wal.AppendTime(hdr, cut)
+	hdr = wal.AppendTime(hdr, writtenAt)
 	buf = wal.AppendFrame(buf, hdr)
 	buf = wal.AppendFrame(buf, agg.Stats.AppendBinary([]byte{tagStats}))
 	buf = wal.AppendFrame(buf, agg.Life.AppendBinary([]byte{tagLife}))
@@ -114,24 +114,16 @@ func parseCheckpoint(path string, raw []byte) (*ckptMeta, *Aggregate, error) {
 		body := payload[1:]
 		switch payload[0] {
 		case tagCkptHdr:
-			if len(body) < 16 {
-				return fmt.Errorf("short checkpoint header")
+			c := wal.NewCursor(body)
+			if v := c.U32(); v != ckptVersion {
+				c.Fail(fmt.Errorf("unsupported checkpoint version %d", v))
 			}
-			if v := binary.LittleEndian.Uint32(body[0:4]); v != ckptVersion {
-				return fmt.Errorf("unsupported checkpoint version %d", v)
-			}
-			meta.Seq = binary.LittleEndian.Uint64(body[4:12])
-			meta.K = int(binary.LittleEndian.Uint32(body[12:16]))
-			body = body[16:]
-			var err error
-			if meta.Cut, body, err = takeSegTime(body); err != nil {
+			meta.Seq = c.U64()
+			meta.K = int(c.U32())
+			meta.Cut = c.Time()
+			meta.WrittenAt = c.Time()
+			if err := c.Finish("checkpoint header"); err != nil {
 				return err
-			}
-			if meta.WrittenAt, body, err = takeSegTime(body); err != nil {
-				return err
-			}
-			if len(body) != 0 {
-				return fmt.Errorf("%d stray bytes after checkpoint header", len(body))
 			}
 		case tagStats:
 			sb, rest, err := ids.DecodeStatsBuilder(body)

@@ -23,18 +23,20 @@ const maxRecord = 1 << 20
 //	repeated wal.AppendFrame records, each payload tagged by its
 //	first byte:
 //
-//	  'H' header   u32 version | u64 seq | u32 shards | shards x u64
+//	  'H' header   u32 version | u64 seq | count shards | shards x u64
 //	               cumulative sealed counts | u32 eventCount
-//	               | minTime | maxTime            (times are i64 sec + u32 nsec)
+//	               | minTime | maxTime
 //	  'E' event    one eventstore.EncodeEvent payload; events appear in the
 //	               store's canonical time order (eventstore.SortEvents)
-//	  'T' index    u32 every | u32 n | n x (time | u64 frameOffset | u32 ordinal)
+//	  'T' index    u32 every | count n | n x (time | u64 frameOffset | u32 ordinal)
 //	               — every `every`-th event's time and the byte offset of its
 //	               frame, for locating a time cut without decoding the prefix
-//	  'C' index    u32 n | n x (u16 len | cve | u32 count | count x u32 ordinal)
+//	  'C' index    count n | n x (string16 cve | count k | k x u32 ordinal)
 //	               — which events carry each CVE, for per-CVE reads
 //	  'B' bloom    u32 k | u64 mBits | bit bytes — CVE membership filter, so
 //	               a per-CVE query skips whole segments without reading them
+//
+// Fields use the wal field codec (times, strings and bounded counts).
 //
 // The header's cumulative counts are the per-shard committed-event counts
 // the store had sealed after this segment, making segments self-describing:
@@ -110,8 +112,8 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 		header = binary.LittleEndian.AppendUint64(header, uint64(n))
 	}
 	header = binary.LittleEndian.AppendUint32(header, uint32(len(events)))
-	header = appendSegTime(header, minT)
-	header = appendSegTime(header, maxT)
+	header = wal.AppendTime(header, minT)
+	header = wal.AppendTime(header, maxT)
 	buf = wal.AppendFrame(buf, header)
 
 	// Event frames, recording every timeIndexEvery-th frame's offset for the
@@ -140,7 +142,7 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 	tIdx = binary.LittleEndian.AppendUint32(tIdx, timeIndexEvery)
 	tIdx = binary.LittleEndian.AppendUint32(tIdx, uint32(len(entries)))
 	for _, e := range entries {
-		tIdx = appendSegTime(tIdx, e.at)
+		tIdx = wal.AppendTime(tIdx, e.at)
 		tIdx = binary.LittleEndian.AppendUint64(tIdx, uint64(e.off))
 		tIdx = binary.LittleEndian.AppendUint32(tIdx, e.ordinal)
 	}
@@ -154,8 +156,7 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 	cIdx := []byte{tagCVE}
 	cIdx = binary.LittleEndian.AppendUint32(cIdx, uint32(len(cves)))
 	for _, cve := range cves {
-		cIdx = binary.LittleEndian.AppendUint16(cIdx, uint16(len(cve)))
-		cIdx = append(cIdx, cve...)
+		cIdx = wal.AppendString16(cIdx, cve)
 		ords := cveOrds[cve]
 		cIdx = binary.LittleEndian.AppendUint32(cIdx, uint32(len(ords)))
 		for _, o := range ords {
@@ -185,20 +186,6 @@ func sortStrings(s []string) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
-}
-
-func appendSegTime(buf []byte, t time.Time) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.Unix()))
-	return binary.LittleEndian.AppendUint32(buf, uint32(t.Nanosecond()))
-}
-
-func takeSegTime(b []byte) (time.Time, []byte, error) {
-	if len(b) < 12 {
-		return time.Time{}, nil, fmt.Errorf("timeline: truncated time field")
-	}
-	sec := int64(binary.LittleEndian.Uint64(b[0:8]))
-	nsec := binary.LittleEndian.Uint32(b[8:12])
-	return time.Unix(sec, int64(nsec)).UTC(), b[12:], nil
 }
 
 // parseSegment reads a segment file image into its metadata summary. The
@@ -246,115 +233,56 @@ func parseSegment(path string, raw []byte) (*segmentMeta, error) {
 }
 
 func (m *segmentMeta) parseHeader(b []byte) error {
-	if len(b) < 16 {
-		return fmt.Errorf("short header")
+	c := wal.NewCursor(b)
+	if v := c.U32(); v != segVersion {
+		c.Fail(fmt.Errorf("unsupported segment version %d", v))
 	}
-	if v := binary.LittleEndian.Uint32(b[0:4]); v != segVersion {
-		return fmt.Errorf("unsupported segment version %d", v)
-	}
-	m.Seq = binary.LittleEndian.Uint64(b[4:12])
-	nShards := binary.LittleEndian.Uint32(b[12:16])
-	b = b[16:]
-	if nShards > 1<<12 || len(b) < int(nShards)*8+4 {
-		return fmt.Errorf("short header (shards=%d)", nShards)
-	}
-	m.SealedCounts = make([]int64, nShards)
+	m.Seq = c.U64()
+	m.SealedCounts = make([]int64, c.Count(8))
 	for i := range m.SealedCounts {
-		m.SealedCounts[i] = int64(binary.LittleEndian.Uint64(b[:8]))
-		b = b[8:]
+		m.SealedCounts[i] = int64(c.U64())
 	}
-	m.Count = int(binary.LittleEndian.Uint32(b[:4]))
-	b = b[4:]
-	var err error
-	if m.MinTime, b, err = takeSegTime(b); err != nil {
-		return err
-	}
-	if m.MaxTime, b, err = takeSegTime(b); err != nil {
-		return err
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("%d stray bytes after header", len(b))
-	}
-	return nil
+	m.Count = int(c.U32())
+	m.MinTime = c.Time()
+	m.MaxTime = c.Time()
+	return c.Finish("header")
 }
 
 func (m *segmentMeta) parseTimeIdx(b []byte) error {
-	if len(b) < 8 {
-		return fmt.Errorf("short time index")
+	c := wal.NewCursor(b)
+	c.U32() // the stride: entries carry their own ordinals
+	m.timeIdx = make([]timeIdxEntry, c.Count(12+8+4))
+	for i := range m.timeIdx {
+		e := &m.timeIdx[i]
+		e.at = c.Time()
+		e.offset = int64(c.U64())
+		e.ordinal = c.U32()
 	}
-	n := binary.LittleEndian.Uint32(b[4:8])
-	b = b[8:]
-	if n > 1<<28 {
-		return fmt.Errorf("oversized time index (%d entries)", n)
-	}
-	m.timeIdx = make([]timeIdxEntry, 0, n)
-	for i := uint32(0); i < n; i++ {
-		at, rest, err := takeSegTime(b)
-		if err != nil {
-			return err
-		}
-		if len(rest) < 12 {
-			return fmt.Errorf("short time index entry")
-		}
-		m.timeIdx = append(m.timeIdx, timeIdxEntry{
-			at:      at,
-			offset:  int64(binary.LittleEndian.Uint64(rest[0:8])),
-			ordinal: binary.LittleEndian.Uint32(rest[8:12]),
-		})
-		b = rest[12:]
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("%d stray bytes after time index", len(b))
-	}
-	return nil
+	return c.Finish("time index")
 }
 
 func (m *segmentMeta) parseCVEIdx(b []byte) error {
-	if len(b) < 4 {
-		return fmt.Errorf("short CVE index")
-	}
-	n := binary.LittleEndian.Uint32(b[0:4])
-	b = b[4:]
-	if n > 1<<24 {
-		return fmt.Errorf("oversized CVE index (%d entries)", n)
-	}
+	c := wal.NewCursor(b)
+	n := c.Count(2 + 4) // an empty CVE with no ordinals
 	m.cveIdx = make(map[string][]uint32, n)
-	for i := uint32(0); i < n; i++ {
-		if len(b) < 2 {
-			return fmt.Errorf("short CVE index entry")
-		}
-		sl := int(binary.LittleEndian.Uint16(b[0:2]))
-		b = b[2:]
-		if len(b) < sl+4 {
-			return fmt.Errorf("short CVE index entry")
-		}
-		cve := string(b[:sl])
-		b = b[sl:]
-		cnt := binary.LittleEndian.Uint32(b[0:4])
-		b = b[4:]
-		if uint64(cnt)*4 > uint64(len(b)) {
-			return fmt.Errorf("short CVE ordinal list")
-		}
-		ords := make([]uint32, cnt)
+	for ; n > 0; n-- {
+		cve := c.String16()
+		ords := make([]uint32, c.Count(4))
 		for j := range ords {
-			ords[j] = binary.LittleEndian.Uint32(b[:4])
-			b = b[4:]
+			ords[j] = c.U32()
 		}
 		m.cveIdx[cve] = ords
 	}
-	if len(b) != 0 {
-		return fmt.Errorf("%d stray bytes after CVE index", len(b))
-	}
-	return nil
+	return c.Finish("CVE index")
 }
 
 func (m *segmentMeta) parseBloom(b []byte) error {
-	if len(b) < 12 {
-		return fmt.Errorf("short bloom filter")
+	c := wal.NewCursor(b)
+	k, mBits := c.U32(), c.U64()
+	bits := c.Rest()
+	if err := c.Err(); err != nil {
+		return err
 	}
-	k := binary.LittleEndian.Uint32(b[0:4])
-	mBits := binary.LittleEndian.Uint64(b[4:12])
-	bits := b[12:]
 	if k == 0 || k > 16 || mBits > uint64(len(bits))*8 {
 		return fmt.Errorf("bad bloom geometry (k=%d mBits=%d bytes=%d)", k, mBits, len(bits))
 	}

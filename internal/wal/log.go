@@ -1,8 +1,9 @@
 // Package wal is the repo's one durable-log substrate: the record framing
-// every on-disk log and wire stream shares, and Log, the append-only framed
-// file behind the event shards, the commit journal, the amendment log, the
-// fleet spool and watermark journal, and the registry's digest log and
-// ruleset journal.
+// every on-disk log and wire stream shares, the field codec (Cursor and the
+// Append helpers in codec.go) for the payloads inside those frames, and Log,
+// the append-only framed file behind the event shards, the commit journal,
+// the amendment log, the fleet spool and watermark journal, and the
+// registry's digest log and ruleset journal.
 //
 // A log file is an 8-byte magic followed by AppendFrame records. What
 // recovery keeps, truncates and refuses is decided here and nowhere else:
