@@ -37,6 +37,10 @@ type CompiledMatcher struct {
 	outStart []int32
 	outCount []int32
 	outs     []int32
+	// outHead is derived, never serialized: s itself when s has outputs,
+	// else dict[s]. Scan starts each output walk there, so a state with
+	// nothing to report costs one load instead of a walk.
+	outHead []int32
 
 	numPatterns int32
 }
@@ -147,7 +151,20 @@ func compileFrom(m *acTrie) *CompiledMatcher {
 		}
 	}
 	c.shrink(free)
+	c.deriveOutHead()
 	return c
+}
+
+// deriveOutHead fills outHead from outCount and dict.
+func (c *CompiledMatcher) deriveOutHead() {
+	c.outHead = make([]int32, len(c.check))
+	for s := range c.outHead {
+		if c.outCount[s] > 0 {
+			c.outHead[s] = int32(s)
+		} else {
+			c.outHead[s] = c.dict[s]
+		}
+	}
 }
 
 // grow extends every per-cell array to at least want cells, keeping new
@@ -312,7 +329,8 @@ func (c *CompiledMatcher) place(f *freeList, bytes []byte) int32 {
 func (c *CompiledMatcher) NumPatterns() int { return int(c.numPatterns) }
 
 // States returns the number of double-array cells — the automaton's
-// footprint metric (each cell is six int32s).
+// footprint metric (each cell is six serialized int32s, plus the derived
+// outHead in memory).
 func (c *CompiledMatcher) States() int { return len(c.check) }
 
 // Scan reports the set of pattern IDs occurring in text, case-insensitively,
@@ -345,7 +363,7 @@ func (c *CompiledMatcher) Scan(text []byte, scratch *ScanScratch, hit func(id in
 			}
 			s = c.fail[s]
 		}
-		for n := s; n != -1; {
+		for n := c.outHead[s]; n != -1; n = c.dict[n] {
 			start, cnt := c.outStart[n], c.outCount[n]
 			for _, id := range c.outs[start : start+cnt] {
 				if mark[id] != epoch {
@@ -353,7 +371,6 @@ func (c *CompiledMatcher) Scan(text []byte, scratch *ScanScratch, hit func(id in
 					hit(id)
 				}
 			}
-			n = c.dict[n]
 		}
 	}
 }
@@ -450,5 +467,6 @@ func LoadCompiledMatcher(raw []byte) (*CompiledMatcher, error) {
 			return nil, fmt.Errorf("ids: compiled automaton pattern id %d out of range", id)
 		}
 	}
+	c.deriveOutHead()
 	return c, nil
 }

@@ -17,8 +17,10 @@ import (
 
 // Match is one rule that fired on a session.
 type Match struct {
-	Rule      *rules.DatedRule
-	SID       int
+	Rule *rules.DatedRule
+	SID  int
+	// CVEs is the rule's CVE references, shared by every match of the rule;
+	// callers must not modify it.
 	CVEs      []string
 	Published time.Time
 }
@@ -53,16 +55,59 @@ type AutomatonCache interface {
 type Engine struct {
 	cfg      Config
 	ruleset  []rules.DatedRule
+	cves     [][]string // rule index -> Rule.CVEs(), derived once
 	prefilt  *CompiledMatcher
 	byPat    [][]int // pattern id -> rule indices
 	noFastPS []int   // rules without a usable fast pattern: always candidates
 	counters []ruleCounters
 }
 
-// scanScratchPool shares prefilter scratch between concurrent Match calls;
-// every Engine's sessions go through it, so a steady-state pipeline scans
-// without per-session allocations in the automaton.
-var scanScratchPool = sync.Pool{New: func() any { return new(ScanScratch) }}
+// matchScratch is the per-goroutine state one Match or Earliest call works
+// in, pooled so the hit path allocates nothing once warm: the prefilter's
+// scan state, the candidate list, epoch-stamped per-pattern marks that
+// dedup candidates across the session's several scans, and the parsed
+// requests with the arena their derived views live in.
+type matchScratch struct {
+	scan  ScanScratch
+	seen  ScanScratch // marks: fast patterns whose rules are already candidates
+	cands []int
+	bufs  Buffers
+	arena []byte
+	// byPat is the calling engine's, for queue; hit is queue bound once, so
+	// handing it to Scan never allocates.
+	byPat [][]int
+	hit   func(id int32)
+}
+
+var matchScratchPool = sync.Pool{New: func() any { return newMatchScratch() }}
+
+func newMatchScratch() *matchScratch {
+	sc := new(matchScratch)
+	sc.hit = sc.queue
+	return sc
+}
+
+// queue makes the rules of fast pattern id candidates, once per session.
+func (sc *matchScratch) queue(id int32) {
+	if sc.seen.mark[id] == sc.seen.epoch {
+		return
+	}
+	sc.seen.mark[id] = sc.seen.epoch
+	sc.cands = append(sc.cands, sc.byPat[id]...)
+}
+
+// forget drops every reference to the last session and engine, so a pooled
+// scratch pins neither client streams nor rules.
+func (sc *matchScratch) forget() {
+	clear(sc.bufs.Requests)
+	sc.bufs = Buffers{Requests: sc.bufs.Requests[:0]}
+	sc.byPat = nil
+}
+
+func (sc *matchScratch) release() {
+	sc.forget()
+	matchScratchPool.Put(sc)
+}
 
 // NewEngine compiles the ruleset. Rules are copied; callers may mutate their
 // slice afterwards.
@@ -75,8 +120,10 @@ func NewEngine(ruleset []rules.DatedRule, cfg Config) *Engine {
 			e.ruleset[i].Rule = e.ruleset[i].Rule.PortInsensitive()
 		}
 	}
+	e.cves = make([][]string, len(e.ruleset))
 	var patterns [][]byte
 	for i := range e.ruleset {
+		e.cves[i] = e.ruleset[i].Rule.CVEs()
 		fp := e.ruleset[i].Rule.FastPatternContent()
 		if fp == nil {
 			e.noFastPS = append(e.noFastPS, i)
@@ -138,65 +185,19 @@ func automatonKey(patterns [][]byte) string {
 func (e *Engine) NumRules() int { return len(e.ruleset) }
 
 // Match evaluates the session against the whole ruleset and returns every
-// firing rule, sorted by rule publication time then SID.
+// firing rule, sorted by rule publication time then SID (ties keep
+// candidate order).
 func (e *Engine) Match(s *tcpasm.Session) []Match {
-	bufs := ExtractBuffers(s.ClientData)
-	var candidates []int
-	if e.cfg.DisablePrefilter {
-		candidates = make([]int, len(e.ruleset))
-		for i := range candidates {
-			candidates[i] = i
-		}
-	} else {
-		candidates = append(candidates, e.noFastPS...)
-		seen := map[int32]struct{}{}
-		hit := func(id int32) {
-			if _, dup := seen[id]; dup {
-				return
-			}
-			seen[id] = struct{}{}
-			candidates = append(candidates, e.byPat[id]...)
-		}
-		scratch := scanScratchPool.Get().(*ScanScratch)
-		e.prefilt.Scan(s.ClientData, scratch, hit)
-		if len(s.ServerData) > 0 {
-			// to_client rules inspect the server stream.
-			e.prefilt.Scan(s.ServerData, scratch, hit)
-		}
-		// Decoded views must reach the full evaluation too: a percent-
-		// encoded URI or a chunk-split body hides its fast pattern from the
-		// raw scan.
-		for i := range bufs.Requests {
-			req := &bufs.Requests[i]
-			if norm := NormalizeURI(req.URI); norm != req.URI {
-				e.prefilt.Scan([]byte(norm), scratch, hit)
-			}
-			if req.Body != "" && !bytes.Contains(s.ClientData, []byte(req.Body)) {
-				e.prefilt.Scan([]byte(req.Body), scratch, hit)
-			}
-		}
-		scanScratchPool.Put(scratch)
-	}
+	sc := matchScratchPool.Get().(*matchScratch)
+	defer sc.release()
+	e.prepare(s, sc)
 	var out []Match
-	for _, ri := range candidates {
-		dr := &e.ruleset[ri]
-		e.counters[ri].evaluated.Add(1)
-		if e.ruleMatches(dr.Rule, s, &bufs) {
-			e.counters[ri].matched.Add(1)
-			out = append(out, Match{
-				Rule:      dr,
-				SID:       dr.Rule.SID,
-				CVEs:      dr.Rule.CVEs(),
-				Published: dr.Published,
-			})
+	for _, ri := range sc.cands {
+		if e.eval(ri, s, &sc.bufs) {
+			out = append(out, e.match(ri))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Published.Equal(out[j].Published) {
-			return out[i].Published.Before(out[j].Published)
-		}
-		return out[i].SID < out[j].SID
-	})
+	sort.SliceStable(out, func(i, j int) bool { return earlier(&out[i], &out[j]) })
 	return out
 }
 
@@ -205,11 +206,86 @@ func (e *Engine) Match(s *tcpasm.Session) []Match {
 // earliest-published matching IDS signature"). The second result is false
 // when no rule matched.
 func (e *Engine) Earliest(s *tcpasm.Session) (Match, bool) {
-	ms := e.Match(s)
-	if len(ms) == 0 {
-		return Match{}, false
+	sc := matchScratchPool.Get().(*matchScratch)
+	defer sc.release()
+	return e.earliest(s, sc)
+}
+
+// earliest is Earliest in the caller's scratch. It evaluates every
+// candidate, as Match does (the profile counts each), but keeps only the
+// running minimum in Match's order, so the result is Match(s)[0] without the
+// slice or the sort.
+func (e *Engine) earliest(s *tcpasm.Session, sc *matchScratch) (best Match, found bool) {
+	e.prepare(s, sc)
+	for _, ri := range sc.cands {
+		if !e.eval(ri, s, &sc.bufs) {
+			continue
+		}
+		if m := e.match(ri); !found || earlier(&m, &best) {
+			best, found = m, true
+		}
 	}
-	return ms[0], true
+	return best, found
+}
+
+// earlier is the order Match sorts in: rule publication time, then SID.
+func earlier(a, b *Match) bool {
+	if !a.Published.Equal(b.Published) {
+		return a.Published.Before(b.Published)
+	}
+	return a.SID < b.SID
+}
+
+// prepare parses s's client stream into sc.bufs and fills sc.cands with the
+// candidate rules: those without a fast pattern, then the rules of each fast
+// pattern the prefilter finds, in first-hit order.
+func (e *Engine) prepare(s *tcpasm.Session, sc *matchScratch) {
+	if cap(sc.arena) < len(s.ClientData) {
+		sc.arena = make([]byte, 0, len(s.ClientData))
+	}
+	sc.arena = sc.bufs.parse(s.ClientData, sc.arena[:0])
+	sc.cands = sc.cands[:0]
+	if e.cfg.DisablePrefilter {
+		for i := range e.ruleset {
+			sc.cands = append(sc.cands, i)
+		}
+		return
+	}
+	sc.cands = append(sc.cands, e.noFastPS...)
+	sc.seen.begin(len(e.byPat))
+	sc.byPat = e.byPat
+	e.prefilt.Scan(s.ClientData, &sc.scan, sc.hit)
+	if len(s.ServerData) > 0 {
+		// to_client rules inspect the server stream.
+		e.prefilt.Scan(s.ServerData, &sc.scan, sc.hit)
+	}
+	// Decoded views must reach the full evaluation too: a percent-encoded
+	// URI or a chunk-split body hides its fast pattern from the raw scan.
+	for i := range sc.bufs.Requests {
+		req := &sc.bufs.Requests[i]
+		if req.norm != nil {
+			e.prefilt.Scan(req.norm, &sc.scan, sc.hit)
+		}
+		if req.dechunked && len(req.Body) > 0 && !bytes.Contains(s.ClientData, req.Body) {
+			e.prefilt.Scan(req.Body, &sc.scan, sc.hit)
+		}
+	}
+}
+
+// eval evaluates candidate rule ri against s, counting it in the profile.
+func (e *Engine) eval(ri int, s *tcpasm.Session, bufs *Buffers) bool {
+	e.counters[ri].evaluated.Add(1)
+	if !e.ruleMatches(e.ruleset[ri].Rule, s, bufs) {
+		return false
+	}
+	e.counters[ri].matched.Add(1)
+	return true
+}
+
+// match is rule ri's Match.
+func (e *Engine) match(ri int) Match {
+	dr := &e.ruleset[ri]
+	return Match{Rule: dr, SID: dr.Rule.SID, CVEs: e.cves[ri], Published: dr.Published}
 }
 
 // ruleMatches applies header then payload checks.
@@ -292,35 +368,44 @@ func payloadMatches(r *rules.Rule, bufs *Buffers) bool {
 		if payloadMatchesForRequest(r, bufs, reqIdx, nil) {
 			return true
 		}
-		if reqIdx < len(bufs.Requests) {
-			raw := bufs.Requests[reqIdx].URI
-			if norm := NormalizeURI(raw); norm != raw {
-				if payloadMatchesForRequest(r, bufs, reqIdx, []byte(norm)) {
-					return true
-				}
-			}
+		if reqIdx < len(bufs.Requests) && bufs.Requests[reqIdx].norm != nil &&
+			payloadMatchesForRequest(r, bufs, reqIdx, bufs.Requests[reqIdx].norm) {
+			return true
 		}
 	}
 	return false
+}
+
+// cursorSlots sizes the per-buffer cursor array: one slot per known
+// rules.Buffer plus one shared by any other value — such buffers have no
+// text, so their cursor can only ever hold 0.
+const cursorSlots = int(rules.BufHTTPBody) + 2
+
+func cursorSlot(b rules.Buffer) int {
+	if b < 0 || int(b) >= cursorSlots-1 {
+		return cursorSlots - 1
+	}
+	return int(b)
 }
 
 // payloadMatchesForRequest checks all options against request reqIdx's
 // buffers (and the raw stream). uriOverride, when non-nil, replaces the
 // http_uri buffer text (the normalized-target pass).
 func payloadMatchesForRequest(r *rules.Rule, bufs *Buffers, reqIdx int, uriOverride []byte) bool {
-	uriText := func(text []byte, buf rules.Buffer) []byte {
+	textOf := func(buf rules.Buffer) []byte {
 		if buf == rules.BufHTTPURI && uriOverride != nil {
 			return uriOverride
 		}
-		return text
+		return bufferTextFor(bufs, buf, reqIdx)
 	}
 	// cursor tracks the end of the previous content match per buffer for
 	// distance/within semantics.
-	cursor := map[rules.Buffer]int{}
+	var cursor [cursorSlots]int
 	for i := range r.Contents {
 		c := &r.Contents[i]
-		text := uriText(bufferTextFor(bufs, c.Buffer, reqIdx), c.Buffer)
-		pos, ok := findContent(text, c, cursor[c.Buffer])
+		text := textOf(c.Buffer)
+		slot := cursorSlot(c.Buffer)
+		pos, ok := findContent(text, c, cursor[slot])
 		if c.Negated {
 			if ok {
 				return false
@@ -331,7 +416,7 @@ func payloadMatchesForRequest(r *rules.Rule, bufs *Buffers, reqIdx int, uriOverr
 			return false
 		}
 		end := pos + len(c.Pattern)
-		cursor[c.Buffer] = end
+		cursor[slot] = end
 		for _, d := range c.DataAts {
 			has := end+d.Offset < len(text)
 			if has == d.Negated {
@@ -346,8 +431,7 @@ func payloadMatchesForRequest(r *rules.Rule, bufs *Buffers, reqIdx int, uriOverr
 	}
 	for i := range r.PCREs {
 		p := &r.PCREs[i]
-		text := uriText(bufferTextFor(bufs, p.Buffer, reqIdx), p.Buffer)
-		matched := p.Re.Match(text)
+		matched := p.Re.Match(textOf(p.Buffer))
 		if matched == p.Negated {
 			return false
 		}
@@ -366,15 +450,15 @@ func bufferTextFor(bufs *Buffers, buf rules.Buffer, reqIdx int) []byte {
 	req := &bufs.Requests[reqIdx]
 	switch buf {
 	case rules.BufHTTPMethod:
-		return []byte(req.Method)
+		return req.Method
 	case rules.BufHTTPURI, rules.BufHTTPRawURI:
-		return []byte(req.URI)
+		return req.URI
 	case rules.BufHTTPHeader:
-		return []byte(req.Headers)
+		return req.Headers
 	case rules.BufHTTPCookie:
-		return []byte(req.Cookie)
+		return req.Cookie
 	case rules.BufHTTPBody:
-		return []byte(req.Body)
+		return req.Body
 	default:
 		return nil
 	}

@@ -17,26 +17,35 @@ package ids
 
 import (
 	"bytes"
-	"strings"
-
-	"repro/internal/rules"
+	"unicode/utf8"
 )
 
 // HTTPRequest is one parsed HTTP request extracted from a client stream,
-// pre-sliced into the sticky buffers Snort rules address.
+// pre-sliced into the sticky buffers Snort rules address. Every field is a
+// read-only view: into the client stream itself, or — for the few buffers
+// that must be derived (cookie-stripped headers, a dechunked body) — into an
+// arena owned by the parse. The views are valid as long as the client stream
+// is.
 type HTTPRequest struct {
-	Method string
+	Method []byte
 	// URI is the raw request target, undecoded (rules match raw bytes).
-	URI string
+	URI []byte
 	// Headers is the raw header block (everything between the request line
 	// and the blank line), including header names.
-	Headers string
+	Headers []byte
 	// Cookie is the value of the Cookie header, empty if absent.
-	Cookie string
+	Cookie []byte
 	// Body is the client body: sliced at Content-Length when present and
 	// dechunked when Transfer-Encoding is chunked (framing must not hide
 	// patterns from body-bound rules).
-	Body string
+	Body []byte
+
+	// norm is NormalizeURI(URI), derived once in the parse; nil when
+	// normalization leaves the target unchanged.
+	norm []byte
+	// dechunked marks a Body decoded from chunked framing rather than sliced
+	// from the stream, so it may hold text the stream does not.
+	dechunked bool
 }
 
 // Buffers is the set of inspection buffers derived from one session
@@ -47,24 +56,40 @@ type Buffers struct {
 	Requests []HTTPRequest
 }
 
+// maxRequests caps how many pipelined requests one stream is parsed into.
+const maxRequests = 32
+
 // ExtractBuffers parses the client stream into inspection buffers. Streams
 // that do not look like HTTP still produce a usable Raw buffer; rules bound
-// to HTTP sticky buffers simply find no candidate text.
+// to HTTP sticky buffers simply find no candidate text. The derived views
+// live in a fresh arena, allocated on first use.
 func ExtractBuffers(clientData []byte) Buffers {
-	b := Buffers{Raw: clientData}
-	rest := clientData
-	for len(rest) > 0 && len(b.Requests) < 32 {
-		req, remainder, ok := parseHTTPRequest(rest)
+	var b Buffers
+	b.parse(clientData, nil)
+	return b
+}
+
+// parse fills b from data, reusing the capacity of b.Requests, and returns
+// arena with the derived views appended. Each derived view is no longer than
+// the stream region it comes from, and requests occupy disjoint regions, so
+// an arena with capacity len(data) never grows.
+func (b *Buffers) parse(data, arena []byte) []byte {
+	b.Raw = data
+	b.Requests = b.Requests[:0]
+	rest := data
+	for len(rest) > 0 && len(b.Requests) < maxRequests {
+		req, remainder, grown, ok := parseHTTPRequest(rest, arena)
 		if !ok {
 			break
 		}
+		arena = grown
 		b.Requests = append(b.Requests, req)
 		if len(remainder) >= len(rest) {
 			break
 		}
 		rest = remainder
 	}
-	return b
+	return arena
 }
 
 // httpMethods are the request methods recognized when sniffing a stream for
@@ -73,142 +98,157 @@ var httpMethods = []string{
 	"GET", "POST", "PUT", "DELETE", "HEAD", "OPTIONS", "PATCH", "TRACE", "CONNECT", "PROPFIND", "SEARCH",
 }
 
-// parseHTTPRequest attempts to parse one request from the head of data.
-func parseHTTPRequest(data []byte) (HTTPRequest, []byte, bool) {
-	lineEnd := bytes.Index(data, []byte("\r\n"))
+var (
+	crlf        = []byte("\r\n")
+	crlfCRLF    = []byte("\r\n\r\n")
+	lfLF        = []byte("\n\n")
+	httpVersion = []byte("HTTP/")
+
+	hdrCookie           = []byte("cookie")
+	hdrTransferEncoding = []byte("transfer-encoding")
+	hdrContentLength    = []byte("content-length")
+	chunked             = []byte("chunked")
+)
+
+// parseHTTPRequest attempts to parse one request from the head of data. It
+// returns the request, the bytes after it, and arena with the request's
+// derived views appended.
+func parseHTTPRequest(data, arena []byte) (req HTTPRequest, remainder, grown []byte, ok bool) {
+	lineEnd := bytes.Index(data, crlf)
 	if lineEnd < 0 {
 		// Tolerate bare-LF clients (common in crude scanners).
 		lineEnd = bytes.IndexByte(data, '\n')
 		if lineEnd < 0 {
-			return HTTPRequest{}, nil, false
+			return req, nil, arena, false
 		}
 	}
-	line := strings.TrimRight(string(data[:lineEnd]), "\r")
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) < 2 {
-		return HTTPRequest{}, nil, false
+	line := trimTrailingCR(data[:lineEnd])
+	sp := bytes.IndexByte(line, ' ')
+	if sp < 0 {
+		return req, nil, arena, false
 	}
-	method := parts[0]
-	known := false
-	for _, m := range httpMethods {
-		if method == m {
-			known = true
-			break
-		}
+	method, target, version := line[:sp], line[sp+1:], []byte(nil)
+	if sp = bytes.IndexByte(target, ' '); sp >= 0 {
+		target, version = target[:sp], target[sp+1:]
 	}
 	// Non-standard methods are still HTTP-shaped if the line ends in a
 	// version token; Log4Shell group E signatures match the method buffer
 	// of bogus-method requests.
-	if !known {
-		if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/") || !isToken(method) {
-			return HTTPRequest{}, nil, false
-		}
+	if !knownMethod(method) && (!bytes.HasPrefix(version, httpVersion) || !isToken(method)) {
+		return req, nil, arena, false
 	}
-	req := HTTPRequest{Method: method, URI: parts[1]}
+	req.Method, req.URI = method, target
+	mark := len(arena)
+	if arena = appendNormalizedURI(arena, target); bytes.Equal(arena[mark:], target) {
+		arena = arena[:mark]
+	} else {
+		req.norm = arena[mark:]
+	}
 
 	// Locate end of header block.
-	afterLine := data[lineEnd:]
-	afterLine = trimLeadingEOL(afterLine)
-	hdrEnd := bytes.Index(afterLine, []byte("\r\n\r\n"))
-	sepLen := 4
+	afterLine := trimLeadingEOL(data[lineEnd:])
+	hdrEnd, sepLen := bytes.Index(afterLine, crlfCRLF), 4
 	if hdrEnd < 0 {
-		hdrEnd = bytes.Index(afterLine, []byte("\n\n"))
-		sepLen = 2
+		hdrEnd, sepLen = bytes.Index(afterLine, lfLF), 2
 	}
 	var body []byte
 	if hdrEnd < 0 {
 		// Unterminated headers: everything remaining is header text (the
 		// telescope may capture partial requests).
-		req.Headers = string(afterLine)
+		req.Headers = afterLine
 	} else {
-		req.Headers = string(afterLine[:hdrEnd])
+		req.Headers = afterLine[:hdrEnd]
 		body = afterLine[hdrEnd+sepLen:]
 	}
-	req.Cookie = headerValue(req.Headers, "cookie")
-	if req.Cookie != "" {
+	req.Cookie = headerValue(req.Headers, hdrCookie)
+	if len(req.Cookie) > 0 {
 		// Snort's http_header buffer excludes the Cookie header; cookies
 		// are inspected through http_cookie only.
-		req.Headers = stripHeader(req.Headers, "cookie")
+		mark = len(arena)
+		arena = appendStrippedHeader(arena, req.Headers, hdrCookie)
+		req.Headers = arena[mark:]
 	}
 
 	// Chunked bodies are dechunked before inspection: chunk framing is a
 	// classic evasion surface (patterns split across chunk boundaries would
 	// otherwise never match the body buffer).
-	remainder := []byte(nil)
-	if strings.EqualFold(headerValue(req.Headers, "transfer-encoding"), "chunked") {
-		decoded, rest, ok := dechunk(body)
+	if bytes.EqualFold(headerValue(req.Headers, hdrTransferEncoding), chunked) {
+		mark = len(arena)
+		decoded, rest, ok := appendDechunked(arena, body)
 		if ok {
-			req.Body = string(decoded)
-			return req, rest, true
+			req.Body, req.dechunked = decoded[mark:], true
+			return req, rest, decoded, true
 		}
 		// Malformed framing: fall through and inspect the raw body.
+		arena = decoded[:mark]
 	}
-	if cl := headerValue(req.Headers, "content-length"); cl != "" {
-		n := 0
-		for _, ch := range cl {
-			if ch < '0' || ch > '9' {
-				n = -1
-				break
-			}
-			n = n*10 + int(ch-'0')
-			if n > 1<<24 {
-				n = -1
-				break
-			}
-		}
-		if n >= 0 && n <= len(body) {
+	if cl := headerValue(req.Headers, hdrContentLength); len(cl) > 0 {
+		if n, ok := contentLength(cl); ok && n <= len(body) {
 			remainder = body[n:]
 			body = body[:n]
 		}
 	}
-	req.Body = string(body)
-	return req, remainder, true
+	req.Body = body
+	return req, remainder, arena, true
 }
 
-// dechunk decodes an HTTP/1.1 chunked body. It returns the decoded bytes,
-// the remainder after the terminating zero-chunk, and whether the framing
-// parsed. Trailers are discarded.
-func dechunk(body []byte) (decoded, remainder []byte, ok bool) {
+func knownMethod(method []byte) bool {
+	for _, m := range httpMethods {
+		if string(method) == m {
+			return true
+		}
+	}
+	return false
+}
+
+// contentLength parses a Content-Length value: decimal digits only, at most
+// 1<<24.
+func contentLength(v []byte) (int, bool) {
+	n := 0
+	for _, ch := range v {
+		if ch < '0' || ch > '9' {
+			return 0, false
+		}
+		n = n*10 + int(ch-'0')
+		if n > 1<<24 {
+			return 0, false
+		}
+	}
+	return n, true
+}
+
+// appendDechunked decodes an HTTP/1.1 chunked body, appending the decoded
+// bytes to dst. It returns dst, the remainder after the terminating
+// zero-chunk, and whether the framing parsed. Trailers are discarded.
+func appendDechunked(dst, body []byte) (out, remainder []byte, ok bool) {
 	rest := body
 	for {
-		lineEnd := bytes.Index(rest, []byte("\r\n"))
+		lineEnd := bytes.Index(rest, crlf)
 		if lineEnd < 0 {
-			return nil, nil, false
+			return dst, nil, false
 		}
-		sizeLine := string(rest[:lineEnd])
+		sizeLine := rest[:lineEnd]
 		// Chunk extensions (";ext=val") are ignored.
-		if i := strings.IndexByte(sizeLine, ';'); i >= 0 {
+		if i := bytes.IndexByte(sizeLine, ';'); i >= 0 {
 			sizeLine = sizeLine[:i]
 		}
-		size := 0
-		sizeLine = strings.TrimSpace(sizeLine)
-		if sizeLine == "" {
-			return nil, nil, false
-		}
-		for _, c := range sizeLine {
-			v, okd := hexVal(byte(c))
-			if !okd {
-				return nil, nil, false
-			}
-			size = size<<4 | int(v)
-			if size > 1<<24 {
-				return nil, nil, false
-			}
+		size, ok := chunkSize(bytes.TrimSpace(sizeLine))
+		if !ok {
+			return dst, nil, false
 		}
 		rest = rest[lineEnd+2:]
 		if size == 0 {
 			// Terminating chunk: skip trailers up to the blank line.
-			if i := bytes.Index(rest, []byte("\r\n")); i >= 0 {
-				return decoded, rest[i+2:], true
+			if i := bytes.Index(rest, crlf); i >= 0 {
+				return dst, rest[i+2:], true
 			}
-			return decoded, nil, true
+			return dst, nil, true
 		}
 		if size > len(rest) {
 			// Truncated capture: keep what we have.
-			decoded = append(decoded, rest...)
-			return decoded, nil, true
+			return append(dst, rest...), nil, true
 		}
-		decoded = append(decoded, rest[:size]...)
+		dst = append(dst, rest[:size]...)
 		rest = rest[size:]
 		if len(rest) >= 2 && rest[0] == '\r' && rest[1] == '\n' {
 			rest = rest[2:]
@@ -216,17 +256,32 @@ func dechunk(body []byte) (decoded, remainder []byte, ok bool) {
 	}
 }
 
-func hexVal(c byte) (byte, bool) {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0', true
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10, true
-	case c >= 'A' && c <= 'F':
-		return c - 'A' + 10, true
-	default:
+// chunkSize parses a chunk-size line's hex digits (at most 1<<24). It walks
+// runes and tests each rune's low byte, so a multi-byte rune whose low byte
+// is a hex digit (U+0131 -> '1') counts as that digit. The quirk is kept on
+// purpose: FuzzExtractBuffers holds this parser to the string-based
+// reference, rune semantics included, so no verdict moves.
+func chunkSize(s []byte) (int, bool) {
+	if len(s) == 0 {
 		return 0, false
 	}
+	size := 0
+	for len(s) > 0 {
+		r, n := rune(s[0]), 1
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRune(s)
+		}
+		v, ok := unhex(byte(r))
+		if !ok {
+			return 0, false
+		}
+		size = size<<4 | int(v)
+		if size > 1<<24 {
+			return 0, false
+		}
+		s = s[n:]
+	}
+	return size, true
 }
 
 func trimLeadingEOL(b []byte) []byte {
@@ -239,40 +294,68 @@ func trimLeadingEOL(b []byte) []byte {
 	return b
 }
 
+func trimTrailingCR(b []byte) []byte {
+	for len(b) > 0 && b[len(b)-1] == '\r' {
+		b = b[:len(b)-1]
+	}
+	return b
+}
+
+// headerLine reports whether one raw header line (split on '\n') carries
+// header name, case-insensitively, and returns its trimmed value.
+func headerLine(line, name []byte) ([]byte, bool) {
+	line = trimTrailingCR(line)
+	i := bytes.IndexByte(line, ':')
+	if i < 0 || !bytes.EqualFold(bytes.TrimSpace(line[:i]), name) {
+		return nil, false
+	}
+	return bytes.TrimSpace(line[i+1:]), true
+}
+
 // headerValue extracts the (first) value of name from a raw header block,
 // case-insensitively.
-func headerValue(headers, name string) string {
-	for _, line := range strings.Split(headers, "\n") {
-		line = strings.TrimRight(line, "\r")
-		i := strings.IndexByte(line, ':')
+func headerValue(headers, name []byte) []byte {
+	for rest := headers; ; {
+		line := rest
+		i := bytes.IndexByte(rest, '\n')
+		if i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		}
+		if v, ok := headerLine(line, name); ok {
+			return v
+		}
 		if i < 0 {
-			continue
-		}
-		if strings.EqualFold(strings.TrimSpace(line[:i]), name) {
-			return strings.TrimSpace(line[i+1:])
+			return nil
 		}
 	}
-	return ""
 }
 
-// stripHeader removes every line whose header name matches name
-// (case-insensitively) from a raw header block.
-func stripHeader(headers, name string) string {
-	lines := strings.Split(headers, "\n")
-	kept := lines[:0]
-	for _, line := range lines {
-		trimmed := strings.TrimRight(line, "\r")
-		if i := strings.IndexByte(trimmed, ':'); i >= 0 &&
-			strings.EqualFold(strings.TrimSpace(trimmed[:i]), name) {
-			continue
+// appendStrippedHeader appends headers to dst with every line whose header
+// name matches name (case-insensitively) removed; kept lines stay joined by
+// '\n'.
+func appendStrippedHeader(dst, headers, name []byte) []byte {
+	first := true
+	for rest := headers; ; {
+		line := rest
+		i := bytes.IndexByte(rest, '\n')
+		if i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
 		}
-		kept = append(kept, line)
+		if _, drop := headerLine(line, name); !drop {
+			if !first {
+				dst = append(dst, '\n')
+			}
+			dst = append(dst, line...)
+			first = false
+		}
+		if i < 0 {
+			return dst
+		}
 	}
-	return strings.Join(kept, "\n")
 }
 
-func isToken(s string) bool {
-	if s == "" {
+func isToken(s []byte) bool {
+	if len(s) == 0 {
 		return false
 	}
 	for _, c := range s {
@@ -281,33 +364,4 @@ func isToken(s string) bool {
 		}
 	}
 	return true
-}
-
-// bufferTexts returns every candidate text for the given rule buffer. HTTP
-// buffers yield one entry per parsed request; Raw yields the whole stream.
-func (b *Buffers) bufferTexts(buf rules.Buffer) [][]byte {
-	switch buf {
-	case rules.BufRaw:
-		return [][]byte{b.Raw}
-	case rules.BufHTTPMethod:
-		return requestField(b.Requests, func(r *HTTPRequest) string { return r.Method })
-	case rules.BufHTTPURI, rules.BufHTTPRawURI:
-		return requestField(b.Requests, func(r *HTTPRequest) string { return r.URI })
-	case rules.BufHTTPHeader:
-		return requestField(b.Requests, func(r *HTTPRequest) string { return r.Headers })
-	case rules.BufHTTPCookie:
-		return requestField(b.Requests, func(r *HTTPRequest) string { return r.Cookie })
-	case rules.BufHTTPBody:
-		return requestField(b.Requests, func(r *HTTPRequest) string { return r.Body })
-	default:
-		return nil
-	}
-}
-
-func requestField(reqs []HTTPRequest, get func(*HTTPRequest) string) [][]byte {
-	out := make([][]byte, 0, len(reqs))
-	for i := range reqs {
-		out = append(out, []byte(get(&reqs[i])))
-	}
-	return out
 }

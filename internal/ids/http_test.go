@@ -13,19 +13,19 @@ func TestExtractBuffersSimpleGET(t *testing.T) {
 		t.Fatalf("requests = %d", len(b.Requests))
 	}
 	r := b.Requests[0]
-	if r.Method != "GET" {
+	if string(r.Method) != "GET" {
 		t.Errorf("method = %q", r.Method)
 	}
-	if r.URI != "/login?user=${jndi:ldap://x/a}" {
+	if string(r.URI) != "/login?user=${jndi:ldap://x/a}" {
 		t.Errorf("uri = %q", r.URI)
 	}
-	if !strings.Contains(r.Headers, "User-Agent: scanner") {
+	if !strings.Contains(string(r.Headers), "User-Agent: scanner") {
 		t.Errorf("headers = %q", r.Headers)
 	}
-	if r.Cookie != "sid=abc" {
+	if string(r.Cookie) != "sid=abc" {
 		t.Errorf("cookie = %q", r.Cookie)
 	}
-	if r.Body != "" {
+	if len(r.Body) != 0 {
 		t.Errorf("body = %q", r.Body)
 	}
 }
@@ -36,7 +36,7 @@ func TestExtractBuffersPOSTBody(t *testing.T) {
 	if len(b.Requests) != 1 {
 		t.Fatalf("requests = %d", len(b.Requests))
 	}
-	if got := b.Requests[0].Body; got != "hello world" {
+	if got := string(b.Requests[0].Body); got != "hello world" {
 		t.Errorf("body = %q", got)
 	}
 }
@@ -48,7 +48,7 @@ func TestExtractBuffersPipelined(t *testing.T) {
 	if len(b.Requests) != 2 {
 		t.Fatalf("requests = %d, want 2", len(b.Requests))
 	}
-	if b.Requests[0].URI != "/a" || b.Requests[1].URI != "/b" {
+	if string(b.Requests[0].URI) != "/a" || string(b.Requests[1].URI) != "/b" {
 		t.Errorf("uris = %q, %q", b.Requests[0].URI, b.Requests[1].URI)
 	}
 }
@@ -66,7 +66,7 @@ func TestExtractBuffersNonHTTP(t *testing.T) {
 func TestExtractBuffersBareLF(t *testing.T) {
 	raw := "GET /lf HTTP/1.0\nHost: h\n\n"
 	b := ExtractBuffers([]byte(raw))
-	if len(b.Requests) != 1 || b.Requests[0].URI != "/lf" {
+	if len(b.Requests) != 1 || string(b.Requests[0].URI) != "/lf" {
 		t.Fatalf("bare-LF request not parsed: %+v", b.Requests)
 	}
 }
@@ -79,7 +79,7 @@ func TestExtractBuffersBogusMethodWithVersion(t *testing.T) {
 	if len(b.Requests) != 1 {
 		t.Fatalf("requests = %d", len(b.Requests))
 	}
-	if b.Requests[0].Method != "${jndi:ldap://x/a}" {
+	if string(b.Requests[0].Method) != "${jndi:ldap://x/a}" {
 		t.Errorf("method = %q", b.Requests[0].Method)
 	}
 }
@@ -90,17 +90,17 @@ func TestExtractBuffersPartialHeaders(t *testing.T) {
 	if len(b.Requests) != 1 {
 		t.Fatalf("requests = %d", len(b.Requests))
 	}
-	if !strings.Contains(b.Requests[0].Headers, "Host: trunc") {
+	if !strings.Contains(string(b.Requests[0].Headers), "Host: trunc") {
 		t.Errorf("headers = %q", b.Requests[0].Headers)
 	}
 }
 
 func TestHeaderValueCaseInsensitive(t *testing.T) {
 	h := "X-One: 1\r\ncOOkie:  c=2  \r\n"
-	if got := headerValue(h, "cookie"); got != "c=2" {
+	if got := string(headerValue([]byte(h), hdrCookie)); got != "c=2" {
 		t.Errorf("headerValue = %q", got)
 	}
-	if got := headerValue(h, "missing"); got != "" {
+	if got := headerValue([]byte(h), []byte("missing")); len(got) != 0 {
 		t.Errorf("missing header = %q", got)
 	}
 }
@@ -113,7 +113,7 @@ func TestContentLengthAbuse(t *testing.T) {
 	if len(b.Requests) != 1 {
 		t.Fatalf("requests = %d", len(b.Requests))
 	}
-	if b.Requests[0].Body != "short" {
+	if string(b.Requests[0].Body) != "short" {
 		t.Errorf("body = %q", b.Requests[0].Body)
 	}
 }
@@ -121,7 +121,7 @@ func TestContentLengthAbuse(t *testing.T) {
 func TestContentLengthNonNumeric(t *testing.T) {
 	raw := "POST / HTTP/1.1\r\nContent-Length: banana\r\n\r\npayload"
 	b := ExtractBuffers([]byte(raw))
-	if len(b.Requests) != 1 || b.Requests[0].Body != "payload" {
+	if len(b.Requests) != 1 || string(b.Requests[0].Body) != "payload" {
 		t.Fatalf("unexpected parse: %+v", b.Requests)
 	}
 }
@@ -146,7 +146,7 @@ func TestChunkedBodyDechunked(t *testing.T) {
 	if len(b.Requests) != 1 {
 		t.Fatalf("requests = %d", len(b.Requests))
 	}
-	if got := b.Requests[0].Body; got != "x=${jndi:ldap://e/a}&y=1" {
+	if got := string(b.Requests[0].Body); got != "x=${jndi:ldap://e/a}&y=1" {
 		t.Errorf("dechunked body = %q", got)
 	}
 }
@@ -159,7 +159,7 @@ func TestChunkedPipelined(t *testing.T) {
 	if len(b.Requests) != 2 {
 		t.Fatalf("requests = %d, want 2", len(b.Requests))
 	}
-	if b.Requests[0].Body != "abc" || b.Requests[1].URI != "/b" {
+	if string(b.Requests[0].Body) != "abc" || string(b.Requests[1].URI) != "/b" {
 		t.Errorf("parsed = %+v", b.Requests)
 	}
 }
@@ -170,7 +170,7 @@ func TestChunkedMalformedFallsBack(t *testing.T) {
 	if len(b.Requests) != 1 {
 		t.Fatalf("requests = %d", len(b.Requests))
 	}
-	if b.Requests[0].Body == "" {
+	if len(b.Requests[0].Body) == 0 {
 		t.Error("malformed chunking dropped the raw body")
 	}
 }
@@ -178,7 +178,7 @@ func TestChunkedMalformedFallsBack(t *testing.T) {
 func TestChunkedTruncatedCapture(t *testing.T) {
 	raw := "POST /a HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nff\r\nonly-part"
 	b := ExtractBuffers([]byte(raw))
-	if len(b.Requests) != 1 || b.Requests[0].Body != "only-part" {
+	if len(b.Requests) != 1 || string(b.Requests[0].Body) != "only-part" {
 		t.Fatalf("truncated chunk parse = %+v", b.Requests)
 	}
 }

@@ -1,6 +1,6 @@
 package ids
 
-import "strings"
+import "bytes"
 
 // URI normalization. Snort inspects http_uri content against the
 // *normalized* request target precisely because scanners percent-encode
@@ -15,26 +15,21 @@ import "strings"
 // noise. Invalid escapes are preserved literally. The query string is
 // decoded but otherwise untouched.
 func NormalizeURI(uri string) string {
-	decoded := percentDecode(uri)
-	// Split off the query: path-structure cleanup applies to the path only.
-	path := decoded
-	query := ""
-	if i := strings.IndexByte(decoded, '?'); i >= 0 {
-		path, query = decoded[:i], decoded[i:]
-	}
-	path = normalizePath(path)
-	return path + query
+	return string(appendNormalizedURI(nil, []byte(uri)))
 }
 
-func percentDecode(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == '%' && i+2 < len(s) {
-			hi, okHi := unhex(s[i+1])
-			lo, okLo := unhex(s[i+2])
+// appendNormalizedURI appends NormalizeURI(uri) to dst. The result is never
+// longer than uri: decoding only shrinks, and the path cleanup only deletes,
+// so it runs in place behind the decoder.
+func appendNormalizedURI(dst, uri []byte) []byte {
+	start := len(dst)
+	for i := 0; i < len(uri); i++ {
+		c := uri[i]
+		if c == '%' && i+2 < len(uri) {
+			hi, okHi := unhex(uri[i+1])
+			lo, okLo := unhex(uri[i+2])
 			if okHi && okLo {
-				out = append(out, hi<<4|lo)
+				dst = append(dst, hi<<4|lo)
 				i += 2
 				continue
 			}
@@ -43,12 +38,38 @@ func percentDecode(s string) string {
 			// '+' means space in query strings; in paths it is literal, but
 			// Snort's normalizer treats it as space uniformly — scanners
 			// exploit whichever reading the server takes.
-			out = append(out, ' ')
-			continue
+			c = ' '
 		}
-		out = append(out, c)
+		dst = append(dst, c)
 	}
-	return string(out)
+	// Split off the (decoded) query: path-structure cleanup applies to the
+	// path only.
+	decoded := dst[start:]
+	pathEnd := len(decoded)
+	if i := bytes.IndexByte(decoded, '?'); i >= 0 {
+		pathEnd = i
+	}
+	w := 0
+	for r := 0; r < pathEnd; r++ {
+		c := decoded[r]
+		if c == '\\' {
+			c = '/'
+		}
+		if c == '/' {
+			// Collapse "//" and "/./".
+			if w > 0 && decoded[w-1] == '/' {
+				continue
+			}
+			if w >= 2 && decoded[w-1] == '.' && decoded[w-2] == '/' {
+				w--
+				continue
+			}
+		}
+		decoded[w] = c
+		w++
+	}
+	w += copy(decoded[w:], decoded[pathEnd:])
+	return dst[:start+w]
 }
 
 func unhex(c byte) (byte, bool) {
@@ -62,26 +83,4 @@ func unhex(c byte) (byte, bool) {
 	default:
 		return 0, false
 	}
-}
-
-func normalizePath(p string) string {
-	out := make([]byte, 0, len(p))
-	for i := 0; i < len(p); i++ {
-		c := p[i]
-		if c == '\\' {
-			c = '/'
-		}
-		if c == '/' {
-			// Collapse "//" and "/./".
-			if len(out) > 0 && out[len(out)-1] == '/' {
-				continue
-			}
-			if len(out) >= 2 && out[len(out)-1] == '.' && out[len(out)-2] == '/' {
-				out = out[:len(out)-1]
-				continue
-			}
-		}
-		out = append(out, c)
-	}
-	return string(out)
 }

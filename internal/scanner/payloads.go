@@ -16,6 +16,7 @@ package scanner
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 )
 
@@ -57,28 +58,51 @@ func httpPost(uri, body string, headers ...string) []byte {
 	return httpReq("POST", uri, body, headers...)
 }
 
+const (
+	defaultUA = "User-Agent: Mozilla/5.0 (compatible; probe)\r\n"
+	formType  = "Content-Type: application/x-www-form-urlencoded\r\n"
+)
+
+// httpReq renders one request into a single exact-size buffer. Header
+// names here are ASCII, so the User-Agent test folds ASCII case only.
 func httpReq(method, uri, body string, headers ...string) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s %s HTTP/1.1\r\n", method, uri)
-	b.WriteString("Host: target\r\n")
+	const uaPrefix = "user-agent:"
+	n := len(method) + 1 + len(uri) + len(" HTTP/1.1\r\nHost: target\r\n") + len("\r\n") + len(body)
 	hasUA := false
 	for _, h := range headers {
-		b.WriteString(h)
-		b.WriteString("\r\n")
-		if strings.HasPrefix(strings.ToLower(h), "user-agent:") {
+		n += len(h) + len("\r\n")
+		if len(h) >= len(uaPrefix) && strings.EqualFold(h[:len(uaPrefix)], uaPrefix) {
 			hasUA = true
 		}
 	}
 	if !hasUA {
-		b.WriteString("User-Agent: Mozilla/5.0 (compatible; probe)\r\n")
+		n += len(defaultUA)
+	}
+	var num [20]byte
+	bodyLen := strconv.AppendInt(num[:0], int64(len(body)), 10)
+	if body != "" {
+		n += len("Content-Length: ") + len(bodyLen) + len("\r\n") + len(formType)
+	}
+	b := make([]byte, 0, n)
+	b = append(b, method...)
+	b = append(b, ' ')
+	b = append(b, uri...)
+	b = append(b, " HTTP/1.1\r\nHost: target\r\n"...)
+	for _, h := range headers {
+		b = append(b, h...)
+		b = append(b, "\r\n"...)
+	}
+	if !hasUA {
+		b = append(b, defaultUA...)
 	}
 	if body != "" {
-		fmt.Fprintf(&b, "Content-Length: %d\r\n", len(body))
-		b.WriteString("Content-Type: application/x-www-form-urlencoded\r\n")
+		b = append(b, "Content-Length: "...)
+		b = append(b, bodyLen...)
+		b = append(b, "\r\n"...)
+		b = append(b, formType...)
 	}
-	b.WriteString("\r\n")
-	b.WriteString(body)
-	return []byte(b.String())
+	b = append(b, "\r\n"...)
+	return append(b, body...)
 }
 
 // rule builds the standard study rule text for a CVE marker.

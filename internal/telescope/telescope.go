@@ -92,8 +92,12 @@ func (t *Telescope) addrFromHash(h uint64) netip.Addr {
 // Session materializes one blueprint into a reassembled session record with
 // the receiving instance filled in.
 func (t *Telescope) Session(bp scanner.Blueprint) tcpasm.Session {
-	srcPort := uint16(32768 + (hash64(bp.Src.String())+uint64(bp.Time.UnixNano()))%28000)
-	dst := t.InstanceAt(bp.Time, hash64(bp.Src.String()))
+	// The source address's text keys both the port and the instance; hash
+	// it once, rendered into a stack buffer.
+	var text [64]byte
+	srcHash := hash64(addrText(text[:0], bp.Src))
+	srcPort := uint16(32768 + (srcHash+uint64(bp.Time.UnixNano()))%28000)
+	dst := t.InstanceAt(bp.Time, srcHash)
 	return tcpasm.Session{
 		Client:     packet.Endpoint{Addr: bp.Src, Port: srcPort},
 		Server:     packet.Endpoint{Addr: dst, Port: bp.DstPort},
@@ -184,10 +188,23 @@ func (t *Telescope) Sessions(bps []scanner.Blueprint) []tcpasm.Session {
 	}
 }
 
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+// hash64 is 64-bit FNV-1a.
+func hash64(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// addrText appends a.String() to buf: AppendTo's text, except that the
+// zero Addr renders as String's "invalid IP" rather than nothing.
+func addrText(buf []byte, a netip.Addr) []byte {
+	if !a.IsValid() {
+		return append(buf, "invalid IP"...)
+	}
+	return a.AppendTo(buf)
 }
 
 // PacketWriter is the capture sink WritePcap emits into; both the classic
