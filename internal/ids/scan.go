@@ -33,16 +33,18 @@ type ScanConfig struct {
 }
 
 // FeedRecords is the capture record loop: it reads up to max records from
-// src (max <= 0: all of them), decodes each into a pooled item and routes it
-// to its flow's shard. Zero-copy sources lend the item's buffer to NextInto;
-// others cost one copy per record. It returns the records read, how many of
-// them did not decode, and the last one's capture timestamp; err is io.EOF
-// once src is exhausted and nil when max stopped the loop first.
+// src (max <= 0: all of them) into the feeder's one scratch item, decodes
+// each to count decode errors and find its flow, and feeds it, which packs
+// the frame into its shard's pending batch. Zero-copy sources lend the
+// item's buffer to NextInto; others cost one more copy per record. It
+// returns the records read, how many of them did not decode, and the last
+// one's capture timestamp; err is io.EOF once src is exhausted and nil when
+// max stopped the loop first.
 func FeedRecords(src pcapio.PacketSource, f *tcpasm.Feeder, max int) (packets, decodeErrs int, last time.Time, err error) {
 	zc, zeroCopy := src.(pcapio.ZeroCopySource)
 	var rec pcapio.Packet
+	it := f.Get()
 	for max <= 0 || packets < max {
-		it := f.Get()
 		if zeroCopy {
 			// Lend the item's buffer to the reader; take back whatever
 			// (possibly grown) buffer it filled.
@@ -53,14 +55,12 @@ func FeedRecords(src pcapio.PacketSource, f *tcpasm.Feeder, max int) (packets, d
 			it.Buf = append(it.Buf[:0], rec.Data...)
 		}
 		if err != nil {
-			f.Recycle(it)
 			return packets, decodeErrs, last, err
 		}
 		packets++
 		last = rec.Timestamp
 		if packet.DecodeInto(&it.Pkt, it.Buf) != nil {
 			decodeErrs++
-			f.Recycle(it)
 			continue
 		}
 		it.TS = rec.Timestamp

@@ -39,7 +39,6 @@ type Sharded struct {
 	cfg    Config
 	shards []*shard
 	fdrs   []*Feeder
-	pool   sync.Pool // *FeedItem
 	wg     sync.WaitGroup
 
 	// openFeeders counts unclosed feeders in flow-disjoint mode; the last
@@ -48,28 +47,35 @@ type Sharded struct {
 }
 
 const (
-	// feedBatch is how many packets a feeder accumulates per shard before
+	// feedBatch is how many frames a feeder accumulates per shard before
 	// handing the batch over; batching amortizes channel operations.
 	feedBatch = 128
+	// batchBytes is the other send trigger: a batch goes once its packed
+	// frames reach this many bytes, so large frames cannot inflate a batch
+	// to feedBatch × MTU.
+	batchBytes = 64 << 10
 	// queueBatches bounds in-flight batches per (feeder, shard) pair — the
 	// backpressure that keeps a fast decoder from outrunning reassembly.
-	// Every queued FeedItem pins a 2 KiB frame buffer, so the bound is
-	// queueBatches × feedBatch × 2 KiB = 1 MiB per pair, shards × feeders
-	// MiB for the front-end. It is small on purpose: once frame synthesis
-	// got cheap (PR 21) the producer keeps every queue full, and at 32 the
-	// window alone doubled stream_study's heap_p90 (≈48 → ≈95 MiB), while
-	// 2, 4 and 8 ran at the same throughput (4 measured ≈26 MiB).
+	// A queued batch holds at most feedBatch frames and less than
+	// batchBytes plus one frame of packed bytes, so the frames queued per
+	// pair stay under queueBatches × (batchBytes + one frame) ≈ 256 KiB;
+	// on small-frame captures (72 B mean) the frame count binds first, at
+	// ≈ 36 KiB. It is small on purpose: once frame synthesis got cheap the
+	// producer keeps every queue full, and at 32 the window alone doubled
+	// stream_study's heap_p90 (≈48 → ≈95 MiB), while 2, 4 and 8 ran at the
+	// same throughput (4 measured ≈26 MiB).
 	queueBatches = 4
 	// advanceEvery matches the serial scan cadence: each shard reclaims
 	// idle-connection memory after this many applied packets.
 	advanceEvery = 4096
 )
 
-// FeedItem carries one decoded packet from a feeder to a shard worker. The
-// feeder fills Buf with the raw frame (reusing its capacity), decodes into
-// Pkt — whose payload slices alias Buf — and passes ownership via
-// Feeder.Feed. The worker recycles the item once the assembler has copied
-// what it retains, so the hot path allocates nothing in steady state.
+// FeedItem is a producer's scratch for one frame: the feeder fills Buf with
+// the raw frame (reusing its capacity), decodes it into Pkt — whose payload
+// slices alias Buf — and hands it to Feeder.Feed, which routes by Pkt's flow
+// and copies Buf into the shard's pending batch. The shard worker decodes
+// the copy again, so the item never leaves the producer and may be reused
+// as soon as Feed returns.
 type FeedItem struct {
 	TS  time.Time
 	Pkt packet.Packet
@@ -84,14 +90,31 @@ const (
 	opFlush
 )
 
-// shardMsg is one unit of work on a shard queue: a packet batch, or a
+// shardMsg is one unit of work on a shard queue: a frame batch, or a
 // control barrier carrying a reply channel.
 type shardMsg struct {
 	op    ctlOp
-	items []*FeedItem
+	batch *frameBatch
 	now   time.Time
 	reply chan []Session
 }
+
+// frameBatch packs the raw frames bound for one shard back to back: frame i
+// is buf[ends[i-1]:ends[i]] (buf[:ends[0]] for the first) and was
+// captured at ts[i]. Whole batches are recycled through batchPool.
+type frameBatch struct {
+	buf  []byte
+	ends []int
+	ts   []time.Time
+}
+
+var batchPool = sync.Pool{New: func() any {
+	return &frameBatch{
+		buf:  make([]byte, 0, 16<<10),
+		ends: make([]int, 0, feedBatch),
+		ts:   make([]time.Time, 0, feedBatch),
+	}
+}}
 
 type shard struct {
 	asm *Assembler
@@ -102,9 +125,10 @@ type shard struct {
 	packets atomic.Uint64 // packets applied since start
 
 	// Worker-local state.
-	applied int       // packets since the last self-advance
-	maxTS   time.Time // newest capture timestamp seen
-	done    []Session // final sessions, parked for Wait
+	pkt     packet.Packet // each batched frame is decoded again into this
+	applied int           // packets since the last self-advance
+	maxTS   time.Time     // newest capture timestamp seen
+	done    []Session     // final sessions, parked for Wait
 }
 
 // NewSharded starts cfg.Shards shard workers and creates one Feeder per
@@ -117,7 +141,6 @@ func NewSharded(cfg Config, feeders int) *Sharded {
 		feeders = 1
 	}
 	s := &Sharded{cfg: cfg}
-	s.pool.New = func() any { return &FeedItem{Buf: make([]byte, 0, 2048)} }
 	s.openFeeders.Store(int32(feeders))
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{asm: NewAssembler(cfg)}
@@ -138,7 +161,7 @@ func NewSharded(cfg Config, feeders int) *Sharded {
 		if cfg.FlowDisjointFeeders {
 			qidx = 0
 		}
-		s.fdrs = append(s.fdrs, &Feeder{s: s, idx: f, qidx: qidx, pend: make([][]*FeedItem, len(s.shards))})
+		s.fdrs = append(s.fdrs, &Feeder{s: s, idx: f, qidx: qidx, pend: make([]*frameBatch, len(s.shards))})
 	}
 	for _, sh := range s.shards {
 		s.wg.Add(1)
@@ -182,15 +205,27 @@ func (s *Sharded) apply(sh *shard, msg shardMsg) {
 	sh.queued.Add(-1)
 	switch msg.op {
 	case opBatch:
-		for _, it := range msg.items {
-			if it.TS.After(sh.maxTS) {
-				sh.maxTS = it.TS
+		b := msg.batch
+		start := 0
+		for i, end := range b.ends {
+			frame := b.buf[start:end]
+			start = end
+			// The feeder decoded these bytes to route them, so this
+			// cannot fail; the check only keeps a nil Pkt out of Feed.
+			if packet.DecodeInto(&sh.pkt, frame) != nil {
+				continue
 			}
-			sh.asm.Feed(it.TS, &it.Pkt)
-			s.pool.Put(it)
+			ts := b.ts[i]
+			if ts.After(sh.maxTS) {
+				sh.maxTS = ts
+			}
+			sh.asm.Feed(ts, &sh.pkt)
 		}
-		sh.packets.Add(uint64(len(msg.items)))
-		sh.applied += len(msg.items)
+		n := len(b.ends)
+		b.buf, b.ends, b.ts = b.buf[:0], b.ends[:0], b.ts[:0]
+		batchPool.Put(b)
+		sh.packets.Add(uint64(n))
+		sh.applied += n
 		if sh.applied >= advanceEvery {
 			sh.applied = 0
 			// Content-neutral under the Feed-level idle split: this only
@@ -204,7 +239,6 @@ func (s *Sharded) apply(sh *shard, msg shardMsg) {
 				sh.asm.Advance(sh.maxTS)
 			}
 		}
-		putBatch(msg.items)
 		if s.cfg.Emit != nil {
 			// Streaming emission: hand over whatever this batch completed
 			// (closed connections plus anything the periodic Advance decided)
@@ -314,43 +348,50 @@ type Feeder struct {
 	s      *Sharded
 	idx    int
 	qidx   int           // queue index: idx, or 0 when feeders share one queue
-	pend   [][]*FeedItem // per-shard batch being accumulated
+	item   FeedItem      // the scratch Get lends; it never leaves this feeder
+	pend   []*frameBatch // per-shard batch being accumulated
 	closed bool
 }
 
-// Get returns a pooled FeedItem to decode the next frame into.
-func (f *Feeder) Get() *FeedItem { return f.s.pool.Get().(*FeedItem) }
+// Get returns the feeder's scratch FeedItem to decode the next frame into.
+// Every call returns the same item.
+func (f *Feeder) Get() *FeedItem { return &f.item }
 
-// Recycle returns an item that will not be fed (EOF, decode error).
-func (f *Feeder) Recycle(it *FeedItem) { f.s.pool.Put(it) }
+// Recycle is a no-op: Feed copies the frame, so an item is never owned by
+// anyone but its feeder. It stays only because the benchmark's traced
+// driver (benchmark/scan_traced.go) still calls it.
+func (f *Feeder) Recycle(*FeedItem) {}
 
-// Feed routes the item to its flow's shard. The item must carry a decoded
-// Pkt; ownership passes to the shard worker, which recycles it.
+// Feed copies the item's frame into the pending batch of its flow's shard.
+// Pkt must hold Buf decoded; the caller may reuse the item once Feed
+// returns.
 func (f *Feeder) Feed(it *FeedItem) {
 	si := shardOf(it.Pkt.Flow().Canonical(), len(f.s.shards))
 	b := f.pend[si]
 	if b == nil {
-		b = getBatch()
+		b = batchPool.Get().(*frameBatch)
+		f.pend[si] = b
 	}
-	b = append(b, it)
-	if len(b) >= feedBatch {
+	b.buf = append(b.buf, it.Buf...)
+	b.ends = append(b.ends, len(b.buf))
+	b.ts = append(b.ts, it.TS)
+	if len(b.ends) >= feedBatch || len(b.buf) >= batchBytes {
 		f.send(si, b)
-		b = nil
+		f.pend[si] = nil
 	}
-	f.pend[si] = b
 }
 
-func (f *Feeder) send(si int, b []*FeedItem) {
+func (f *Feeder) send(si int, b *frameBatch) {
 	sh := f.s.shards[si]
 	sh.queued.Add(1)
-	sh.in[f.qidx] <- shardMsg{op: opBatch, items: b}
+	sh.in[f.qidx] <- shardMsg{op: opBatch, batch: b}
 }
 
 // FlushBatches pushes every partially-filled batch to its shard, so a
 // barrier or an idle pause observes all packets fed so far.
 func (f *Feeder) FlushBatches() {
 	for si, b := range f.pend {
-		if len(b) > 0 {
+		if b != nil {
 			f.send(si, b)
 			f.pend[si] = nil
 		}
@@ -378,22 +419,6 @@ func (f *Feeder) Close() {
 	for _, sh := range f.s.shards {
 		close(sh.in[f.idx])
 	}
-}
-
-// batchPool recycles the item-batch slices flowing between feeders and
-// workers.
-var batchPool = sync.Pool{New: func() any {
-	b := make([]*FeedItem, 0, feedBatch)
-	return &b
-}}
-
-func getBatch() []*FeedItem {
-	return (*batchPool.Get().(*[]*FeedItem))[:0]
-}
-
-func putBatch(b []*FeedItem) {
-	b = b[:0]
-	batchPool.Put(&b)
 }
 
 // FlowShard reports which of n shards the sharded front-end assigns the

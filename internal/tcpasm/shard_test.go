@@ -135,7 +135,8 @@ func serialSessions(t testing.TB, cfg Config, events []feedEvent) []Session {
 	return a.Sessions()
 }
 
-// feedSharded decodes events into pooled items and routes them through f.
+// feedSharded decodes events into the feeder's item and routes them
+// through f.
 func feedSharded(t testing.TB, f *Feeder, events []feedEvent) {
 	t.Helper()
 	for _, ev := range events {
@@ -144,7 +145,6 @@ func feedSharded(t testing.TB, f *Feeder, events []feedEvent) {
 		it.Buf = append(it.Buf[:0], ev.frame...)
 		if err := packet.DecodeInto(&it.Pkt, it.Buf); err != nil {
 			t.Error(err)
-			f.Recycle(it)
 			continue
 		}
 		f.Feed(it)
@@ -675,4 +675,159 @@ func TestFlowShardMatchesInternalRouting(t *testing.T) {
 			}
 		}
 	}
+}
+
+// feedScribbled feeds events through the one item Get lends and scribbles
+// over it after every Feed: the whole buffer is filled with 0xFF and an
+// unrelated frame is decoded into Pkt. Feed copies the frame, so nothing
+// fed may change; a batch that aliased the caller's buffer or packet would
+// reassemble the scribble.
+func feedScribbled(t testing.TB, f *Feeder, events []feedEvent, junk []byte) {
+	t.Helper()
+	it := f.Get()
+	for _, ev := range events {
+		it.TS = ev.ts
+		it.Buf = append(it.Buf[:0], ev.frame...)
+		if err := packet.DecodeInto(&it.Pkt, it.Buf); err != nil {
+			t.Error(err)
+			return
+		}
+		f.Feed(it)
+		whole := it.Buf[:cap(it.Buf)]
+		for i := range whole {
+			whole[i] = 0xFF
+		}
+		if err := packet.DecodeInto(&it.Pkt, junk); err != nil {
+			t.Error(err)
+			return
+		}
+		it.TS = time.Time{}
+	}
+}
+
+// feederModes runs events through a Sharded assembler with 1 feeder, with 3
+// feeders on time-ordered chunks, and with 3 flow-disjoint feeders, each
+// feeding its part through feedScribbled, and checks every run against the
+// serial sessions.
+func feederModes(t *testing.T, cfg Config, events []feedEvent) {
+	t.Helper()
+	want := serialSessions(t, cfg, events)
+	junk := junkFrame(t)
+	const n = 3
+	chunk := (len(events) + n - 1) / n
+	ordered := make([][]feedEvent, n)
+	disjoint := make([][]feedEvent, n)
+	for i, ev := range events {
+		ordered[i/chunk] = append(ordered[i/chunk], ev)
+		p, err := packet.Decode(ev.frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		si := FlowShard(p.Flow(), n)
+		disjoint[si] = append(disjoint[si], ev)
+	}
+	for _, shards := range []int{1, 2, 3, 8} {
+		for _, mode := range []struct {
+			name     string
+			parts    [][]feedEvent
+			disjoint bool
+		}{
+			{"feeders1", [][]feedEvent{events}, false},
+			{"ordered3", ordered, false},
+			{"disjoint3", disjoint, true},
+		} {
+			t.Run(fmt.Sprintf("shards%d_%s", shards, mode.name), func(t *testing.T) {
+				scfg := cfg
+				scfg.Shards = shards
+				scfg.FlowDisjointFeeders = mode.disjoint
+				s := NewSharded(scfg, len(mode.parts))
+				var wg sync.WaitGroup
+				for i, part := range mode.parts {
+					wg.Add(1)
+					go func(f *Feeder, evs []feedEvent) {
+						defer wg.Done()
+						defer f.Close()
+						feedScribbled(t, f, evs, junk)
+					}(s.Feeder(i), part)
+				}
+				wg.Wait()
+				diffSessions(t, s.Wait(), want)
+			})
+		}
+	}
+}
+
+// junkFrame builds a decodable frame on a flow no test capture uses.
+func junkFrame(t testing.TB) []byte {
+	t.Helper()
+	junk, err := packet.NewBuilder(99).Build(packet.Segment{
+		Src:     packet.Endpoint{Addr: packet.MustAddr("203.0.113.66"), Port: 666},
+		Dst:     packet.Endpoint{Addr: packet.MustAddr("203.0.113.67"), Port: 667},
+		Flags:   packet.FlagPSH | packet.FlagACK,
+		Payload: bytes.Repeat([]byte{0xEE}, 300),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return junk
+}
+
+// TestFeederItemReuse pins Feed's copy contract: the caller may reuse and
+// overwrite the item as soon as Feed returns, on every shard width and
+// feeder layout.
+func TestFeederItemReuse(t *testing.T) {
+	feederModes(t, Config{IdleTimeout: 2 * time.Second}, genTraffic(t, 17, 48))
+}
+
+// TestFeederByteBoundFlush: full-size frames fill a batch by bytes long
+// before feedBatch frames, and one frame is larger than a fresh batch
+// buffer; reassembly must not notice either.
+func TestFeederByteBoundFlush(t *testing.T) {
+	const mss = 1400
+	if mss*feedBatch <= batchBytes {
+		t.Fatalf("%d-byte payloads never fill a batch by bytes", mss)
+	}
+	fresh := batchPool.New().(*frameBatch)
+	huge := cap(fresh.buf) + 4096
+	bld := packet.NewBuilder(31)
+	var flows [][]edgeStep
+	for i := 0; i < 4; i++ {
+		c := packet.Endpoint{Addr: packet.MustAddr(fmt.Sprintf("192.0.2.%d", 200+i)), Port: uint16(44000 + i)}
+		s := packet.Endpoint{Addr: packet.MustAddr("198.51.100.10"), Port: 80}
+		cseq, sseq := uint32(5000*i+3), uint32(313*(i+1))
+		step := func(seg packet.Segment) edgeStep { return edgeStep{seg: seg, dt: 5 * time.Millisecond} }
+		steps := []edgeStep{
+			step(packet.Segment{Src: c, Dst: s, Seq: cseq, Flags: packet.FlagSYN}),
+			step(packet.Segment{Src: s, Dst: c, Seq: sseq, Ack: cseq + 1, Flags: packet.FlagSYN | packet.FlagACK}),
+			step(packet.Segment{Src: c, Dst: s, Seq: cseq + 1, Ack: sseq + 1, Flags: packet.FlagACK}),
+		}
+		sizes := make([]int, 60)
+		for j := range sizes {
+			sizes[j] = mss + j%7
+		}
+		if i == 0 {
+			sizes[30] = huge
+		}
+		off := uint32(1)
+		for j, n := range sizes {
+			steps = append(steps, step(packet.Segment{
+				Src: c, Dst: s, Seq: cseq + off, Ack: sseq + 1,
+				Flags: packet.FlagPSH | packet.FlagACK, Payload: bytes.Repeat([]byte{byte('A' + (i*7+j)%26)}, n),
+			}))
+			off += uint32(n)
+		}
+		steps = append(steps,
+			step(packet.Segment{Src: c, Dst: s, Seq: cseq + off, Ack: sseq + 1, Flags: packet.FlagFIN | packet.FlagACK}),
+			step(packet.Segment{Src: s, Dst: c, Seq: sseq + 1, Ack: cseq + off + 1, Flags: packet.FlagFIN | packet.FlagACK}))
+		flows = append(flows, steps)
+	}
+	events := buildEdgeEvents(t, bld, flows)
+	var big bool
+	for _, ev := range events {
+		big = big || len(ev.frame) > cap(fresh.buf)
+	}
+	if !big {
+		t.Fatal("no frame exceeds a fresh batch buffer")
+	}
+	feederModes(t, Config{IdleTimeout: 2 * time.Second}, events)
 }
