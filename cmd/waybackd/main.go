@@ -265,7 +265,7 @@ func openDaemon(cfg daemonConfig) (*daemon, error) {
 	}
 	var feed *replica.Feed
 	if cfg.replicaListen != "" {
-		feed, err = replica.ListenFeed(replica.FeedConfig{Addr: cfg.replicaListen, Store: store, Sync: true})
+		feed, err = replica.ListenFeed(replica.FeedConfig{Addr: cfg.replicaListen, Store: store})
 		if err != nil {
 			if fl != nil {
 				fl.Close()

@@ -27,7 +27,6 @@ func fastShipper(addr, id, stateDir string) ShipperConfig {
 		HeartbeatEvery: 20 * time.Millisecond,
 		BackoffMin:     5 * time.Millisecond,
 		BackoffMax:     100 * time.Millisecond,
-		DialTimeout:    2 * time.Second,
 	}
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -62,11 +63,6 @@ type ListenerConfig struct {
 	// Dir holds the watermark journal — give it the eventstore directory so
 	// dedup state and event log live together. Required.
 	Dir string
-	// IdleTimeout closes a connection that has sent nothing (not even a
-	// heartbeat) for this long. Zero means 60s.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds ack/handshake writes. Zero means 10s.
-	WriteTimeout time.Duration
 	// CommitInterval is how long the committer gathers batches into one
 	// group commit. Zero means adaptive: commit whatever queued while the
 	// previous commit's fsync was in flight — lowest latency when idle,
@@ -74,33 +70,11 @@ type ListenerConfig struct {
 	// above zero only to trade ack latency for fewer, larger fsyncs on
 	// storage with expensive flushes.
 	CommitInterval time.Duration
-	// MaxCommitBatch caps how many batches one group commit covers. Zero
-	// means 256.
-	MaxCommitBatch int
-	// DecodeWorkers sizes the shared batch-decode pool. Zero means
-	// GOMAXPROCS.
-	DecodeWorkers int
 	// FS is the filesystem the watermark journal runs against. Nil means
 	// the real one; the simulation harness substitutes a fault.SimFS
 	// (typically the same one backing the sink eventstore, so store and
 	// journal crash together).
 	FS fault.FS
-}
-
-func (c ListenerConfig) withDefaults() ListenerConfig {
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = 60 * time.Second
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.MaxCommitBatch == 0 {
-		c.MaxCommitBatch = 256
-	}
-	if c.DecodeWorkers == 0 {
-		c.DecodeWorkers = runtime.GOMAXPROCS(0)
-	}
-	return c
 }
 
 // SensorStatus is one sensor's liveness and progress as the coordinator
@@ -136,7 +110,7 @@ type SensorStatus struct {
 // durability point before releasing their acks. See committer.go.
 type Listener struct {
 	cfg      ListenerConfig
-	ln       net.Listener
+	acc      *Accepter
 	wm       *Watermarks
 	sinkSync syncer        // cfg.Sink when it can fsync, else nil
 	metaSink metaCommitter // cfg.Sink when watermarks can ride its commit record, else nil
@@ -144,7 +118,6 @@ type Listener struct {
 
 	mu      sync.Mutex
 	sensors map[string]*sensorState
-	conns   map[net.Conn]struct{}
 
 	batches atomic.Uint64
 	events  atomic.Uint64
@@ -171,7 +144,6 @@ type Listener struct {
 	lastBatches    atomic.Uint64
 	lastFsyncNanos atomic.Uint64
 
-	wg     sync.WaitGroup
 	closed atomic.Bool
 
 	errMu    sync.Mutex
@@ -194,7 +166,6 @@ type sensorState struct {
 
 // Listen opens the watermark journal and starts accepting sensors.
 func Listen(cfg ListenerConfig) (*Listener, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Sink == nil || cfg.Dir == "" {
 		return nil, errors.New("fleet: ListenerConfig needs Sink and Dir")
 	}
@@ -214,15 +185,15 @@ func Listen(cfg ListenerConfig) (*Listener, error) {
 		ln.Close()
 		return nil, err
 	}
+	workers := runtime.GOMAXPROCS(0)
 	l := &Listener{
-		cfg: cfg, ln: ln, wm: wm,
+		cfg: cfg, wm: wm,
 		sensors:    map[string]*sensorState{},
-		conns:      map[net.Conn]struct{}{},
 		commitKick: make(chan struct{}, 1),
 		commitStop: make(chan struct{}),
 		commitDone: make(chan struct{}),
 		abortCh:    make(chan struct{}),
-		decodeCh:   make(chan decodeJob, 2*cfg.DecodeWorkers),
+		decodeCh:   make(chan decodeJob, 2*workers),
 	}
 	l.sinkSync, _ = cfg.Sink.(syncer)
 	l.metaSink, _ = cfg.Sink.(metaCommitter)
@@ -241,18 +212,17 @@ func Listen(cfg ListenerConfig) (*Listener, error) {
 			l.wm.adopt(marks)
 		}
 	}
-	l.decodeWg.Add(cfg.DecodeWorkers)
-	for i := 0; i < cfg.DecodeWorkers; i++ {
+	l.decodeWg.Add(workers)
+	for i := 0; i < workers; i++ {
 		go l.decodeWorker()
 	}
 	go l.commitLoop()
-	l.wg.Add(1)
-	go l.acceptLoop()
+	l.acc = Accept(ln, l.handle)
 	return l, nil
 }
 
 // Addr returns the bound listen address.
-func (l *Listener) Addr() net.Addr { return l.ln.Addr() }
+func (l *Listener) Addr() net.Addr { return l.acc.Addr() }
 
 // Watermarks exposes the dedup journal (tests audit it; serve reports it).
 func (l *Listener) Watermarks() *Watermarks { return l.wm }
@@ -330,13 +300,7 @@ func (l *Listener) shutdown(abort bool) error {
 	if abort {
 		close(l.abortCh)
 	}
-	err := l.ln.Close()
-	l.mu.Lock()
-	for c := range l.conns {
-		c.Close()
-	}
-	l.mu.Unlock()
-	l.wg.Wait()
+	err := l.acc.Close()
 	close(l.decodeCh)
 	l.decodeWg.Wait()
 	close(l.commitStop)
@@ -350,42 +314,14 @@ func (l *Listener) shutdown(abort bool) error {
 	return err
 }
 
-func (l *Listener) acceptLoop() {
-	defer l.wg.Done()
-	for {
-		conn, err := l.ln.Accept()
-		if err != nil {
-			return // closed
-		}
-		l.mu.Lock()
-		if l.closed.Load() {
-			l.mu.Unlock()
-			conn.Close()
-			return
-		}
-		l.conns[conn] = struct{}{}
-		l.wg.Add(1)
-		l.mu.Unlock()
-		go l.handle(conn)
-	}
-}
-
 // pendingBatches bounds how many decoded-but-unapplied batches one
 // connection may have in flight — the read loop's backpressure when apply
 // or the committer falls behind.
 const pendingBatches = 64
 
-func (l *Listener) handle(conn net.Conn) {
-	defer l.wg.Done()
-	defer func() {
-		conn.Close()
-		l.mu.Lock()
-		delete(l.conns, conn)
-		l.mu.Unlock()
-	}()
-
-	conn.SetReadDeadline(time.Now().Add(l.cfg.IdleTimeout))
-	frame, err := readFrame(conn, nil)
+func (l *Listener) handle(_ context.Context, conn net.Conn) {
+	c := Conn{Conn: conn, Idle: sensorIdle}
+	frame, err := c.Recv(nil)
 	if err != nil {
 		return
 	}
@@ -398,12 +334,11 @@ func (l *Listener) handle(conn net.Conn) {
 	defer l.disconnect(st, conn)
 
 	ack := helloAck{Version: ProtocolVersion, Watermark: l.wm.Get(h.SensorID)}
-	conn.SetWriteDeadline(time.Now().Add(l.cfg.WriteTimeout))
-	if err := writeFrame(conn, ack.encode()); err != nil {
+	if err := c.Send(ack.encode()); err != nil {
 		return
 	}
 
-	sender := newAckSender(conn, l.cfg.WriteTimeout)
+	sender := newAckSender(conn, writeTimeout)
 	defer sender.close()
 
 	// The apply goroutine consumes decode results in arrival order; the read
@@ -427,8 +362,7 @@ func (l *Listener) handle(conn net.Conn) {
 
 	var buf []byte
 	for {
-		conn.SetReadDeadline(time.Now().Add(l.cfg.IdleTimeout))
-		frame, err := readFrame(conn, buf)
+		frame, err := c.Recv(buf)
 		if err != nil {
 			return
 		}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -43,10 +41,6 @@ type ShipperConfig struct {
 	// BackoffMin/BackoffMax bound reconnect backoff (exponential, with up to
 	// 50% jitter). Zero means 50ms / 5s.
 	BackoffMin, BackoffMax time.Duration
-	// DialTimeout bounds one connect attempt. Zero means 5s.
-	DialTimeout time.Duration
-	// WriteTimeout bounds one frame write. Zero means 10s.
-	WriteTimeout time.Duration
 	// Lag, when set, reports local ingest backlog for heartbeats.
 	Lag func() int64
 	// Dial replaces net.DialTimeout (tests route through a flaky proxy or
@@ -73,23 +67,6 @@ func (c ShipperConfig) withDefaults() ShipperConfig {
 	if c.AckTimeout == 0 {
 		c.AckTimeout = 15 * time.Second
 	}
-	if c.BackoffMin == 0 {
-		c.BackoffMin = 50 * time.Millisecond
-	}
-	if c.BackoffMax == 0 {
-		c.BackoffMax = 5 * time.Second
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.Dial == nil {
-		c.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		}
-	}
 	return c
 }
 
@@ -111,19 +88,11 @@ type ShipperMetrics struct {
 type Shipper struct {
 	cfg   ShipperConfig
 	spool *spool
-	rng   *rand.Rand
-	rngMu sync.Mutex
+	link  *Redialer
+	wake  chan struct{}
 
-	wake chan struct{}
-	stop chan struct{}
-	done chan struct{}
-
-	connMu sync.Mutex
-	conn   net.Conn
-
-	connected  atomic.Bool
-	reconnects atomic.Uint64
-	sent       atomic.Uint64
+	connected atomic.Bool
+	sent      atomic.Uint64
 
 	closeOnce sync.Once
 	closeErr  error
@@ -142,17 +111,11 @@ func StartShipper(cfg ShipperConfig) (*Shipper, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := fnv.New64a()
-	h.Write([]byte(cfg.SensorID))
-	s := &Shipper{
-		cfg:   cfg,
-		spool: sp,
-		rng:   rand.New(rand.NewSource(int64(h.Sum64()))),
-		wake:  make(chan struct{}, 1),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	go s.run()
+	s := &Shipper{cfg: cfg, spool: sp, wake: make(chan struct{}, 1)}
+	s.link = Redial(RedialConfig{
+		Addr: cfg.Addr, ID: cfg.SensorID, Dial: cfg.Dial,
+		BackoffMin: cfg.BackoffMin, BackoffMax: cfg.BackoffMax,
+	}, s.session)
 	return s, nil
 }
 
@@ -178,7 +141,7 @@ func (s *Shipper) AppendBatch(events []ids.Event) error {
 func (s *Shipper) Metrics() ShipperMetrics {
 	return ShipperMetrics{
 		Connected:  s.connected.Load(),
-		Reconnects: s.reconnects.Load(),
+		Reconnects: s.link.Reconnects(),
 		SentBatch:  s.sent.Load(),
 		AckedSeq:   s.spool.Acked(),
 		LastSeq:    s.spool.LastSeq(),
@@ -215,90 +178,18 @@ func (s *Shipper) WaitDrained(ctx context.Context) error {
 // StateDir; use WaitDrained first for a clean flush.
 func (s *Shipper) Close() error {
 	s.closeOnce.Do(func() {
-		close(s.stop)
-		s.connMu.Lock()
-		if s.conn != nil {
-			s.conn.Close()
-		}
-		s.connMu.Unlock()
-		<-s.done
+		s.link.Stop()
 		s.closeErr = s.spool.Close()
 	})
 	return s.closeErr
 }
 
-func (s *Shipper) stopped() bool {
-	select {
-	case <-s.stop:
-		return true
-	default:
-		return false
-	}
-}
-
-func (s *Shipper) run() {
-	defer close(s.done)
-	backoff := s.cfg.BackoffMin
-	first := true
-	for {
-		if s.stopped() {
-			return
-		}
-		if !first {
-			s.reconnects.Add(1)
-		}
-		first = false
-		shipped, err := s.session()
-		s.connected.Store(false)
-		if s.stopped() {
-			return
-		}
-		if err == nil {
-			return // stop requested inside session
-		}
-		if shipped {
-			backoff = s.cfg.BackoffMin // the link worked; churn, not outage
-		}
-		s.rngMu.Lock()
-		jitter := time.Duration(s.rng.Int63n(int64(backoff)/2 + 1))
-		s.rngMu.Unlock()
-		select {
-		case <-s.stop:
-			return
-		case <-time.After(backoff + jitter):
-		}
-		backoff *= 2
-		if backoff > s.cfg.BackoffMax {
-			backoff = s.cfg.BackoffMax
-		}
-	}
-}
-
-// session runs one connection: dial, handshake, then ship until error or
-// stop. It reports whether the handshake succeeded (resets backoff) and
-// returns nil exactly when stopping.
-func (s *Shipper) session() (shipped bool, err error) {
-	conn, err := s.cfg.Dial(s.cfg.Addr, s.cfg.DialTimeout)
-	if err != nil {
-		return false, err
-	}
-	s.connMu.Lock()
-	if s.stopped() {
-		s.connMu.Unlock()
-		conn.Close()
-		return false, nil
-	}
-	s.conn = conn
-	s.connMu.Unlock()
-	defer func() {
-		conn.Close()
-		s.connMu.Lock()
-		if s.conn == conn {
-			s.conn = nil
-		}
-		s.connMu.Unlock()
-	}()
-
+// session runs one connection: handshake, then ship until error or stop. It
+// reports whether the handshake succeeded (resets backoff) and returns nil
+// exactly when stopping.
+func (s *Shipper) session(ctx context.Context, conn net.Conn) (shipped bool, err error) {
+	defer s.connected.Store(false)
+	c := Conn{Conn: conn, Idle: dialTimeout} // the hello's answer is due within a dial's time
 	h := hello{
 		Version:    ProtocolVersion,
 		SensorID:   s.cfg.SensorID,
@@ -306,12 +197,10 @@ func (s *Shipper) session() (shipped bool, err error) {
 		ShardCount: uint32(s.cfg.Shards),
 		Codec:      s.cfg.Codec,
 	}
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	if err := writeFrame(conn, h.encode()); err != nil {
+	if err := c.Send(h.encode()); err != nil {
 		return false, err
 	}
-	conn.SetReadDeadline(time.Now().Add(s.cfg.DialTimeout))
-	frame, err := readFrame(conn, nil)
+	frame, err := c.Recv(nil)
 	if err != nil {
 		return false, err
 	}
@@ -319,6 +208,8 @@ func (s *Shipper) session() (shipped bool, err error) {
 	if err != nil {
 		return false, err
 	}
+	// From here AckTimeout, not a read deadline, judges the link: an idle
+	// coordinator sends nothing.
 	conn.SetReadDeadline(time.Time{})
 	if err := s.spool.AckTo(ack.Watermark); err != nil {
 		return true, err
@@ -344,7 +235,7 @@ func (s *Shipper) session() (shipped bool, err error) {
 			}
 			select {
 			case acks <- w:
-			case <-s.stop:
+			case <-ctx.Done():
 				readErr <- errors.New("fleet: stopping")
 				return
 			}
@@ -375,7 +266,7 @@ func (s *Shipper) session() (shipped bool, err error) {
 				return true, err
 			}
 			wireBuf, rawBuf = payload, raw
-			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			if err := writeFrameReusing(conn, payload, &frameBuf); err != nil {
 				return true, err
 			}
@@ -400,11 +291,10 @@ func (s *Shipper) session() (shipped bool, err error) {
 			if s.cfg.Lag != nil {
 				msg.IngestLag = s.cfg.Lag()
 			}
-			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			if err := writeFrame(conn, msg.encode()); err != nil {
+			if err := c.Send(msg.encode()); err != nil {
 				return true, err
 			}
-		case <-s.stop:
+		case <-ctx.Done():
 			return true, nil
 		}
 	}

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sort"
@@ -9,8 +10,6 @@ import (
 
 	"repro/internal/eventstore"
 	"repro/internal/fleet"
-	"repro/internal/ids"
-	"repro/internal/wal"
 )
 
 // FeedConfig wires the coordinator-side replication feed.
@@ -27,16 +26,13 @@ type FeedConfig struct {
 	// Heartbeat is how often an idle connection sends a State frame anyway,
 	// so the replica's staleness clock keeps moving. Default 2s.
 	Heartbeat time.Duration
-	// Sync, when true (the default via ListenFeed), commits the store at the
-	// top of each shipping round, so replication progress does not depend on
-	// anyone else's commit cadence. The commit is a no-op when nothing is
-	// dirty.
-	Sync bool
-	// BatchEvents bounds events per shipped frame. Default 4096.
-	BatchEvents int
-	// Codec compresses shipped batches. Default snappy.
-	Codec fleet.Codec
 }
+
+// Every shipped batch holds at most feedBatchEvents events, snappy-compressed.
+const (
+	feedBatchEvents = 4096
+	feedCodec       = fleet.CodecSnappy
+)
 
 // FeedStatus is one replica's shipping state, keyed by the ID it declared.
 // The entry survives reconnects, so EventsSent is cumulative for the ID over
@@ -60,13 +56,18 @@ type FeedStatus struct {
 // Feed ships the store's committed log to any number of replicas.
 type Feed struct {
 	cfg FeedConfig
-	ln  net.Listener
+	acc *fleet.Accepter
 
 	mu       sync.Mutex
-	replicas map[string]*FeedStatus
-	closed   bool
+	replicas map[string]*feedEntry
+}
 
-	wg sync.WaitGroup
+// feedEntry is one replica ID's status row and the connection that owns it.
+// A reconnected replica's new connection takes the entry over, so its
+// superseded connection dying later must not mark it disconnected.
+type feedEntry struct {
+	FeedStatus
+	conn net.Conn
 }
 
 // ListenFeed starts serving replicas on cfg.Addr.
@@ -80,24 +81,17 @@ func ListenFeed(cfg FeedConfig) (*Feed, error) {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 2 * time.Second
 	}
-	if cfg.BatchEvents <= 0 {
-		cfg.BatchEvents = 4096
-	}
-	if cfg.Codec == fleet.CodecRaw {
-		cfg.Codec = fleet.CodecSnappy
-	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, err
 	}
-	f := &Feed{cfg: cfg, ln: ln, replicas: make(map[string]*FeedStatus)}
-	f.wg.Add(1)
-	go f.acceptLoop()
+	f := &Feed{cfg: cfg, replicas: make(map[string]*feedEntry)}
+	f.acc = fleet.Accept(ln, f.serve)
 	return f, nil
 }
 
 // Addr returns the bound listen address.
-func (f *Feed) Addr() string { return f.ln.Addr().String() }
+func (f *Feed) Addr() string { return f.acc.Addr().String() }
 
 // Replicas reports every replica ID ever seen, sorted, with its shipping
 // state.
@@ -105,105 +99,77 @@ func (f *Feed) Replicas() []FeedStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make([]FeedStatus, 0, len(f.replicas))
-	for _, st := range f.replicas {
-		out = append(out, *st)
+	for _, e := range f.replicas {
+		out = append(out, e.FeedStatus)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// Close stops accepting and tears down every replica connection.
-func (f *Feed) Close() error {
-	f.mu.Lock()
-	f.closed = true
-	f.mu.Unlock()
-	err := f.ln.Close()
-	f.wg.Wait()
-	return err
-}
+// Close stops accepting, closes every replica connection and waits for
+// their sessions to end.
+func (f *Feed) Close() error { return f.acc.Close() }
 
-func (f *Feed) acceptLoop() {
-	defer f.wg.Done()
-	for {
-		conn, err := f.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		f.wg.Add(1)
-		go func() {
-			defer f.wg.Done()
-			defer conn.Close()
-			f.serve(conn)
-		}()
-	}
-}
-
-// status returns (creating if needed) the persistent entry for a replica ID
-// and marks it connected from addr.
-func (f *Feed) status(id, addr string) *FeedStatus {
+// connect returns (creating if needed) the persistent entry for a replica ID
+// and hands it to conn.
+func (f *Feed) connect(id string, conn net.Conn) *feedEntry {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	st, ok := f.replicas[id]
+	e, ok := f.replicas[id]
 	if !ok {
-		st = &FeedStatus{ID: id}
-		f.replicas[id] = st
+		e = &feedEntry{FeedStatus: FeedStatus{ID: id}}
+		f.replicas[id] = e
 	}
-	st.Addr = addr
-	st.Connected = true
-	return st
+	e.conn = conn
+	e.Addr = conn.RemoteAddr().String()
+	e.Connected = true
+	return e
 }
 
-func (f *Feed) update(fn func(*FeedStatus)) func(id string) {
-	return func(id string) {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		if st, ok := f.replicas[id]; ok {
-			fn(st)
-		}
+// disconnect clears Connected unless a newer connection already took over.
+func (f *Feed) disconnect(e *feedEntry, conn net.Conn) {
+	f.mu.Lock()
+	if e.conn == conn {
+		e.conn = nil
+		e.Connected = false
 	}
+	f.mu.Unlock()
 }
 
 // serve runs one replica connection: handshake, then rounds of
 // ship-suffixes / barrier / ack until the connection dies or the feed closes.
-func (f *Feed) serve(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	payload, err := wal.ReadFrame(conn, nil, fleet.MaxFrame)
+func (f *Feed) serve(ctx context.Context, conn net.Conn) {
+	c := fleet.Conn{Conn: conn, Idle: fleet.ReplicaIdle}
+	buf, err := c.Recv(nil)
 	if err != nil {
 		return
 	}
-	hello, err := decodeRHello(payload)
+	hello, err := decodeRHello(buf)
 	if err != nil {
-		writeFrame(conn, encodeRErr(err.Error()))
+		c.Send(encodeRErr(err.Error()))
 		return
 	}
 	parts := f.cfg.Store.CommittedEvents()
 	if len(hello.Counts) != len(parts) {
-		writeFrame(conn, encodeRErr(fmt.Sprintf(
+		c.Send(encodeRErr(fmt.Sprintf(
 			"shard count mismatch: replica has %d, coordinator %d — replicate between stores of equal width",
 			len(hello.Counts), len(parts))))
 		return
 	}
-	defer func() {
-		f.mu.Lock()
-		if st, ok := f.replicas[hello.ID]; ok {
-			st.Connected = false
-		}
-		f.mu.Unlock()
-	}()
-	f.status(hello.ID, conn.RemoteAddr().String())
+	e := f.connect(hello.ID, conn)
+	defer f.disconnect(e, conn)
 
 	pos := append([]uint64(nil), hello.Counts...)
 	apos := hello.Amends
 	var seq uint64
 	lastState := time.Time{}
 	for {
-		if f.cfg.Sync {
-			// Make the published tail committed so it is shippable; cheap
-			// no-op when nothing is dirty.
-			if err := f.cfg.Store.Sync(); err != nil {
-				writeFrame(conn, encodeRErr("coordinator store: "+err.Error()))
-				return
-			}
+		// Make the published tail committed so it is shippable, without
+		// depending on anyone else's commit cadence; a cheap no-op when
+		// nothing is dirty.
+		if err := f.cfg.Store.Sync(); err != nil {
+			c.Send(encodeRErr("coordinator store: " + err.Error()))
+			return
 		}
 		parts := f.cfg.Store.CommittedEvents()
 		amends := f.cfg.Store.Amendments()
@@ -218,14 +184,14 @@ func (f *Feed) serve(conn net.Conn) {
 		// interleave two histories.
 		for i := range pos {
 			if pos[i] > target.Counts[i] {
-				writeFrame(conn, encodeRErr(fmt.Sprintf(
+				c.Send(encodeRErr(fmt.Sprintf(
 					"replica ahead of coordinator on shard %d (%d > %d): wipe the replica store and resync",
 					i, pos[i], target.Counts[i])))
 				return
 			}
 		}
 		if apos > target.Amends {
-			writeFrame(conn, encodeRErr(fmt.Sprintf(
+			c.Send(encodeRErr(fmt.Sprintf(
 				"replica amendment log ahead of coordinator (%d > %d): wipe the replica store and resync",
 				apos, target.Amends)))
 			return
@@ -235,11 +201,15 @@ func (f *Feed) serve(conn net.Conn) {
 		for i, p := range parts {
 			for int(pos[i]) < len(p) {
 				chunk := p[pos[i]:]
-				if len(chunk) > f.cfg.BatchEvents {
-					chunk = chunk[:f.cfg.BatchEvents]
+				if len(chunk) > feedBatchEvents {
+					chunk = chunk[:feedBatchEvents]
 				}
 				seq++
-				if err := f.writeBatch(conn, seq, chunk); err != nil {
+				payload, err := fleet.EncodeEventBatch(seq, chunk, feedCodec)
+				if err != nil {
+					return
+				}
+				if err := c.Send(payload); err != nil {
 					return
 				}
 				pos[i] += uint64(len(chunk))
@@ -247,7 +217,7 @@ func (f *Feed) serve(conn net.Conn) {
 			}
 		}
 		if apos < target.Amends {
-			if err := writeFrame(conn, encodeAmends(amends[apos:])); err != nil {
+			if err := c.Send(encodeAmends(amends[apos:])); err != nil {
 				return
 			}
 			sentAmends = target.Amends - apos
@@ -255,47 +225,34 @@ func (f *Feed) serve(conn net.Conn) {
 		}
 
 		if sentEvents > 0 || sentAmends > 0 || time.Since(lastState) >= f.cfg.Heartbeat {
-			if err := writeFrame(conn, encodeProgressMsg(msgRState, &target)); err != nil {
+			if err := c.Send(encodeProgressMsg(msgRState, &target)); err != nil {
 				return
 			}
 			lastState = time.Now()
 			// The replica commits the cut, then acks; the ack is this round's
 			// barrier.
-			conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-			payload, err := wal.ReadFrame(conn, nil, fleet.MaxFrame)
+			if buf, err = c.Recv(buf); err != nil {
+				return
+			}
+			ack, err := decodeProgressMsg(buf, msgRAck, "Ack")
 			if err != nil {
 				return
 			}
-			ack, err := decodeProgressMsg(payload, msgRAck, "Ack")
-			if err != nil {
-				return
-			}
-			f.update(func(st *FeedStatus) {
-				st.EventsSent += sentEvents
-				st.AmendsSent += sentAmends
-				st.Rounds++
-				st.AckedEvents = ack.events()
-				st.AckedAmends = ack.Amends
-				st.LagEvents = int64(target.events()) - int64(ack.events())
-				st.LastAck = time.Now()
-			})(hello.ID)
+			f.mu.Lock()
+			e.EventsSent += sentEvents
+			e.AmendsSent += sentAmends
+			e.Rounds++
+			e.AckedEvents = ack.events()
+			e.AckedAmends = ack.Amends
+			e.LagEvents = int64(target.events()) - int64(ack.events())
+			e.LastAck = time.Now()
+			f.mu.Unlock()
 		}
 
-		// Pace the poll; bail out promptly when the feed closes.
-		f.mu.Lock()
-		closed := f.closed
-		f.mu.Unlock()
-		if closed {
+		select {
+		case <-ctx.Done():
 			return
+		case <-time.After(f.cfg.Poll):
 		}
-		time.Sleep(f.cfg.Poll)
 	}
-}
-
-func (f *Feed) writeBatch(conn net.Conn, seq uint64, events []ids.Event) error {
-	payload, err := fleet.EncodeEventBatch(seq, events, f.cfg.Codec)
-	if err != nil {
-		return err
-	}
-	return writeFrame(conn, payload)
 }

@@ -33,22 +33,14 @@ package replica
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"repro/internal/eventstore"
-	"repro/internal/fleet"
 	"repro/internal/wal"
 )
 
 // ProtocolVersion gates the handshake, independently of the fleet sensor
 // protocol's version.
 const ProtocolVersion = 1
-
-// writeFrame frames under the fleet wire's limit: batch frames are
-// fleet.EncodeEventBatch output, sized against it.
-func writeFrame(w io.Writer, payload []byte) error {
-	return wal.WriteFrame(w, payload, fleet.MaxFrame)
-}
 
 // Message types. Distinct from the fleet sensor message space except for
 // batch frames, which are shared deliberately: event shipping reuses

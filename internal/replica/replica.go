@@ -1,6 +1,8 @@
 package replica
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -8,7 +10,6 @@ import (
 
 	"repro/internal/eventstore"
 	"repro/internal/fleet"
-	"repro/internal/wal"
 )
 
 // Config wires a read replica.
@@ -19,13 +20,9 @@ type Config struct {
 	// anyone else: the replica resumes from its committed counts, and local
 	// writes would read as divergence.
 	Store *eventstore.Store
-	// ID names this replica to the feed ("replica-1"). Required.
+	// ID names this replica to the feed ("replica-1"). Required. It also
+	// seeds the reconnect backoff's jitter.
 	ID string
-	// Redial paces reconnection after a broken connection. Default 1s.
-	Redial time.Duration
-	// ReadTimeout bounds how long a read waits for the next frame; the feed's
-	// idle heartbeat must land within it. Default 30s.
-	ReadTimeout time.Duration
 }
 
 // Status is the replica's replication state, for /metrics and /healthz.
@@ -63,25 +60,19 @@ type Replica struct {
 	mu sync.Mutex
 	st Status
 
-	stop chan struct{}
-	done chan struct{}
+	link *fleet.Redialer
 }
 
-// Start begins tailing. The replica reconnects with backoff until Close —
-// except on a terminal Err frame from the feed, which stops it permanently.
+// Start begins tailing. The replica reconnects with the fleet session's
+// jittered exponential backoff until Close — except on a terminal Err frame
+// from the feed, which stops it permanently.
 func Start(cfg Config) (*Replica, error) {
 	if cfg.Store == nil || cfg.Addr == "" || cfg.ID == "" {
 		return nil, fmt.Errorf("replica: Config needs Addr, Store, and ID")
 	}
-	if cfg.Redial <= 0 {
-		cfg.Redial = time.Second
-	}
-	if cfg.ReadTimeout <= 0 {
-		cfg.ReadTimeout = 30 * time.Second
-	}
-	r := &Replica{cfg: cfg, stop: make(chan struct{}), done: make(chan struct{})}
+	r := &Replica{cfg: cfg}
 	r.st.ID = cfg.ID
-	go r.run()
+	r.link = fleet.Redial(fleet.RedialConfig{Addr: cfg.Addr, ID: cfg.ID}, r.tail)
 	return r, nil
 }
 
@@ -92,15 +83,11 @@ func (r *Replica) Status() Status {
 	return r.st
 }
 
-// Close stops tailing. The replica's store is left exactly at its last
-// committed cut; a restarted replica resumes from there.
+// Close stops tailing, promptly: it closes the live connection rather than
+// waiting for the next frame. The replica's store is left exactly at its
+// last committed cut; a restarted replica resumes from there.
 func (r *Replica) Close() error {
-	select {
-	case <-r.stop:
-	default:
-		close(r.stop)
-	}
-	<-r.done
+	r.link.Stop()
 	return nil
 }
 
@@ -122,78 +109,37 @@ func (r *Replica) local() progress {
 	return p
 }
 
-func (r *Replica) run() {
-	defer close(r.done)
-	for {
-		select {
-		case <-r.stop:
-			return
-		default:
-		}
-		fatal := r.tail()
-		r.set(func(st *Status) { st.Connected = false })
-		if fatal {
-			return
-		}
-		select {
-		case <-r.stop:
-			return
-		case <-time.After(r.cfg.Redial):
-		}
-	}
-}
-
-// tail runs one connection to completion. It returns true when tailing must
-// stop for good (terminal Err frame or Close), false for a retriable
-// connection failure.
-func (r *Replica) tail() (fatal bool) {
-	conn, err := net.DialTimeout("tcp", r.cfg.Addr, r.cfg.ReadTimeout)
-	if err != nil {
-		return false
-	}
-	defer conn.Close()
-	// Close unblocks the read loop by killing the connection.
-	closeDone := make(chan struct{})
-	defer close(closeDone)
-	go func() {
-		select {
-		case <-r.stop:
-			conn.Close()
-		case <-closeDone:
-		}
-	}()
-
+// tail runs one connection to completion. It reports whether any frame
+// arrived (the link worked) and returns a nil error when tailing must stop
+// for good: a terminal Err frame, or a feed speaking another protocol.
+func (r *Replica) tail(_ context.Context, conn net.Conn) (progressed bool, err error) {
+	defer r.set(func(st *Status) { st.Connected = false })
+	c := fleet.Conn{Conn: conn, Idle: fleet.ReplicaIdle}
 	hello := rhello{Version: ProtocolVersion, ID: r.cfg.ID, progress: r.local()}
-	if err := writeFrame(conn, hello.encode()); err != nil {
-		return false
+	if err := c.Send(hello.encode()); err != nil {
+		return false, err
 	}
 	r.set(func(st *Status) { st.Connected = true })
 
 	var buf []byte
 	for {
-		select {
-		case <-r.stop:
-			return true
-		default:
-		}
-		conn.SetReadDeadline(time.Now().Add(r.cfg.ReadTimeout))
-		buf, err = wal.ReadFrame(conn, buf, fleet.MaxFrame)
-		if err != nil {
-			return false
+		if buf, err = c.Recv(buf); err != nil {
+			return progressed, err
 		}
 		if len(buf) == 0 {
-			return false
+			return progressed, errors.New("replica: empty frame from coordinator")
 		}
+		progressed = true
 		switch buf[0] {
 		case fleet.MsgBatch:
 			_, events, err := fleet.DecodeEventBatch(buf)
 			if err != nil {
-				return false
+				return true, err
 			}
 			// Deterministic shard routing re-creates the coordinator's
 			// per-shard placement; the handshake guaranteed equal widths.
 			if err := r.cfg.Store.AppendBatch(events); err != nil {
-				return false
+				return true, err
 			}
 			r.set(func(st *Status) {
 				st.EventsApplied += uint64(len(events))
@@ -202,10 +148,10 @@ func (r *Replica) tail() (fatal bool) {
 		case msgRAmends:
 			as, err := decodeAmends(buf)
 			if err != nil {
-				return false
+				return true, err
 			}
 			if err := r.cfg.Store.AppendAmendments(as); err != nil {
-				return false
+				return true, err
 			}
 			r.set(func(st *Status) {
 				st.AmendsApplied += uint64(len(as))
@@ -214,18 +160,18 @@ func (r *Replica) tail() (fatal bool) {
 		case msgRState:
 			coord, err := decodeProgressMsg(buf, msgRState, "State")
 			if err != nil {
-				return false
+				return true, err
 			}
 			// Barrier: make everything applied this round durable, then ack
 			// the cut. A crash before the commit re-ships the round; a crash
 			// after it resumes past it — never a double apply, because the
 			// store truncates to its commit record on open.
 			if err := r.cfg.Store.Commit(nil); err != nil {
-				return false
+				return true, err
 			}
 			local := r.local()
-			if err := writeFrame(conn, encodeProgressMsg(msgRAck, &local)); err != nil {
-				return false
+			if err := c.Send(encodeProgressMsg(msgRAck, &local)); err != nil {
+				return true, err
 			}
 			r.set(func(st *Status) {
 				st.Rounds++
@@ -243,12 +189,12 @@ func (r *Replica) tail() (fatal bool) {
 				msg = err.Error()
 			}
 			r.set(func(st *Status) { st.Err = msg })
-			return true
+			return true, nil
 		default:
 			r.set(func(st *Status) {
 				st.Err = fmt.Sprintf("unexpected message type %d from coordinator", buf[0])
 			})
-			return true
+			return true, nil
 		}
 	}
 }

@@ -42,7 +42,6 @@ func testFeedConfig(store *eventstore.Store, addr string) replica.FeedConfig {
 	return replica.FeedConfig{
 		Addr: addr, Store: store,
 		Poll: 10 * time.Millisecond, Heartbeat: 100 * time.Millisecond,
-		Sync: true,
 	}
 }
 
@@ -83,7 +82,7 @@ func TestReplicaEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := replica.Start(replica.Config{
-		Addr: feed.Addr(), Store: repStore, ID: "r1", Redial: 50 * time.Millisecond,
+		Addr: feed.Addr(), Store: repStore, ID: "r1",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +192,7 @@ func TestReplicaEndToEnd(t *testing.T) {
 	}
 	defer repStore2.Close()
 	rep2, err := replica.Start(replica.Config{
-		Addr: feed.Addr(), Store: repStore2, ID: "r1", Redial: 50 * time.Millisecond,
+		Addr: feed.Addr(), Store: repStore2, ID: "r1",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +261,7 @@ func TestReplicaDivergence(t *testing.T) {
 	}
 
 	rep, err := replica.Start(replica.Config{
-		Addr: feed.Addr(), Store: repStore, ID: "rogue", Redial: 50 * time.Millisecond,
+		Addr: feed.Addr(), Store: repStore, ID: "rogue",
 	})
 	if err != nil {
 		t.Fatal(err)
