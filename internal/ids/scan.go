@@ -3,6 +3,7 @@ package ids
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"time"
 
@@ -12,10 +13,12 @@ import (
 )
 
 // The capture scan spine: one decoder goroutine per capture segment feeds a
-// flow-sharded assembler (see tcpasm.Sharded) and a worker pool matches the
-// sessions. ScanCaptureStreamed and ScanCaptureSharded are the same driver
-// with and without streaming emission; output equals the serial ScanCapture's
-// — same events, same stats — for any shard or worker count.
+// flow-sharded assembler (see tcpasm.Sharded) and a pool of match workers
+// matches the sessions — all of them once the capture ends under
+// ScanCaptureSharded, batch by batch as the shard workers emit them under
+// ScanCaptureStreamed. The two are the same driver with and without
+// streaming emission; output equals the serial ScanCapture's — same events,
+// same stats — for any shard or worker count.
 
 // ScanConfig tunes the capture scan. The zero value picks sensible defaults
 // for the host.
@@ -24,7 +27,10 @@ type ScanConfig struct {
 	// of min(8, GOMAXPROCS).
 	Shards int
 	// MatchWorkers is the signature-matching pool size; zero means
-	// GOMAXPROCS (see MatchSessionsParallel).
+	// GOMAXPROCS. ScanCaptureSharded splits the finished session list
+	// across that many workers (see MatchSessionsParallel);
+	// ScanCaptureStreamed runs that many long-lived workers, each matching
+	// whole emitted batches.
 	MatchWorkers int
 	// Assembler overrides reassembly limits (idle timeout, stream caps) and
 	// declares flow-partitioned sources (FlowDisjointFeeders). The scan
@@ -130,40 +136,70 @@ func ScanCaptureSharded(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig) (
 
 // ScanCaptureStreamed is ScanCaptureSharded with streaming emission: instead
 // of accumulating every session until the capture ends, completed sessions
-// flow straight from the shard workers through a matcher goroutine to sink,
-// so peak memory is bounded by the in-flight window rather than the capture
-// size. The trade: events reach sink in completion order, not the canonical
-// (End, Start, Client, Server) order, and no event slice is returned — exact
-// aggregate stats still are, via the order-independent StatsBuilder.
+// flow straight from the shard workers to cfg.MatchWorkers long-lived match
+// workers and on to sink, so peak memory is bounded by the in-flight window
+// rather than the capture size. The trade: events reach sink in completion
+// order, not the canonical (End, Start, Client, Server) order, and no event
+// slice is returned — exact aggregate stats still are, via the
+// order-independent StatsBuilder.
 //
-// sink is called from a single goroutine and each call owns its slice; nil
-// drops the events. A sink error stops delivery (the capture is still
-// drained, so the pipeline cannot deadlock) and is returned after the scan's
-// own errors.
+// sink is never called concurrently (calls may come from different
+// goroutines) and each call owns its slice; nil drops the events. A sink
+// error stops delivery — sink is not called again (the capture is still
+// drained, so the pipeline cannot deadlock) — and is returned after the
+// scan's own errors.
 func ScanCaptureStreamed(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig, sink func([]Event) error) (ScanStats, error) {
-	// Shard workers hand session batches to the matcher goroutine over a
+	workers := cfg.MatchWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	// Shard workers hand session batches to the match workers over a
 	// bounded channel: matching overlaps with reassembly and decode, and
 	// backpressure from a slow sink propagates all the way to generation.
+	// Four batches let the shard workers run a little ahead of matching
+	// while keeping the in-flight window, which bounds memory, small.
 	sessCh := make(chan []tcpasm.Session, 4)
-	sb := NewStatsBuilder()
-	var sinkErr error
-	matcherDone := make(chan struct{})
-	go func() {
-		defer close(matcherDone)
-		for batch := range sessCh {
-			events := MatchSessionsParallel(batch, e, nil, cfg.MatchWorkers)
-			sb.AddSessionBatch(batch)
-			sb.AddEvents(events)
-			if sink != nil && sinkErr == nil && len(events) > 0 {
-				sinkErr = sink(events)
+	builders := make([]*StatsBuilder, workers)
+	// sinkMu is held across each sink call on purpose: it is what keeps
+	// sink calls from overlapping. Nothing else takes it, so a blocking
+	// sink stalls only other workers' deliveries — the same backpressure a
+	// single delivering goroutine would apply.
+	var (
+		wg      sync.WaitGroup
+		sinkMu  sync.Mutex
+		sinkErr error // the first sink error, under sinkMu
+	)
+	for w := range builders {
+		sb := NewStatsBuilder()
+		builders[w] = sb
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each worker matches whole batches serially, so its pooled
+			// match scratch stays warm and no batch forks or joins.
+			for batch := range sessCh {
+				events := MatchSessions(batch, e, nil)
+				sb.AddSessionBatch(batch)
+				sb.AddEvents(events)
+				if sink == nil || len(events) == 0 {
+					continue
+				}
+				sinkMu.Lock()
+				if sinkErr == nil {
+					sinkErr = sink(events)
+				}
+				sinkMu.Unlock()
 			}
-		}
-	}()
+		}()
+	}
 	_, stats, err := scan(srcs, cfg, func(batch []tcpasm.Session) { sessCh <- batch })
 	close(sessCh)
-	<-matcherDone
+	wg.Wait()
 
-	sb.fillMatchStats(&stats)
+	for _, o := range builders[1:] {
+		builders[0].Merge(o)
+	}
+	builders[0].fillMatchStats(&stats)
 	if err == nil {
 		err = sinkErr
 	}

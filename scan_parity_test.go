@@ -159,8 +159,8 @@ func TestShardedScanSegmentsStudyParity(t *testing.T) {
 }
 
 // BenchmarkScanCapture is the front-end throughput headline: the same study
-// capture through the serial scan, the sharded scan, and a four-segment
-// fan-out. SetBytes reports capture MB/s.
+// capture through the serial scan, the sharded scan, the streamed scan and a
+// four-segment fan-out. SetBytes reports capture MB/s.
 func BenchmarkScanCapture(b *testing.B) {
 	const seed, scale = 1, 60
 	capture := studyCapture(b, seed, scale)
@@ -201,6 +201,32 @@ func BenchmarkScanCapture(b *testing.B) {
 			}
 			if len(events) == 0 {
 				b.Fatal("no events")
+			}
+		}
+	})
+	b.Run("streamed", func(b *testing.B) {
+		r, err := pcapio.NewReader(bytes.NewReader(capture))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, want, err := ids.ScanCapture(r, engine)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(capture)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r, err := pcapio.NewReader(bytes.NewReader(capture))
+			if err != nil {
+				b.Fatal(err)
+			}
+			stats, err := ids.ScanCaptureStreamed([]pcapio.PacketSource{r}, engine, ids.ScanConfig{}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if stats.MatchedEvents != want.MatchedEvents {
+				b.Fatalf("streamed scan matched %d events, serial %d", stats.MatchedEvents, want.MatchedEvents)
 			}
 		}
 	})

@@ -303,11 +303,13 @@ func (s *Study) Run() (*Results, error) {
 
 // RunStream is Run in full streaming mode: generation, frame synthesis,
 // reassembly, and matching all overlap, and attributed events flow to sink
-// in completion order (each call owns its slice; nil drops them) instead of
-// materializing. Results.Events stays nil — exact aggregate Stats and the
-// appendix-derived timelines are still filled in, so the tables that don't
-// need the raw event distribution work as usual. Configurations that need
-// the full event set (PipelineTimelines) must use Run.
+// in completion order instead of materializing. Config.MatchWorkers
+// goroutines match and deliver, so sink may be called from any of them, but
+// never concurrently; each call owns its slice, and nil drops the events.
+// Results.Events stays nil — exact aggregate Stats and the appendix-derived
+// timelines are still filled in, so the tables that don't need the raw event
+// distribution work as usual. Configurations that need the full event set
+// (PipelineTimelines) must use Run.
 func (s *Study) RunStream(sink func([]ids.Event) error) (*Results, error) {
 	if s.cfg.PipelineTimelines {
 		return nil, fmt.Errorf("wayback: RunStream cannot derive pipeline timelines; use Run")
