@@ -8,8 +8,8 @@ package ids
 // one automaton serves both nocase and exact rules.
 //
 // This file is the build step only: Compile flattens the trie into the
-// double-array CompiledMatcher, the one automaton that scans at run time. The
-// trie's own walker is the test oracle (ahocorasick_test.go).
+// CompiledMatcher, the one automaton that scans at run time. The trie's own
+// walker is the test oracle (ahocorasick_test.go).
 
 // acNode is one trie node. Children are byte-indexed; the alphabet is
 // lower-cased bytes, so the arrays stay dense for ASCII rule patterns while

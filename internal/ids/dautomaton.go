@@ -1,27 +1,36 @@
 package ids
 
-// Compiled double-array Aho–Corasick automaton: the one runtime matcher,
-// built from the map trie in ahocorasick.go. The trie's transition function
-// is flattened into two parallel int32 arrays (base/check), so following a
-// byte is one add and one compare against contiguous memory instead of a map
-// probe per node — the difference between cache lines and pointer soup at
-// 48k patterns. The automaton is immutable once compiled, builds once per
-// ruleset generation, and serializes to a flat little-endian form the
-// registry caches on disk (the layout is position-independent, so a future
-// loader can map it straight from the file).
+// Compiled Aho–Corasick automaton, built from the map trie in
+// ahocorasick.go. The trie's transition function is flattened into two
+// parallel int32 arrays (base/check), so following a byte is one add and one
+// compare against contiguous memory instead of a map probe per node — the
+// difference between cache lines and pointer soup at 48k patterns. The
+// automaton is immutable once compiled, builds once per ruleset generation,
+// and the double array is its serialized form: a flat little-endian layout
+// the registry caches on disk (position-independent, so a future loader can
+// map it straight from the file).
+//
+// The double array is also the scan walk for automata over denseBudget.
+// Smaller ones — the study's prefilter among them — additionally derive a
+// dense byte-class DFA after compiling or loading: a 256-entry byte→class
+// map that folds ASCII case, and one row per cell holding every goto and
+// fail transition already resolved, so Scan makes one table load per byte
+// and never walks a fail chain. The automaton's own size selects the walk.
 //
 // Matching semantics are byte-for-byte identical to the trie's reference
-// walker (acTrie.Scan, test-only) — same case folding, same hit order, same
-// dedup — which FuzzCompiledAutomaton enforces. The Scan hot path performs
-// zero allocations given a reusable ScanScratch; that property is gated by
-// BenchmarkAutomatonMatch48k's recorded allocs_per_op of 0.
+// walker (acTrie.Scan, test-only) on both walks — same case folding, same
+// hit order, same dedup — which FuzzCompiledAutomaton enforces. The Scan hot
+// path performs zero allocations given a reusable ScanScratch; that property
+// is gated by the recorded allocs_per_op of 0 of BenchmarkAutomatonMatch48k
+// (double array) and BenchmarkAutomatonMatchStudy (dense table).
 
 import (
 	"encoding/binary"
 	"fmt"
 )
 
-// CompiledMatcher is an immutable double-array Aho–Corasick automaton.
+// CompiledMatcher is an immutable Aho–Corasick automaton: a double array,
+// plus a dense transition table when it fits denseBudget.
 type CompiledMatcher struct {
 	// base/check encode transitions: from state s on lowered byte c, the
 	// candidate cell is t = base[s]+c, taken when check[t] == s. A state's
@@ -41,6 +50,14 @@ type CompiledMatcher struct {
 	// else dict[s]. Scan starts each output walk there, so a state with
 	// nothing to report costs one load instead of a walk.
 	outHead []int32
+	// dense is derived, never serialized, and nil over denseBudget: row s
+	// (dense[s<<denseShift:][:1<<denseShift]) holds the resolved transition
+	// from cell s on each byte class — the target cell, plus denseOut when
+	// the target has outputs. classOf maps a text byte to its class; class
+	// 0, "no pattern byte", always leads back to the root.
+	dense      []uint16
+	denseShift uint
+	classOf    [256]uint8
 
 	numPatterns int32
 }
@@ -48,6 +65,16 @@ type CompiledMatcher struct {
 const (
 	daNoChildren = int32(-1) // base value for leaf states
 	daFreeCell   = int32(-1) // check value for unoccupied cells
+
+	// denseOut flags a dense entry whose target has outputs; the low 15
+	// bits are the target cell, which bounds dense automata to 1<<15 cells.
+	denseOut  = 1 << 15
+	denseCell = denseOut - 1
+	// denseBudget caps the dense table's bytes. The study prefilter (1,381
+	// cells × 64-entry rows ≈ 177 KB) fits; the 48k-signature corpus
+	// (≈349k cells × 231 classes ≈ 170 MB) does not, and keeps the double
+	// array walk.
+	denseBudget = 1 << 20
 )
 
 // ScanScratch is the reusable per-goroutine state a zero-allocation Scan
@@ -96,7 +123,10 @@ func compileFrom(m *acTrie) *CompiledMatcher {
 	free := newFreeList(int32(len(c.check)))
 	// Root occupies cell 0.
 	free.take(0)
-	c.check[0] = 0 // self-parented; never consulted (no fail into root cell lookups use check[t]==s with s>=0, and t==0 only for s==0,c==0 when base[0]==0 — base search avoids it via free list)
+	// The root is its own parent. No child is ever placed in cell 0, so the
+	// only edge this fakes is root→root on byte 0 when base[0] is 0, which
+	// leads where the miss it replaces would.
+	c.check[0] = 0
 	cellOf[0] = 0
 
 	// BFS in trie node order: newACTrie appends nodes in insertion order and
@@ -151,12 +181,13 @@ func compileFrom(m *acTrie) *CompiledMatcher {
 		}
 	}
 	c.shrink(free)
-	c.deriveOutHead()
+	c.derive()
 	return c
 }
 
-// deriveOutHead fills outHead from outCount and dict.
-func (c *CompiledMatcher) deriveOutHead() {
+// derive fills the in-memory fields the serialized form omits: outHead from
+// outCount and dict, then the dense table when it fits.
+func (c *CompiledMatcher) derive() {
 	c.outHead = make([]int32, len(c.check))
 	for s := range c.outHead {
 		if c.outCount[s] > 0 {
@@ -165,6 +196,109 @@ func (c *CompiledMatcher) deriveOutHead() {
 			c.outHead[s] = c.dict[s]
 		}
 	}
+	c.deriveDense()
+}
+
+// deriveDense builds the dense table, or leaves it nil when the automaton
+// is over budget or is not a well-formed trie (a loaded file may be
+// anything that passed LoadCompiledMatcher's index checks; the double-array
+// walk then behaves exactly as it did before the table existed).
+func (c *CompiledMatcher) deriveDense() {
+	cells := len(c.check)
+	if cells > denseCell+1 {
+		return
+	}
+	// One class per lower-case byte that labels an edge. The walk lowers
+	// text before following it, so an upper-case label is unreachable and
+	// gets no class; upper-case text bytes share their lower-case class.
+	var used [256]bool
+	for t, p := range c.check {
+		if t == 0 || p < 0 || int(p) >= cells || c.base[p] < 0 {
+			continue
+		}
+		if b := t - int(c.base[p]); b >= 0 && b < 256 {
+			used[b] = true
+		}
+	}
+	var classOf [256]uint8
+	reps := []byte{0} // reps[k]: the byte class k stands for
+	for b := 0; b < 256; b++ {
+		if used[b] && (b < 'A' || b > 'Z') {
+			classOf[b] = uint8(len(reps))
+			reps = append(reps, byte(b))
+		}
+	}
+	for b := 'A'; b <= 'Z'; b++ {
+		classOf[b] = classOf[b+'a'-'A']
+	}
+	shift := uint(0)
+	for 1<<shift < len(reps) {
+		shift++
+	}
+	if cells<<shift*2 > denseBudget {
+		return
+	}
+
+	// Breadth-first from the root, so a cell's fail target (strictly
+	// shallower) has its row resolved before the cell's own row borrows
+	// from it.
+	const (
+		queued = 1
+		filled = 2
+	)
+	entry := func(t int32) uint16 {
+		if c.outHead[t] != -1 {
+			return uint16(t) | denseOut
+		}
+		return uint16(t)
+	}
+	dense := make([]uint16, cells<<shift)
+	if root := entry(0); root != 0 {
+		// The root reports outputs too (an empty pattern): every entry
+		// not overwritten below leads to it.
+		for i := range dense {
+			dense[i] = root
+		}
+	}
+	state := make([]uint8, cells)
+	queue := make([]int32, 1, cells)
+	state[0] = queued
+	for len(queue) > 0 {
+		s := queue[0]
+		queue = queue[1:]
+		f := c.fail[s]
+		if s != 0 && state[f] != filled {
+			return
+		}
+		row := dense[int(s)<<shift:][:1<<shift]
+		for k := 1; k < len(reps); k++ {
+			switch t := c.child(s, reps[k]); {
+			case t > 0:
+				if state[t] != 0 {
+					return // a cell reached twice: not a trie
+				}
+				state[t] = queued
+				queue = append(queue, t)
+				row[k] = entry(t)
+			case t == 0 || s == 0:
+				row[k] = entry(0)
+			default:
+				row[k] = dense[int(f)<<shift+k]
+			}
+		}
+		state[s] = filled
+	}
+	c.dense, c.denseShift, c.classOf = dense, shift, classOf
+}
+
+// child returns cell s's goto target on (lower-cased) byte b, or -1.
+func (c *CompiledMatcher) child(s int32, b byte) int32 {
+	if base := c.base[s]; base >= 0 {
+		if t := int(base) + int(b); t < len(c.check) && c.check[t] == s {
+			return int32(t)
+		}
+	}
+	return -1
 }
 
 // grow extends every per-cell array to at least want cells, keeping new
@@ -329,21 +463,48 @@ func (c *CompiledMatcher) place(f *freeList, bytes []byte) int32 {
 func (c *CompiledMatcher) NumPatterns() int { return int(c.numPatterns) }
 
 // States returns the number of double-array cells — the automaton's
-// footprint metric (each cell is six serialized int32s, plus the derived
-// outHead in memory).
+// footprint metric: each cell is six serialized int32s, plus the derived
+// outHead in memory and, when the dense table is built, one row of uint16
+// entries per cell (a power-of-two row at least as wide as the byte-class
+// count).
 func (c *CompiledMatcher) States() int { return len(c.check) }
 
 // Scan reports the set of pattern IDs occurring in text, case-insensitively,
 // through hit — exactly once per distinct pattern, ordered by where each
-// first ends in text (longest first at one position). scratch must not be shared between concurrent
-// Scans; passing the same scratch to successive calls makes Scan
-// allocation-free.
+// first ends in text (longest first at one position). scratch must not be
+// shared between concurrent Scans; passing the same scratch to successive
+// calls makes Scan allocation-free.
 func (c *CompiledMatcher) Scan(text []byte, scratch *ScanScratch, hit func(id int32)) {
 	if c.numPatterns == 0 {
 		return
 	}
+	if c.dense != nil {
+		c.scanDense(text, scratch, hit)
+	} else {
+		c.scanDoubleArray(text, scratch, hit)
+	}
+}
+
+// scanDense is Scan over the dense table: one load per byte.
+func (c *CompiledMatcher) scanDense(text []byte, scratch *ScanScratch, hit func(id int32)) {
 	epoch := scratch.begin(int(c.numPatterns))
-	mark := scratch.mark
+	dense, shift, classOf := c.dense, c.denseShift, &c.classOf
+	s := 0
+	for _, b := range text {
+		// shift&63 lets the compiler drop its over-wide-shift guard, an
+		// instruction on the loop's dependency chain.
+		e := dense[s<<(shift&63)|int(classOf[b])]
+		s = int(e & denseCell)
+		if e&denseOut != 0 {
+			c.report(int32(s), scratch.mark, epoch, hit)
+		}
+	}
+}
+
+// scanDoubleArray is Scan over the double array, following fail links on a
+// miss: the walk for automata over denseBudget.
+func (c *CompiledMatcher) scanDoubleArray(text []byte, scratch *ScanScratch, hit func(id int32)) {
+	epoch := scratch.begin(int(c.numPatterns))
 	s := int32(0)
 	for _, b := range text {
 		if b >= 'A' && b <= 'Z' {
@@ -363,13 +524,21 @@ func (c *CompiledMatcher) Scan(text []byte, scratch *ScanScratch, hit func(id in
 			}
 			s = c.fail[s]
 		}
-		for n := c.outHead[s]; n != -1; n = c.dict[n] {
-			start, cnt := c.outStart[n], c.outCount[n]
-			for _, id := range c.outs[start : start+cnt] {
-				if mark[id] != epoch {
-					mark[id] = epoch
-					hit(id)
-				}
+		if c.outHead[s] != -1 {
+			c.report(s, scratch.mark, epoch, hit)
+		}
+	}
+}
+
+// report calls hit for every pattern ending at cell s not yet reported in
+// this scan: s's own outputs, then those along its dictionary chain.
+func (c *CompiledMatcher) report(s int32, mark []uint32, epoch uint32, hit func(id int32)) {
+	for n := c.outHead[s]; n != -1; n = c.dict[n] {
+		start, cnt := c.outStart[n], c.outCount[n]
+		for _, id := range c.outs[start : start+cnt] {
+			if mark[id] != epoch {
+				mark[id] = epoch
+				hit(id)
 			}
 		}
 	}
@@ -467,6 +636,6 @@ func LoadCompiledMatcher(raw []byte) (*CompiledMatcher, error) {
 			return nil, fmt.Errorf("ids: compiled automaton pattern id %d out of range", id)
 		}
 	}
-	c.deriveOutHead()
+	c.derive()
 	return c, nil
 }

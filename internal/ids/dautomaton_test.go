@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/fuzzcorpus"
 	"repro/internal/netsim"
 	"repro/internal/rules"
+	"repro/internal/scanner"
 )
 
 // scanIDs collects the hit sequence (order-sensitive) from a reference
@@ -22,8 +24,25 @@ func scanIDs(m *acTrie, text []byte) []int32 {
 
 // compiledScanIDs collects the hit sequence from a CompiledMatcher scan.
 func compiledScanIDs(c *CompiledMatcher, scratch *ScanScratch, text []byte) []int32 {
+	return walkScanIDs((*CompiledMatcher).Scan, c, scratch, text)
+}
+
+type scanFunc func(c *CompiledMatcher, text []byte, scratch *ScanScratch, hit func(id int32))
+
+// scanWalks are Scan's two loops, so the parity tests hold each against the
+// trie oracle whichever one Scan would select for the automaton at hand.
+var scanWalks = []struct {
+	name string
+	scan scanFunc
+}{
+	{"dense", (*CompiledMatcher).scanDense},
+	{"double-array", (*CompiledMatcher).scanDoubleArray},
+}
+
+// walkScanIDs collects the hit sequence from one scan loop.
+func walkScanIDs(scan scanFunc, c *CompiledMatcher, scratch *ScanScratch, text []byte) []int32 {
 	var out []int32
-	c.Scan(text, scratch, func(id int32) { out = append(out, id) })
+	scan(c, text, scratch, func(id int32) { out = append(out, id) })
 	return out
 }
 
@@ -71,8 +90,9 @@ func TestCompiledMatcherEmpty(t *testing.T) {
 }
 
 // TestCompiledMatcherParity drives randomized pattern sets and texts through
-// both implementations and requires identical hit sequences — order included,
-// since compileFrom inherits the trie's link and output structure.
+// the trie and both scan loops and requires identical hit sequences — order
+// included, since compileFrom inherits the trie's link and output structure.
+// Every eighth set carries an empty pattern, which ends at the root.
 func TestCompiledMatcherParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	alpha := []byte("abAB01|/")
@@ -89,16 +109,23 @@ func TestCompiledMatcherParity(t *testing.T) {
 		for i := range patterns {
 			patterns[i] = randBytes(1 + rng.Intn(6))
 		}
+		if trial%8 == 0 {
+			patterns = append(patterns, nil)
+		}
 		m := newACTrie(patterns)
 		c := compileFrom(m)
+		if c.dense == nil {
+			t.Fatalf("trial %d: %d-cell automaton has no dense table", trial, c.States())
+		}
 		var scratch ScanScratch
 		for txt := 0; txt < 8; txt++ {
 			text := randBytes(rng.Intn(64))
 			want := scanIDs(m, text)
-			got := compiledScanIDs(c, &scratch, text)
-			if !int32sEqual(got, want) {
-				t.Fatalf("trial %d: patterns %q text %q: compiled %v, matcher %v",
-					trial, patterns, text, got, want)
+			for _, w := range scanWalks {
+				if got := walkScanIDs(w.scan, c, &scratch, text); !int32sEqual(got, want) {
+					t.Fatalf("trial %d: patterns %q text %q: %s %v, matcher %v",
+						trial, patterns, text, w.name, got, want)
+				}
 			}
 		}
 	}
@@ -131,10 +158,14 @@ func TestCompiledMatcherRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadCompiledMatcher: %v", err)
 	}
+	// The dense table is derived on load, never serialized.
+	if c2.dense == nil || !slices.Equal(c2.dense, c.dense) || c2.denseShift != c.denseShift || c2.classOf != c.classOf {
+		t.Fatal("loaded matcher's dense table differs from the compiled one's")
+	}
 	var s1, s2 ScanScratch
 	text := []byte("GET /cgi-bin/test?cmd=SELECT+1")
-	if got, want := compiledScanIDs(c2, &s2, text), compiledScanIDs(c, &s1, text); !int32sEqual(got, want) {
-		t.Fatalf("round-trip scan %v, want %v", got, want)
+	if got, want := compiledScanIDs(c2, &s2, text), compiledScanIDs(c, &s1, text); !int32sEqual(got, want) || len(want) != 3 {
+		t.Fatalf("round-trip scan %v, want %v (3 hits)", got, want)
 	}
 	if !bytes.Equal(c2.AppendBinary(nil), raw) {
 		t.Error("re-serialization differs")
@@ -210,20 +241,26 @@ func FuzzCompiledAutomaton(f *testing.F) {
 		}
 		m := newACTrie(patterns)
 		c := compileFrom(m)
-		var scratch ScanScratch
-		want := scanIDs(m, text)
-		got := compiledScanIDs(c, &scratch, text)
-		if !int32sEqual(got, want) {
-			t.Fatalf("parity break: patterns %q text %q: compiled %v, matcher %v",
-				patterns, text, got, want)
+		// Automata this small are always dense, so the double-array loop
+		// is run explicitly to keep its oracle coverage.
+		if c.dense == nil {
+			t.Fatalf("%d-cell automaton has no dense table", c.States())
 		}
 		// Serialization round-trip must preserve behavior exactly.
 		c2, err := LoadCompiledMatcher(c.AppendBinary(nil))
 		if err != nil {
 			t.Fatalf("round-trip load: %v", err)
 		}
-		if got2 := compiledScanIDs(c2, &scratch, text); !int32sEqual(got2, want) {
-			t.Fatalf("round-trip parity break: %v vs %v", got2, want)
+		var scratch ScanScratch
+		want := scanIDs(m, text)
+		for _, w := range scanWalks {
+			if got := walkScanIDs(w.scan, c, &scratch, text); !int32sEqual(got, want) {
+				t.Fatalf("parity break: patterns %q text %q: %s %v, matcher %v",
+					patterns, text, w.name, got, want)
+			}
+			if got := walkScanIDs(w.scan, c2, &scratch, text); !int32sEqual(got, want) {
+				t.Fatalf("round-trip parity break: %s %v vs %v", w.name, got, want)
+			}
 		}
 	})
 }
@@ -306,6 +343,69 @@ func TestCompiledMatcher48kParity(t *testing.T) {
 	if c2.States() != c.States() {
 		t.Fatalf("48k round-trip states %d != %d", c2.States(), c.States())
 	}
+	if c.dense != nil || c2.dense != nil {
+		t.Fatal("48k automaton built a dense table over budget")
+	}
+}
+
+// TestDenseTableSelection: the automaton's size alone picks the scan loop.
+// The study prefilter is dense; an automaton over the byte budget, or with
+// more cells than an entry can name, keeps the double-array walk and still
+// matches the oracle. (The 48k corpus is checked in its parity test.)
+func TestDenseTableSelection(t *testing.T) {
+	study := studyPrefilter(t)
+	if study.dense == nil {
+		t.Fatalf("study automaton (%d cells) is not dense", study.States())
+	}
+	t.Logf("study automaton: %d patterns, %d cells, %d-entry rows, %d KB table",
+		study.NumPatterns(), study.States(), 1<<study.denseShift, len(study.dense)*2>>10)
+
+	rng := rand.New(rand.NewSource(5))
+	randPatterns := func(n, size int, alpha []byte) [][]byte {
+		out := make([][]byte, n)
+		for i := range out {
+			out[i] = make([]byte, size)
+			for j := range out[i] {
+				out[i][j] = alpha[rng.Intn(len(alpha))]
+			}
+		}
+		return out
+	}
+	var all []byte
+	for b := 0; b < 256; b++ {
+		all = append(all, byte(b))
+	}
+	for _, tc := range []struct {
+		name     string
+		patterns [][]byte
+	}{
+		// ~2.4k cells × 256-entry rows × 2 B ≈ 1.2 MiB > denseBudget.
+		{"over budget", randPatterns(300, 8, all)},
+		// > 1<<15 cells over a 2-byte alphabet: the table would be small,
+		// but the cell ids do not fit an entry.
+		{"over cells", randPatterns(4096, 24, []byte("ab"))},
+	} {
+		m := newACTrie(tc.patterns)
+		c := compileFrom(m)
+		if c.dense != nil {
+			t.Fatalf("%s: %d-cell automaton built a dense table", tc.name, c.States())
+		}
+		var scratch ScanScratch
+		text := append(bytes.Join(tc.patterns[:20], []byte("xy")), all...)
+		if got, want := compiledScanIDs(c, &scratch, text), scanIDs(m, text); !int32sEqual(got, want) || len(want) == 0 {
+			t.Fatalf("%s: compiled %d hits, matcher %d hits", tc.name, len(got), len(want))
+		}
+	}
+}
+
+// studyPrefilter is the study ruleset's compiled prefilter.
+func studyPrefilter(tb testing.TB) *CompiledMatcher {
+	tb.Helper()
+	rs, err := scanner.StudyRuleset()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return NewEngine(rs, Config{}).prefilt
 }
 
 // benchScanText builds a mixed ~64 KiB scan text: attack-looking traffic with
@@ -345,8 +445,31 @@ func BenchmarkAutomatonBuild48k(b *testing.B) {
 	b.ReportMetric(float64(ms.HeapInuse), "bytes_heap_inuse")
 }
 
+// BenchmarkAutomatonMatchStudy measures the steady-state scan over the
+// study's prefilter, which takes the dense-table loop. The bench text holds
+// none of the study's patterns, so this is the reject path a miss-heavy
+// capture spends its prefilter time in; BenchmarkEngineEarliest covers hits.
+// Its allocs/op is gated at 0 like BenchmarkAutomatonMatch48k's.
+func BenchmarkAutomatonMatchStudy(b *testing.B) {
+	c := studyPrefilter(b)
+	if c.dense == nil {
+		b.Fatal("study automaton is not dense")
+	}
+	text := benchScanText()
+	var scratch ScanScratch
+	hit := func(int32) {}
+	c.Scan(text, &scratch, hit) // warm the scratch's mark array
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Scan(text, &scratch, hit)
+	}
+}
+
 // BenchmarkAutomatonMatch48k measures the steady-state scan path over the
-// compiled 48k automaton. allocs/op is recorded as 0 in BENCH_analysis.json
+// compiled 48k automaton, which is over the dense budget and takes the
+// double-array loop. allocs/op is recorded as 0 in BENCH_analysis.json
 // and gated hard by benchsmoke: any allocation on this path is a regression.
 func BenchmarkAutomatonMatch48k(b *testing.B) {
 	patterns := corpus48kPatterns(b, 48000)

@@ -149,8 +149,8 @@ func NewEngine(ruleset []rules.DatedRule, cfg Config) *Engine {
 	return e
 }
 
-// compilePrefilter builds (or loads from cache) the compiled double-array
-// automaton over the fast-pattern set.
+// compilePrefilter builds (or loads from cache) the compiled automaton over
+// the fast-pattern set.
 func compilePrefilter(patterns [][]byte, cache AutomatonCache) *CompiledMatcher {
 	if cache == nil {
 		return Compile(patterns)

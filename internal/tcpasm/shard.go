@@ -366,7 +366,7 @@ func (f *Feeder) Recycle(*FeedItem) {}
 // Pkt must hold Buf decoded; the caller may reuse the item once Feed
 // returns.
 func (f *Feeder) Feed(it *FeedItem) {
-	si := shardOf(it.Pkt.Flow().Canonical(), len(f.s.shards))
+	si := shardOf(it.Pkt.Flow(), len(f.s.shards))
 	b := f.pend[si]
 	if b == nil {
 		b = batchPool.Get().(*frameBatch)
@@ -427,30 +427,40 @@ func (f *Feeder) Close() {
 // segments — can align their partition with the assembler's and keep every
 // packet's decode local to the worker that will reassemble it.
 func FlowShard(flow packet.Flow, n int) int {
-	return shardOf(flow.Canonical(), n)
+	return shardOf(flow, n)
 }
 
-// shardOf hashes a canonical flow key to a shard with FNV-1a. The hash is
-// deterministic across runs, so a capture replays onto the same shard
-// layout every time — handy when debugging a single shard's behavior.
-func shardOf(key packet.Flow, n int) int {
+// shardOf hashes a flow to a shard. Each endpoint is mixed into one word
+// and the two words are added, so both directions of a connection hash
+// alike without ordering the endpoints first, and one final mix spreads
+// the sum; its top 32 bits scale to [0, n) with a multiply, not a divide.
+// The hash is deterministic across runs, so a capture replays onto the same
+// shard layout every time — handy when debugging a single shard's behavior.
+func shardOf(f packet.Flow, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var buf [36]byte
-	sa, da := key.Src.Addr.As16(), key.Dst.Addr.As16()
-	copy(buf[0:16], sa[:])
-	copy(buf[16:32], da[:])
-	binary.BigEndian.PutUint16(buf[32:34], key.Src.Port)
-	binary.BigEndian.PutUint16(buf[34:36], key.Dst.Port)
-	h := uint64(offset64)
-	for _, b := range buf {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return int(h % uint64(n))
+	h := mix64(endpointWord(f.Src) + endpointWord(f.Dst))
+	return int(h >> 32 * uint64(n) >> 32)
+}
+
+// endpointWord mixes an endpoint's address and port into one word. The
+// port sits in the top 16 bits of the address's low word, which are zero
+// for an IPv4 (v4-mapped) address.
+func endpointWord(e packet.Endpoint) uint64 {
+	a := e.Addr.As16()
+	hi := binary.BigEndian.Uint64(a[:8])
+	lo := binary.BigEndian.Uint64(a[8:])
+	return mix64(hi*0x9e3779b97f4a7c15 ^ lo ^ uint64(e.Port)<<48)
+}
+
+// mix64 is murmur3's 64-bit finalizer: every input bit flips each output
+// bit with probability ≈ ½.
+func mix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }

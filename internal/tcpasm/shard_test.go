@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"net/netip"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -320,23 +322,69 @@ func TestShardedStatsAndRace(t *testing.T) {
 	}
 }
 
-// TestShardOfStable pins the flow→shard mapping properties: affinity for
-// both directions of a flow and full use of the shard space.
+// TestShardOfStable pins the flow→shard mapping properties: the raw hash
+// sends both directions of a flow, IPv4 or IPv6, to the same shard, and
+// flows use the full shard space.
 func TestShardOfStable(t *testing.T) {
-	used := make(map[int]bool)
-	for i := 0; i < 256; i++ {
-		c := packet.Endpoint{Addr: packet.MustAddr(fmt.Sprintf("10.0.%d.%d", i/16, i%16+1)), Port: uint16(1024 + i)}
-		s := packet.Endpoint{Addr: packet.MustAddr("203.0.113.9"), Port: 80}
-		fwd := packet.Flow{Src: c, Dst: s}.Canonical()
-		rev := packet.Flow{Src: s, Dst: c}.Canonical()
-		a, b := shardOf(fwd, 8), shardOf(rev, 8)
-		if a != b {
-			t.Fatalf("flow %v: directions map to shards %d and %d", c, a, b)
-		}
-		used[a] = true
+	servers := []packet.Endpoint{
+		{Addr: netip.MustParseAddr("203.0.113.9"), Port: 80},
+		{Addr: netip.MustParseAddr("2001:db8::9"), Port: 443},
 	}
-	if len(used) != 8 {
-		t.Errorf("256 flows hit only %d of 8 shards", len(used))
+	for _, srv := range servers {
+		used := make(map[int]bool)
+		for i := 0; i < 256; i++ {
+			addr := fmt.Sprintf("10.0.%d.%d", i/16, i%16+1)
+			if srv.Addr.Is6() {
+				addr = fmt.Sprintf("2001:db8:%x::%x", i/16, i%16+1)
+			}
+			c := packet.Endpoint{Addr: netip.MustParseAddr(addr), Port: uint16(1024 + i)}
+			a, b := shardOf(packet.Flow{Src: c, Dst: srv}, 8), shardOf(packet.Flow{Src: srv, Dst: c}, 8)
+			if a != b {
+				t.Fatalf("flow %v: directions map to shards %d and %d", c, a, b)
+			}
+			used[a] = true
+		}
+		if len(used) != 8 {
+			t.Errorf("256 flows to %v hit only %d of 8 shards", srv, len(used))
+		}
+	}
+}
+
+// TestShardOfBalance bounds the load imbalance over seeded random flows —
+// random clients against a few telescope addresses and ports, a quarter of
+// them IPv6 — at max/mean ≤ 1.05 per shard width.
+func TestShardOfBalance(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	ports := []uint16{22, 80, 443, 8080}
+	flows := make([]packet.Flow, 1<<16)
+	for i := range flows {
+		var c, s packet.Endpoint
+		if rng.Intn(4) == 0 {
+			var a [16]byte
+			rng.Read(a[:])
+			a[0], a[1] = 0x20, 0x01
+			c.Addr = netip.AddrFrom16(a)
+			s.Addr = netip.MustParseAddr(fmt.Sprintf("2001:db8::%x", rng.Intn(16)))
+		} else {
+			c.Addr = netip.AddrFrom4([4]byte{byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))})
+			s.Addr = netip.MustParseAddr(fmt.Sprintf("198.51.100.%d", rng.Intn(16)))
+		}
+		c.Port = uint16(1024 + rng.Intn(64512))
+		s.Port = ports[rng.Intn(len(ports))]
+		flows[i] = packet.Flow{Src: c, Dst: s}
+	}
+	for _, n := range []int{2, 3, 8} {
+		counts := make([]int, n)
+		for _, f := range flows {
+			counts[shardOf(f, n)]++
+		}
+		max := slices.Max(counts)
+		mean := float64(len(flows)) / float64(n)
+		if r := float64(max) / mean; r > 1.05 {
+			t.Errorf("n=%d: max/mean %.3f > 1.05 (counts %v)", n, r, counts)
+		} else {
+			t.Logf("n=%d: max/mean %.3f", n, r)
+		}
 	}
 }
 
@@ -665,7 +713,7 @@ func TestFlowShardMatchesInternalRouting(t *testing.T) {
 			Dst: packet.Endpoint{Addr: packet.MustAddr(fmt.Sprintf("198.51.100.%d", rng.Intn(256))), Port: uint16(rng.Intn(65536))},
 		}
 		for _, n := range []int{1, 3, 8} {
-			if got, want := FlowShard(f, n), shardOf(f.Canonical(), n); got != want {
+			if got, want := FlowShard(f, n), shardOf(f, n); got != want {
 				t.Fatalf("FlowShard(%v, %d) = %d, internal routing %d", f, n, got, want)
 			}
 			// Both directions of a conversation must land together.

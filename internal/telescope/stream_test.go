@@ -157,10 +157,14 @@ func TestStreamCloseUnblocksProducer(t *testing.T) {
 	bps := streamWorkload(t, 7)
 	tel := NewSim(SimConfig{Seed: 7})
 	st := tel.Stream(NewSliceSource(bps), StreamConfig{Segments: 2, Queue: 1})
-	// Consume a little, then abandon.
+	// Consume a little of the first session, from the segment the flow
+	// hash routes it to, then abandon: the router stays stuck on a full
+	// queue.
+	first := tel.Session(bps[0])
+	seg := st.Segments()[tcpasm.FlowShard(packet.Flow{Src: first.Client, Dst: first.Server}, 2)]
 	var p pcapio.Packet
 	for i := 0; i < 3; i++ {
-		if err := st.Segments()[0].NextInto(&p); err != nil {
+		if err := seg.NextInto(&p); err != nil {
 			t.Fatal(err)
 		}
 	}
