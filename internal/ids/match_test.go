@@ -2,6 +2,9 @@ package ids
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -73,6 +76,89 @@ func TestParallelSmallInputFallsBack(t *testing.T) {
 	if len(events) != 3 { // 3 sessions: jndi, ognl, hik — none is the noise payload
 		t.Fatalf("events = %d", len(events))
 	}
+}
+
+// TestMatchAllMatchesSerial: MatchAll returns exactly MatchSessions' events,
+// in the same order, and hits pairs each with its session, for inputs
+// smaller and larger than the stage and every width.
+func TestMatchAllMatchesSerial(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 503} {
+		sessions, engine := parallelFixture(t, n)
+		serial := MatchSessions(sessions, engine, nil)
+		var wantHits []int
+		for i := range sessions {
+			if _, ok := MatchSession(&sessions[i], engine); ok {
+				wantHits = append(wantHits, i)
+			}
+		}
+		for _, workers := range []int{0, 1, 2, 7} {
+			stage := NewMatchStage(workers)
+			events, hits := stage.MatchAll(sessions, engine)
+			stage.Close()
+			if !reflect.DeepEqual(events, serial) {
+				t.Fatalf("n=%d workers=%d: events differ from MatchSessions", n, workers)
+			}
+			if !reflect.DeepEqual(hits, wantHits) {
+				t.Fatalf("n=%d workers=%d: hits %v, want %v", n, workers, hits, wantHits)
+			}
+		}
+	}
+}
+
+// TestMatchStageConcurrentSubmit: batches submitted from many goroutines are
+// each delivered exactly once, matched, and never two deliveries at a time.
+func TestMatchStageConcurrentSubmit(t *testing.T) {
+	sessions, engine := parallelFixture(t, 400)
+	const submitters, perSubmitter, size = 8, 10, 5
+	stage := NewMatchStage(4)
+	delivered := make(map[*MatchBatch]int)
+	sink := exclusiveSink(t, func([]Event) error { return nil })
+	deliver := func(b *MatchBatch) {
+		delivered[b]++ // safe only because deliveries never overlap
+		sink(b.Events)
+	}
+	var (
+		wg        sync.WaitGroup
+		mu        sync.Mutex
+		submitted []*MatchBatch
+	)
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < perSubmitter; k++ {
+				lo := (g*perSubmitter + k) * size
+				b := &MatchBatch{Sessions: sessions[lo : lo+size], Engine: engine}
+				mu.Lock()
+				submitted = append(submitted, b)
+				mu.Unlock()
+				stage.Submit(b, deliver)
+			}
+		}(g)
+	}
+	wg.Wait()
+	stage.Close()
+	if len(delivered) != len(submitted) {
+		t.Fatalf("%d batches delivered, %d submitted", len(delivered), len(submitted))
+	}
+	for _, b := range submitted {
+		if n := delivered[b]; n != 1 {
+			t.Fatalf("batch delivered %d times", n)
+		}
+		if want := MatchSessions(b.Sessions, engine, nil); !reflect.DeepEqual(b.Events, want) {
+			t.Fatalf("batch events %+v, want %+v", b.Events, want)
+		}
+	}
+}
+
+// TestMatchStageNoLeak: Close stops every worker the stage started.
+func TestMatchStageNoLeak(t *testing.T) {
+	sessions, engine := parallelFixture(t, 100)
+	before := runtime.NumGoroutine()
+	stage := NewMatchStage(7)
+	stage.MatchAll(sessions, engine)
+	stage.Close()
+	checkNoLeak(t, before)
 }
 
 func BenchmarkMatchSessionsSerial(b *testing.B) {

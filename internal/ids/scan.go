@@ -3,7 +3,6 @@ package ids
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 
@@ -13,8 +12,8 @@ import (
 )
 
 // The capture scan spine: one decoder goroutine per capture segment feeds a
-// flow-sharded assembler (see tcpasm.Sharded) and a pool of match workers
-// matches the sessions — all of them once the capture ends under
+// flow-sharded assembler (see tcpasm.Sharded) and a match stage (see
+// MatchStage) matches the sessions — all of them once the capture ends under
 // ScanCaptureSharded, batch by batch as the shard workers emit them under
 // ScanCaptureStreamed. The two are the same driver with and without
 // streaming emission; output equals the serial ScanCapture's — same events,
@@ -26,11 +25,8 @@ type ScanConfig struct {
 	// Shards is the reassembly shard count; zero means the tcpasm default
 	// of min(8, GOMAXPROCS).
 	Shards int
-	// MatchWorkers is the signature-matching pool size; zero means
-	// GOMAXPROCS. ScanCaptureSharded splits the finished session list
-	// across that many workers (see MatchSessionsParallel);
-	// ScanCaptureStreamed runs that many long-lived workers, each matching
-	// whole emitted batches.
+	// MatchWorkers is the match stage's worker count under both scan
+	// drivers; zero means GOMAXPROCS.
 	MatchWorkers int
 	// Assembler overrides reassembly limits (idle timeout, stream caps) and
 	// declares flow-partitioned sources (FlowDisjointFeeders). The scan
@@ -130,18 +126,16 @@ func ScanCaptureSharded(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig) (
 	if err != nil {
 		return nil, stats, err
 	}
-	events := MatchSessionsParallel(sessions, e, &stats, cfg.MatchWorkers)
-	return events, stats, nil
+	return MatchSessionsParallel(sessions, e, &stats, cfg.MatchWorkers), stats, nil
 }
 
 // ScanCaptureStreamed is ScanCaptureSharded with streaming emission: instead
 // of accumulating every session until the capture ends, completed sessions
-// flow straight from the shard workers to cfg.MatchWorkers long-lived match
-// workers and on to sink, so peak memory is bounded by the in-flight window
-// rather than the capture size. The trade: events reach sink in completion
-// order, not the canonical (End, Start, Client, Server) order, and no event
-// slice is returned — exact aggregate stats still are, via the
-// order-independent StatsBuilder.
+// flow straight from the shard workers to the match stage and on to sink,
+// so peak memory is bounded by the in-flight window rather than the capture
+// size. The trade: events reach sink in completion order, not the canonical
+// (End, Start, Client, Server) order, and no event slice is returned — exact
+// aggregate stats still are, via the order-independent StatsBuilder.
 //
 // sink is never called concurrently (calls may come from different
 // goroutines) and each call owns its slice; nil drops the events. A sink
@@ -149,57 +143,24 @@ func ScanCaptureSharded(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig) (
 // drained, so the pipeline cannot deadlock) — and is returned after the
 // scan's own errors.
 func ScanCaptureStreamed(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig, sink func([]Event) error) (ScanStats, error) {
-	workers := cfg.MatchWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	// Deliveries never overlap, so sb and sinkErr need no lock of their own,
+	// and the stage's bounded queue backpressures the shard workers.
+	stage := NewMatchStage(cfg.MatchWorkers)
+	sb := NewStatsBuilder()
+	var sinkErr error // the first sink error
+	deliver := func(b *MatchBatch) {
+		sb.AddSessionBatch(b.Sessions)
+		sb.AddEvents(b.Events)
+		if sink != nil && sinkErr == nil && len(b.Events) > 0 {
+			sinkErr = sink(b.Events)
+		}
 	}
-	// Shard workers hand session batches to the match workers over a
-	// bounded channel: matching overlaps with reassembly and decode, and
-	// backpressure from a slow sink propagates all the way to generation.
-	// Four batches let the shard workers run a little ahead of matching
-	// while keeping the in-flight window, which bounds memory, small.
-	sessCh := make(chan []tcpasm.Session, 4)
-	builders := make([]*StatsBuilder, workers)
-	// sinkMu is held across each sink call on purpose: it is what keeps
-	// sink calls from overlapping. Nothing else takes it, so a blocking
-	// sink stalls only other workers' deliveries — the same backpressure a
-	// single delivering goroutine would apply.
-	var (
-		wg      sync.WaitGroup
-		sinkMu  sync.Mutex
-		sinkErr error // the first sink error, under sinkMu
-	)
-	for w := range builders {
-		sb := NewStatsBuilder()
-		builders[w] = sb
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker matches whole batches serially, so its pooled
-			// match scratch stays warm and no batch forks or joins.
-			for batch := range sessCh {
-				events := MatchSessions(batch, e, nil)
-				sb.AddSessionBatch(batch)
-				sb.AddEvents(events)
-				if sink == nil || len(events) == 0 {
-					continue
-				}
-				sinkMu.Lock()
-				if sinkErr == nil {
-					sinkErr = sink(events)
-				}
-				sinkMu.Unlock()
-			}
-		}()
-	}
-	_, stats, err := scan(srcs, cfg, func(batch []tcpasm.Session) { sessCh <- batch })
-	close(sessCh)
-	wg.Wait()
+	_, stats, err := scan(srcs, cfg, func(batch []tcpasm.Session) {
+		stage.Submit(&MatchBatch{Sessions: batch, Engine: e}, deliver)
+	})
+	stage.Close()
 
-	for _, o := range builders[1:] {
-		builders[0].Merge(o)
-	}
-	builders[0].fillMatchStats(&stats)
+	sb.fillMatchStats(&stats)
 	if err == nil {
 		err = sinkErr
 	}

@@ -3,6 +3,7 @@ package ids
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"net/netip"
 	"sort"
 
@@ -60,26 +61,11 @@ func (b *StatsBuilder) AddEvents(events []Event) {
 	}
 }
 
-// Merge folds another builder's accumulated state into b, deduplicating
-// distinct CVEs and sources across both — the same result as feeding every
-// batch of both builders to one. o remains usable afterwards.
-func (b *StatsBuilder) Merge(o *StatsBuilder) {
-	b.sessions += o.sessions
-	b.matched += o.matched
-	b.ambiguous += o.ambiguous
-	for cve := range o.cves {
-		b.cves[cve] = struct{}{}
-	}
-	for src := range o.srcs {
-		b.srcs[src] = struct{}{}
-	}
-}
-
 // Clone returns an independent copy of the builder's state.
 func (b *StatsBuilder) Clone() *StatsBuilder {
-	c := NewStatsBuilder()
-	c.Merge(b)
-	return c
+	c := *b
+	c.cves, c.srcs = maps.Clone(b.cves), maps.Clone(b.srcs)
+	return &c
 }
 
 // AppendBinary appends a deterministic binary encoding of the builder's

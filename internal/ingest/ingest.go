@@ -9,11 +9,11 @@
 //
 //	tailer goroutine:   segments -> zero-copy decode -> flow-sharded tcpasm
 //	shard workers:      per-flow reassembly (tcpasm.Sharded, DecodeShards)
-//	matcher goroutine:  session batches -> ids.MatchSessionsParallel -> store
+//	matcher goroutine:  session batches -> ids.MatchStage.MatchAll -> store
 //
 // The two stages are joined by a bounded channel, so a slow matcher
 // backpressures the tailer instead of buffering unboundedly. The matcher is
-// a single goroutine (parallelism lives inside MatchSessionsParallel), so
+// a single goroutine (parallelism lives in its long-lived match stage), so
 // events reach the store in session order. Close drains: everything already
 // on disk is consumed, open connections are flushed, the final batches are
 // matched and appended, then the goroutines exit.
@@ -84,11 +84,8 @@ type Config struct {
 	FlushIdle time.Duration
 	// BatchSessions is the target sessions per match batch. Zero means 256.
 	BatchSessions int
-	// QueueDepth bounds the batches in flight between tailer and matcher.
-	// Zero means 4.
-	QueueDepth int
-	// MatchWorkers is passed to ids.MatchSessionsParallel. Zero selects
-	// GOMAXPROCS.
+	// MatchWorkers is the worker count of the pipeline's match stage (see
+	// ids.MatchStage). Zero selects GOMAXPROCS.
 	MatchWorkers int
 	// DecodeShards overrides Assembler.Shards for the flow-sharded
 	// reassembly stage (see tcpasm.Sharded); zero defers to Assembler.Shards
@@ -105,10 +102,10 @@ type Sink interface {
 	AppendBatch(events []ids.Event) error
 }
 
-// DigestSink receives per-session digests at match time. *registry.Registry
-// satisfies it.
+// DigestSink receives per-session digests at match time, with the engine
+// that labelled them. *registry.Registry satisfies it.
 type DigestSink interface {
-	RecordDigests(ds []registry.Digest) error
+	RecordDigests(eng *ids.Engine, ds []registry.Digest) error
 	SyncDigests() error
 	SampleLimit() int
 }
@@ -118,6 +115,9 @@ type DigestSink interface {
 // not yet fsynced: a checkpoint that outran the sink would skip re-ingesting
 // capture whose events were lost with the page cache.
 type syncer interface{ Sync() error }
+
+// queueDepth bounds the batches in flight between tailer and matcher.
+const queueDepth = 4
 
 func (c Config) withDefaults() Config {
 	if c.Prefix == "" {
@@ -137,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSessions == 0 {
 		c.BatchSessions = 256
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 4
 	}
 	return c
 }
@@ -184,6 +181,7 @@ type Pipeline struct {
 	cfg    Config
 	asm    *tcpasm.Sharded
 	feeder *tcpasm.Feeder // owned by the tailer goroutine
+	stage  *ids.MatchStage
 
 	batchCh chan []tcpasm.Session
 	stop    chan struct{}
@@ -239,7 +237,8 @@ func Start(cfg Config) (*Pipeline, error) {
 	p := &Pipeline{
 		cfg:     cfg,
 		asm:     tcpasm.NewSharded(acfg, 1),
-		batchCh: make(chan []tcpasm.Session, cfg.QueueDepth),
+		stage:   ids.NewMatchStage(cfg.MatchWorkers),
+		batchCh: make(chan []tcpasm.Session, queueDepth),
 		stop:    make(chan struct{}),
 		tailerD: make(chan struct{}),
 		matchD:  make(chan struct{}),
@@ -691,37 +690,28 @@ func (p *Pipeline) engine() *ids.Engine {
 
 func (p *Pipeline) matcher() {
 	defer close(p.matchD)
+	defer p.stage.Close()
 	for batch := range p.batchCh {
 		start := time.Now()
 		eng := p.engine()
-		var ambiguous uint64
 		for i := range batch {
 			if batch[i].Ambiguous {
-				ambiguous++
+				p.ambiguous.Add(1)
 			}
 		}
-		if ambiguous > 0 {
-			p.ambiguous.Add(ambiguous)
-		}
-		var events []ids.Event
+		events, hits := p.stage.MatchAll(batch, eng)
 		if p.cfg.Digests != nil {
-			evs, oks := ids.MatchSessionsEach(batch, eng, p.cfg.MatchWorkers)
-			digests := make([]registry.Digest, len(batch))
-			limit := p.cfg.Digests.SampleLimit()
-			events = events[:0]
-			for i := range batch {
-				var evp *ids.Event
-				if oks[i] {
-					events = append(events, evs[i])
-					evp = &evs[i]
-				}
-				digests[i] = registry.DigestOf(&batch[i], evp, limit)
+			evs := make([]*ids.Event, len(batch))
+			for k, i := range hits {
+				evs[i] = &events[k]
 			}
-			if err := p.cfg.Digests.RecordDigests(digests); err != nil {
+			digests := make([]registry.Digest, len(batch))
+			for i := range batch {
+				digests[i] = registry.DigestOf(&batch[i], evs[i], p.cfg.Digests.SampleLimit())
+			}
+			if err := p.cfg.Digests.RecordDigests(eng, digests); err != nil {
 				p.fail(err)
 			}
-		} else {
-			events = ids.MatchSessionsParallel(batch, eng, nil, p.cfg.MatchWorkers)
 		}
 		if len(events) > 0 {
 			if err := p.cfg.Sink.AppendBatch(events); err != nil {

@@ -65,7 +65,8 @@ type Registry struct {
 	engine atomic.Pointer[ids.Engine]
 	gen    atomic.Uint64
 
-	// mu serializes the write side (Publish/Refresh) and guards ruleset.
+	// mu serializes the write side (Publish/Refresh) and guards ruleset. It
+	// also orders every write of the rescan marker against its removal.
 	mu      sync.Mutex
 	journal *rulesetJournal
 	ruleset []rules.DatedRule // current merged view, sorted by SID
@@ -78,6 +79,10 @@ type Registry struct {
 	rescanPending atomic.Int64
 	rescanDone    atomic.Int64
 	rescanMu      sync.Mutex // serializes Rescan runs
+	// stale counts digest batches recorded under an engine that was no
+	// longer current: their labels predate a publication whose rescan may
+	// already have walked past them.
+	stale atomic.Uint64
 
 	closed atomic.Bool
 }
@@ -203,9 +208,27 @@ func (r *Registry) Refresh() (uint64, error) {
 	return r.journal.gen, nil
 }
 
-// RecordDigests persists per-session digests (see Digest). Ingest calls it
-// per matched batch; durability follows the next SyncDigests.
-func (r *Registry) RecordDigests(ds []Digest) error { return r.digests.Append(ds) }
+// RecordDigests persists per-session digests (see Digest) labelled by eng.
+// Ingest calls it per matched batch; durability follows the next
+// SyncDigests. A batch labelled by an engine that is no longer current was
+// matched before a publication that may already have been rescanned without
+// it, so it re-sets the rescan marker: the next Rescan re-attributes it.
+func (r *Registry) RecordDigests(eng *ids.Engine, ds []Digest) error {
+	if err := r.digests.Append(ds); err != nil {
+		return err
+	}
+	if eng == r.Engine() {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.stale.Add(1)
+	if err := r.setRescanMarker(r.Generation()); err != nil {
+		return err
+	}
+	r.rescanPending.Store(r.digests.Len())
+	return nil
+}
 
 // SyncDigests fsyncs the digest log; ingest calls it at its checkpoint
 // cadence so digests are never more stale than events.
@@ -278,6 +301,7 @@ func (r *Registry) Rescan(st *eventstore.Store) (RescanStats, error) {
 	defer r.rescanMu.Unlock()
 	eng := r.Engine() // one generation labels the whole rescan
 	gen := r.Generation()
+	stale := r.stale.Load()
 	var stats RescanStats
 	var pending []eventstore.Amendment
 	total := r.digests.Len()
@@ -338,8 +362,12 @@ func (r *Registry) Rescan(st *eventstore.Store) (RescanStats, error) {
 	}
 	// Completion: drop the marker only after every amendment is durable
 	// (AppendAmendments fsyncs). A crash before this point re-runs the whole
-	// rescan; idempotence makes that free of double effects.
-	if r.Generation() == gen {
+	// rescan; idempotence makes that free of double effects. A publication
+	// or a stale batch since the walk began leaves the marker for the next
+	// rescan.
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.Generation() == gen && r.stale.Load() == stale {
 		if err := r.fs.Remove(r.rescanMarkerPath()); err != nil && !os.IsNotExist(err) {
 			return stats, err
 		}

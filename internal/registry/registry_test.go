@@ -260,7 +260,7 @@ func TestRescanReattributesHistory(t *testing.T) {
 			digests = append(digests, DigestOf(&sessions[i], nil, r.SampleLimit()))
 		}
 	}
-	if err := r.RecordDigests(digests); err != nil {
+	if err := r.RecordDigests(r.Engine(), digests); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.SyncDigests(); err != nil {
@@ -324,6 +324,72 @@ func TestRescanReattributesHistory(t *testing.T) {
 		if again[i].SID != got[i].SID {
 			t.Fatalf("re-rescan changed event %d", i)
 		}
+	}
+}
+
+// TestRescanCatchesStaleBatch scripts the interleaving of an ingest batch
+// with a concurrent publish and rescan: the matcher resolves the engine and
+// labels its batch, a publication and its complete rescan run, and only then
+// does the matcher record the batch's digests. The batch's pre-publish label
+// must not stand: recording it re-arms the rescan, and the next rescan
+// re-attributes it to what a cold run over the final ruleset would say.
+func TestRescanCatchesStaleBatch(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(Config{Dir: dir, Base: baseRuleset(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	st, err := eventstore.Open(filepath.Join(dir, "events"), eventstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	// The matcher picks up a batch and labels it under generation 0.
+	s := testSession(0, "GET /a?cmd=evil HTTP/1.1\r\n\r\n")
+	eng := r.Engine()
+	ev, ok := ids.MatchSession(&s, eng)
+	if !ok || ev.SID != 500001 {
+		t.Fatalf("generation-0 label: %v %+v", ok, ev)
+	}
+
+	// Meanwhile an earlier-published rule for the same traffic lands, and
+	// its rescan walks the digest log — which does not hold the batch yet.
+	delta := []rules.DatedRule{
+		datedRule(t, `alert tcp any any -> any any (msg:"earlier"; content:"cmd=evil"; reference:cve,2021-2000; sid:500002; rev:1;)`, earlyPub),
+	}
+	if _, err := r.Publish(delta); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Rescan(st); err != nil {
+		t.Fatal(err)
+	}
+
+	// The matcher appends its events and records the batch's digests.
+	if err := st.Append(ev); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RecordDigests(eng, []Digest{DigestOf(&s, &ev, r.SampleLimit())}); err != nil {
+		t.Fatal(err)
+	}
+	if !r.RescanNeeded() {
+		t.Fatal("a batch labelled by a superseded engine must re-arm the rescan")
+	}
+	if _, err := r.Rescan(st); err != nil {
+		t.Fatal(err)
+	}
+	if r.RescanNeeded() {
+		t.Error("the follow-up rescan must clear the marker")
+	}
+
+	cold, ok := ids.MatchSession(&s, r.Engine())
+	if !ok || cold.SID != 500002 {
+		t.Fatalf("cold label: %v %+v", ok, cold)
+	}
+	got := st.Snapshot().Events()
+	if len(got) != 1 || got[0].SID != cold.SID || got[0].CVE != cold.CVE {
+		t.Fatalf("stored history %+v, cold run says sid %d", got, cold.SID)
 	}
 }
 

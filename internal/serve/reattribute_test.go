@@ -71,7 +71,7 @@ func TestRulesetRescanMovesDiff(t *testing.T) {
 	if err := store.Commit(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.RecordDigests([]registry.Digest{
+	if err := reg.RecordDigests(reg.Engine(), []registry.Digest{
 		registry.DigestOf(&s1, &ev, 0),
 		registry.DigestOf(&s2, nil, 0),
 	}); err != nil {

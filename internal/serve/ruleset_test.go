@@ -121,7 +121,7 @@ func TestRulesetEndpoints(t *testing.T) {
 	for i := range sessions {
 		digests = append(digests, registry.DigestOf(&sessions[i], nil, 0))
 	}
-	if err := reg.RecordDigests(digests); err != nil {
+	if err := reg.RecordDigests(reg.Engine(), digests); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.Publish(nil); err == nil {

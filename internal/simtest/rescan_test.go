@@ -113,7 +113,7 @@ func runRescanCrashSweep(t *testing.T, seed int64) {
 	if err := store.Commit(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.RecordDigests(digests); err != nil {
+	if err := reg.RecordDigests(reg.Engine(), digests); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.SyncDigests(); err != nil {

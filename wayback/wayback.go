@@ -71,8 +71,8 @@ type Config struct {
 	// (UsePcap, Streaming, RunStream). Zero picks min(8, GOMAXPROCS); every
 	// value yields identical events.
 	ReasmShards int
-	// MatchWorkers sizes the signature-matching pool on every path. Zero
-	// picks GOMAXPROCS.
+	// MatchWorkers sizes the match stage (ids.MatchStage) on every path.
+	// Zero picks GOMAXPROCS.
 	MatchWorkers int
 	// Streaming synthesizes the capture lazily straight into the sharded
 	// scan front-end: no pcap bytes are materialized in memory or on disk,
@@ -275,8 +275,6 @@ func (s *Study) Run() (*Results, error) {
 		if !s.cfg.UsePcap {
 			sessions := s.tel.Sessions(bps)
 			res := &Results{Coverage: telescope.Coverage(sessions)}
-			// Parallel matching preserves session order, so results are
-			// byte-identical to the serial path (tested in package ids).
 			res.Events = ids.MatchSessionsParallel(sessions, s.engine, &res.Stats, s.cfg.MatchWorkers)
 			return s.finish(res, nil), nil
 		}
