@@ -63,7 +63,7 @@ func run(args []string) error {
 	pipeline := fs.Bool("pipeline", false, "derive lifecycles from the measured pipeline instead of Appendix E")
 	out := fs.String("out", "paper-out", "output directory for 'all'")
 	rulesPath := fs.String("rules", "", "dated ruleset file for 'replay' (default: the built-in study ruleset)")
-	reasmShards := fs.Int("reasm-shards", 0, "flow-sharded reassembly width (0 = min(8, GOMAXPROCS); output is identical for every value)")
+	reasmShards := fs.Int("reasm-shards", 0, "flow-sharded reassembly width for -pcap and replay; -stream reassembles one segment per goroutine (0 = min(8, GOMAXPROCS); output is identical for every value)")
 	matchWorkers := fs.Int("match-workers", 0, "signature-matching worker pool size (0 = GOMAXPROCS)")
 	overlapFlag := fs.String("overlap-policy", "first-wins", "reassembly policy for conflicting overlapping retransmits (first-wins | last-wins); conflicting sessions are flagged ambiguous either way")
 	impairSpec := fs.String("impair", "", "seeded impairment profile applied to 'replay' captures, e.g. loss=0.01,dup=0.02,reorder=0.05,abort=0.001,mtu=1400,seed=7")

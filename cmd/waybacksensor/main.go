@@ -17,7 +17,7 @@
 //
 //	waybacksensor -watch capture/ -state state/ -coordinator host:8417
 //	              [-id sensor-0] [-shard 0 -shards 1] [-seed 1]
-//	              [-codec snappy] [-window 8] [-heartbeat 1s]
+//	              [-window 8] [-heartbeat 1s]
 //	              [-prefix dscope] [-poll 100ms] [-flush-idle 2s]
 //	              [-batch 256] [-workers 0]
 //	              [-rules-dir rules/] [-rules-reload 5s]
@@ -77,7 +77,6 @@ type sensorConfig struct {
 	shard       int
 	shards      int
 	seed        int64
-	codec       string
 	window      int
 	heartbeat   time.Duration
 	prefix      string
@@ -96,10 +95,6 @@ type sensorConfig struct {
 }
 
 func openSensor(cfg sensorConfig) (*sensor, error) {
-	codec, err := fleet.ParseCodec(cfg.codec)
-	if err != nil {
-		return nil, err
-	}
 	study, err := wayback.NewStudy(wayback.Config{Seed: cfg.seed})
 	if err != nil {
 		return nil, err
@@ -115,7 +110,6 @@ func openSensor(cfg sensorConfig) (*sensor, error) {
 		Shard:          cfg.shard,
 		Shards:         cfg.shards,
 		StateDir:       cfg.stateDir,
-		Codec:          codec,
 		Window:         cfg.window,
 		HeartbeatEvery: cfg.heartbeat,
 		BackoffMin:     cfg.backoffMin,
@@ -257,7 +251,6 @@ func run(args []string) error {
 	shard := fs.Int("shard", 0, "this sensor's address-space shard index")
 	shards := fs.Int("shards", 1, "total shards in the fleet")
 	seed := fs.Int64("seed", 1, "study seed (selects the ruleset)")
-	codec := fs.String("codec", "snappy", "batch compression: snappy, deflate, raw")
 	window := fs.Int("window", 8, "max unacked batches in flight")
 	heartbeat := fs.Duration("heartbeat", time.Second, "heartbeat interval while idle")
 	prefix := fs.String("prefix", "dscope", "segment filename prefix")
@@ -283,7 +276,7 @@ func run(args []string) error {
 	s, err := openSensor(sensorConfig{
 		watchDir: *watch, stateDir: *state, coordinator: *coordinator,
 		id: *id, shard: *shard, shards: *shards, seed: *seed,
-		codec: *codec, window: *window, heartbeat: *heartbeat,
+		window: *window, heartbeat: *heartbeat,
 		prefix: *prefix, poll: *poll, flushIdle: *flushIdle,
 		batch: *batch, workers: *workers, reasmShards: *reasmShards,
 		rulesDir: *rulesDir, rulesReload: *rulesReload,

@@ -197,7 +197,7 @@ func TestFleetEndToEnd(t *testing.T) {
 			watchDir: watchDirs[i], stateDir: t.TempDir(),
 			coordinator: proxy.addr(), id: ids[i],
 			shard: i, shards: shards, seed: seed,
-			codec: "snappy", window: 4, heartbeat: 50 * time.Millisecond,
+			window: 4, heartbeat: 50 * time.Millisecond,
 			prefix: "dscope", poll: 5 * time.Millisecond,
 			flushIdle: 50 * time.Millisecond, batch: 64,
 			backoffMin: 20 * time.Millisecond, backoffMax: 300 * time.Millisecond,
@@ -399,11 +399,5 @@ func TestRunFlagValidation(t *testing.T) {
 		"-shard", "3", "-shards", "3",
 	}); err == nil {
 		t.Error("out-of-range shard accepted")
-	}
-	if err := run([]string{
-		"-watch", t.TempDir(), "-state", t.TempDir(),
-		"-coordinator", "127.0.0.1:1", "-id", "x", "-codec", "bogus",
-	}); err == nil {
-		t.Error("bogus codec accepted")
 	}
 }

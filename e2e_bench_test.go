@@ -29,12 +29,13 @@ type streamStudyCase struct {
 func streamStudyCases() []streamStudyCase {
 	return []streamStudyCase{
 		// serial: every stage width forced to 1 AND one OS core — the honest
-		// single-threaded baseline the speedup gate divides by.
+		// single-threaded baseline the speedup gate divides by. One segment
+		// is one reassembler; ReasmShards pins the pcap path's width too.
 		{name: "serial",
 			cfg:   wayback.Config{Seed: 1, Scale: 1, StreamSegments: 1, ReasmShards: 1, MatchWorkers: 1},
 			procs: 1},
-		// sharded: host defaults — min(8, GOMAXPROCS) segments and shards,
-		// GOMAXPROCS match workers.
+		// sharded: host defaults — min(8, GOMAXPROCS) segments, each
+		// reassembled on its own goroutine, and GOMAXPROCS match workers.
 		{name: "sharded", cfg: wayback.Config{Seed: 1, Scale: 1}},
 		// stress: 10x the paper's event volume, host defaults. Exists to
 		// prove constant-memory streaming holds past paper scale, and to
@@ -44,7 +45,7 @@ func streamStudyCases() []streamStudyCase {
 }
 
 // BenchmarkStreamStudy runs the full streaming study — lazy generation,
-// virtual segments, flow-sharded reassembly, matching — at paper scale
+// virtual segments, segment-local reassembly, matching — at paper scale
 // (Scale 1 ≈ 115 k exploit events) and reports attributed events/s.
 func BenchmarkStreamStudy(b *testing.B) {
 	for _, tc := range streamStudyCases() {

@@ -31,23 +31,20 @@ type KEVConfig struct {
 	// N is the number of catalog CVEs published during the study window
 	// (the paper filters KEV to 424 such CVEs).
 	N int
-	// OverlapCount is how many of the 63 study CVEs also appear in KEV
-	// (the paper observed 44, i.e. 70%).
-	OverlapCount int
-	// DscopeFirstCount is how many overlap CVEs the telescope observed
-	// before their KEV addition (the paper observed 26 of 44, 59%).
-	DscopeFirstCount int
 }
+
+const (
+	// kevOverlap is how many of the 63 study CVEs also appear in KEV (the
+	// paper observed 44, i.e. 70%).
+	kevOverlap = 44
+	// kevDscopeFirst is how many overlap CVEs the telescope observed before
+	// their KEV addition (the paper observed 26 of 44, 59%).
+	kevDscopeFirst = 26
+)
 
 func (c KEVConfig) withDefaults() KEVConfig {
 	if c.N == 0 {
 		c.N = 424
-	}
-	if c.OverlapCount == 0 {
-		c.OverlapCount = 44
-	}
-	if c.DscopeFirstCount == 0 {
-		c.DscopeFirstCount = 26
 	}
 	return c
 }
@@ -84,8 +81,8 @@ func GenerateKEV(cfg KEVConfig) KEVCatalog {
 	study := StudyCVEs()
 	sort.SliceStable(study, func(i, j int) bool { return study[i].Events > study[j].Events })
 	overlap := study
-	if len(overlap) > cfg.OverlapCount {
-		overlap = overlap[:cfg.OverlapCount]
+	if len(overlap) > kevOverlap {
+		overlap = overlap[:kevOverlap]
 	}
 	// Order the overlap by first observed attack: CVEs the telescope saw
 	// earliest are the ones it naturally beats manual reporting on, and
@@ -103,7 +100,7 @@ func GenerateKEV(cfg KEVConfig) KEVCatalog {
 	for i, c := range overlap {
 		fa := firstAttack(&c)
 		var added time.Time
-		if i < cfg.DscopeFirstCount {
+		if i < kevDscopeFirst {
 			// Telescope-first: KEV lags the first observed attack. Half of
 			// these lag by more than 30 days (Finding 17's headline).
 			var lag time.Duration

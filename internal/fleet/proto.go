@@ -78,8 +78,9 @@ const (
 	CodecRaw Codec = iota
 	// CodecDeflate uses DEFLATE (compress/flate) at BestSpeed.
 	CodecDeflate
-	// CodecSnappy uses the in-repo snappy block codec — the default: ~3x on
-	// event batches at a fraction of deflate's CPU.
+	// CodecSnappy uses the in-repo snappy block codec, ~3x on event batches
+	// at a fraction of deflate's CPU. The Shipper always sends it; the
+	// coordinator still decodes all three, for older sensors.
 	CodecSnappy
 )
 
@@ -94,19 +95,6 @@ func (c Codec) String() string {
 	default:
 		return fmt.Sprintf("codec(%d)", uint8(c))
 	}
-}
-
-// ParseCodec maps a flag value to a Codec.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "raw", "none":
-		return CodecRaw, nil
-	case "deflate":
-		return CodecDeflate, nil
-	case "snappy", "":
-		return CodecSnappy, nil
-	}
-	return 0, fmt.Errorf("fleet: unknown codec %q (raw, deflate, snappy)", s)
 }
 
 // Message types (first payload byte of every frame).

@@ -25,8 +25,6 @@ type ShipperConfig struct {
 	Shard, Shards int
 	// StateDir holds the spool. Required.
 	StateDir string
-	// Codec compresses outgoing batches. Default snappy.
-	Codec Codec
 	// Window bounds unacked batches in flight. Zero means 8.
 	Window int
 	// HeartbeatEvery paces liveness while idle. Zero means 1s.
@@ -55,9 +53,6 @@ func (c ShipperConfig) withDefaults() ShipperConfig {
 	if c.Shards == 0 {
 		c.Shards = 1
 	}
-	if c.Codec == 0 {
-		c.Codec = CodecSnappy
-	}
 	if c.Window == 0 {
 		c.Window = 8
 	}
@@ -84,7 +79,8 @@ type ShipperMetrics struct {
 // with a bounded in-flight window, reconnecting with jittered exponential
 // backoff. It is the ingest pipeline's Sink on a sensor: AppendBatch lands
 // in the spool (so nothing is lost while the coordinator is away) and the
-// run loop drains the spool over the wire in sequence order.
+// run loop drains the spool over the wire in sequence order, every batch
+// snappy-encoded.
 type Shipper struct {
 	cfg   ShipperConfig
 	spool *spool
@@ -195,7 +191,7 @@ func (s *Shipper) session(ctx context.Context, conn net.Conn) (shipped bool, err
 		SensorID:   s.cfg.SensorID,
 		ShardIndex: uint32(s.cfg.Shard),
 		ShardCount: uint32(s.cfg.Shards),
-		Codec:      s.cfg.Codec,
+		Codec:      CodecSnappy,
 	}
 	if err := c.Send(h.encode()); err != nil {
 		return false, err
@@ -261,7 +257,7 @@ func (s *Shipper) session(ctx context.Context, conn net.Conn) (shipped bool, err
 			if !ok {
 				break
 			}
-			payload, raw, err := encodeBatchScratch(wireBuf, rawBuf, b.seq, b.events, s.cfg.Codec)
+			payload, raw, err := encodeBatchScratch(wireBuf, rawBuf, b.seq, b.events, CodecSnappy)
 			if err != nil {
 				return true, err
 			}

@@ -12,40 +12,39 @@ import (
 )
 
 // The capture scan spine: one decoder goroutine per capture segment feeds a
-// flow-sharded assembler (see tcpasm.Sharded) and a match stage (see
+// flow-sharded assembler (see tcpasm.Sharded), or its own Assembler when
+// every segment is a pcapio.FlowPartitionedSource, and a match stage (see
 // MatchStage) matches the sessions — all of them once the capture ends under
-// ScanCaptureSharded, batch by batch as the shard workers emit them under
-// ScanCaptureStreamed. The two are the same driver with and without
-// streaming emission; output equals the serial ScanCapture's — same events,
-// same stats — for any shard or worker count.
+// ScanCaptureSharded, batch by batch as reassembly emits them under
+// ScanCaptureStreamed. Output equals the serial ScanCapture's — same events,
+// same stats — for any shard, segment or worker count.
 
 // ScanConfig tunes the capture scan. The zero value picks sensible defaults
 // for the host.
 type ScanConfig struct {
-	// Shards is the reassembly shard count; zero means the tcpasm default
-	// of min(8, GOMAXPROCS).
+	// Shards is the reassembly shard count for time-ordered sources; zero
+	// means the tcpasm default of min(8, GOMAXPROCS). Flow-partitioned
+	// sources ignore it: there the width is the source count.
 	Shards int
 	// MatchWorkers is the match stage's worker count under both scan
 	// drivers; zero means GOMAXPROCS.
 	MatchWorkers int
-	// Assembler overrides reassembly limits (idle timeout, stream caps) and
-	// declares flow-partitioned sources (FlowDisjointFeeders). The scan
-	// sets its Emit field, and its Shards field when ScanConfig.Shards is.
+	// Assembler overrides reassembly limits (idle timeout, stream caps,
+	// overlap policy). The scan sets its Emit field, and its Shards field
+	// when ScanConfig.Shards is.
 	Assembler tcpasm.Config
 }
 
 // FeedRecords is the capture record loop: it reads up to max records from
-// src (max <= 0: all of them) into the feeder's one scratch item, decodes
-// each to count decode errors and find its flow, and feeds it, which packs
-// the frame into its shard's pending batch. Zero-copy sources lend the
-// item's buffer to NextInto; others cost one more copy per record. It
-// returns the records read, how many of them did not decode, and the last
-// one's capture timestamp; err is io.EOF once src is exhausted and nil when
-// max stopped the loop first.
-func FeedRecords(src pcapio.PacketSource, f *tcpasm.Feeder, max int) (packets, decodeErrs int, last time.Time, err error) {
+// src (max <= 0: all of them) into the one scratch item it, decodes each,
+// counting decode errors, and passes it to feed, which is done with it on
+// return. Zero-copy sources lend the item's buffer to NextInto; others cost
+// one more copy per record. It returns the records read, how many did not
+// decode, and the last one's capture timestamp; err is io.EOF once src is
+// exhausted and nil when max stopped the loop first.
+func FeedRecords(src pcapio.PacketSource, it *tcpasm.FeedItem, feed func(*tcpasm.FeedItem), max int) (packets, decodeErrs int, last time.Time, err error) {
 	zc, zeroCopy := src.(pcapio.ZeroCopySource)
 	var rec pcapio.Packet
-	it := f.Get()
 	for max <= 0 || packets < max {
 		if zeroCopy {
 			// Lend the item's buffer to the reader; take back whatever
@@ -66,16 +65,16 @@ func FeedRecords(src pcapio.PacketSource, f *tcpasm.Feeder, max int) (packets, d
 			continue
 		}
 		it.TS = rec.Timestamp
-		f.Feed(it)
+		feed(it)
 	}
 	return packets, decodeErrs, last, nil
 }
 
-// scan drives srcs through decode and flow-sharded reassembly, one decode
-// goroutine per source. With emit set, session batches stream to it from the
-// shard workers (all delivered before scan returns) and none are returned;
-// without, every session is returned in canonical order. Only the
-// capture-side stats are filled in.
+// scan drives srcs through decode and reassembly, one decode goroutine per
+// source. With emit set, session batches stream to it (concurrently, all
+// delivered before scan returns) and none are returned; without, every
+// session is returned in canonical order. Only the capture-side stats are
+// filled in.
 func scan(srcs []pcapio.PacketSource, cfg ScanConfig, emit func([]tcpasm.Session)) ([]tcpasm.Session, ScanStats, error) {
 	var stats ScanStats
 	if len(srcs) == 0 {
@@ -86,41 +85,88 @@ func scan(srcs []pcapio.PacketSource, cfg ScanConfig, emit func([]tcpasm.Session
 		acfg.Shards = cfg.Shards
 	}
 	acfg.Emit = emit
-	asm := tcpasm.NewSharded(acfg, len(srcs))
+
+	var asm *tcpasm.Sharded // nil: all sources hold whole flows, reassembled where read
+	for _, src := range srcs {
+		if _, ok := src.(pcapio.FlowPartitionedSource); !ok {
+			asm = tcpasm.NewSharded(acfg, len(srcs))
+			break
+		}
+	}
 
 	type fed struct {
 		packets, decodeErrs int
+		sessions            []tcpasm.Session // a local Assembler's, without emit
 		err                 error
 	}
 	feds := make([]fed, len(srcs))
 	var wg sync.WaitGroup
 	for i, src := range srcs {
 		wg.Add(1)
-		go func(r *fed, src pcapio.PacketSource, f *tcpasm.Feeder) {
+		go func(r *fed) {
 			defer wg.Done()
+			if asm == nil {
+				r.sessions, r.packets, r.decodeErrs, r.err = reassembleLocal(src, acfg)
+				return
+			}
+			f := asm.Feeder(i)
 			defer f.Close()
-			r.packets, r.decodeErrs, _, r.err = FeedRecords(src, f, 0)
-		}(&feds[i], src, asm.Feeder(i))
+			r.packets, r.decodeErrs, _, r.err = FeedRecords(src, f.Get(), f.Feed, 0)
+		}(&feds[i])
 	}
 	wg.Wait()
-	sessions := asm.Wait() // under emit: nil, after the final flush batches
 
+	var sessions []tcpasm.Session
+	if asm != nil {
+		sessions = asm.Wait() // under emit: nil, after the final flush batches
+	}
 	var err error
 	for i, r := range feds {
 		stats.Packets += r.packets
 		stats.DecodeErrors += r.decodeErrs
+		sessions = append(sessions, r.sessions...)
 		if r.err != io.EOF && err == nil {
 			err = fmt.Errorf("ids: segment %d: reading capture: %w", i, r.err)
 		}
 	}
+	if asm == nil {
+		tcpasm.SortSessions(sessions)
+	}
 	return sessions, stats, err
+}
+
+// reassembleLocal reads one flow-partitioned source to EOF into its own
+// Assembler. Records of different flows need not be in time order, so it
+// runs no idle Advance (Feed's gap split still ends idle sessions exactly as
+// the serial scan does). Sessions go to cfg.Emit every 128 frames and at
+// EOF, or are returned without it.
+func reassembleLocal(src pcapio.PacketSource, cfg tcpasm.Config) (sessions []tcpasm.Session, packets, decodeErrs int, err error) {
+	const handOffEvery = 128 // frames, as in a tcpasm.Feeder batch
+	asm := tcpasm.NewAssembler(cfg)
+	handOff := func() {
+		if out := asm.Sessions(); cfg.Emit == nil {
+			sessions = append(sessions, out...)
+		} else if len(out) > 0 {
+			cfg.Emit(out)
+		}
+	}
+	frames := 0
+	packets, decodeErrs, _, err = FeedRecords(src, new(tcpasm.FeedItem), func(it *tcpasm.FeedItem) {
+		asm.Feed(it.TS, &it.Pkt)
+		if frames++; frames%handOffEvery == 0 {
+			handOff()
+		}
+	}, 0)
+	asm.Flush()
+	handOff()
+	return sessions, packets, decodeErrs, err
 }
 
 // ScanCaptureSharded replays one or more capture segments through the scan
 // spine and returns events and stats exactly as ScanCapture would over their
 // concatenation. srcs must be time-ordered (segment N captured before
 // segment N+1) — pcapio.OpenFiles order, or a one-element slice — unless
-// cfg.Assembler.FlowDisjointFeeders declares them flow-partitioned.
+// all are pcapio.FlowPartitionedSources, whose order does not matter.
 func ScanCaptureSharded(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig) ([]Event, ScanStats, error) {
 	sessions, stats, err := scan(srcs, cfg, nil)
 	if err != nil {
@@ -131,7 +177,7 @@ func ScanCaptureSharded(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig) (
 
 // ScanCaptureStreamed is ScanCaptureSharded with streaming emission: instead
 // of accumulating every session until the capture ends, completed sessions
-// flow straight from the shard workers to the match stage and on to sink,
+// flow straight from reassembly to the match stage and on to sink,
 // so peak memory is bounded by the in-flight window rather than the capture
 // size. The trade: events reach sink in completion order, not the canonical
 // (End, Start, Client, Server) order, and no event slice is returned — exact
@@ -144,7 +190,7 @@ func ScanCaptureSharded(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig) (
 // scan's own errors.
 func ScanCaptureStreamed(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig, sink func([]Event) error) (ScanStats, error) {
 	// Deliveries never overlap, so sb and sinkErr need no lock of their own,
-	// and the stage's bounded queue backpressures the shard workers.
+	// and the stage's bounded queue backpressures reassembly.
 	stage := NewMatchStage(cfg.MatchWorkers)
 	sb := NewStatsBuilder()
 	var sinkErr error // the first sink error

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/pcapio"
+	"repro/internal/tcpasm"
 )
 
 // sortEventsCanonical imposes a total order so the streamed scan's
@@ -140,22 +141,35 @@ func TestScanCaptureStreamedParity(t *testing.T) {
 
 // TestScanCaptureStreamedSinkError: a failing sink must surface its error
 // without deadlocking the pipeline, and must not be called again once it
-// has failed — across a pool of match workers, too.
+// has failed — across a pool of match workers, too, and with several
+// flow-partitioned sources emitting at once.
 func TestScanCaptureStreamedSinkError(t *testing.T) {
 	data := interleavedCapture(t, 7, 40)
 	boom := errors.New("sink full")
-	calls := 0
-	_, err := ScanCaptureStreamed([]pcapio.PacketSource{openPcap(t, data)}, jndiEngine(t),
-		ScanConfig{Shards: 2, MatchWorkers: 4},
-		exclusiveSink(t, func([]Event) error {
-			calls++
-			return boom
-		}))
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the sink error", err)
-	}
-	if calls != 1 {
-		t.Fatalf("sink called %d times, want once: delivery must stop at the first error", calls)
+	for _, c := range []struct {
+		name string
+		srcs func() []pcapio.PacketSource
+	}{
+		{"pcap", func() []pcapio.PacketSource { return []pcapio.PacketSource{openPcap(t, data)} }},
+		{"partitioned", func() []pcapio.PacketSource {
+			return partSources(partitionCapture(t, openPcap(t, data), 3, tcpasm.FlowShard))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			calls := 0
+			_, err := ScanCaptureStreamed(c.srcs(), jndiEngine(t),
+				ScanConfig{Shards: 2, MatchWorkers: 4},
+				exclusiveSink(t, func([]Event) error {
+					calls++
+					return boom
+				}))
+			if !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want the sink error", err)
+			}
+			if calls != 1 {
+				t.Fatalf("sink called %d times, want once: delivery must stop at the first error", calls)
+			}
+		})
 	}
 }
 
@@ -177,7 +191,8 @@ func (f *failingSource) Next() (pcapio.Packet, error) {
 
 // TestScanCaptureStreamedNoLeak: every return path — success, sink error,
 // and a capture that fails mid-read — stops all the goroutines the scan
-// started before it returns.
+// started before it returns, on one pcap source and on flow-partitioned
+// sources alike.
 func TestScanCaptureStreamedNoLeak(t *testing.T) {
 	data := interleavedCapture(t, 7, 40)
 	e := jndiEngine(t)
@@ -188,25 +203,34 @@ func TestScanCaptureStreamedNoLeak(t *testing.T) {
 			break
 		}
 	}
+	parts := partitionCapture(t, openPcap(t, data), 3, tcpasm.FlowShard)
+	pcap := func() []pcapio.PacketSource { return []pcapio.PacketSource{openPcap(t, data)} }
+	partitioned := func() []pcapio.PacketSource { return partSources(parts) }
+	okSink := func([]Event) error { return nil }
 	cases := []struct {
 		name    string
-		src     func() pcapio.PacketSource
+		srcs    func() []pcapio.PacketSource
 		sink    func([]Event) error
 		wantErr error
 	}{
-		{"success", func() pcapio.PacketSource { return openPcap(t, data) },
-			func([]Event) error { return nil }, nil},
-		{"sink_error", func() pcapio.PacketSource { return openPcap(t, data) },
-			func([]Event) error { return boom }, boom},
-		{"read_error", func() pcapio.PacketSource { return &failingSource{openPcap(t, data), records / 2} },
-			func([]Event) error { return nil }, errCaptureTorn},
+		{"success", pcap, okSink, nil},
+		{"sink_error", pcap, func([]Event) error { return boom }, boom},
+		{"read_error", func() []pcapio.PacketSource {
+			return []pcapio.PacketSource{&failingSource{openPcap(t, data), records / 2}}
+		}, okSink, errCaptureTorn},
+		{"partitioned_success", partitioned, okSink, nil},
+		{"partitioned_sink_error", partitioned, func([]Event) error { return boom }, boom},
+		{"partitioned_read_error", func() []pcapio.PacketSource {
+			srcs := partSources(parts)
+			srcs[1] = failingPart{&failingSource{srcs[1], len(parts[1]) / 2}}
+			return srcs
+		}, okSink, errCaptureTorn},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			src := c.src()
+			srcs := c.srcs()
 			before := runtime.NumGoroutine()
-			_, err := ScanCaptureStreamed([]pcapio.PacketSource{src}, e,
-				ScanConfig{Shards: 3, MatchWorkers: 4}, c.sink)
+			_, err := ScanCaptureStreamed(srcs, e, ScanConfig{Shards: 3, MatchWorkers: 4}, c.sink)
 			if c.wantErr == nil && err != nil || c.wantErr != nil && !errors.Is(err, c.wantErr) {
 				t.Fatalf("err = %v, want %v", err, c.wantErr)
 			}

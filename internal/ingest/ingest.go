@@ -601,7 +601,7 @@ func (p *Pipeline) pump(st *tailState, draining bool) (bool, error) {
 	// One bounded slice of the shared record loop: decode in place into
 	// pooled buffers and route to the flow's shard, no per-record allocation.
 	// The bound keeps Drain barriers and stop checks regular under a backlog.
-	packets, decodeErrs, lastTS, err := ids.FeedRecords(st.tail, p.feeder, 8192)
+	packets, decodeErrs, lastTS, err := ids.FeedRecords(st.tail, p.feeder.Get(), p.feeder.Feed, 8192)
 	p.packets.Add(uint64(packets))
 	p.decodeErrs.Add(uint64(decodeErrs))
 	if packets > 0 {

@@ -18,19 +18,17 @@ type SignatureCorpusConfig struct {
 	Seed int64
 	// N is the number of rules. Zero means 48000.
 	N int
-	// BaseSID is the first SID. Zero means 3000000 (clear of the study set).
-	BaseSID int
 	// Start and End bound the publication window. Zero means the study's
 	// two-year collection window.
 	Start, End time.Time
 }
 
+// baseSID is the corpus's first SID, clear of the study set.
+const baseSID = 3000000
+
 func (c SignatureCorpusConfig) withDefaults() SignatureCorpusConfig {
 	if c.N == 0 {
 		c.N = 48000
-	}
-	if c.BaseSID == 0 {
-		c.BaseSID = 3000000
 	}
 	if c.Start.IsZero() {
 		c.Start = time.Date(2021, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -69,14 +67,14 @@ func WriteSignatureCorpus(w io.Writer, cfg SignatureCorpusConfig) error {
 	span := cfg.End.Sub(cfg.Start)
 	dupRev := make(map[int]int)
 	for i := 0; i < cfg.N; i++ {
-		sid := cfg.BaseSID + i
+		sid := baseSID + i
 		rev := 1 + rng.Intn(3)
 		if rng.Intn(40) == 0 && i > 0 {
 			// Duplicate SID at a higher rev: feeds carry these, and the
 			// registry's dedup must resolve them order-independently. Each
 			// re-release of a SID bumps rev past any prior release so the
 			// corpus never manufactures a same-rev conflict.
-			sid = cfg.BaseSID + rng.Intn(i)
+			sid = baseSID + rng.Intn(i)
 			rev = 4 + 3*dupRev[sid]
 			dupRev[sid]++
 		}

@@ -316,3 +316,10 @@ type ZeroCopySource interface {
 	// io.EOF) the contents of p are unspecified.
 	NextInto(p *Packet) error
 }
+
+// FlowPartitionedSource is a PacketSource holding whole flows — every packet
+// of its connections, none of a sibling's — in no time order across flows.
+type FlowPartitionedSource interface {
+	PacketSource
+	FlowPartitioned() // a marker; it does nothing
+}

@@ -71,7 +71,7 @@ func NewStream(cfg Config) (*Stream, error) {
 		boost = 1
 	}
 	pool := netsim.MustPool(cfg.Seed+1, scannerPoolPrefixes...)
-	scanners := netsim.NewSources(cfg.Seed+2, pool, cfg.ScannerSources)
+	scanners := netsim.NewSources(cfg.Seed+2, pool, scannerSources)
 
 	exploits := Exploits()
 	exByCVE := make(map[string]*Exploit, len(exploits))
@@ -134,7 +134,7 @@ func NewStream(cfg Config) (*Stream, error) {
 			return Blueprint{
 				Time:    t,
 				Src:     scanners.PickWith(rng),
-				DstPort: choosePort(rng, ex.Port, cfg.OffPortFraction),
+				DstPort: choosePort(rng, ex.Port, offPortFraction),
 				Payload: ex.Craft(rng),
 				CVE:     cve,
 				SID:     sid,
@@ -176,7 +176,7 @@ func NewStream(cfg Config) (*Stream, error) {
 			if variant.Context == datasets.CtxSMTP {
 				port = 25
 			} else {
-				port = choosePort(rng, 8080, cfg.OffPortFraction)
+				port = choosePort(rng, 8080, offPortFraction)
 			}
 			return Blueprint{
 				Time:    t,
@@ -206,7 +206,7 @@ func NewStream(cfg Config) (*Stream, error) {
 			return Blueprint{
 				Time:    t,
 				Src:     src,
-				DstPort: choosePort(rng, port, cfg.OffPortFraction),
+				DstPort: choosePort(rng, port, offPortFraction),
 				Payload: payload,
 				CVE:     cve,
 				SID:     sid,

@@ -47,12 +47,6 @@ type Config struct {
 	// pre-study CVEs (Shellshock, Struts, GPON, ...). Real telescopes see
 	// mostly this; the study's signature filter excludes it. Zero disables.
 	LegacyScans int
-	// OffPortFraction is the share of exploit sessions aimed at a port
-	// other than the exploit's nominal one. Zero means 0.2.
-	OffPortFraction float64
-	// ScannerSources is the exploit-scanner population size (the paper saw
-	// 3.6 k distinct sources). Zero means 360.
-	ScannerSources int
 	// BurstWeight forwards to netsim.CampaignTimes. Zero keeps its default.
 	BurstWeight float64
 	// End overrides the end of the generation window. Zero means the study
@@ -68,12 +62,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Scale == 0 {
 		c.Scale = 100
-	}
-	if c.OffPortFraction == 0 {
-		c.OffPortFraction = 0.2
-	}
-	if c.ScannerSources == 0 {
-		c.ScannerSources = 360
 	}
 	if c.End.IsZero() {
 		c.End = datasets.StudyWindow.End
@@ -91,6 +79,15 @@ var scannerPoolPrefixes = []string{
 // defaultLog4ShellEvents is Log4Shell's Appendix E event count, apportioned
 // across variants by weight.
 const defaultLog4ShellEvents = 6254
+
+const (
+	// offPortFraction is the share of exploit sessions aimed at a port
+	// other than the exploit's nominal one.
+	offPortFraction = 0.2
+	// scannerSources is the exploit-scanner population size (the paper saw
+	// 3.6 k distinct sources).
+	scannerSources = 360
+)
 
 // Build generates the full workload: every study CVE's campaign (Log4Shell
 // split across its Table 6 variants), plus background noise, sorted by time.

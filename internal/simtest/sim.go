@@ -385,10 +385,6 @@ func (p *sensorProc) quiescent(wantEvents int) bool {
 }
 
 func (s *sim) startSensor(p *sensorProc) error {
-	codec, err := fleet.ParseCodec("snappy")
-	if err != nil {
-		return err
-	}
 	shipper, err := fleet.StartShipper(fleet.ShipperConfig{
 		Addr:           s.addr,
 		SensorID:       p.id,
@@ -397,7 +393,6 @@ func (s *sim) startSensor(p *sensorProc) error {
 		StateDir:       p.stateDir,
 		FS:             p.fs,
 		Dial:           s.nw.Dial,
-		Codec:          codec,
 		Window:         4,
 		HeartbeatEvery: 50 * time.Millisecond,
 		BackoffMin:     5 * time.Millisecond,

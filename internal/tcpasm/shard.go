@@ -11,9 +11,10 @@ import (
 
 // Sharded front-end: Config.Shards independent Assemblers, each owned by
 // one worker goroutine, fed over bounded channels by one or more decoding
-// goroutines (Feeders). The 4-tuple flow key hashes every packet of a
-// connection to the same shard, so each shard sees complete conversations
-// and the shards never share state on the hot path.
+// goroutines (Feeders), each reading one time-ordered segment of a capture.
+// The 4-tuple flow key hashes every packet of a connection to the same
+// shard, so each shard sees complete conversations and the shards never
+// share state on the hot path.
 //
 // Determinism. Session output is byte-identical to one serial Assembler over
 // the same packets, for any shard count, provided capture timestamps are
@@ -40,10 +41,6 @@ type Sharded struct {
 	shards []*shard
 	fdrs   []*Feeder
 	wg     sync.WaitGroup
-
-	// openFeeders counts unclosed feeders in flow-disjoint mode; the last
-	// Close closes the shared shard queues.
-	openFeeders atomic.Int32
 }
 
 const (
@@ -141,27 +138,15 @@ func NewSharded(cfg Config, feeders int) *Sharded {
 		feeders = 1
 	}
 	s := &Sharded{cfg: cfg}
-	s.openFeeders.Store(int32(feeders))
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{asm: NewAssembler(cfg)}
-		if cfg.FlowDisjointFeeders {
-			// One shared queue, consumed fairly: with flow-disjoint
-			// feeders no worker may wait on a specific feeder, or a
-			// single producer fanning out to the segments deadlocks.
-			sh.in = []chan shardMsg{make(chan shardMsg, queueBatches*feeders)}
-		} else {
-			for f := 0; f < feeders; f++ {
-				sh.in = append(sh.in, make(chan shardMsg, queueBatches))
-			}
+		for f := 0; f < feeders; f++ {
+			sh.in = append(sh.in, make(chan shardMsg, queueBatches))
 		}
 		s.shards = append(s.shards, sh)
 	}
 	for f := 0; f < feeders; f++ {
-		qidx := f
-		if cfg.FlowDisjointFeeders {
-			qidx = 0
-		}
-		s.fdrs = append(s.fdrs, &Feeder{s: s, idx: f, qidx: qidx, pend: make([]*frameBatch, len(s.shards))})
+		s.fdrs = append(s.fdrs, &Feeder{s: s, idx: f, pend: make([]*frameBatch, len(s.shards))})
 	}
 	for _, sh := range s.shards {
 		s.wg.Add(1)
@@ -230,14 +215,9 @@ func (s *Sharded) apply(sh *shard, msg shardMsg) {
 			sh.applied = 0
 			// Content-neutral under the Feed-level idle split: this only
 			// reclaims memory and emits already-decided sessions early. It
-			// requires applied timestamps non-decreasing per shard, which
-			// flow-disjoint (mutually unordered) segments do not give —
-			// there the horizon would idle out mid-flight connections, so
-			// the advance is skipped and undecided sessions wait for the
-			// end-of-capture flush.
-			if !s.cfg.FlowDisjointFeeders {
-				sh.asm.Advance(sh.maxTS)
-			}
+			// relies on each shard's applied timestamps being non-decreasing,
+			// which time-ordered feeders give.
+			sh.asm.Advance(sh.maxTS)
 		}
 		if s.cfg.Emit != nil {
 			// Streaming emission: hand over whatever this batch completed
@@ -292,7 +272,7 @@ func (s *Sharded) barrier(msg shardMsg) []Session {
 	for _, r := range replies {
 		out = append(out, <-r...)
 	}
-	sortSessions(out)
+	SortSessions(out)
 	return out
 }
 
@@ -306,7 +286,7 @@ func (s *Sharded) Wait() []Session {
 		out = append(out, sh.done...)
 		sh.done = nil
 	}
-	sortSessions(out)
+	SortSessions(out)
 	return out
 }
 
@@ -347,7 +327,6 @@ func (s *Sharded) ShardStats() []ShardStat {
 type Feeder struct {
 	s      *Sharded
 	idx    int
-	qidx   int           // queue index: idx, or 0 when feeders share one queue
 	item   FeedItem      // the scratch Get lends; it never leaves this feeder
 	pend   []*frameBatch // per-shard batch being accumulated
 	closed bool
@@ -384,7 +363,7 @@ func (f *Feeder) Feed(it *FeedItem) {
 func (f *Feeder) send(si int, b *frameBatch) {
 	sh := f.s.shards[si]
 	sh.queued.Add(1)
-	sh.in[f.qidx] <- shardMsg{op: opBatch, batch: b}
+	sh.in[f.idx] <- shardMsg{op: opBatch, batch: b}
 }
 
 // FlushBatches pushes every partially-filled batch to its shard, so a
@@ -407,25 +386,15 @@ func (f *Feeder) Close() {
 	}
 	f.closed = true
 	f.FlushBatches()
-	if f.s.cfg.FlowDisjointFeeders {
-		// Shared queues close when the last feeder does.
-		if f.s.openFeeders.Add(-1) == 0 {
-			for _, sh := range f.s.shards {
-				close(sh.in[0])
-			}
-		}
-		return
-	}
 	for _, sh := range f.s.shards {
 		close(sh.in[f.idx])
 	}
 }
 
 // FlowShard reports which of n shards the sharded front-end assigns the
-// given (directed) flow to. Exported so external segment routers — the
-// streaming telescope splits synthetic traffic into per-shard capture
-// segments — can align their partition with the assembler's and keep every
-// packet's decode local to the worker that will reassemble it.
+// given (directed) flow to. Both directions of a connection map alike, so
+// the streaming telescope uses it to split synthetic traffic into
+// flow-partitioned capture segments.
 func FlowShard(flow packet.Flow, n int) int {
 	return shardOf(flow, n)
 }

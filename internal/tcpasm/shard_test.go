@@ -656,50 +656,7 @@ func TestShardedEmitDeliversEveryFullSessionOnce(t *testing.T) {
 			if leftover := s.Wait(); len(leftover) != 0 {
 				t.Fatalf("Wait returned %d sessions despite Emit", len(leftover))
 			}
-			sortSessions(got)
-			diffSessions(t, got, want)
-		})
-	}
-}
-
-// TestShardedFlowDisjointFeedersParity: partition a capture by FlowShard so
-// no connection spans two feeders — the streaming telescope's virtual-segment
-// shape — and feed the partitions concurrently with FlowDisjointFeeders set.
-// Each partition covers the full capture window, so without the disjoint
-// mode's fair shared-queue consumption the strict feeder-order contract would
-// deadlock or premature-Advance; with it, the sorted output must still be
-// byte-identical to the serial scan.
-func TestShardedFlowDisjointFeedersParity(t *testing.T) {
-	events := genTraffic(t, 9, 48)
-	base := Config{IdleTimeout: 2 * time.Second, Shards: 4}
-	want := serialSessions(t, base, events)
-
-	for _, feeders := range []int{1, 3, 8} {
-		t.Run(fmt.Sprintf("feeders%d", feeders), func(t *testing.T) {
-			parts := make([][]feedEvent, feeders)
-			for _, ev := range events {
-				p, err := packet.Decode(ev.frame)
-				if err != nil {
-					t.Fatal(err)
-				}
-				si := FlowShard(p.Flow(), feeders)
-				parts[si] = append(parts[si], ev)
-			}
-			cfg := base
-			cfg.FlowDisjointFeeders = true
-			s := NewSharded(cfg, feeders)
-			var wg sync.WaitGroup
-			for i := 0; i < feeders; i++ {
-				wg.Add(1)
-				go func(f *Feeder, evs []feedEvent) {
-					defer wg.Done()
-					feedSharded(t, f, evs)
-					f.Close()
-				}(s.Feeder(i), parts[i])
-			}
-			wg.Wait()
-			got := s.Wait()
-			sortSessions(got)
+			SortSessions(got)
 			diffSessions(t, got, want)
 		})
 	}
@@ -753,10 +710,9 @@ func feedScribbled(t testing.TB, f *Feeder, events []feedEvent, junk []byte) {
 	}
 }
 
-// feederModes runs events through a Sharded assembler with 1 feeder, with 3
-// feeders on time-ordered chunks, and with 3 flow-disjoint feeders, each
-// feeding its part through feedScribbled, and checks every run against the
-// serial sessions.
+// feederModes runs events through a Sharded assembler with 1 feeder and
+// with 3 feeders on time-ordered chunks, each feeding its part through
+// feedScribbled, and checks every run against the serial sessions.
 func feederModes(t *testing.T, cfg Config, events []feedEvent) {
 	t.Helper()
 	want := serialSessions(t, cfg, events)
@@ -764,30 +720,20 @@ func feederModes(t *testing.T, cfg Config, events []feedEvent) {
 	const n = 3
 	chunk := (len(events) + n - 1) / n
 	ordered := make([][]feedEvent, n)
-	disjoint := make([][]feedEvent, n)
 	for i, ev := range events {
 		ordered[i/chunk] = append(ordered[i/chunk], ev)
-		p, err := packet.Decode(ev.frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		si := FlowShard(p.Flow(), n)
-		disjoint[si] = append(disjoint[si], ev)
 	}
 	for _, shards := range []int{1, 2, 3, 8} {
 		for _, mode := range []struct {
-			name     string
-			parts    [][]feedEvent
-			disjoint bool
+			name  string
+			parts [][]feedEvent
 		}{
-			{"feeders1", [][]feedEvent{events}, false},
-			{"ordered3", ordered, false},
-			{"disjoint3", disjoint, true},
+			{"feeders1", [][]feedEvent{events}},
+			{"ordered3", ordered},
 		} {
 			t.Run(fmt.Sprintf("shards%d_%s", shards, mode.name), func(t *testing.T) {
 				scfg := cfg
 				scfg.Shards = shards
-				scfg.FlowDisjointFeeders = mode.disjoint
 				s := NewSharded(scfg, len(mode.parts))
 				var wg sync.WaitGroup
 				for i, part := range mode.parts {

@@ -128,24 +128,11 @@ type Config struct {
 	// only chooses the bytes, never whether the session is flagged.
 	OverlapPolicy OverlapPolicy
 	// Shards is how many independent assembler shards the parallel
-	// front-end (NewSharded) fans flows across. The serial Assembler
-	// ignores it. Zero means min(8, GOMAXPROCS); session output is
-	// identical for every value (see Sharded).
+	// front-end (NewSharded) fans the flows of its time-ordered feeders
+	// across. The serial Assembler ignores it. Zero means
+	// min(8, GOMAXPROCS); session output is identical for every value (see
+	// Sharded).
 	Shards int
-	// FlowDisjointFeeders declares that the capture segments feeding the
-	// sharded front-end partition connections — no flow spans two feeders —
-	// instead of mapping to time-ordered slices of one capture. The
-	// streaming telescope's flow-hashed virtual segments are the canonical
-	// case. Workers then consume feeder queues fairly through one shared
-	// queue per shard, which is required to avoid deadlock when a single
-	// producer fans out to live segments, and skip the periodic idle
-	// Advance, whose horizon is meaningless across mutually unordered
-	// segment timelines. Output is still byte-identical to a serial scan of
-	// the time-ordered capture: the Feed-level gap split makes idle
-	// handling schedule-independent, and connections without a captured
-	// teardown are flushed (identical contents, later emission) at end of
-	// capture. The serial Assembler ignores it.
-	FlowDisjointFeeders bool
 	// Emit, when set, switches the sharded front-end to streaming emission:
 	// completed sessions are handed to Emit in batches as shard workers
 	// produce them instead of accumulating until Wait (which then returns
@@ -477,14 +464,14 @@ func (a *Assembler) Flush() {
 func (a *Assembler) Sessions() []Session {
 	s := a.out
 	a.out = nil
-	sortSessions(s)
+	SortSessions(s)
 	return s
 }
 
-// sortSessions orders sessions by (End, Start, Client, Server) — a total
+// SortSessions orders sessions by (End, Start, Client, Server) — a total
 // order over distinct conversations, so the serial path and any merge of
-// per-shard outputs land in exactly the same order.
-func sortSessions(s []Session) {
+// per-shard or per-source outputs land in exactly the same order.
+func SortSessions(s []Session) {
 	sort.Slice(s, func(i, j int) bool { return lessSession(&s[i], &s[j]) })
 }
 

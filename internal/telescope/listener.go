@@ -27,9 +27,10 @@ type LiveConfig struct {
 	// closing (DSCOPE holds the connection without responding). Zero means
 	// 5 seconds.
 	BannerWindow time.Duration
-	// MaxBanner caps captured bytes per connection. Zero means 64 KiB.
-	MaxBanner int
 }
+
+// maxBanner caps the bytes captured per connection.
+const maxBanner = 64 << 10
 
 func (c LiveConfig) withDefaults() LiveConfig {
 	if c.Addr == "" {
@@ -40,9 +41,6 @@ func (c LiveConfig) withDefaults() LiveConfig {
 	}
 	if c.BannerWindow == 0 {
 		c.BannerWindow = 5 * time.Second
-	}
-	if c.MaxBanner == 0 {
-		c.MaxBanner = 64 << 10
 	}
 	return c
 }
@@ -139,7 +137,7 @@ func (l *Live) handle(conn net.Conn) {
 	buf := make([]byte, 4096)
 	var banner []byte
 	closed := false
-	for len(banner) < l.cfg.MaxBanner {
+	for len(banner) < maxBanner {
 		n, err := conn.Read(buf)
 		banner = append(banner, buf[:n]...)
 		if err != nil {
@@ -149,8 +147,8 @@ func (l *Live) handle(conn net.Conn) {
 			break
 		}
 	}
-	if len(banner) > l.cfg.MaxBanner {
-		banner = banner[:l.cfg.MaxBanner]
+	if len(banner) > maxBanner {
+		banner = banner[:maxBanner]
 	}
 	s := tcpasm.Session{
 		Client:     endpointOf(conn.RemoteAddr()),

@@ -52,10 +52,10 @@ type StreamMetrics struct {
 // pcapio.PacketSource whose frames are synthesized lazily inside NextInto —
 // what crosses the channel is the session record (endpoints plus payload
 // slice), and the ~5× larger wire encoding only ever exists in the decoder's
-// lent buffer. Flow-hash partitioning means every segment holds complete
-// conversations, so ids.ScanCaptureSharded consumes the segments exactly
-// like K time-ordered pcap files and, because frame bytes are a pure
-// function of (seed, session), produces byte-identical results for any
+// lent buffer. Every segment holds complete conversations, so it is a
+// pcapio.FlowPartitionedSource, which the ids scan reassembles on its own
+// decode goroutine with no cross-segment time order; frame bytes are a pure
+// function of (seed, session), so results are byte-identical for any
 // segment count.
 type Stream struct {
 	segs []*StreamSource
@@ -189,8 +189,11 @@ func (ss *StreamSource) NextInto(p *pcapio.Packet) error {
 	}
 }
 
-// Next implements pcapio.PacketSource (allocating per record; the sharded
-// scan uses NextInto).
+// FlowPartitioned marks the segment as a pcapio.FlowPartitionedSource.
+func (ss *StreamSource) FlowPartitioned() {}
+
+// Next implements pcapio.PacketSource (allocating per record; the scan
+// uses NextInto).
 func (ss *StreamSource) Next() (pcapio.Packet, error) {
 	var p pcapio.Packet
 	if err := ss.NextInto(&p); err != nil {

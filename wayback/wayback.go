@@ -67,9 +67,11 @@ type Config struct {
 	// legacy CVEs appear in the attributed events (the filtering
 	// ablation). Default false: the paper's methodology.
 	UnfilteredRules bool
-	// ReasmShards is the flow-sharded reassembly width of the capture scan
-	// (UsePcap, Streaming, RunStream). Zero picks min(8, GOMAXPROCS); every
-	// value yields identical events.
+	// ReasmShards is the flow-sharded reassembly width of the pcap capture
+	// scan (UsePcap). The streamed capture (Streaming, RunStream)
+	// reassembles each segment on its own goroutine, so there the width is
+	// StreamSegments. Zero picks min(8, GOMAXPROCS); every value yields
+	// identical events.
 	ReasmShards int
 	// MatchWorkers sizes the match stage (ids.MatchStage) on every path.
 	// Zero picks GOMAXPROCS.
@@ -80,9 +82,9 @@ type Config struct {
 	// Takes precedence over UsePcap.
 	Streaming bool
 	// StreamSegments is how many virtual capture segments the streamed
-	// capture splits into, one decode goroutine each. Zero means the
-	// reassembly shard default, min(8, GOMAXPROCS). Every value yields
-	// identical events.
+	// capture splits into, one decode-and-reassembly goroutine each: the
+	// streamed scan's reassembly width. Zero means min(8, GOMAXPROCS).
+	// Every value yields identical events.
 	StreamSegments int
 	// Boost multiplies per-CVE event counts after the Scale division
 	// (scanner.Config.Boost). Zero or one means off; stress benchmarks use
@@ -245,12 +247,10 @@ func (s *Study) StreamCapture() (*telescope.Stream, error) {
 	return st, nil
 }
 
-// scanConfig is the ids.ScanConfig every capture scan shares. disjoint
-// declares flow-partitioned sources (the streamed capture's virtual
-// segments) rather than time-ordered slices of one capture.
-func (s *Study) scanConfig(disjoint bool) ids.ScanConfig {
+// scanConfig is the ids.ScanConfig every capture scan shares.
+func (s *Study) scanConfig() ids.ScanConfig {
 	return ids.ScanConfig{Shards: s.cfg.ReasmShards, MatchWorkers: s.cfg.MatchWorkers,
-		Assembler: tcpasm.Config{OverlapPolicy: s.cfg.OverlapPolicy, FlowDisjointFeeders: disjoint}}
+		Assembler: tcpasm.Config{OverlapPolicy: s.cfg.OverlapPolicy}}
 }
 
 // Run generates the workload, captures it, runs the IDS, and assembles
@@ -292,7 +292,7 @@ func (s *Study) Run() (*Results, error) {
 		}
 		srcs = []pcapio.PacketSource{r}
 	}
-	events, stats, err := ids.ScanCaptureSharded(srcs, s.engine, s.scanConfig(s.cfg.Streaming))
+	events, stats, err := ids.ScanCaptureSharded(srcs, s.engine, s.scanConfig())
 	if err != nil {
 		return nil, fmt.Errorf("wayback: scanning capture: %w", err)
 	}
@@ -317,7 +317,7 @@ func (s *Study) RunStream(sink func([]ids.Event) error) (*Results, error) {
 		return nil, err
 	}
 	defer st.Close()
-	stats, err := ids.ScanCaptureStreamed(st.PacketSources(), s.engine, s.scanConfig(true), sink)
+	stats, err := ids.ScanCaptureStreamed(st.PacketSources(), s.engine, s.scanConfig(), sink)
 	if err != nil {
 		return nil, fmt.Errorf("wayback: streaming scan: %w", err)
 	}
