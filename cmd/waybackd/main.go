@@ -530,7 +530,7 @@ func run(args []string) error {
 		pprofMux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		pprofMux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pprofMux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		pprofSrv := &http.Server{Addr: *pprofListen, Handler: pprofMux}
+		pprofSrv := serve.NewHTTPServer(*pprofListen, pprofMux)
 		go func() {
 			if err := pprofSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "waybackd: pprof:", err)
@@ -540,7 +540,7 @@ func run(args []string) error {
 		fmt.Printf("waybackd: pprof on %s\n", *pprofListen)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: d.server.Handler()}
+	httpSrv := serve.NewHTTPServer(*addr, d.server.Handler())
 	errCh := make(chan error, 1)
 	go func() {
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {

@@ -47,6 +47,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/pcapio"
 	"repro/internal/scanner"
+	"repro/internal/serve"
 	"repro/internal/telescope"
 	"repro/wayback"
 )
@@ -191,7 +192,7 @@ func runStream(o streamOpts) error {
 		if err != nil {
 			return err
 		}
-		srv := &http.Server{Handler: metricsHandler(study)}
+		srv := serve.NewHTTPServer("", metricsHandler(study))
 		go srv.Serve(ln)
 		defer srv.Close()
 		if metricsReady != nil {

@@ -36,13 +36,15 @@ type ScanConfig struct {
 }
 
 // FeedRecords is the capture record loop: it reads up to max records from
-// src (max <= 0: all of them) into the one scratch item it, decodes each,
-// counting decode errors, and passes it to feed, which is done with it on
-// return. Zero-copy sources lend the item's buffer to NextInto; others cost
-// one more copy per record. It returns the records read, how many did not
-// decode, and the last one's capture timestamp; err is io.EOF once src is
-// exhausted and nil when max stopped the loop first.
-func FeedRecords(src pcapio.PacketSource, it *tcpasm.FeedItem, feed func(*tcpasm.FeedItem), max int) (packets, decodeErrs int, last time.Time, err error) {
+// src (max <= 0: all of them) into the one scratch item it — the raw frame
+// in Buf, its capture time in TS — and passes each to feed, which is done
+// with it on return. It decodes nothing: a tcpasm.Feeder routes raw frames
+// and its shard decodes them, and other feeds decode for themselves.
+// Zero-copy sources lend the item's buffer to NextInto; others cost one
+// more copy per record. It returns the records read and the last one's
+// capture timestamp; err is io.EOF once src is exhausted and nil when max
+// stopped the loop first.
+func FeedRecords(src pcapio.PacketSource, it *tcpasm.FeedItem, feed func(*tcpasm.FeedItem), max int) (packets int, last time.Time, err error) {
 	zc, zeroCopy := src.(pcapio.ZeroCopySource)
 	var rec pcapio.Packet
 	for max <= 0 || packets < max {
@@ -56,21 +58,17 @@ func FeedRecords(src pcapio.PacketSource, it *tcpasm.FeedItem, feed func(*tcpasm
 			it.Buf = append(it.Buf[:0], rec.Data...)
 		}
 		if err != nil {
-			return packets, decodeErrs, last, err
+			return packets, last, err
 		}
 		packets++
 		last = rec.Timestamp
-		if packet.DecodeInto(&it.Pkt, it.Buf) != nil {
-			decodeErrs++
-			continue
-		}
-		it.TS = rec.Timestamp
+		it.TS = last
 		feed(it)
 	}
-	return packets, decodeErrs, last, nil
+	return packets, last, nil
 }
 
-// scan drives srcs through decode and reassembly, one decode goroutine per
+// scan drives srcs through decode and reassembly, one reading goroutine per
 // source. With emit set, session batches stream to it (concurrently, all
 // delivered before scan returns) and none are returned; without, every
 // session is returned in canonical order. Only the capture-side stats are
@@ -111,7 +109,7 @@ func scan(srcs []pcapio.PacketSource, cfg ScanConfig, emit func([]tcpasm.Session
 			}
 			f := asm.Feeder(i)
 			defer f.Close()
-			r.packets, r.decodeErrs, _, r.err = FeedRecords(src, f.Get(), f.Feed, 0)
+			r.packets, _, r.err = FeedRecords(src, f.Get(), f.Feed, 0)
 		}(&feds[i])
 	}
 	wg.Wait()
@@ -119,6 +117,7 @@ func scan(srcs []pcapio.PacketSource, cfg ScanConfig, emit func([]tcpasm.Session
 	var sessions []tcpasm.Session
 	if asm != nil {
 		sessions = asm.Wait() // under emit: nil, after the final flush batches
+		stats.DecodeErrors = asm.DecodeErrors()
 	}
 	var err error
 	for i, r := range feds {
@@ -138,8 +137,8 @@ func scan(srcs []pcapio.PacketSource, cfg ScanConfig, emit func([]tcpasm.Session
 // reassembleLocal reads one flow-partitioned source to EOF into its own
 // Assembler. Records of different flows need not be in time order, so it
 // runs no idle Advance (Feed's gap split still ends idle sessions exactly as
-// the serial scan does). Sessions go to cfg.Emit every 128 frames and at
-// EOF, or are returned without it.
+// the serial scan does). Sessions go to cfg.Emit every 128 decoded frames
+// and at EOF, or are returned without it.
 func reassembleLocal(src pcapio.PacketSource, cfg tcpasm.Config) (sessions []tcpasm.Session, packets, decodeErrs int, err error) {
 	const handOffEvery = 128 // frames, as in a tcpasm.Feeder batch
 	asm := tcpasm.NewAssembler(cfg)
@@ -151,7 +150,11 @@ func reassembleLocal(src pcapio.PacketSource, cfg tcpasm.Config) (sessions []tcp
 		}
 	}
 	frames := 0
-	packets, decodeErrs, _, err = FeedRecords(src, new(tcpasm.FeedItem), func(it *tcpasm.FeedItem) {
+	packets, _, err = FeedRecords(src, new(tcpasm.FeedItem), func(it *tcpasm.FeedItem) {
+		if packet.DecodeInto(&it.Pkt, it.Buf) != nil {
+			decodeErrs++
+			return
+		}
 		asm.Feed(it.TS, &it.Pkt)
 		if frames++; frames%handOffEvery == 0 {
 			handOff()

@@ -86,10 +86,28 @@ func writeInterleavedCapture(t testing.TB, w packetWriter, seed int64, nFlows in
 			live = append(live[:k], live[k+1:]...)
 		}
 	}
-	// One undecodable frame so DecodeErrors accounting is covered.
-	if err := w.WritePacket(ts, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0x86, 0xdd, 0xff}); err != nil {
+	// One undecodable frame per decode error class, so DecodeErrors
+	// accounting is covered on every path.
+	for _, frame := range malformedFrames(t) {
+		if err := w.WritePacket(ts, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// malformedFrames is packet.MalformedFrames of a frame on a flow no fixture
+// conversation uses: one frame per way a decode fails.
+func malformedFrames(t testing.TB) [][]byte {
+	t.Helper()
+	valid, err := packet.NewBuilder(3).Build(packet.Segment{
+		Src:   packet.Endpoint{Addr: packet.MustAddr("192.0.2.200"), Port: 3333},
+		Dst:   packet.Endpoint{Addr: packet.MustAddr("10.9.9.9"), Port: 80},
+		Flags: packet.FlagPSH | packet.FlagACK, Payload: []byte("GET / HTTP/1.0\r\n\r\n"),
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	return packet.MalformedFrames(valid)
 }
 
 func diffEvents(t *testing.T, got, want []Event, gotStats, wantStats ScanStats) {
@@ -224,6 +242,36 @@ func TestScanCaptureShardedParity(t *testing.T) {
 			sortEventsCanonical(got)
 			diffEvents(t, got, want, stats, wantStats)
 		})
+	}
+}
+
+// TestScanDecodeErrors: every frame that does not decode is counted once,
+// whichever path reads it — serial, sharded (where the shards decode raw
+// frames the feeder routed) or streamed — at every shard width.
+func TestScanDecodeErrors(t *testing.T) {
+	data := interleavedCapture(t, 99, 30)
+	e := jndiEngine(t)
+	_, want, err := ScanCapture(openPcap(t, data), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(malformedFrames(t)); want.DecodeErrors != n {
+		t.Fatalf("serial scan counted %d decode errors, want %d", want.DecodeErrors, n)
+	}
+	for _, shards := range []int{1, 3, 8} {
+		cfg := ScanConfig{Shards: shards, MatchWorkers: 2}
+		_, sharded, err := ScanCaptureSharded([]pcapio.PacketSource{openPcap(t, data)}, e, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := ScanCaptureStreamed([]pcapio.PacketSource{openPcap(t, data)}, e, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sharded.DecodeErrors != want.DecodeErrors || streamed.DecodeErrors != want.DecodeErrors {
+			t.Errorf("shards %d: DecodeErrors sharded %d, streamed %d, serial %d",
+				shards, sharded.DecodeErrors, streamed.DecodeErrors, want.DecodeErrors)
+		}
 	}
 }
 

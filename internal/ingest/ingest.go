@@ -145,7 +145,9 @@ func (c Config) withDefaults() Config {
 // the daemon's /metrics endpoint.
 type Metrics struct {
 	// Counters since start.
-	Packets      uint64
+	Packets uint64
+	// DecodeErrors counts frames that failed to decode on the reassembly
+	// shards; it covers every packet read once the pipeline is idle.
 	DecodeErrors uint64
 	Sessions     uint64
 	Events       uint64
@@ -189,7 +191,6 @@ type Pipeline struct {
 	matchD  chan struct{}
 
 	packets      atomic.Uint64
-	decodeErrs   atomic.Uint64
 	sessions     atomic.Uint64
 	events       atomic.Uint64
 	shipped      atomic.Uint64 // batches handed to the matcher
@@ -291,7 +292,7 @@ func (p *Pipeline) ShardStats() []tcpasm.ShardStat { return p.asm.ShardStats() }
 func (p *Pipeline) Metrics() Metrics {
 	m := Metrics{
 		Packets:           p.packets.Load(),
-		DecodeErrors:      p.decodeErrs.Load(),
+		DecodeErrors:      uint64(p.asm.DecodeErrors()),
 		Sessions:          p.sessions.Load(),
 		Events:            p.events.Load(),
 		Batches:           p.batches.Load(),
@@ -598,12 +599,12 @@ func (p *Pipeline) pump(st *tailState, draining bool) (bool, error) {
 		st.tail = pcapio.NewTailReader(f)
 		st.lastOff = 0
 	}
-	// One bounded slice of the shared record loop: decode in place into
-	// pooled buffers and route to the flow's shard, no per-record allocation.
+	// One bounded slice of the shared record loop: read each record into the
+	// feeder's one item and route it raw to its flow's shard, which decodes
+	// it and counts the frames that do not decode. No per-record allocation.
 	// The bound keeps Drain barriers and stop checks regular under a backlog.
-	packets, decodeErrs, lastTS, err := ids.FeedRecords(st.tail, p.feeder.Get(), p.feeder.Feed, 8192)
+	packets, lastTS, err := ids.FeedRecords(st.tail, p.feeder.Get(), p.feeder.Feed, 8192)
 	p.packets.Add(uint64(packets))
-	p.decodeErrs.Add(uint64(decodeErrs))
 	if packets > 0 {
 		st.lastTS = lastTS
 	}

@@ -422,3 +422,75 @@ func TestStartValidation(t *testing.T) {
 		t.Error("nonexistent dir accepted")
 	}
 }
+
+// TestPipelineCountsDecodeErrors: a capture carrying one frame per decode
+// error class, spread over rotated segments, reports exactly the serial
+// scan's decode errors at every shard width — the shards decode the raw
+// frames the tailer routes, and Metrics sums their counts.
+func TestPipelineCountsDecodeErrors(t *testing.T) {
+	dir := t.TempDir()
+	rw, err := pcapio.NewRotatingWriter(dir, "dscope", pcapio.LinkTypeEthernet, 16<<10, pcapio.WithNanoPrecision())
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid, err := packet.NewBuilder(8).Build(packet.Segment{
+		Src:   packet.Endpoint{Addr: packet.MustAddr("192.0.2.200"), Port: 3333},
+		Dst:   packet.Endpoint{Addr: packet.MustAddr("18.204.0.9"), Port: 8080},
+		Flags: packet.FlagPSH | packet.FlagACK, Payload: []byte("GET / HTTP/1.0\r\n\r\n"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := testSessions(140)
+	bad := packet.MalformedFrames(valid)
+	for i, frame := range bad {
+		chunk := sessions[i*20 : (i+1)*20]
+		if err := telescope.SessionsToPcap(chunk, rw, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := rw.WritePacket(chunk[len(chunk)-1].Start.Add(time.Second), frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files := rw.Files()
+	src, err := pcapio.OpenFiles(files...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := ids.ScanCapture(src, testEngine(t))
+	src.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.DecodeErrors != len(bad) || len(files) < 2 {
+		t.Fatalf("weak fixture: %d decode errors over %d segments", want.DecodeErrors, len(files))
+	}
+
+	for _, shards := range []int{1, 3, 8} {
+		store, err := eventstore.Open(t.TempDir(), eventstore.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Start(Config{
+			Dir: dir, Prefix: "dscope", Engine: testEngine(t), Store: store,
+			PollInterval: 5 * time.Millisecond, FlushIdle: 50 * time.Millisecond,
+			DecodeShards: shards,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = p.Close()
+		store.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := p.Metrics()
+		if m.DecodeErrors != uint64(want.DecodeErrors) || m.Packets != uint64(want.Packets) {
+			t.Errorf("shards %d: decode errors %d of %d packets, serial scan %d of %d",
+				shards, m.DecodeErrors, m.Packets, want.DecodeErrors, want.Packets)
+		}
+	}
+}

@@ -221,6 +221,32 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the routable HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// Limits on every HTTP server the binaries start. There is deliberately no
+// write timeout: a cache-missing as-of or diff replay may take longer than
+// any fixed bound to answer, and pprof's CPU profile holds its response open
+// for the whole sampling window.
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers, so slow-drip connections cannot pile up.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes keep-alive connections idle this long.
+	idleTimeout = 2 * time.Minute
+	// maxHeaderBytes caps request headers; the API takes short GETs and
+	// small POSTs.
+	maxHeaderBytes = 64 << 10
+)
+
+// NewHTTPServer returns a server for h on addr with the limits above.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 // CacheStats reports response-cache hits and misses since start. A miss is a
 // request that built a body; requests coalesced onto another request's build
 // count as hits (they got a body without paying for one).

@@ -423,3 +423,20 @@ func TestMetricsShardGauges(t *testing.T) {
 		t.Fatalf("shard records sum to %d, store holds %d", total, len(f.batch.Events))
 	}
 }
+
+// TestNewHTTPServerLimits: the constructor every binary's HTTP server goes
+// through sets a header-read timeout, an idle timeout and a header cap, and
+// no write timeout that would cut long as-of and diff replays.
+func TestNewHTTPServerLimits(t *testing.T) {
+	srv := NewHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 || srv.MaxHeaderBytes <= 0 {
+		t.Fatalf("limits not set: ReadHeaderTimeout %v, IdleTimeout %v, MaxHeaderBytes %d",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, srv.MaxHeaderBytes)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout %v would cut long replays", srv.WriteTimeout)
+	}
+	if srv.Addr != "127.0.0.1:0" || srv.Handler == nil {
+		t.Fatalf("address or handler dropped: %q %v", srv.Addr, srv.Handler)
+	}
+}

@@ -10,10 +10,11 @@ import (
 )
 
 // Sharded front-end: Config.Shards independent Assemblers, each owned by
-// one worker goroutine, fed over bounded channels by one or more decoding
+// one worker goroutine, fed over bounded channels by one or more reading
 // goroutines (Feeders), each reading one time-ordered segment of a capture.
-// The 4-tuple flow key hashes every packet of a connection to the same
-// shard, so each shard sees complete conversations and the shards never
+// A feeder routes each raw frame by its 4-tuple, read at fixed offsets,
+// which sends every packet of a connection to the same shard; the shard
+// decodes it. Each shard sees complete conversations and the shards never
 // share state on the hot path.
 //
 // Determinism. Session output is byte-identical to one serial Assembler over
@@ -67,12 +68,13 @@ const (
 	advanceEvery = 4096
 )
 
-// FeedItem is a producer's scratch for one frame: the feeder fills Buf with
-// the raw frame (reusing its capacity), decodes it into Pkt — whose payload
-// slices alias Buf — and hands it to Feeder.Feed, which routes by Pkt's flow
-// and copies Buf into the shard's pending batch. The shard worker decodes
-// the copy again, so the item never leaves the producer and may be reused
-// as soon as Feed returns.
+// FeedItem is a producer's scratch for one frame: the producer fills Buf
+// with the raw frame (reusing its capacity) and TS with its capture time and
+// hands it to Feeder.Feed, which routes the frame by the 4-tuple read from
+// Buf and copies Buf into the shard's pending batch. The shard decodes and
+// checksum-checks the copy — the frame's one decode — so the item never
+// leaves the producer and may be reused as soon as Feed returns. Feed never
+// reads Pkt: it is decode scratch for producers that reassemble in place.
 type FeedItem struct {
 	TS  time.Time
 	Pkt packet.Packet
@@ -117,12 +119,13 @@ type shard struct {
 	asm *Assembler
 	in  []chan shardMsg // one queue per feeder, consumed in feeder order
 
-	open    atomic.Int64  // conns currently tracked (gauge)
-	queued  atomic.Int64  // messages sent but not yet applied (gauge)
-	packets atomic.Uint64 // packets applied since start
+	open       atomic.Int64  // conns currently tracked (gauge)
+	queued     atomic.Int64  // messages sent but not yet applied (gauge)
+	packets    atomic.Uint64 // packets applied since start
+	decodeErrs atomic.Uint64 // applied frames that did not decode
 
 	// Worker-local state.
-	pkt     packet.Packet // each batched frame is decoded again into this
+	pkt     packet.Packet // each batched frame is decoded into this, once
 	applied int           // packets since the last self-advance
 	maxTS   time.Time     // newest capture timestamp seen
 	done    []Session     // final sessions, parked for Wait
@@ -195,9 +198,10 @@ func (s *Sharded) apply(sh *shard, msg shardMsg) {
 		for i, end := range b.ends {
 			frame := b.buf[start:end]
 			start = end
-			// The feeder decoded these bytes to route them, so this
-			// cannot fail; the check only keeps a nil Pkt out of Feed.
+			// The frame's only decode and checksum check: the feeder
+			// routed it by raw offsets.
 			if packet.DecodeInto(&sh.pkt, frame) != nil {
+				sh.decodeErrs.Add(1)
 				continue
 			}
 			ts := b.ts[i]
@@ -290,6 +294,17 @@ func (s *Sharded) Wait() []Session {
 	return out
 }
 
+// DecodeErrors reports how many routed frames failed to decode on their
+// shard. The count is exact once every frame fed so far has been applied:
+// after Wait, or after a Drain or FlushSessions barrier.
+func (s *Sharded) DecodeErrors() int {
+	var n uint64
+	for _, sh := range s.shards {
+		n += sh.decodeErrs.Load()
+	}
+	return int(n)
+}
+
 // OpenConns reports connections currently tracked across all shards.
 func (s *Sharded) OpenConns() int {
 	var n int64
@@ -321,8 +336,8 @@ func (s *Sharded) ShardStats() []ShardStat {
 	return out
 }
 
-// Feeder is one producer's handle into a Sharded assembler: it routes
-// decoded packets to their flow's shard in bounded batches. A Feeder is not
+// Feeder is one producer's handle into a Sharded assembler: it routes raw
+// frames to their flow's shard in bounded batches. A Feeder is not
 // safe for concurrent use; each producer goroutine owns exactly one.
 type Feeder struct {
 	s      *Sharded
@@ -332,7 +347,7 @@ type Feeder struct {
 	closed bool
 }
 
-// Get returns the feeder's scratch FeedItem to decode the next frame into.
+// Get returns the feeder's scratch FeedItem to read the next frame into.
 // Every call returns the same item.
 func (f *Feeder) Get() *FeedItem { return &f.item }
 
@@ -341,11 +356,11 @@ func (f *Feeder) Get() *FeedItem { return &f.item }
 // driver (benchmark/scan_traced.go) still calls it.
 func (f *Feeder) Recycle(*FeedItem) {}
 
-// Feed copies the item's frame into the pending batch of its flow's shard.
-// Pkt must hold Buf decoded; the caller may reuse the item once Feed
-// returns.
+// Feed copies the item's frame into the pending batch of its flow's shard,
+// chosen from Buf's raw bytes (see routeFrame); Pkt is not read. The caller
+// may reuse the item once Feed returns.
 func (f *Feeder) Feed(it *FeedItem) {
-	si := shardOf(it.Pkt.Flow(), len(f.s.shards))
+	si := routeFrame(it.Buf, len(f.s.shards))
 	b := f.pend[si]
 	if b == nil {
 		b = batchPool.Get().(*frameBatch)
@@ -399,28 +414,66 @@ func FlowShard(flow packet.Flow, n int) int {
 	return shardOf(flow, n)
 }
 
-// shardOf hashes a flow to a shard. Each endpoint is mixed into one word
-// and the two words are added, so both directions of a connection hash
-// alike without ordering the endpoints first, and one final mix spreads
-// the sum; its top 32 bits scale to [0, n) with a multiply, not a divide.
-// The hash is deterministic across runs, so a capture replays onto the same
-// shard layout every time — handy when debugging a single shard's behavior.
+// shardOf hashes a flow to a shard: the top 32 bits of its flow word scale
+// to [0, n) with a multiply, not a divide. The hash is deterministic across
+// runs, so a capture replays onto the same shard layout every time — handy
+// when debugging a single shard's behavior.
 func shardOf(f packet.Flow, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := mix64(endpointWord(f.Src) + endpointWord(f.Dst))
-	return int(h >> 32 * uint64(n) >> 32)
+	return scaleShard(flowWord(f), n)
+}
+
+func scaleShard(h uint64, n int) int { return int(h >> 32 * uint64(n) >> 32) }
+
+// flowWord is a connection's symmetric hash, the shard router's and the
+// Assembler's connection-table key. Each endpoint is mixed into one word and
+// the two words are added, so both directions of a connection hash alike
+// without ordering the endpoints first, and one final mix spreads the sum.
+func flowWord(f packet.Flow) uint64 {
+	return mix64(endpointWord(f.Src) + endpointWord(f.Dst))
 }
 
 // endpointWord mixes an endpoint's address and port into one word. The
 // port sits in the top 16 bits of the address's low word, which are zero
-// for an IPv4 (v4-mapped) address.
+// for an IPv4 (v4-mapped) address. IPv4 takes a shortcut to the same word.
 func endpointWord(e packet.Endpoint) uint64 {
+	if e.Addr.Is4() {
+		a := e.Addr.As4()
+		return v4Word(binary.BigEndian.Uint32(a[:]), e.Port)
+	}
 	a := e.Addr.As16()
 	hi := binary.BigEndian.Uint64(a[:8])
 	lo := binary.BigEndian.Uint64(a[8:])
 	return mix64(hi*0x9e3779b97f4a7c15 ^ lo ^ uint64(e.Port)<<48)
+}
+
+// v4Word is endpointWord of an IPv4 address, given as its big-endian word:
+// the v4-mapped form ::ffff:a.b.c.d has a zero high word and a low word of
+// 0xffff<<32 | addr.
+func v4Word(addr uint32, port uint16) uint64 {
+	return mix64(uint64(port)<<48 | 0xffff<<32 | uint64(addr))
+}
+
+// routeFrame picks the shard of a raw Ethernet/IPv4/TCP frame without
+// decoding it: the EtherType, IHL, both addresses and both ports sit at
+// fixed offsets. Every frame packet.DecodeInto accepts lands where
+// shardOf(its flow, n) says; a frame too short or foreign to read goes to
+// shard 0, where its decode fails and is counted.
+func routeFrame(frame []byte, n int) int {
+	const eth, ipMin = 14, 20
+	if n <= 1 || len(frame) < eth+ipMin || binary.BigEndian.Uint16(frame[12:]) != packet.EtherTypeIPv4 {
+		return 0
+	}
+	ip := frame[eth:]
+	hl := int(ip[0]&0x0f) * 4
+	if hl < ipMin || len(ip) < hl+4 {
+		return 0
+	}
+	src := v4Word(binary.BigEndian.Uint32(ip[12:]), binary.BigEndian.Uint16(ip[hl:]))
+	dst := v4Word(binary.BigEndian.Uint32(ip[16:]), binary.BigEndian.Uint16(ip[hl+2:]))
+	return scaleShard(mix64(src+dst), n)
 }
 
 // mix64 is murmur3's 64-bit finalizer: every input bit flips each output

@@ -3,8 +3,8 @@
 // the paper evaluates Snort signatures over TCP sessions, retaining the
 // earliest-published matching signature per session.
 //
-// The assembler tracks connections by canonical flow, identifies the client
-// as the SYN initiator (falling back to first-packet source when the
+// The assembler tracks connections by a symmetric flow hash, identifies the
+// client as the SYN initiator (falling back to first-packet source when the
 // handshake was not captured), buffers out-of-order segments in sequence
 // space, tolerates retransmission and overlap, and emits a Session when the
 // connection closes (FIN/RST from both or either side) or when the assembler
@@ -164,16 +164,18 @@ func (c Config) withDefaults() Config {
 // Assembler consumes decoded packets and emits Sessions.
 type Assembler struct {
 	cfg   Config
-	conns map[packet.Flow]*conn
+	conns connTable
+	free  []*conn // finished conns, zeroed for reuse
+	dead  []*conn // Advance/Flush scratch: conns to finish
 	out   []Session
+	// outHint is the previous hand-off's length: the next queue starts with
+	// that capacity instead of regrowing from nil.
+	outHint int
 }
 
 // NewAssembler creates an Assembler with the given configuration.
 func NewAssembler(cfg Config) *Assembler {
-	return &Assembler{
-		cfg:   cfg.withDefaults(),
-		conns: make(map[packet.Flow]*conn),
-	}
+	return &Assembler{cfg: cfg.withDefaults()}
 }
 
 // halfStream is one direction of a connection.
@@ -195,6 +197,7 @@ type pendingSeg struct {
 }
 
 type conn struct {
+	h        uint64 // flowWord, the connTable key
 	client   packet.Endpoint
 	server   packet.Endpoint
 	start    time.Time
@@ -207,31 +210,38 @@ type conn struct {
 	closed   bool
 }
 
+// joins reports whether c is the connection between endpoints a and b.
+func (c *conn) joins(a, b packet.Endpoint) bool {
+	return c.client == a && c.server == b || c.client == b && c.server == a
+}
+
 // Feed processes one decoded packet captured at ts. Completed sessions are
 // queued; drain them with Sessions.
 func (a *Assembler) Feed(ts time.Time, p *packet.Packet) {
 	flow := p.Flow()
-	key := flow.Canonical()
-	c, ok := a.conns[key]
-	if ok && ts.Sub(c.last) >= a.cfg.IdleTimeout {
+	h := flowWord(flow)
+	c := a.conns.get(h, flow.Src, flow.Dst)
+	if c != nil && ts.Sub(c.last) >= a.cfg.IdleTimeout {
 		// The gap alone ends the old conversation: an Advance at any moment
 		// inside it would have idled the connection out, so splitting here
 		// makes session output independent of Advance cadence. That
 		// invariance is what lets the sharded front-end advance each shard
 		// on its own schedule and still emit byte-identical sessions.
-		a.finish(key, c)
-		ok = false
+		a.finish(c)
+		c = nil
 	}
-	if !ok {
-		c = &conn{start: ts, last: ts}
-		if p.TCP.SYN() && !p.TCP.ACK() {
-			c.client, c.server = flow.Src, flow.Dst
-			c.synSeen = true
+	if c == nil {
+		if n := len(a.free); n > 0 {
+			c, a.free = a.free[n-1], a.free[:n-1]
 		} else {
-			// Mid-stream pickup: assume the first seen source is the client.
-			c.client, c.server = flow.Src, flow.Dst
+			c = new(conn)
 		}
-		a.conns[key] = c
+		c.h, c.start, c.last = h, ts, ts
+		// Without a SYN this is a mid-stream pickup: assume the first seen
+		// source is the client.
+		c.client, c.server = flow.Src, flow.Dst
+		c.synSeen = p.TCP.SYN() && !p.TCP.ACK()
+		a.conns.insert(c)
 	}
 	c.last = ts
 	c.packets++
@@ -253,14 +263,9 @@ func (a *Assembler) Feed(ts time.Time, p *packet.Packet) {
 	}
 	a.feedDir(dir, p.TCP)
 
-	if p.TCP.RST() {
+	if p.TCP.RST() || c.c2s.sawFin && c.s2c.sawFin {
 		c.closed = true
-		a.finish(key, c)
-		return
-	}
-	if c.c2s.sawFin && c.s2c.sawFin {
-		c.closed = true
-		a.finish(key, c)
+		a.finish(c)
 	}
 }
 
@@ -411,8 +416,12 @@ func (a *Assembler) drainPending(h *halfStream) {
 	}
 }
 
-// finish emits the session for c and forgets the connection.
-func (a *Assembler) finish(key packet.Flow, c *conn) {
+// finish emits the session for c, forgets the connection and recycles c:
+// the session takes the stream buffers, and c is zeroed onto the free list.
+func (a *Assembler) finish(c *conn) {
+	if a.out == nil {
+		a.out = make([]Session, 0, a.outHint)
+	}
 	a.out = append(a.out, Session{
 		Client:           c.client,
 		Server:           c.server,
@@ -427,16 +436,24 @@ func (a *Assembler) finish(key packet.Flow, c *conn) {
 		OverlapConflicts: c.c2s.conflicts + c.s2c.conflicts,
 		Ambiguous:        c.c2s.conflicts+c.s2c.conflicts > 0,
 	})
-	delete(a.conns, key)
+	a.conns.remove(c)
+	*c = conn{}
+	a.free = append(a.free, c)
 }
 
 // Advance informs the assembler of the current capture time, closing any
 // connection idle past the configured timeout.
 func (a *Assembler) Advance(now time.Time) {
-	for key, c := range a.conns {
-		if now.Sub(c.last) >= a.cfg.IdleTimeout {
-			a.finish(key, c)
-		}
+	a.finishAll(func(c *conn) bool { return now.Sub(c.last) >= a.cfg.IdleTimeout })
+}
+
+// finishAll finishes every open connection keep selects: it collects them
+// first and finishes them after the scan, since each finish reshapes the
+// table. Table order is arbitrary, but Sessions sorts.
+func (a *Assembler) finishAll(keep func(*conn) bool) {
+	a.dead = a.conns.appendIf(a.dead[:0], keep)
+	for _, c := range a.dead {
+		a.finish(c)
 	}
 }
 
@@ -453,17 +470,20 @@ func (a *Assembler) Drain(now time.Time) []Session {
 // Flush closes all open connections regardless of idleness. Call at end of
 // capture.
 func (a *Assembler) Flush() {
-	for key, c := range a.conns {
-		a.finish(key, c)
-	}
+	a.finishAll(func(*conn) bool { return true })
 }
 
 // Sessions returns and clears the queue of completed sessions, ordered by
-// session end time (map iteration during Flush is unordered, and downstream
-// analyses index sessions temporally).
+// session end time (table order during Advance and Flush is arbitrary, and
+// downstream analyses index sessions temporally). The caller owns the
+// slice; the next queue, once a session completes, starts with room for as
+// many sessions.
 func (a *Assembler) Sessions() []Session {
 	s := a.out
-	a.out = nil
+	if len(s) == 0 {
+		return nil
+	}
+	a.out, a.outHint = nil, len(s)
 	SortSessions(s)
 	return s
 }
@@ -495,4 +515,4 @@ func lessSession(a, b *Session) bool {
 }
 
 // OpenConns reports the number of connections still being tracked.
-func (a *Assembler) OpenConns() int { return len(a.conns) }
+func (a *Assembler) OpenConns() int { return a.conns.n }
