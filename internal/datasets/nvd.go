@@ -112,7 +112,7 @@ func ImpactSamples(recs []CVERecord) []float64 {
 
 // StudyImpactSamples returns the CVSS scores of the 63 studied CVEs.
 func StudyImpactSamples() []float64 {
-	cves := StudyCVEs()
+	cves := studyTable().rows
 	out := make([]float64, len(cves))
 	for i, c := range cves {
 		out[i] = c.Impact

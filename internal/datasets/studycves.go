@@ -1,6 +1,10 @@
 package datasets
 
-import "time"
+import (
+	"slices"
+	"sync"
+	"time"
+)
 
 // StudyCVE is one row of the paper's Appendix E: a CVE observed being
 // exploited by the telescope, with its publication-relative lifecycle
@@ -55,8 +59,32 @@ func row(id, pub string, events int, desc, vendor, cwe string, impact float64, d
 }
 
 // StudyCVEs returns the 63 CVEs of Appendix E in publication order. The
-// slice is freshly allocated on each call; callers may mutate it.
-func StudyCVEs() []StudyCVE {
+// table is parsed once per process; each call returns a fresh copy of it, so
+// callers may mutate the slice.
+func StudyCVEs() []StudyCVE { return slices.Clone(studyTable().rows) }
+
+// studyIndex is the parsed Appendix E table with an id → row index.
+type studyIndex struct {
+	rows []StudyCVE
+	byID map[string]int
+}
+
+// studyTable parses Appendix E on first use. Lookups on the read path (every
+// lifecycle materialization joins each CVE against it) then cost a map probe
+// instead of re-parsing 63 rows of dates and durations.
+var studyTable = sync.OnceValue(func() studyIndex {
+	rows := appendixE()
+	byID := make(map[string]int, len(rows))
+	for i, c := range rows {
+		if _, dup := byID[c.ID]; !dup { // the first row wins, as a scan would
+			byID[c.ID] = i
+		}
+	}
+	return studyIndex{rows: rows, byID: byID}
+})
+
+// appendixE parses the paper's Appendix E rows.
+func appendixE() []StudyCVE {
 	return []StudyCVE{
 		row("2021-22893", "2021-04-21", 2, "Pulse Connect Secure vulnerable URI access attempt", "Ivanti/Pulse Secure", "CWE-287", 10.0, "1d 0h", "-", "47d 15h", 100, false),
 		row("2021-22204", "2021-04-23", 16, "ExifTool DjVu metadata command injection attempt", "ExifTool", "CWE-78", 7.8, "90d 12h", "20d 0h", "280d 22h", 100, false),
@@ -125,20 +153,21 @@ func StudyCVEs() []StudyCVE {
 }
 
 // StudyCVEByID returns the study record for a CVE id ("YYYY-NNNN"), or nil.
+// The record is a copy; callers may mutate it.
 func StudyCVEByID(id string) *StudyCVE {
-	for _, c := range StudyCVEs() {
-		if c.ID == id {
-			cc := c
-			return &cc
-		}
+	t := studyTable()
+	i, ok := t.byID[id]
+	if !ok {
+		return nil
 	}
-	return nil
+	c := t.rows[i]
+	return &c
 }
 
 // TotalStudyEvents sums the per-CVE event counts.
 func TotalStudyEvents() int {
 	n := 0
-	for _, c := range StudyCVEs() {
+	for _, c := range studyTable().rows {
 		n += c.Events
 	}
 	return n
@@ -148,7 +177,7 @@ func TotalStudyEvents() int {
 func StudyVendors() []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, c := range StudyCVEs() {
+	for _, c := range studyTable().rows {
 		if !seen[c.Vendor] {
 			seen[c.Vendor] = true
 			out = append(out, c.Vendor)
@@ -161,7 +190,7 @@ func StudyVendors() []string {
 func StudyCWEs() []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, c := range StudyCVEs() {
+	for _, c := range studyTable().rows {
 		if !seen[c.CWE] {
 			seen[c.CWE] = true
 			out = append(out, c.CWE)

@@ -200,3 +200,25 @@ func TestPipelineAgreesWithStudy(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBuilderTimelines materializes the lifecycle set from an aggregate
+// holding every Appendix E CVE — the join each as-of view, skill step and
+// incremental fold pays per read. The study metadata join is a map lookup per
+// CVE; the cost is the timelines themselves.
+func BenchmarkBuilderTimelines(b *testing.B) {
+	bld := NewBuilder()
+	for i, c := range datasets.StudyCVEs() {
+		at := c.Published.Add(time.Duration(i) * time.Hour)
+		bld.AddEvents([]ids.Event{
+			{Time: at, CVE: c.ID, SID: 1000 + i, Published: c.Published},
+			{Time: at.Add(time.Hour), CVE: c.ID, SID: 1000 + i, Published: c.Published},
+		}, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if tls := bld.Timelines(); len(tls) != 63 {
+			b.Fatalf("%d timelines, want 63", len(tls))
+		}
+	}
+}

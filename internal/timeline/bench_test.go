@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/eventstore"
 	"repro/internal/fault"
+	"repro/internal/ids"
 	"repro/internal/timeline"
 )
 
@@ -14,15 +16,9 @@ import (
 // The acceptance gate is checkpointed >= 10x faster than cold replay; the
 // recorded baselines live in BENCH_analysis.json.
 func BenchmarkAsOf(b *testing.B) {
-	study, batch := studyFixture(b)
+	_, batch := studyFixture(b)
 	events := batch.Events
-	var last time.Time
-	for i := range events {
-		if events[i].Time.After(last) {
-			last = events[i].Time
-		}
-	}
-	cut := last.Add(time.Hour)
+	cut := lastEventTime(events).Add(time.Hour)
 
 	for _, mode := range []struct {
 		name string
@@ -31,21 +27,7 @@ func BenchmarkAsOf(b *testing.B) {
 		{"checkpointed", 1},
 		{"cold", -1},
 	} {
-		fs := fault.NewSimFS(1, fault.Profile{})
-		st := openStore(b, fs)
-		eng, err := study.OpenTimeline("tl", st, timeline.Config{FS: fs, CheckpointEvery: mode.ckpt})
-		if err != nil {
-			b.Fatal(err)
-		}
-		const chunks = 16
-		per := (len(events) + chunks - 1) / chunks
-		for i := 0; i < len(events); i += per {
-			end := min(i+per, len(events))
-			appendCommit(b, st, events[i:end])
-			if _, err := eng.Seal(); err != nil {
-				b.Fatal(err)
-			}
-		}
+		st, eng := sealedFixture(b, events, mode.ckpt)
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -62,4 +44,67 @@ func BenchmarkAsOf(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSkillSeries measures /v1/skill's work: a 30-day-step skill series
+// over the whole study on the same checkpointed 16-segment log. The first
+// point is an as-of view; every later one folds forward only its step's
+// events, so the series costs about one replay plus a Table 4 evaluation per
+// point.
+func BenchmarkSkillSeries(b *testing.B) {
+	_, batch := studyFixture(b)
+	events := batch.Events
+	st, eng := sealedFixture(b, events, 1)
+	defer st.Close()
+	from := events[0].Time
+	for i := range events {
+		if events[i].Time.Before(from) {
+			from = events[i].Time
+		}
+	}
+	const step = 30 * 24 * time.Hour
+	to := from.Add((lastEventTime(events).Sub(from)/step + 1) * step)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pts, err := eng.SkillSeries(from, to, step)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if last := pts[len(pts)-1]; last.Events != len(events) {
+			b.Fatalf("series ends at %d events, want %d", last.Events, len(events))
+		}
+	}
+}
+
+func lastEventTime(events []ids.Event) time.Time {
+	var last time.Time
+	for i := range events {
+		if events[i].Time.After(last) {
+			last = events[i].Time
+		}
+	}
+	return last
+}
+
+// sealedFixture seals events into 16 segments on a simulated filesystem,
+// checkpointing every ckpt segments (negative: never).
+func sealedFixture(b *testing.B, events []ids.Event, ckpt int) (*eventstore.Store, *timeline.Engine) {
+	study, _ := studyFixture(b)
+	fs := fault.NewSimFS(1, fault.Profile{})
+	st := openStore(b, fs)
+	eng, err := study.OpenTimeline("tl", st, timeline.Config{FS: fs, CheckpointEvery: ckpt})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const chunks = 16
+	per := (len(events) + chunks - 1) / chunks
+	for i := 0; i < len(events); i += per {
+		end := min(i+per, len(events))
+		appendCommit(b, st, events[i:end])
+		if _, err := eng.Seal(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return st, eng
 }

@@ -2,8 +2,12 @@ package timeline
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"os"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/eventstore"
@@ -78,6 +82,8 @@ type segmentMeta struct {
 	MinTime      time.Time
 	MaxTime      time.Time
 	SizeBytes    int64
+	eventsStart  int64 // offset of the first event frame
+	eventsEnd    int64 // offset just past the last event frame
 	timeIdx      []timeIdxEntry
 	cveIdx       map[string][]uint32
 	bloom        bloomFilter
@@ -189,23 +195,30 @@ func sortStrings(s []string) {
 }
 
 // parseSegment reads a segment file image into its metadata summary. The
-// events themselves are not retained: queries re-read the file and scan from
-// a sparse-index offset, so resident cost per segment is the index, not the
-// data.
+// events themselves are not retained: queries read back only the byte range
+// of event frames they need, located through the sparse time index, so
+// resident cost per segment is the index, not the data.
 func parseSegment(path string, raw []byte) (*segmentMeta, error) {
 	if len(raw) < len(segMagic) || [8]byte(raw[:8]) != segMagic {
 		return nil, fmt.Errorf("timeline: %s is not a segment file", path)
 	}
 	m := &segmentMeta{path: path, Count: -1, SizeBytes: int64(len(raw))}
+	end := int64(len(segMagic)) // the end of the frames parsed so far
 	good, clean, err := wal.ScanFrames(raw[len(segMagic):], maxRecord, func(payload []byte) error {
 		if len(payload) == 0 {
 			return fmt.Errorf("empty frame")
 		}
+		start := end
+		end += int64(wal.FrameHeaderLen + len(payload))
 		switch payload[0] {
 		case tagHeader:
 			return m.parseHeader(payload[1:])
 		case tagEvent:
-			// Validated lazily at scan time; only count here.
+			// Validated lazily at scan time; only located here.
+			if m.eventsEnd == 0 {
+				m.eventsStart = start
+			}
+			m.eventsEnd = end
 		case tagTime:
 			return m.parseTimeIdx(payload[1:])
 		case tagCVE:
@@ -293,10 +306,56 @@ func (m *segmentMeta) parseBloom(b []byte) error {
 // mayContainCVE consults the bloom filter (false = definitely absent).
 func (m *segmentMeta) mayContainCVE(cve string) bool { return m.bloom.has(cve) }
 
-// scanRange reads the segment file and calls fn for each event with
-// lo < Time <= hi (no lower bound when hasLo is false), in segment order.
-// Events are time-ordered within a segment, so the scan starts at the last
-// sparse-index entry at or below lo and stops at the first event past hi.
+// segBufs recycles the buffers segment byte ranges are read into.
+var segBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// errStopScan ends a scan early without error.
+var errStopScan = errors.New("timeline: stop scan")
+
+// scanEvents reads the event frames in the byte range [start, end) of the
+// segment file — and only those bytes — and calls fn with each payload past
+// its tag. fn may return errStopScan to end the scan early. Every frame read
+// is CRC-checked: a range that does not parse cleanly to its end is storage
+// corruption and fails the query, so a damaged segment can never pass a
+// short answer off as a complete one (or into a checkpoint).
+func (m *segmentMeta) scanEvents(fs fault.FS, start, end int64, fn func(event []byte) error) error {
+	if start < m.eventsStart || end < start || end > m.eventsEnd {
+		return fmt.Errorf("timeline: %s: range [%d, %d) outside the event frames [%d, %d)", m.path, start, end, m.eventsStart, m.eventsEnd)
+	}
+	f, err := fs.OpenFile(m.path, os.O_RDONLY, 0)
+	if err != nil {
+		return fmt.Errorf("timeline: %w", err)
+	}
+	defer f.Close()
+	bp := segBufs.Get().(*[]byte)
+	defer segBufs.Put(bp)
+	*bp = slices.Grow((*bp)[:0], int(end-start))[:end-start]
+	if _, err := f.ReadAt(*bp, start); err != nil {
+		return fmt.Errorf("timeline: %s: %w", m.path, err)
+	}
+	good, clean, err := wal.ScanFrames(*bp, maxRecord, func(payload []byte) error {
+		if len(payload) == 0 || payload[0] != tagEvent {
+			return fmt.Errorf("non-event frame inside the event range")
+		}
+		return fn(payload[1:])
+	})
+	switch {
+	case err == errStopScan:
+		return nil
+	case err != nil:
+		return fmt.Errorf("timeline: %s: %w", m.path, err)
+	case !clean:
+		return fmt.Errorf("timeline: %s: corrupt frame at offset %d (sealed segments are immutable; this is storage corruption)", m.path, start+int64(good))
+	}
+	return nil
+}
+
+// scanRange calls fn for each event of the segment with lo < Time <= hi (no
+// lower bound when hasLo is false), in segment order. Events are time-ordered
+// within a segment, so only one byte range is read: from the last
+// sparse-index entry at or below lo to the first entry past hi (or the end
+// of the event frames), the frames before and after holding nothing that
+// qualifies.
 func (m *segmentMeta) scanRange(fs fault.FS, hasLo bool, lo, hi time.Time, fn func(ids.Event) error) error {
 	if m.Count == 0 || m.MinTime.After(hi) {
 		return nil
@@ -304,122 +363,78 @@ func (m *segmentMeta) scanRange(fs fault.FS, hasLo bool, lo, hi time.Time, fn fu
 	if hasLo && !m.MaxTime.After(lo) {
 		return nil // fully at or below the lower bound
 	}
-	raw, err := fs.ReadFile(m.path)
-	if err != nil {
-		return err
-	}
-	start := int64(len(segMagic))
-	if hasLo {
-		// Last index entry with at <= lo: every event before it is <= lo too.
-		for _, e := range m.timeIdx {
-			if e.at.After(lo) {
-				break
-			}
+	start, end := m.eventsStart, m.eventsEnd
+	for _, e := range m.timeIdx {
+		if e.at.After(hi) {
+			end = e.offset
+			break
+		}
+		if hasLo && !e.at.After(lo) {
 			start = e.offset
 		}
 	}
-	if start > int64(len(raw)) {
-		return fmt.Errorf("timeline: %s: index offset %d beyond file (%d bytes)", m.path, start, len(raw))
-	}
-	stop := fmt.Errorf("stop") //nolint:err113 — internal scan sentinel
-	_, _, err = wal.ScanFrames(raw[start:], maxRecord, func(payload []byte) error {
-		if len(payload) == 0 {
-			return fmt.Errorf("empty frame")
-		}
-		if payload[0] == tagHeader {
-			return nil // scanning from the file start; events follow
-		}
-		if payload[0] != tagEvent {
-			return stop // past the event frames (index/bloom tail)
-		}
-		ev, err := eventstore.DecodeEvent(payload[1:])
+	return m.scanEvents(fs, start, end, func(b []byte) error {
+		ev, err := eventstore.DecodeEvent(b)
 		if err != nil {
 			return err
 		}
 		if ev.Time.After(hi) {
-			return stop
+			return errStopScan
 		}
 		if hasLo && !ev.Time.After(lo) {
 			return nil
 		}
 		return fn(ev)
 	})
-	if err == stop {
-		err = nil
-	}
-	if err != nil {
-		return fmt.Errorf("timeline: %s: %w", m.path, err)
-	}
-	return nil
 }
 
-// scanCVE reads only the named CVE's events with Time <= hi, using the
-// per-CVE ordinal index and the sparse time index to touch as few frames as
-// possible. Returns nothing quickly when the bloom filter rules the CVE out.
+// scanCVE calls fn for only the named CVE's events with Time <= hi, using
+// the per-CVE ordinal index and the sparse time index to read the one byte
+// range that holds them. Returns nothing quickly when the bloom filter rules
+// the CVE out.
 func (m *segmentMeta) scanCVE(fs fault.FS, cve string, hi time.Time, fn func(ids.Event) error) error {
 	if !m.mayContainCVE(cve) || m.MinTime.After(hi) {
 		return nil
 	}
-	ords, ok := m.cveIdx[cve]
-	if !ok || len(ords) == 0 {
+	ords := m.cveIdx[cve] // ascending: the encoder appends them in order
+	if len(ords) == 0 {
 		return nil
 	}
-	raw, err := fs.ReadFile(m.path)
-	if err != nil {
-		return err
-	}
-	want := make(map[uint32]bool, len(ords))
-	for _, o := range ords {
-		want[o] = true
-	}
-	// Start at the index entry covering the first wanted ordinal.
-	first := ords[0]
-	start, ordinal := int64(len(segMagic)), uint32(0)
+	// From the index entry covering the first wanted ordinal to the first
+	// entry past the last one or past hi.
+	first, last := ords[0], ords[len(ords)-1]
+	start, end, ordinal := m.eventsStart, m.eventsEnd, uint32(0)
 	for _, e := range m.timeIdx {
-		if e.ordinal > first {
+		if e.ordinal > last || e.at.After(hi) {
+			end = e.offset
 			break
 		}
-		start, ordinal = e.offset, e.ordinal
+		if e.ordinal <= first {
+			start, ordinal = e.offset, e.ordinal
+		}
 	}
-	if start > int64(len(raw)) {
-		return fmt.Errorf("timeline: %s: index offset %d beyond file (%d bytes)", m.path, start, len(raw))
-	}
-	last := ords[len(ords)-1]
-	stop := fmt.Errorf("stop") //nolint:err113
-	_, _, err = wal.ScanFrames(raw[start:], maxRecord, func(payload []byte) error {
-		if len(payload) == 0 {
-			return fmt.Errorf("empty frame")
-		}
-		if payload[0] == tagHeader {
-			return nil // scanning from the file start; events follow
-		}
-		if payload[0] != tagEvent {
-			return stop
-		}
+	next := 0 // the next wanted ordinal, as an index into ords
+	return m.scanEvents(fs, start, end, func(b []byte) error {
 		o := ordinal
 		ordinal++
-		if o > last {
-			return stop
+		for next < len(ords) && ords[next] < o {
+			next++
 		}
-		if !want[o] {
+		if next == len(ords) {
+			return errStopScan
+		}
+		if ords[next] != o {
 			return nil
 		}
-		ev, err := eventstore.DecodeEvent(payload[1:])
+		ev, err := eventstore.DecodeEvent(b)
 		if err != nil {
 			return err
 		}
 		if ev.Time.After(hi) {
-			return stop // events are time-ordered; nothing later qualifies
+			return errStopScan // events are time-ordered; nothing later qualifies
 		}
 		return fn(ev)
 	})
-	if err == stop {
-		err = nil
-	}
-	if err != nil {
-		return fmt.Errorf("timeline: %s: %w", m.path, err)
-	}
-	return nil
 }
 
 // bloomFilter is a standard double-hashed bloom filter over CVE strings.

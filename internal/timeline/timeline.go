@@ -325,9 +325,7 @@ func (e *Engine) writeCheckpointLocked() error {
 	k := len(e.segments)
 	cut := e.maxSealedTime
 	agg := NewAggregate()
-	prevK := 0
-	var prevCut time.Time
-	hasPrev := false
+	var h held
 	if n := len(e.checkpoints); n > 0 {
 		prev := e.checkpoints[n-1]
 		pa, err := e.loadAggregate(prev)
@@ -335,23 +333,16 @@ func (e *Engine) writeCheckpointLocked() error {
 			return err
 		}
 		agg = pa.Clone()
-		prevK, prevCut, hasPrev = prev.K, prev.Cut, true
+		// Already covered up to prev.Cut; only late events count there.
+		h = held{k: prev.K, cut: prev.Cut}
 	}
-	fold := func(ev ids.Event) error {
+	sealed := &snapshot{segs: e.segments}
+	err := sealed.fold(e.fs, h, cut, func(ev ids.Event) error {
 		agg.AddOne(ev, e.rulePub)
 		return nil
-	}
-	for i, m := range e.segments {
-		var err error
-		if hasPrev && i < prevK {
-			// Already covered up to prevCut; only late events count.
-			err = m.scanRange(e.fs, true, prevCut, cut, fold)
-		} else {
-			err = m.scanRange(e.fs, false, time.Time{}, cut, fold)
-		}
-		if err != nil {
-			return err
-		}
+	})
+	if err != nil {
+		return err
 	}
 
 	seq := uint64(len(e.checkpoints))

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eventstore"
+	"repro/internal/fault"
 	"repro/internal/ids"
 	"repro/internal/lifecycle"
 )
@@ -22,17 +23,13 @@ type View struct {
 	eng *Engine
 	agg *Aggregate
 
-	// Snapshot of engine state at AsOf time, so the view stays consistent
-	// while new segments seal underneath it.
-	segs   []*segmentMeta
-	sealed []int64
-	tail   []ids.Event // unsealed published events with Time <= t
+	// snap is the engine state the view reads, so it stays consistent while
+	// new segments seal underneath it.
+	snap *snapshot
 
 	// replayed counts the delta events folded in on top of the checkpoint —
 	// the work AsOf actually did, surfaced for tests and logging.
 	replayed int
-	ckptSeq  uint64
-	hasCkpt  bool
 
 	// amended counts distinct sessions whose labels at this view's time
 	// differ from the sealed raw history; resolved holds the full re-labeled
@@ -45,79 +42,108 @@ type View struct {
 	eventsErr  error
 }
 
+// snapshot is the engine state one query reads: the sealed segments and
+// checkpoints, the published events past the sealed counts, and the
+// amendment log. A skill series takes one and reads every step from it.
+type snapshot struct {
+	segs   []*segmentMeta
+	ckpts  []*ckptMeta
+	tail   [][]ids.Event // per shard: published events not yet sealed
+	amends []eventstore.Amendment
+}
+
+func (e *Engine) snapshot() *snapshot {
+	e.mu.RLock()
+	s := &snapshot{
+		segs:  e.segments[:len(e.segments):len(e.segments)],
+		ckpts: e.checkpoints[:len(e.checkpoints):len(e.checkpoints)],
+	}
+	sealed := e.sealed
+	e.mu.RUnlock()
+	// Published slices are immutable prefixes, so the tail is safe to keep
+	// without store locks.
+	for i, shard := range e.store.PublishedEvents() {
+		from := 0
+		if sealed != nil && i < len(sealed) {
+			from = min(int(sealed[i]), len(shard))
+		}
+		s.tail = append(s.tail, shard[from:])
+	}
+	s.amends = e.store.Amendments()
+	return s
+}
+
+// held is what an aggregate already holds, so a fold adds every other event
+// once: of segments [0, k), the events at or before cut (a checkpoint's
+// coverage); of the later segments and the tail, the events at or before lo
+// when hasLo (the previous point of a forward sweep), else none.
+type held struct {
+	k     int
+	cut   time.Time
+	hasLo bool
+	lo    time.Time
+}
+
+// fold calls fn for every event of the snapshot with Time <= hi that h does
+// not hold. It is the one scan behind as-of views, forward sweeps, event
+// materialization and checkpoint builds. Segments wholly outside a bound
+// are skipped on their metadata alone.
+func (s *snapshot) fold(fs fault.FS, h held, hi time.Time, fn func(ids.Event) error) error {
+	for i, m := range s.segs {
+		hasLo, lo := h.hasLo, h.lo
+		if i < h.k {
+			hasLo, lo = true, h.cut
+		}
+		if err := m.scanRange(fs, hasLo, lo, hi, fn); err != nil {
+			return err
+		}
+	}
+	for _, shard := range s.tail {
+		for _, ev := range shard {
+			if ev.Time.After(hi) || h.hasLo && !ev.Time.After(h.lo) {
+				continue
+			}
+			if err := fn(ev); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // AsOf returns the view of the log at time t. Cost is proportional to the
 // events after the nearest checkpoint at or before t (plus the unsealed
 // tail), not the full log.
 func (e *Engine) AsOf(t time.Time) (*View, error) {
-	e.mu.RLock()
-	segs := e.segments[:len(e.segments):len(e.segments)]
-	ckpts := e.checkpoints[:len(e.checkpoints):len(e.checkpoints)]
-	sealed := e.sealed
-	e.mu.RUnlock()
+	return e.viewAt(e.snapshot(), t)
+}
 
-	v := &View{t: t, eng: e, segs: segs, sealed: sealed}
-
-	// Newest checkpoint whose cut is at or before t. Its aggregate covers
-	// segments [0..K) completely (cut is their max event time).
-	var ckpt *ckptMeta
-	for i := len(ckpts) - 1; i >= 0; i-- {
-		if !ckpts[i].Cut.After(t) {
-			ckpt = ckpts[i]
+// viewAt builds the view at t over a snapshot: the newest checkpoint whose
+// cut is at or before t, plus the events it does not hold.
+func (e *Engine) viewAt(s *snapshot, t time.Time) (*View, error) {
+	v := &View{t: t, eng: e, snap: s}
+	agg := NewAggregate()
+	var h held
+	for i := len(s.ckpts) - 1; i >= 0; i-- {
+		if c := s.ckpts[i]; !c.Cut.After(t) {
+			// Its aggregate covers segments [0..K) completely (cut is their
+			// max event time).
+			base, err := e.loadAggregate(c)
+			if err != nil {
+				return nil, err
+			}
+			agg = base.Clone()
+			h = held{k: c.K, cut: c.Cut}
 			break
 		}
 	}
-	agg := NewAggregate()
-	prevK := 0
-	var prevCut time.Time
-	hasPrev := false
-	if ckpt != nil {
-		base, err := e.loadAggregate(ckpt)
-		if err != nil {
-			return nil, err
-		}
-		agg = base.Clone()
-		prevK, prevCut, hasPrev = ckpt.K, ckpt.Cut, true
-		v.ckptSeq, v.hasCkpt = ckpt.Seq, true
-	}
-
-	fold := func(ev ids.Event) error {
+	err := s.fold(e.fs, h, t, func(ev ids.Event) error {
 		agg.AddOne(ev, e.rulePub)
 		v.replayed++
 		return nil
-	}
-	for i, m := range segs {
-		var err error
-		if hasPrev && i < prevK {
-			// Covered through prevCut; only late events in (prevCut, t]
-			// remain — usually none, and skipped on metadata alone.
-			err = m.scanRange(e.fs, true, prevCut, t, fold)
-		} else {
-			err = m.scanRange(e.fs, false, time.Time{}, t, fold)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Unsealed tail: published events beyond the sealed counts. Published
-	// slices are immutable prefixes, so this is safe without store locks.
-	for i, shard := range e.store.PublishedEvents() {
-		from := 0
-		if sealed != nil && i < len(sealed) {
-			from = int(sealed[i])
-		}
-		if from > len(shard) {
-			from = len(shard)
-		}
-		for _, ev := range shard[from:] {
-			if ev.Time.After(t) {
-				continue
-			}
-			v.tail = append(v.tail, ev)
-			if err := fold(ev); err != nil {
-				return nil, err
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	v.agg = agg
 	if err := v.overlayAmendments(); err != nil {
@@ -138,18 +164,7 @@ func (e *Engine) AsOf(t time.Time) (*View, error) {
 // replay. Re-attribution is an operator-triggered exception, not the steady
 // state, and the cost is the same full scan Events() already performs.
 func (v *View) overlayAmendments() error {
-	all := v.eng.store.Amendments()
-	if len(all) == 0 {
-		return nil
-	}
-	var appl []eventstore.Amendment
-	for _, a := range all {
-		// An amendment's Event.Time is the session start even for
-		// retractions, so the time filter is exact.
-		if !a.Event.Time.After(v.t) {
-			appl = append(appl, a)
-		}
-	}
+	appl := amendmentsBy(v.snap.amends, v.t)
 	if len(appl) == 0 {
 		return nil
 	}
@@ -166,6 +181,19 @@ func (v *View) overlayAmendments() error {
 	v.resolved = resolved
 	v.amended = len(eventstore.ResolveAmendments(appl))
 	return nil
+}
+
+// amendmentsBy returns the amendments that apply at time t. An amendment's
+// Event.Time is the session start even for retractions, so the time filter
+// is exact.
+func amendmentsBy(all []eventstore.Amendment, t time.Time) []eventstore.Amendment {
+	var appl []eventstore.Amendment
+	for _, a := range all {
+		if !a.Event.Time.After(t) {
+			appl = append(appl, a)
+		}
+	}
+	return appl
 }
 
 // Time returns the as-of instant.
@@ -210,16 +238,13 @@ func (v *View) Events() ([]ids.Event, error) {
 // before any amendment overlay, canonically ordered.
 func (v *View) rawEvents() ([]ids.Event, error) {
 	var out []ids.Event
-	collect := func(ev ids.Event) error {
+	err := v.snap.fold(v.eng.fs, held{}, v.t, func(ev ids.Event) error {
 		out = append(out, ev)
 		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, m := range v.segs {
-		if err := m.scanRange(v.eng.fs, false, time.Time{}, v.t, collect); err != nil {
-			return nil, err
-		}
-	}
-	out = append(out, v.tail...)
 	eventstore.SortEvents(out)
 	return out, nil
 }
@@ -244,14 +269,16 @@ func (v *View) CVEEvents(cve string) ([]ids.Event, error) {
 		out = append(out, ev)
 		return nil
 	}
-	for _, m := range v.segs {
+	for _, m := range v.snap.segs {
 		if err := m.scanCVE(v.eng.fs, cve, v.t, collect); err != nil {
 			return nil, err
 		}
 	}
-	for _, ev := range v.tail {
-		if ev.CVE == cve {
-			out = append(out, ev)
+	for _, shard := range v.snap.tail {
+		for _, ev := range shard {
+			if ev.CVE == cve && !ev.Time.After(v.t) {
+				out = append(out, ev)
+			}
 		}
 	}
 	eventstore.SortEvents(out)
@@ -342,8 +369,12 @@ type SkillPoint struct {
 // SkillSeries evaluates the paper's coordination-skill score (Table 4's
 // mean skill against the published baselines) at each step between from and
 // to inclusive — the "how did measured skill evolve as evidence accrued"
-// series. Each sample is an as-of query, so a well-checkpointed log makes
-// the whole sweep cheap.
+// series. The series reads one snapshot of the log. Its first point is an
+// as-of view (a checkpoint plus its delta); each later point folds forward
+// only the events in (previous step, step], so a whole sweep costs about
+// one replay. When a re-attribution applies at or before to, the labels of
+// earlier events can change between steps, and every step is an as-of view
+// of its own over the same snapshot.
 func (e *Engine) SkillSeries(from, to time.Time, step time.Duration) ([]SkillPoint, error) {
 	if step <= 0 {
 		return nil, fmt.Errorf("timeline: skill series step must be positive")
@@ -351,19 +382,34 @@ func (e *Engine) SkillSeries(from, to time.Time, step time.Duration) ([]SkillPoi
 	if to.Before(from) {
 		return nil, fmt.Errorf("timeline: skill series range is inverted")
 	}
+	s := e.snapshot()
+	perStep := len(amendmentsBy(s.amends, to)) > 0
 	baselines := core.PublishedBaselines()
 	var out []SkillPoint
-	for t := from; !t.After(to); t = t.Add(step) {
-		v, err := e.AsOf(t)
-		if err != nil {
-			return nil, err
+	var agg *Aggregate
+	var prev time.Time
+	for t := from; !t.After(to); prev, t = t, t.Add(step) {
+		if agg == nil || perStep {
+			v, err := e.viewAt(s, t)
+			if err != nil {
+				return nil, err
+			}
+			agg = v.agg
+		} else {
+			err := s.fold(e.fs, held{hasLo: true, lo: prev}, t, func(ev ids.Event) error {
+				agg.AddOne(ev, e.rulePub)
+				return nil
+			})
+			if err != nil {
+				return nil, err
+			}
 		}
-		tls := v.Timelines()
+		tls := agg.Life.Timelines()
 		res := core.EvaluateDesiderata(tls, baselines)
 		out = append(out, SkillPoint{
 			Date:      t,
 			CVEs:      len(tls),
-			Events:    v.EventCount(),
+			Events:    agg.EventCount(),
 			MeanSkill: core.MeanSkill(res),
 			Skillful:  core.SkillfulCount(res),
 		})

@@ -114,6 +114,10 @@ type Study struct {
 	// kev is the comparison catalog: deterministic in the seed, so every
 	// Results of this study shares it.
 	kev datasets.KEVCatalog
+	// population is Figure 2's all-CVE impact distribution over the seeded
+	// synthetic NVD catalog, also shared by every Results. It is built on
+	// first use: only Figure 2 reads it.
+	population func() *stats.ECDF
 
 	// stream is the most recent streaming capture (StreamCapture), kept after
 	// the run so monitoring surfaces can report final totals. See
@@ -161,6 +165,10 @@ func NewStudy(cfg Config) (*Study, error) {
 		ruleset: pub,
 		tel:     telescope.NewSim(telescope.SimConfig{Seed: cfg.Seed}),
 		kev:     datasets.GenerateKEV(datasets.KEVConfig{Seed: cfg.Seed}),
+		population: sync.OnceValue(func() *stats.ECDF {
+			pop := datasets.GeneratePopulation(datasets.PopulationConfig{Seed: cfg.Seed})
+			return stats.MustECDF(datasets.ImpactSamples(pop))
+		}),
 	}, nil
 }
 
@@ -178,7 +186,8 @@ type Results struct {
 	// KEV is the comparison catalog.
 	KEV datasets.KEVCatalog
 
-	baselines map[core.Pair]float64
+	baselines  map[core.Pair]float64
+	population func() *stats.ECDF
 
 	// eventsFn lazily materializes Events for Results built from an as-of
 	// view: tables and lifecycles come from checkpointed aggregates, so the
@@ -332,6 +341,7 @@ func (s *Study) RunStream(sink func([]ids.Event) error) (*Results, error) {
 // view, the incremental fold), else derived from the Results' own events.
 func (s *Study) finish(res *Results, measured func() []lifecycle.Timeline) *Results {
 	res.cfg, res.baselines, res.KEV = s.cfg, core.PublishedBaselines(), s.kev
+	res.population = s.population
 	switch {
 	case !s.cfg.PipelineTimelines:
 		res.Timelines = lifecycle.StudyTimelines()
@@ -411,12 +421,12 @@ func (r *Results) Figure1() *stats.Histogram {
 }
 
 // Figure2 returns the impact CDFs: studied vs KEV vs all CVEs.
+// The all-CVE population is the study's, built once.
 func (r *Results) Figure2() []report.Series {
-	pop := datasets.GeneratePopulation(datasets.PopulationConfig{Seed: r.cfg.Seed})
 	return []report.Series{
 		report.FromECDF("studied", "CVSS", stats.MustECDF(datasets.StudyImpactSamples())),
 		report.FromECDF("kev", "CVSS", stats.MustECDF(r.KEV.ImpactSamples())),
-		report.FromECDF("all", "CVSS", stats.MustECDF(datasets.ImpactSamples(pop))),
+		report.FromECDF("all", "CVSS", r.population()),
 	}
 }
 
