@@ -80,7 +80,8 @@ func EncodeAmendment(buf []byte, a *Amendment) []byte {
 // DecodeAmendment decodes one EncodeAmendment payload.
 func DecodeAmendment(b []byte) (Amendment, error) {
 	c := wal.NewCursor(b)
-	a := Amendment{Event: readEvent(&c)}
+	var a Amendment
+	readEvent(&c, &a.Event, nil)
 	a.OrigSID = int(c.U32())
 	a.OrigCVE = c.String16()
 	a.Gen = c.U64()

@@ -60,32 +60,62 @@ func EncodeEvent(buf []byte, ev *ids.Event) []byte {
 	return append(buf, flags)
 }
 
-// DecodeEvent decodes one EncodeEvent payload. It returns an error (never
-// panics) on malformed input, since payloads come off disk and the wire.
+// DecodeEvent decodes one EncodeEvent payload into a fresh Event whose
+// strings are its own copies. It returns an error (never panics) on
+// malformed input, since payloads come off disk and the wire.
 func DecodeEvent(payload []byte) (ids.Event, error) {
-	c := wal.NewCursor(payload)
-	ev := readEvent(&c)
-	if err := c.Finish("event"); err != nil {
-		return ids.Event{}, err
-	}
-	return ev, nil
+	var ev ids.Event
+	err := DecodeEventInto(payload, &ev, nil)
+	return ev, err
 }
 
-// readEvent reads one event's fields, leaving any remaining bytes for
-// composite payloads (the amendment record embeds an event before its own
-// fields).
-func readEvent(c *wal.Cursor) ids.Event {
-	var ev ids.Event
+// DecodeEventInto decodes one EncodeEvent payload into *ev, overwriting
+// every field, so a scan can decode each of its events into one Event. CVE
+// and Msg come from names, keyed by their bytes: a string already there is
+// reused without allocating, and a new one is copied in once. A nil names
+// copies every string, as DecodeEvent does. Either way no field aliases
+// payload, which the caller may overwrite as soon as this returns. On error
+// *ev is zeroed.
+func DecodeEventInto(payload []byte, ev *ids.Event, names map[string]string) error {
+	c := wal.NewCursor(payload)
+	readEvent(&c, ev, names)
+	if err := c.Finish("event"); err != nil {
+		*ev = ids.Event{}
+		return err
+	}
+	return nil
+}
+
+// readEvent is the one event field reader: it fills *ev from c, taking CVE
+// and Msg through names (see DecodeEventInto), and leaves any remaining bytes
+// for composite payloads (the amendment record embeds an event before its
+// own fields).
+func readEvent(c *wal.Cursor, ev *ids.Event, names map[string]string) {
 	ev.Time = c.Time()
 	ev.Src = ReadEndpoint(c)
 	ev.Dst = ReadEndpoint(c)
 	ev.SID = int(c.U32())
 	ev.Published = c.Time()
-	ev.CVE = c.String16()
-	ev.Msg = c.String16()
+	ev.CVE = readName(c, names)
+	ev.Msg = readName(c, names)
 	ev.Bytes = int(c.U32())
 	ev.Ambiguous = c.U8()&1 != 0
-	return ev
+}
+
+// readName reads a string16 field, shared through names when it is non-nil.
+// The lookup names[string(b)] does not allocate; only a string not yet in
+// names is copied.
+func readName(c *wal.Cursor, names map[string]string) string {
+	b := c.Bytes16()
+	if names == nil {
+		return string(b)
+	}
+	if s, ok := names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	names[s] = s
+	return s
 }
 
 // AppendEndpoint appends e as a wal addr field and a u16 port — the one

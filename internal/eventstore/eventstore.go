@@ -247,17 +247,19 @@ func trimNL(b []byte) []byte {
 // commit never resurrects events the commit meta does not cover. Bytes below
 // it recover frame by frame (a tear inside the committed region means
 // storage failure; recovery salvages the intact prefix rather than refusing
-// to open).
+// to open). The recovered events share one copy of each CVE and message
+// string.
 func openShard(fs fault.FS, path string, committed int64) (*shard, int, error) {
 	var events []ids.Event
+	names := make(map[string]string)
 	end := int64(len(fileMagic))
 	log, err := wal.Open(fs, path, fileMagic, maxRecordLen, func(payload []byte) error {
 		end += int64(wal.FrameHeaderLen + len(payload))
 		if committed >= int64(len(fileMagic)) && end > committed {
 			return wal.ErrStop
 		}
-		ev, err := DecodeEvent(payload)
-		if err != nil {
+		var ev ids.Event
+		if err := DecodeEventInto(payload, &ev, names); err != nil {
 			return err
 		}
 		events = append(events, ev)

@@ -50,13 +50,15 @@ func fuzzRecordsSeeds() [][]byte {
 	return append(seeds, []byte{}, binary.LittleEndian.AppendUint32(nil, 0xFFFFFFFF))
 }
 
-// TestRegenFuzzCorpus rewrites this package's committed seed corpus from the
-// seed list FuzzRecords adds. Run with REGEN_FUZZ_CORPUS=1 after changing it.
+// TestRegenFuzzCorpus rewrites this package's committed seed corpora from the
+// seed lists the fuzz targets add. Run with REGEN_FUZZ_CORPUS=1 after
+// changing them.
 func TestRegenFuzzCorpus(t *testing.T) {
 	if !fuzzcorpus.Regen() {
 		t.Skip("set REGEN_FUZZ_CORPUS=1 to rewrite testdata/fuzz")
 	}
 	fuzzcorpus.Write(t, "FuzzRecords", fuzzRecordsSeeds())
+	fuzzcorpus.Write(t, "FuzzDecodeEventInto", fuzzDecodeEventIntoSeeds())
 }
 
 // FuzzRecords runs every record decoder in this package — events,
@@ -80,6 +82,61 @@ func FuzzRecords(f *testing.F) {
 			if !reflect.DeepEqual(back, v) {
 				t.Fatalf("%s: round trip changed the record:\n got %+v\nwant %+v", c.name, back, v)
 			}
+		}
+	})
+}
+
+func fuzzDecodeEventIntoSeeds() [][]byte {
+	v6 := testEvent(2)
+	v6.Src = packet.Endpoint{Addr: netip.MustParseAddr("2001:db8::1"), Port: 1}
+	v6.Ambiguous = true
+	a := amendFor(testEvent(4), 990001, time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC), "2020-9999", 3)
+	var seeds [][]byte
+	// Events 0-3 share their message and 0 and 9 their CVE, so a names map
+	// reused across the seeds is hit as well as filled.
+	for _, i := range []int{0, 1, 3, 4, 9} {
+		ev := testEvent(i)
+		seeds = append(seeds, EncodeEvent(nil, &ev))
+	}
+	seeds = append(seeds, EncodeEvent(nil, &ids.Event{}), EncodeEvent(nil, &v6), EncodeAmendment(nil, &a))
+	full := seeds[0]
+	return append(seeds, full[:len(full)-1], append(full[:len(full):len(full)], 0), []byte{})
+}
+
+// FuzzDecodeEventInto checks the in-place decoder against the copying one:
+// for any payload, DecodeEventInto with a names map reused across inputs
+// must agree with DecodeEvent on the error and the event. Its strings must
+// not alias the payload — a segment scan decodes out of a pooled buffer that
+// the next read overwrites — so the payload is overwritten after each decode
+// and the event checked again.
+func FuzzDecodeEventInto(f *testing.F) {
+	for _, seed := range fuzzDecodeEventIntoSeeds() {
+		f.Add(seed)
+	}
+	names := make(map[string]string)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := DecodeEvent(data)
+		buf := append([]byte(nil), data...)
+		var got ids.Event
+		err := DecodeEventInto(buf, &got, names)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("DecodeEventInto error %v, DecodeEvent error %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("DecodeEventInto decoded\n%+v\nDecodeEvent decoded\n%+v", got, want)
+		}
+		for i := range buf {
+			buf[i] = ^buf[i]
+		}
+		if got.CVE != want.CVE || got.Msg != want.Msg {
+			t.Fatalf("overwriting the payload changed the decoded strings to %q, %q (want %q, %q)",
+				got.CVE, got.Msg, want.CVE, want.Msg)
+		}
+		if s, ok := names[want.CVE]; !ok || s != want.CVE {
+			t.Fatalf("names holds %q for CVE %q after the payload was overwritten", s, want.CVE)
 		}
 	})
 }

@@ -52,13 +52,19 @@ func (b *StatsBuilder) AddSessionBatch(sessions []tcpasm.Session) {
 
 // AddEvents folds a batch of attributed events into the totals.
 func (b *StatsBuilder) AddEvents(events []Event) {
-	b.matched += len(events)
 	for i := range events {
-		if events[i].CVE != "" {
-			b.cves[events[i].CVE] = struct{}{}
-		}
-		b.srcs[events[i].Src.Addr] = struct{}{}
+		b.AddEvent(&events[i])
 	}
+}
+
+// AddEvent folds one attributed event into the totals. It keeps ev's CVE
+// string but not ev itself.
+func (b *StatsBuilder) AddEvent(ev *Event) {
+	b.matched++
+	if ev.CVE != "" {
+		b.cves[ev.CVE] = struct{}{}
+	}
+	b.srcs[ev.Src.Addr] = struct{}{}
 }
 
 // Clone returns an independent copy of the builder's state.

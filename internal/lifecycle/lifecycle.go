@@ -213,35 +213,38 @@ type pipelineAcc struct {
 func NewBuilder() *Builder { return &Builder{byCVE: map[string]*pipelineAcc{}} }
 
 // AddEvents folds a batch of attributed events into the aggregate. rulePub
-// maps SIDs to publication times, as in FromPipeline; unattributed events
-// (no CVE) are ignored. A SID absent from rulePub falls back to the event's
-// own Published stamp when set — registry-published rules are not in the
-// static study map, but their events carry the journal's publication time.
+// maps SIDs to publication times, as in FromPipeline. See AddEvent.
 func (b *Builder) AddEvents(events []ids.Event, rulePub map[int]time.Time) {
 	for i := range events {
-		ev := &events[i]
-		if ev.CVE == "" {
-			continue
-		}
-		a, ok := b.byCVE[ev.CVE]
-		if !ok {
-			a = &pipelineAcc{firstAttack: ev.Time}
-			b.byCVE[ev.CVE] = a
-		}
-		if ev.Time.Before(a.firstAttack) {
-			a.firstAttack = ev.Time
-		}
-		a.count++
-		pub, ok := rulePub[ev.SID]
-		if !ok && !ev.Published.IsZero() {
-			pub, ok = ev.Published, true
-		}
-		if ok {
-			if !a.hasRule || pub.Before(a.firstRule) {
-				a.firstRule = pub
-				a.hasRule = true
-			}
-		}
+		b.AddEvent(&events[i], rulePub)
+	}
+}
+
+// AddEvent folds one attributed event into the aggregate; an unattributed
+// event (no CVE) is ignored. A SID absent from rulePub falls back to the
+// event's own Published stamp when set — registry-published rules are not in
+// the static study map, but their events carry the journal's publication
+// time. It keeps ev's CVE string but not ev itself.
+func (b *Builder) AddEvent(ev *ids.Event, rulePub map[int]time.Time) {
+	if ev.CVE == "" {
+		return
+	}
+	a, ok := b.byCVE[ev.CVE]
+	if !ok {
+		a = &pipelineAcc{firstAttack: ev.Time}
+		b.byCVE[ev.CVE] = a
+	}
+	if ev.Time.Before(a.firstAttack) {
+		a.firstAttack = ev.Time
+	}
+	a.count++
+	pub, ok := rulePub[ev.SID]
+	if !ok && !ev.Published.IsZero() {
+		pub, ok = ev.Published, true
+	}
+	if ok && (!a.hasRule || pub.Before(a.firstRule)) {
+		a.firstRule = pub
+		a.hasRule = true
 	}
 }
 

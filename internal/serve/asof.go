@@ -16,32 +16,57 @@ import (
 // hot cuts is cheap to keep; past the cap the map is dropped wholesale.
 const maxAsofResults = 16
 
+// asofKey names one as-of replay: the store generation it answers for and
+// the as-of instant in Unix nanoseconds.
+type asofKey struct {
+	gen uint64
+	at  int64
+}
+
 // asofResults returns the study Results as of t, recomputing only when the
 // (generation, t) pair is new. The underlying AsOf query costs the events
 // since the nearest checkpoint, so even a miss is far cheaper than a batch
-// run over the full log.
+// run over the full log. asofMu guards only the maps: misses at different
+// instants replay in parallel, and concurrent misses at one instant share
+// one replay.
 func (s *Server) asofResults(t time.Time) (*wayback.Results, uint64, error) {
 	gen := s.cfg.Store.Generation()
-	key := t.UTC().UnixNano()
+	key := asofKey{gen, t.UTC().UnixNano()}
 	s.asofMu.Lock()
-	defer s.asofMu.Unlock()
 	if s.asofGen != gen || s.asofRes == nil {
 		s.asofRes = make(map[int64]*wayback.Results)
 		s.asofGen = gen
 	}
-	if res, ok := s.asofRes[key]; ok {
+	if res, ok := s.asofRes[key.at]; ok {
+		s.asofMu.Unlock()
 		return res, gen, nil
 	}
+	if f, ok := s.asofFlights[key]; ok {
+		s.asofMu.Unlock()
+		<-f.done
+		return f.val, gen, f.err
+	}
+	f := &flight[*wayback.Results]{done: make(chan struct{})}
+	s.asofFlights[key] = f
+	s.asofMu.Unlock()
+
 	v, err := s.cfg.Timeline.AsOf(t)
-	if err != nil {
-		return nil, 0, err
+	if err == nil {
+		f.val = s.cfg.Study.ResultsFromView(v)
 	}
-	if len(s.asofRes) >= maxAsofResults {
-		clear(s.asofRes)
+	f.err = err
+	close(f.done)
+
+	s.asofMu.Lock()
+	delete(s.asofFlights, key)
+	if err == nil && s.asofGen == gen {
+		if len(s.asofRes) >= maxAsofResults {
+			clear(s.asofRes)
+		}
+		s.asofRes[key.at] = f.val
 	}
-	res := s.cfg.Study.ResultsFromView(v)
-	s.asofRes[key] = res
-	return res, gen, nil
+	s.asofMu.Unlock()
+	return f.val, gen, f.err
 }
 
 // serveTimeline is serveCached's sibling for the endpoints that query the

@@ -4,12 +4,16 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/eventstore"
+	"repro/internal/fault"
 	"repro/internal/ids"
 	"repro/internal/timeline"
 	"repro/wayback"
@@ -24,6 +28,13 @@ type asofFixture struct {
 }
 
 func newAsofFixture(t *testing.T) *asofFixture {
+	t.Helper()
+	return newAsofFixtureWith(t, timeline.Config{CheckpointEvery: 1})
+}
+
+// newAsofFixtureWith is newAsofFixture with the timeline engine's settings
+// given (Dir and Store are filled in).
+func newAsofFixtureWith(t *testing.T, tcfg timeline.Config) *asofFixture {
 	t.Helper()
 	study, err := wayback.NewStudy(wayback.Config{Seed: 1, PipelineTimelines: true})
 	if err != nil {
@@ -44,7 +55,7 @@ func newAsofFixture(t *testing.T) *asofFixture {
 	if err := store.Commit(nil); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := study.OpenTimeline(t.TempDir(), store, timeline.Config{CheckpointEvery: 1})
+	eng, err := study.OpenTimeline(t.TempDir(), store, tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,5 +297,162 @@ func TestTimelineMetrics(t *testing.T) {
 	plain := newFixture(t)
 	if body := plain.getOK(t, "/metrics").Body.String(); strings.Contains(body, "waybackd_timeline_") {
 		t.Error("timeline gauges present without an engine")
+	}
+}
+
+// gatedFS is the real filesystem, except that while a gate is armed every
+// open of a sealed segment reports itself on arrived and then blocks until
+// the gate is released: a disk slow enough to hold as-of replays mid-flight.
+type gatedFS struct {
+	fault.FS
+	arrived chan string
+	opens   atomic.Int32
+
+	mu   sync.Mutex
+	gate chan struct{}
+}
+
+// newGatedFS sizes arrived past every segment open a test makes, so an open
+// never blocks on reporting itself.
+func newGatedFS() *gatedFS { return &gatedFS{FS: fault.OS, arrived: make(chan string, 64)} }
+
+// arm makes segment opens block until the returned release is called.
+func (g *gatedFS) arm() (release func()) {
+	gate := make(chan struct{})
+	g.mu.Lock()
+	g.gate = gate
+	g.mu.Unlock()
+	return sync.OnceFunc(func() { close(gate) })
+}
+
+func (g *gatedFS) OpenFile(name string, flag int, perm os.FileMode) (fault.File, error) {
+	g.mu.Lock()
+	gate := g.gate
+	g.mu.Unlock()
+	if gate != nil && strings.HasSuffix(name, ".seg") {
+		g.opens.Add(1)
+		g.arrived <- name
+		<-gate
+	}
+	return g.FS.OpenFile(name, flag, perm)
+}
+
+// awaitOpen waits for one segment open to arrive at the gate.
+func (g *gatedFS) awaitOpen() bool {
+	select {
+	case <-g.arrived:
+		return true
+	case <-time.After(10 * time.Second):
+		return false
+	}
+}
+
+// TestAsOfMissesReplayConcurrently: cache-missing ?asof= requests replay
+// without holding the server's as-of lock. Misses at two instants must
+// both reach the segment read at once, and eight concurrent misses at one
+// instant must share a single replay.
+func TestAsOfMissesReplayConcurrently(t *testing.T) {
+	fs := newGatedFS()
+	f := newAsofFixtureWith(t, timeline.Config{FS: fs, CheckpointEvery: -1})
+	if n := f.eng.SegmentCount(); n != 1 {
+		t.Fatalf("fixture sealed %d segments, want 1 (one replay = one segment open)", n)
+	}
+	get := func(wg *sync.WaitGroup, at time.Time, codes chan<- int) {
+		defer wg.Done()
+		codes <- f.get(t, "/v1/tables/4?asof="+at.UTC().Format(time.RFC3339Nano)).Code
+	}
+	checkCodes := func(codes chan int) {
+		close(codes)
+		for code := range codes {
+			if code != http.StatusOK {
+				t.Errorf("as-of request gave %d, want 200", code)
+			}
+		}
+	}
+
+	release := fs.arm()
+	var wg sync.WaitGroup
+	codes := make(chan int, 2)
+	for _, at := range []time.Time{f.cut, f.cut.Add(-24 * time.Hour)} {
+		wg.Add(1)
+		go get(&wg, at, codes)
+	}
+	for i := 0; i < 2; i++ {
+		if !fs.awaitOpen() {
+			release()
+			wg.Wait()
+			t.Fatalf("only %d of 2 misses at different instants reached the segment read: replays are serialized", i)
+		}
+	}
+	release()
+	wg.Wait()
+	checkCodes(codes)
+
+	fs.opens.Store(0)
+	release = fs.arm()
+	at := f.cut.Add(-48 * time.Hour)
+	codes = make(chan int, 8)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go get(&wg, at, codes)
+	}
+	if !fs.awaitOpen() {
+		release()
+		wg.Wait()
+		t.Fatal("no miss reached the segment read")
+	}
+	// Give the other seven time to reach the held replay. The wait cannot
+	// fail a correct server, which replays once however late a miss comes:
+	// a late miss finds the replay in flight or its result cached. It only
+	// gives a server that does not coalesce the time to open the segment
+	// again.
+	time.Sleep(50 * time.Millisecond)
+	release()
+	wg.Wait()
+	checkCodes(codes)
+	if n := fs.opens.Load(); n != 1 {
+		t.Errorf("eight concurrent misses at one instant opened the segment %d times, want 1 replay", n)
+	}
+}
+
+// TestFigure2Body: /v1/figures/2 is rendered once per server yet stays
+// byte-identical to a freshly built Results' Figure 2 before an append,
+// after one and at an as-of instant, and its ETag still moves with the
+// store generation.
+func TestFigure2Body(t *testing.T) {
+	f := newAsofFixture(t)
+	fresh := func() string {
+		t.Helper()
+		res, _ := f.study.ResultsFromStore(f.est)
+		body, _, err := seriesCSV(res.Figure2()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	asof := "/v1/figures/2?asof=" + f.cut.UTC().Format(time.RFC3339Nano)
+	check := func(when string) string {
+		t.Helper()
+		want := fresh()
+		rec := f.getOK(t, "/v1/figures/2")
+		if got := rec.Body.String(); got != want {
+			t.Errorf("%s: /v1/figures/2 differs from a fresh Results' Figure 2", when)
+		}
+		if got := f.getOK(t, asof).Body.String(); got != want {
+			t.Errorf("%s: /v1/figures/2?asof= differs from a fresh Results' Figure 2", when)
+		}
+		return rec.Header().Get("ETag")
+	}
+
+	before := check("before an append")
+	if err := f.est.AppendBatch(f.batch.Events[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.est.Commit(nil); err != nil {
+		t.Fatal(err)
+	}
+	after := check("after an append")
+	if before == "" || before == after {
+		t.Errorf("Figure 2's ETag did not move with the generation: %q then %q", before, after)
 	}
 }

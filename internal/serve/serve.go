@@ -147,18 +147,25 @@ type Server struct {
 	// only the new events (see wayback.Incremental).
 	inc *wayback.Incremental
 
-	// As-of Results, keyed by (generation, as-of instant). Bounded; reset
-	// whenever the generation moves.
-	asofMu  sync.Mutex
-	asofGen uint64
-	asofRes map[int64]*wayback.Results
+	// As-of Results, keyed by (generation, as-of instant): bounded, and reset
+	// whenever the generation moves. asofFlights holds the replays in
+	// progress, which concurrent misses at the same key wait on. asofMu
+	// guards all three fields and is never held across a replay.
+	asofMu      sync.Mutex
+	asofGen     uint64
+	asofRes     map[int64]*wayback.Results
+	asofFlights map[asofKey]*flight[*wayback.Results]
+
+	// figure2 is Figure 2's CSV body, rendered on first use: the figure
+	// reads no event, so one body serves every generation and as-of instant.
+	figure2 func() ([]byte, error)
 
 	// Rendered response bodies, keyed by endpoint + generation (+ as-of),
 	// plus the in-flight builds concurrent misses coalesce onto. cacheMu
 	// guards cache, flights, and cacheTick.
 	cacheMu   sync.Mutex
 	cache     map[string]cacheEntry
-	flights   map[string]*flight
+	flights   map[string]*flight[renderedBody]
 	cacheTick uint64
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -174,13 +181,18 @@ type cacheEntry struct {
 	lastUsed uint64 // cacheTick at last hit or insert, for LRU eviction
 }
 
-// flight is one in-progress body build; concurrent misses on the same
-// (generation, key) wait on done instead of building again.
-type flight struct {
-	done  chan struct{}
+// flight is one in-progress build — a response body or an as-of Results;
+// concurrent misses on the same key wait on done instead of building again.
+type flight[T any] struct {
+	done chan struct{}
+	val  T
+	err  error
+}
+
+// renderedBody is what a response-body flight builds.
+type renderedBody struct {
 	body  []byte
 	ctype string
-	err   error
 }
 
 // maxCacheEntries bounds the response cache: ?asof= makes the key space
@@ -196,9 +208,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg: cfg, mux: http.NewServeMux(), start: time.Now(),
-		inc:     cfg.Study.NewIncremental(cfg.Store),
-		cache:   make(map[string]cacheEntry),
-		flights: make(map[string]*flight),
+		inc:         cfg.Study.NewIncremental(cfg.Store),
+		cache:       make(map[string]cacheEntry),
+		flights:     make(map[string]*flight[renderedBody]),
+		asofFlights: make(map[asofKey]*flight[*wayback.Results]),
+		figure2: sync.OnceValues(func() ([]byte, error) {
+			body, _, err := seriesCSV(cfg.Study.Figure2()...)
+			return body, err
+		}),
 	}
 	handle := func(pattern, route string, h http.HandlerFunc) {
 		s.mux.HandleFunc(pattern, s.instrument(route, h))
@@ -279,22 +296,22 @@ func (s *Server) cachedBody(gen uint64, key string, build func() ([]byte, string
 	if f, ok := s.flights[fkey]; ok {
 		s.cacheMu.Unlock()
 		<-f.done
-		return f.body, f.ctype, true, f.err
+		return f.val.body, f.val.ctype, true, f.err
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight[renderedBody]{done: make(chan struct{})}
 	s.flights[fkey] = f
 	s.cacheMu.Unlock()
 
-	f.body, f.ctype, f.err = build()
+	f.val.body, f.val.ctype, f.err = build()
 	close(f.done)
 
 	s.cacheMu.Lock()
 	delete(s.flights, fkey)
 	if f.err == nil {
-		s.storeCacheEntry(key, cacheEntry{gen: gen, body: f.body, ctype: f.ctype})
+		s.storeCacheEntry(key, cacheEntry{gen: gen, body: f.val.body, ctype: f.val.ctype})
 	}
 	s.cacheMu.Unlock()
-	return f.body, f.ctype, false, f.err
+	return f.val.body, f.val.ctype, false, f.err
 }
 
 // storeCacheEntry inserts a body under the size cap. Eviction at the cap is
@@ -992,16 +1009,19 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, "", errNotFound{fmt.Sprintf("figure wants a number 1-18, got %q", id)}
 		}
-		// Figures are distributions over the raw events; force the lazy as-of
-		// event set so a segment read error surfaces as a 500, not a panic.
+		if n == 2 {
+			body, err := s.figure2()
+			return body, "text/csv", err
+		}
+		// The other figures are distributions over the raw events; force the
+		// lazy as-of event set so a segment read error surfaces as a 500, not
+		// a panic.
 		if err := res.MaterializeEvents(); err != nil {
 			return nil, "", err
 		}
 		switch n {
 		case 1:
 			return histogramCSV("figure1", "days-into-study", res.Figure1())
-		case 2:
-			return seriesCSV(res.Figure2()...)
 		case 3:
 			return histogramCSV("figure3", "days-into-study", res.Figure3())
 		case 4:

@@ -33,10 +33,11 @@ func (a *Aggregate) Add(events []ids.Event, rulePub map[int]time.Time) {
 	a.Life.AddEvents(events, rulePub)
 }
 
-// AddOne folds a single event without allocating a slice.
-func (a *Aggregate) AddOne(ev ids.Event, rulePub map[int]time.Time) {
-	a.Stats.AddEvents([]ids.Event{ev})
-	a.Life.AddEvents([]ids.Event{ev}, rulePub)
+// AddOne folds a single event by pointer, so a scan can fold the one Event
+// it decodes every frame into. It keeps ev's CVE string but not ev itself.
+func (a *Aggregate) AddOne(ev *ids.Event, rulePub map[int]time.Time) {
+	a.Stats.AddEvent(ev)
+	a.Life.AddEvent(ev, rulePub)
 }
 
 // Clone returns an independent deep copy.

@@ -90,7 +90,7 @@ func FuzzSegment(f *testing.F) {
 		}
 		hi := m.MaxTime.Add(time.Hour)
 		n := 0
-		err = m.scanRange(fs, false, time.Time{}, hi, func(ev ids.Event) error {
+		err = m.scanRange(fs, nil, false, time.Time{}, hi, func(ev *ids.Event) error {
 			if m.Count > 0 && (ev.Time.Before(m.MinTime) || ev.Time.After(m.MaxTime)) {
 				t.Fatalf("scan emitted an event at %v outside the header's [%v, %v]",
 					ev.Time, m.MinTime, m.MaxTime)
@@ -105,7 +105,7 @@ func FuzzSegment(f *testing.F) {
 			t.Fatalf("full scan saw %d events, header declared %d", n, m.Count)
 		}
 		nCVE := 0
-		err = m.scanCVE(fs, "2021-44000", hi, func(ids.Event) error {
+		err = m.scanCVE(fs, nil, "2021-44000", hi, func(*ids.Event) error {
 			nCVE++
 			return nil
 		})

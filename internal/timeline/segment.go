@@ -355,8 +355,10 @@ func (m *segmentMeta) scanEvents(fs fault.FS, start, end int64, fn func(event []
 // within a segment, so only one byte range is read: from the last
 // sparse-index entry at or below lo to the first entry past hi (or the end
 // of the event frames), the frames before and after holding nothing that
-// qualifies.
-func (m *segmentMeta) scanRange(fs fault.FS, hasLo bool, lo, hi time.Time, fn func(ids.Event) error) error {
+// qualifies. Every frame is decoded into the same Event, with CVE and
+// message strings taken from names (eventstore.DecodeEventInto), so fn must
+// not keep ev; a nil names copies the strings.
+func (m *segmentMeta) scanRange(fs fault.FS, names map[string]string, hasLo bool, lo, hi time.Time, fn func(*ids.Event) error) error {
 	if m.Count == 0 || m.MinTime.After(hi) {
 		return nil
 	}
@@ -373,9 +375,9 @@ func (m *segmentMeta) scanRange(fs fault.FS, hasLo bool, lo, hi time.Time, fn fu
 			start = e.offset
 		}
 	}
+	var ev ids.Event
 	return m.scanEvents(fs, start, end, func(b []byte) error {
-		ev, err := eventstore.DecodeEvent(b)
-		if err != nil {
+		if err := eventstore.DecodeEventInto(b, &ev, names); err != nil {
 			return err
 		}
 		if ev.Time.After(hi) {
@@ -384,15 +386,15 @@ func (m *segmentMeta) scanRange(fs fault.FS, hasLo bool, lo, hi time.Time, fn fu
 		if hasLo && !ev.Time.After(lo) {
 			return nil
 		}
-		return fn(ev)
+		return fn(&ev)
 	})
 }
 
 // scanCVE calls fn for only the named CVE's events with Time <= hi, using
 // the per-CVE ordinal index and the sparse time index to read the one byte
 // range that holds them. Returns nothing quickly when the bloom filter rules
-// the CVE out.
-func (m *segmentMeta) scanCVE(fs fault.FS, cve string, hi time.Time, fn func(ids.Event) error) error {
+// the CVE out. Events are decoded as in scanRange: fn must not keep ev.
+func (m *segmentMeta) scanCVE(fs fault.FS, names map[string]string, cve string, hi time.Time, fn func(*ids.Event) error) error {
 	if !m.mayContainCVE(cve) || m.MinTime.After(hi) {
 		return nil
 	}
@@ -414,6 +416,7 @@ func (m *segmentMeta) scanCVE(fs fault.FS, cve string, hi time.Time, fn func(ids
 		}
 	}
 	next := 0 // the next wanted ordinal, as an index into ords
+	var ev ids.Event
 	return m.scanEvents(fs, start, end, func(b []byte) error {
 		o := ordinal
 		ordinal++
@@ -426,14 +429,13 @@ func (m *segmentMeta) scanCVE(fs fault.FS, cve string, hi time.Time, fn func(ids
 		if ords[next] != o {
 			return nil
 		}
-		ev, err := eventstore.DecodeEvent(b)
-		if err != nil {
+		if err := eventstore.DecodeEventInto(b, &ev, names); err != nil {
 			return err
 		}
 		if ev.Time.After(hi) {
 			return errStopScan // events are time-ordered; nothing later qualifies
 		}
-		return fn(ev)
+		return fn(&ev)
 	})
 }
 

@@ -337,7 +337,7 @@ func (e *Engine) writeCheckpointLocked() error {
 		h = held{k: prev.K, cut: prev.Cut}
 	}
 	sealed := &snapshot{segs: e.segments}
-	err := sealed.fold(e.fs, h, cut, func(ev ids.Event) error {
+	err := sealed.fold(e.fs, h, cut, func(ev *ids.Event) error {
 		agg.AddOne(ev, e.rulePub)
 		return nil
 	})

@@ -87,19 +87,24 @@ type held struct {
 // fold calls fn for every event of the snapshot with Time <= hi that h does
 // not hold. It is the one scan behind as-of views, forward sweeps, event
 // materialization and checkpoint builds. Segments wholly outside a bound
-// are skipped on their metadata alone.
-func (s *snapshot) fold(fs fault.FS, h held, hi time.Time, fn func(ids.Event) error) error {
+// are skipped on their metadata alone. Nothing is copied on the way: a
+// segment's events are decoded in place into one reused Event whose CVE and
+// message strings are shared across the fold, and the unsealed tail's are
+// the store's own, so fn may read *ev but must neither modify nor keep it.
+func (s *snapshot) fold(fs fault.FS, h held, hi time.Time, fn func(*ids.Event) error) error {
+	names := make(map[string]string)
 	for i, m := range s.segs {
 		hasLo, lo := h.hasLo, h.lo
 		if i < h.k {
 			hasLo, lo = true, h.cut
 		}
-		if err := m.scanRange(fs, hasLo, lo, hi, fn); err != nil {
+		if err := m.scanRange(fs, names, hasLo, lo, hi, fn); err != nil {
 			return err
 		}
 	}
 	for _, shard := range s.tail {
-		for _, ev := range shard {
+		for i := range shard {
+			ev := &shard[i]
 			if ev.Time.After(hi) || h.hasLo && !ev.Time.After(h.lo) {
 				continue
 			}
@@ -137,7 +142,7 @@ func (e *Engine) viewAt(s *snapshot, t time.Time) (*View, error) {
 			break
 		}
 	}
-	err := s.fold(e.fs, h, t, func(ev ids.Event) error {
+	err := s.fold(e.fs, h, t, func(ev *ids.Event) error {
 		agg.AddOne(ev, e.rulePub)
 		v.replayed++
 		return nil
@@ -238,8 +243,8 @@ func (v *View) Events() ([]ids.Event, error) {
 // before any amendment overlay, canonically ordered.
 func (v *View) rawEvents() ([]ids.Event, error) {
 	var out []ids.Event
-	err := v.snap.fold(v.eng.fs, held{}, v.t, func(ev ids.Event) error {
-		out = append(out, ev)
+	err := v.snap.fold(v.eng.fs, held{}, v.t, func(ev *ids.Event) error {
+		out = append(out, *ev)
 		return nil
 	})
 	if err != nil {
@@ -265,19 +270,20 @@ func (v *View) CVEEvents(cve string) ([]ids.Event, error) {
 		return out, nil
 	}
 	var out []ids.Event
-	collect := func(ev ids.Event) error {
-		out = append(out, ev)
+	collect := func(ev *ids.Event) error {
+		out = append(out, *ev)
 		return nil
 	}
+	names := make(map[string]string)
 	for _, m := range v.snap.segs {
-		if err := m.scanCVE(v.eng.fs, cve, v.t, collect); err != nil {
+		if err := m.scanCVE(v.eng.fs, names, cve, v.t, collect); err != nil {
 			return nil, err
 		}
 	}
 	for _, shard := range v.snap.tail {
-		for _, ev := range shard {
-			if ev.CVE == cve && !ev.Time.After(v.t) {
-				out = append(out, ev)
+		for i := range shard {
+			if ev := &shard[i]; ev.CVE == cve && !ev.Time.After(v.t) {
+				out = append(out, *ev)
 			}
 		}
 	}
@@ -396,7 +402,7 @@ func (e *Engine) SkillSeries(from, to time.Time, step time.Duration) ([]SkillPoi
 			}
 			agg = v.agg
 		} else {
-			err := s.fold(e.fs, held{hasLo: true, lo: prev}, t, func(ev ids.Event) error {
+			err := s.fold(e.fs, held{hasLo: true, lo: prev}, t, func(ev *ids.Event) error {
 				agg.AddOne(ev, e.rulePub)
 				return nil
 			})

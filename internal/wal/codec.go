@@ -34,8 +34,8 @@ type Cursor struct {
 	err error
 }
 
-// NewCursor returns a Cursor over b. Slices it returns (Take, Bytes32, Rest)
-// alias b.
+// NewCursor returns a Cursor over b. Slices it returns (Take, Bytes16,
+// Bytes32, Rest) alias b.
 func NewCursor(b []byte) Cursor { return Cursor{b: b} }
 
 // Err returns the latched failure, if any.
@@ -153,7 +153,10 @@ func (c *Cursor) Addr() netip.Addr {
 }
 
 // String16 reads an AppendString16 field.
-func (c *Cursor) String16() string { return string(c.Take(int(c.U16()))) }
+func (c *Cursor) String16() string { return string(c.Bytes16()) }
+
+// Bytes16 reads an AppendString16 field, aliasing the input.
+func (c *Cursor) Bytes16() []byte { return c.Take(int(c.U16())) }
 
 // Bytes32 reads an AppendBytes32 field, aliasing the input.
 func (c *Cursor) Bytes32() []byte { return c.Take(int(c.U32())) }

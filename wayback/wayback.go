@@ -422,11 +422,18 @@ func (r *Results) Figure1() *stats.Histogram {
 
 // Figure2 returns the impact CDFs: studied vs KEV vs all CVEs.
 // The all-CVE population is the study's, built once.
-func (r *Results) Figure2() []report.Series {
+func (r *Results) Figure2() []report.Series { return figure2(r.KEV, r.population) }
+
+// Figure2 is every Results' Figure2 for this study: the figure reads the
+// study's KEV catalog, the Appendix E samples and the study's population,
+// and no event, so it is constant per study.
+func (s *Study) Figure2() []report.Series { return figure2(s.kev, s.population) }
+
+func figure2(kev datasets.KEVCatalog, population func() *stats.ECDF) []report.Series {
 	return []report.Series{
 		report.FromECDF("studied", "CVSS", stats.MustECDF(datasets.StudyImpactSamples())),
-		report.FromECDF("kev", "CVSS", stats.MustECDF(r.KEV.ImpactSamples())),
-		report.FromECDF("all", "CVSS", r.population()),
+		report.FromECDF("kev", "CVSS", stats.MustECDF(kev.ImpactSamples())),
+		report.FromECDF("all", "CVSS", population()),
 	}
 }
 
