@@ -628,28 +628,6 @@ func (s *Store) PublishedEvents() [][]ids.Event {
 	return out
 }
 
-// Less is the store's canonical event order — by time, then SID, then source
-// endpoint — the order Snapshot publishes and every downstream byte-parity
-// check depends on. SortEvents applies it.
-func Less(a, b *ids.Event) bool {
-	if !a.Time.Equal(b.Time) {
-		return a.Time.Before(b.Time)
-	}
-	if a.SID != b.SID {
-		return a.SID < b.SID
-	}
-	if a.Src.Addr != b.Src.Addr {
-		return a.Src.Addr.Less(b.Src.Addr)
-	}
-	return a.Src.Port < b.Src.Port
-}
-
-// SortEvents sorts events into the store's canonical order (see Less),
-// stably, so equal keys keep their incoming order exactly as Snapshot does.
-func SortEvents(events []ids.Event) {
-	sort.SliceStable(events, func(i, j int) bool { return Less(&events[i], &events[j]) })
-}
-
 // MergeEvents materializes a read-side view, the one place that computation
 // is written: per-shard event prefixes concatenated in shard order,
 // stable-sorted into canonical order, with resolved amendments overlaid (so
@@ -658,15 +636,11 @@ func SortEvents(events []ids.Event) {
 // prefixes (PublishedEvents, Amendments) call it to replay the identical
 // computation later. The inputs are not modified.
 func MergeEvents(parts [][]ids.Event, amends []Amendment) []ids.Event {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
+	order := CanonicalOrder(parts)
+	merged := make([]ids.Event, len(order))
+	for i, r := range order {
+		merged[i] = parts[r.Part][r.Index]
 	}
-	merged := make([]ids.Event, 0, total)
-	for _, p := range parts {
-		merged = append(merged, p...)
-	}
-	SortEvents(merged)
 	return applyAmendments(merged, amends)
 }
 

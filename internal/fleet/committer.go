@@ -340,17 +340,20 @@ var frameBufPool = sync.Pool{
 // buffer is not retained.
 const decodeScratchMax = 4 << 20
 
-func (l *Listener) decodeWorker() {
+// decodeWorker owns names, its shared-string table (readEvents bounds it):
+// the events it decodes for every connection share one copy of each CVE and
+// rule message, which is what the store then holds.
+func (l *Listener) decodeWorker(names map[string]string) {
 	defer l.decodeWg.Done()
 	var scratch []byte
 	for job := range l.decodeCh {
-		m, sc, err := decodeBatchScratch(*job.buf, scratch)
+		m, sc, err := decodeBatchScratch(*job.buf, scratch, names)
 		if cap(sc) <= decodeScratchMax {
 			scratch = sc
 		} else {
 			scratch = nil
 		}
-		frameBufPool.Put(job.buf) // events never alias the frame: DecodeEvent copies
+		frameBufPool.Put(job.buf) // events never alias the frame: their strings come from names
 		job.out <- decodeResult{batch: m, err: err}
 	}
 }

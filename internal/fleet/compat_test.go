@@ -35,7 +35,7 @@ func TestCompatJournalsOpen(t *testing.T) {
 	if sp.Depth() != 3 || sp.LastSeq() != 3 {
 		t.Fatalf("recovered %d batches through seq %d, want 3 through 3", sp.Depth(), sp.LastSeq())
 	}
-	if b, ok := sp.NextAfter(2); !ok || len(b.events) != 4 {
-		t.Fatalf("batch 3 holds %d events (ok=%v), want 4", len(b.events), ok)
+	if b, ok := sp.NextAfter(2); !ok || len(b.events()) != 4 {
+		t.Fatalf("batch 3 holds %d events (ok=%v), want 4", len(b.events()), ok)
 	}
 }

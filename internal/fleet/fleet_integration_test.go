@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -349,6 +350,48 @@ func TestManySensorsConcurrent(t *testing.T) {
 	for _, st := range l.Sensors() {
 		if st.Watermark != batches {
 			t.Fatalf("sensor %s watermark %d, want %d", st.ID, st.Watermark, batches)
+		}
+	}
+}
+
+// TestDecodeNamesBounded: a sensor shipping far more distinct CVE and
+// message strings than MaxNames leaves every decode worker's names table at
+// or below the bound, and the stored events are still exactly the shipped
+// ones.
+func TestDecodeNamesBounded(t *testing.T) {
+	sink := &memSink{}
+	l := listenLoopback(t, sink, t.TempDir())
+	events := testEvents(t, 3*MaxNames)
+	for i := range events {
+		events[i].CVE = fmt.Sprintf("2099-%d", i)
+		events[i].Msg = fmt.Sprintf("rule message %d", i)
+	}
+	s, err := StartShipper(fastShipper(l.Addr().String(), "wide", t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(events); i += 500 {
+		if err := s.AppendBatch(events[i:min(i+500, len(events))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitDrained(t, s)
+	s.Close()
+	if err := l.Close(); err != nil { // the decode workers have exited
+		t.Fatal(err)
+	}
+	for i, names := range l.decodeNames {
+		if len(names) > MaxNames {
+			t.Errorf("decode worker %d holds %d names, bound %d", i, len(names), MaxNames)
+		}
+	}
+	got := sink.snapshot()
+	if len(got) != len(events) {
+		t.Fatalf("sink holds %d events, want %d", len(got), len(events))
+	}
+	for i := range got {
+		if !eventsEqual(got[i], events[i]) {
+			t.Fatalf("event %d stored as %+v, want %+v", i, got[i], events[i])
 		}
 	}
 }

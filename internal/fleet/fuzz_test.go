@@ -55,16 +55,18 @@ func TestRegenFuzzCorpus(t *testing.T) {
 // payload holds untrusted variable-length structure (a declared event count,
 // a declared decompressed size, and a compressed body) — across all three
 // codecs. The decoder must never panic, must respect maxBatchRaw, and the
-// scratch-reusing variant must agree with the allocating one on both the
-// accept/reject decision and the decoded events.
+// scratch-reusing variant, sharing names through a table kept across inputs
+// as a decode worker keeps it, must agree with the allocating one on both
+// the accept/reject decision and the decoded events.
 func FuzzDecodeBatch(f *testing.F) {
 	for _, seed := range fuzzDecodeBatchSeeds(f) {
 		f.Add(seed)
 	}
+	names := make(map[string]string)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeBatch(data)
 		scratch := make([]byte, 16)
-		m2, _, err2 := decodeBatchScratch(data, scratch)
+		m2, _, err2 := decodeBatchScratch(data, scratch, names)
 		if (err == nil) != (err2 == nil) {
 			t.Fatalf("decodeBatch err=%v but decodeBatchScratch err=%v", err, err2)
 		}

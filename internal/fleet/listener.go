@@ -138,6 +138,8 @@ type Listener struct {
 	abortCh  chan struct{} // closed by abandon(): simulate a crash, commit nothing more
 	decodeCh chan decodeJob
 	decodeWg sync.WaitGroup
+	// decodeNames holds each decode worker's names table, one per worker.
+	decodeNames []map[string]string
 
 	commits        atomic.Uint64
 	coalesced      atomic.Uint64
@@ -212,9 +214,11 @@ func Listen(cfg ListenerConfig) (*Listener, error) {
 			l.wm.adopt(marks)
 		}
 	}
+	l.decodeNames = make([]map[string]string, workers)
 	l.decodeWg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go l.decodeWorker()
+	for i := range l.decodeNames {
+		l.decodeNames[i] = make(map[string]string)
+		go l.decodeWorker(l.decodeNames[i])
 	}
 	go l.commitLoop()
 	l.acc = Accept(ln, l.handle)

@@ -215,59 +215,59 @@ type batchMsg struct {
 }
 
 // encodeBatch encodes and compresses a batch: the events as an event list
-// (appendEvents), compressed with the given codec.
+// (appendEvents), compressed with the given codec (encodeBatchList).
 func encodeBatch(seq uint64, events []ids.Event, codec Codec) ([]byte, error) {
-	buf, _, err := encodeBatchScratch(nil, nil, seq, events, codec)
-	return buf, err
+	list, _ := appendEvents(nil, events, math.MaxInt)
+	return encodeBatchList(nil, seq, len(events), list, codec)
 }
 
-// encodeBatchScratch is encodeBatch building into dst's storage and using
-// raw's storage for the uncompressed concatenation, so the shipper's send
-// loop reuses two buffers instead of allocating both per batch. Returns the
-// encoded message and the (possibly grown) raw scratch.
-func encodeBatchScratch(dst, raw []byte, seq uint64, events []ids.Event, codec Codec) ([]byte, []byte, error) {
-	raw, _ = appendEvents(raw[:0], events, math.MaxInt)
+// encodeBatchList builds a batch message into dst's storage from an event
+// list already encoded — count events laid out by appendEvents, as a spool
+// record holds them — so the shipper sends the bytes it spooled without
+// decoding or re-encoding an event.
+func encodeBatchList(dst []byte, seq uint64, count int, list []byte, codec Codec) ([]byte, error) {
 	buf := append(dst[:0], msgBatch)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = append(buf, byte(codec))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(events)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(raw)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(count))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(list)))
 	switch codec {
 	case CodecRaw:
-		buf = append(buf, raw...)
+		buf = append(buf, list...)
 	case CodecSnappy:
-		buf = snappyEncode(buf, raw)
+		buf = snappyEncode(buf, list)
 	case CodecDeflate:
 		var cb bytes.Buffer
 		zw, err := flate.NewWriter(&cb, flate.BestSpeed)
 		if err != nil {
-			return nil, raw, err
+			return nil, err
 		}
-		if _, err := zw.Write(raw); err != nil {
-			return nil, raw, err
+		if _, err := zw.Write(list); err != nil {
+			return nil, err
 		}
 		if err := zw.Close(); err != nil {
-			return nil, raw, err
+			return nil, err
 		}
 		buf = append(buf, cb.Bytes()...)
 	default:
-		return nil, raw, fmt.Errorf("fleet: cannot encode with %v", codec)
+		return nil, fmt.Errorf("fleet: cannot encode with %v", codec)
 	}
-	return buf, raw, nil
+	return buf, nil
 }
 
 // decodeBatch decodes any codec's batch (the coordinator accepts them all,
 // whatever the handshake advertised).
 func decodeBatch(b []byte) (batchMsg, error) {
-	m, _, err := decodeBatchScratch(b, nil)
+	m, _, err := decodeBatchScratch(b, nil, nil)
 	return m, err
 }
 
-// decodeBatchScratch is decodeBatch with a reusable decompression buffer:
-// scratch's storage holds the decompressed payload during decoding and the
-// (possibly grown) buffer is returned for the next call. Safe to reuse
-// immediately — decoded events never alias it (DecodeEvent copies).
-func decodeBatchScratch(b, scratch []byte) (batchMsg, []byte, error) {
+// decodeBatchScratch is decodeBatch with a reusable decompression buffer and
+// shared names: scratch's storage holds the decompressed payload during
+// decoding and the (possibly grown) buffer is returned for the next call;
+// CVE and Msg strings come from names (readEvents). Safe to reuse scratch
+// immediately — decoded events never alias it.
+func decodeBatchScratch(b, scratch []byte, names map[string]string) (batchMsg, []byte, error) {
 	c := wal.NewCursor(b)
 	var m batchMsg
 	if t := c.U8(); t != msgBatch {
@@ -320,7 +320,7 @@ func decodeBatchScratch(b, scratch []byte) (batchMsg, []byte, error) {
 		return m, scratch, fmt.Errorf("fleet: batch decompressed to %d bytes, declared %d", len(raw), rawLen)
 	}
 	rc := wal.NewCursor(raw)
-	m.Events = readEvents(&rc, int(count))
+	m.Events = readEvents(&rc, int(count), names)
 	return m, scratch, rc.Finish("batch events")
 }
 
@@ -344,18 +344,29 @@ func appendEvents(buf []byte, events []ids.Event, limit int) ([]byte, int) {
 // smallest event.
 const minEventEntry = 4 + eventstore.MinEventLen
 
-// readEvents reads n appendEvents entries. n must already be bounded by the
-// bytes behind it (Cursor.Count(minEventEntry), or the batch header's
+// MaxNames bounds a long-lived decoder's names table (readEvents,
+// DecodeEventBatchNames). A sensor controls the strings it ships, so a table
+// kept across batches must not grow with them; the study's events carry a
+// few hundred distinct CVE and rule-message strings, far below the bound.
+const MaxNames = 4096
+
+// readEvents reads n appendEvents entries, decoding each in place
+// (eventstore.DecodeEventInto) with its CVE and Msg strings taken from names.
+// A decoder that keeps names across batches shares each string among every
+// event that carries it; the table is cleared before an event could take it
+// past MaxNames. A nil names copies every string. n must already be bounded
+// by the bytes behind it (Cursor.Count(minEventEntry), or the batch header's
 // raw-length rule): it sizes the allocation.
-func readEvents(c *wal.Cursor, n int) []ids.Event {
-	events := make([]ids.Event, 0, n)
-	for i := 0; i < n; i++ {
-		ev, err := eventstore.DecodeEvent(c.Bytes32())
-		if err != nil {
+func readEvents(c *wal.Cursor, n int, names map[string]string) []ids.Event {
+	events := make([]ids.Event, n)
+	for i := range events {
+		if len(names) > MaxNames-2 { // an event adds at most two names
+			clear(names)
+		}
+		if err := eventstore.DecodeEventInto(c.Bytes32(), &events[i], names); err != nil {
 			c.Fail(err)
 			return nil
 		}
-		events = append(events, ev)
 	}
 	return events
 }
@@ -414,8 +425,17 @@ func EncodeEventBatch(seq uint64, events []ids.Event, codec Codec) ([]byte, erro
 }
 
 // DecodeEventBatch decodes an EncodeEventBatch payload, whatever its codec.
+// Every event's strings are its own copies.
 func DecodeEventBatch(b []byte) (seq uint64, events []ids.Event, err error) {
-	m, err := decodeBatch(b)
+	return DecodeEventBatchNames(b, nil)
+}
+
+// DecodeEventBatchNames is DecodeEventBatch taking CVE and Msg strings from
+// names, which a receiver keeps across batches so that each distinct string
+// is held once however many events carry it. The table stays at or below
+// MaxNames: it is cleared before an event could take it past that.
+func DecodeEventBatchNames(b []byte, names map[string]string) (seq uint64, events []ids.Event, err error) {
+	m, _, err := decodeBatchScratch(b, nil, names)
 	return m.Seq, m.Events, err
 }
 

@@ -43,10 +43,10 @@ var recordCodecs = []recordCodec{
 		func(b []byte) (any, error) { return decodeHeartbeat(b) },
 		func(v any) []byte { h := v.(heartbeat); return h.encode() }},
 	{"spool batch",
-		func(b []byte) (any, error) { return decodeSpoolBatch(b) },
+		func(b []byte) (any, error) { return decodeSpoolBatch(b, nil) },
 		func(v any) []byte {
 			sb := v.(spoolBatch)
-			b, rest, err := encodeSpoolBatch(nil, sb.seq, sb.events)
+			b, rest, err := encodeSpoolBatch(nil, sb.seq, sb.events())
 			if err != nil || len(rest) != 0 {
 				panic("a decoded spool batch does not re-encode as one record")
 			}
@@ -152,8 +152,8 @@ func TestLyingCountsRejected(t *testing.T) {
 		name   string
 		decode func() error
 	}{
-		{"spool count 2^32-1, no events", func() error { _, err := decodeSpoolBatch(lyingSpoolBatch(0xFFFFFFFF)); return err }},
-		{"spool count 2, one event", func() error { _, err := decodeSpoolBatch(oneEvent); return err }},
+		{"spool count 2^32-1, no events", func() error { _, err := decodeSpoolBatch(lyingSpoolBatch(0xFFFFFFFF), nil); return err }},
+		{"spool count 2, one event", func() error { _, err := decodeSpoolBatch(oneEvent, nil); return err }},
 		{"batch count 2^29 in 8 raw bytes", func() error {
 			b := []byte{msgBatch}
 			b = binary.LittleEndian.AppendUint64(b, 1)

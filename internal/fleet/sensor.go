@@ -247,9 +247,9 @@ func (s *Shipper) session(ctx context.Context, conn net.Conn) (shipped bool, err
 	// that safe — once acks stop, at most Window more writes succeed before
 	// the clock runs untouched and the timeout trips.
 	lastHeard := time.Now()
-	// Per-session scratch for the send hot path: wire encoding, raw batch
-	// concatenation, and frame assembly each reuse one buffer across batches.
-	var wireBuf, rawBuf, frameBuf []byte
+	// Per-session scratch for the send hot path: wire encoding and frame
+	// assembly each reuse one buffer across batches.
+	var wireBuf, frameBuf []byte
 	for {
 		// Fill the window with the next unacked batches.
 		for int(lastSent-s.spool.Acked()) < s.cfg.Window {
@@ -257,11 +257,11 @@ func (s *Shipper) session(ctx context.Context, conn net.Conn) (shipped bool, err
 			if !ok {
 				break
 			}
-			payload, raw, err := encodeBatchScratch(wireBuf, rawBuf, b.seq, b.events, CodecSnappy)
+			payload, err := encodeBatchList(wireBuf, b.seq, b.count, b.list, CodecSnappy)
 			if err != nil {
 				return true, err
 			}
-			wireBuf, rawBuf = payload, raw
+			wireBuf = payload
 			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			if err := writeFrameReusing(conn, payload, &frameBuf); err != nil {
 				return true, err

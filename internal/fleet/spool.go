@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -37,10 +38,14 @@ type spool struct {
 	frameBuf []byte
 }
 
+// spoolBatch is one pending record, held as the bytes it was spooled as:
+// the shipper compresses list onto the wire as it stands (encodeBatchList),
+// so a pending batch costs its encoding once and never an ids.Event.
 type spoolBatch struct {
-	seq    uint64
-	events []ids.Event
-	bytes  int64 // on-disk footprint, for compaction accounting
+	seq   uint64
+	count int    // events in list
+	list  []byte // the record's event list (appendEvents), owned by the batch
+	bytes int64  // on-disk footprint, for compaction accounting
 }
 
 var spoolMagic = [8]byte{'F', 'S', 'P', 'L', 0x00, 0x01, '\n'}
@@ -60,11 +65,13 @@ func openSpool(fs fault.FS, dir string) (*spool, error) {
 		return nil, err
 	}
 	sp := &spool{}
+	names := make(map[string]string)
 	log, err := wal.Open(fs, filepath.Join(dir, "spool.log"), spoolMagic, spoolMaxPayload, func(payload []byte) error {
-		b, err := decodeSpoolBatch(payload)
+		b, err := decodeSpoolBatch(payload, names)
 		if err != nil {
 			return err
 		}
+		b.list = bytes.Clone(b.list) // payload is the scan's buffer
 		b.bytes = int64(wal.FrameHeaderLen + len(payload))
 		if b.seq > sp.lastSeq {
 			sp.lastSeq = b.seq
@@ -97,11 +104,22 @@ func encodeSpoolBatch(dst []byte, seq uint64, events []ids.Event) ([]byte, []ids
 	return buf, events[n:], nil
 }
 
-func decodeSpoolBatch(b []byte) (spoolBatch, error) {
+// decodeSpoolBatch reads an encodeSpoolBatch record. Every event is decoded
+// (through names) and validated, so a record holding a malformed event is
+// refused, but the batch keeps only the event list, which aliases b.
+func decodeSpoolBatch(b []byte, names map[string]string) (spoolBatch, error) {
 	c := wal.NewCursor(b)
-	out := spoolBatch{seq: c.U64()}
-	out.events = readEvents(&c, c.Count(minEventEntry))
-	return out, c.Finish("spool batch")
+	out := spoolBatch{seq: c.U64(), count: c.Count(minEventEntry)}
+	out.list = c.Rest()
+	if err := c.Finish("spool batch"); err != nil {
+		return spoolBatch{}, err
+	}
+	lc := wal.NewCursor(out.list)
+	readEvents(&lc, out.count, names)
+	if err := lc.Finish("spool batch"); err != nil {
+		return spoolBatch{}, err
+	}
+	return out, nil
 }
 
 // Add assigns sequence numbers to events, appends them durably, and returns
@@ -123,12 +141,16 @@ func (sp *spool) Add(events []ids.Event) (uint64, error) {
 		if err := sp.log.Append(frame); err != nil {
 			return 0, fmt.Errorf("fleet: spooling batch %d: %w", seq, err)
 		}
-		// Copy the kept events: pending outlives this call and must not
-		// alias a slice the caller still owns.
-		n := len(events) - len(rest)
-		evs := append([]ids.Event(nil), events[:n]...)
+		// Keep the record's event list, cloned out of the reused encode
+		// buffer: the shipper sends these bytes, so pending holds each event
+		// once, encoded, and never aliases the caller's slice.
 		sp.lastSeq = seq
-		sp.pending = append(sp.pending, spoolBatch{seq: seq, events: evs, bytes: int64(len(frame))})
+		sp.pending = append(sp.pending, spoolBatch{
+			seq:   seq,
+			count: len(events) - len(rest),
+			list:  bytes.Clone(payload[12:]),
+			bytes: int64(len(frame)),
+		})
 		events = rest
 	}
 	return sp.lastSeq, nil

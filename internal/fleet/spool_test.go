@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,6 +13,17 @@ import (
 	"repro/internal/ids"
 	"repro/internal/wal"
 )
+
+// events decodes a spooled batch's event list, for tests that inspect what
+// a batch holds; the spool itself keeps only the encoded bytes.
+func (b spoolBatch) events() []ids.Event {
+	c := wal.NewCursor(b.list)
+	evs := readEvents(&c, b.count, nil)
+	if err := c.Finish("spooled events"); err != nil {
+		panic(err)
+	}
+	return evs
+}
 
 func TestSpoolAddAckRecover(t *testing.T) {
 	dir := t.TempDir()
@@ -59,11 +72,11 @@ func TestSpoolAddAckRecover(t *testing.T) {
 		t.Fatalf("recovered depth %d lastSeq %d", sp.Depth(), sp.LastSeq())
 	}
 	b, ok := sp.NextAfter(4)
-	if !ok || b.seq != 5 || len(b.events) != 3 {
-		t.Fatalf("NextAfter(4): ok=%v seq=%d n=%d", ok, b.seq, len(b.events))
+	if !ok || b.seq != 5 || len(b.events()) != 3 {
+		t.Fatalf("NextAfter(4): ok=%v seq=%d n=%d", ok, b.seq, len(b.events()))
 	}
-	if !eventsEqual(b.events[0], events[12]) {
-		t.Fatalf("recovered batch 5 starts with %+v, want %+v", b.events[0], events[12])
+	if !eventsEqual(b.events()[0], events[12]) {
+		t.Fatalf("recovered batch 5 starts with %+v, want %+v", b.events()[0], events[12])
 	}
 	if seq, err := sp.Add(events[:1]); err != nil || seq != 11 {
 		t.Fatalf("post-recovery Add: seq=%d err=%v", seq, err)
@@ -164,7 +177,7 @@ func TestSpoolSplitsOversizedAdd(t *testing.T) {
 		if !ok {
 			break
 		}
-		got = append(got, b.events...)
+		got = append(got, b.events()...)
 		seq = b.seq
 	}
 	if len(got) != len(events) {
@@ -193,8 +206,8 @@ func TestSpoolAddDoesNotAliasCaller(t *testing.T) {
 	}
 	batch[0].Msg = "clobbered"
 	b, ok := sp.NextAfter(0)
-	if !ok || !eventsEqual(b.events[0], events[0]) {
-		t.Fatalf("pending batch aliased the caller's slice: %+v", b.events[0])
+	if !ok || !eventsEqual(b.events()[0], events[0]) {
+		t.Fatalf("pending batch aliased the caller's slice: %+v", b.events()[0])
 	}
 }
 
@@ -304,8 +317,8 @@ func TestSpoolCompaction(t *testing.T) {
 	}
 	// The surviving batch is intact and appends continue.
 	b, ok := sp.NextAfter(last - 1)
-	if !ok || b.seq != last || len(b.events) != len(events) {
-		t.Fatalf("post-compaction batch: ok=%v seq=%d n=%d", ok, b.seq, len(b.events))
+	if !ok || b.seq != last || len(b.events()) != len(events) {
+		t.Fatalf("post-compaction batch: ok=%v seq=%d n=%d", ok, b.seq, len(b.events()))
 	}
 	if seq, err := sp.Add(events[:1]); err != nil || seq != last+1 {
 		t.Fatalf("post-compaction Add: seq=%d err=%v", seq, err)
@@ -425,10 +438,82 @@ func TestSpoolCompactAbortLeaksNothing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compact after faults cleared: %v", err)
 	}
-	if b, ok := sp.NextAfter(last - 1); !ok || b.seq != last || len(b.events) != len(events) {
-		t.Fatalf("post-compaction batch: ok=%v seq=%d n=%d", ok, b.seq, len(b.events))
+	if b, ok := sp.NextAfter(last - 1); !ok || b.seq != last || len(b.events()) != len(events) {
+		t.Fatalf("post-compaction batch: ok=%v seq=%d n=%d", ok, b.seq, len(b.events()))
 	}
 	if _, err := sp.Add(events[:1]); err != nil {
 		t.Fatalf("post-compaction Add: %v", err)
+	}
+}
+
+// TestSpoolShipsSpooledBytes: the wire batch the shipper builds from a
+// spooled record's event list is byte-identical to encoding the events
+// afresh, for every codec — for a batch just added and for one recovered
+// from the file at open.
+func TestSpoolShipsSpooledBytes(t *testing.T) {
+	dir := t.TempDir()
+	sp, err := openSpool(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := goldenEvents(t)
+	seq, err := sp.Add(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, sp *spool) {
+		t.Helper()
+		b, ok := sp.NextAfter(seq - 1)
+		if !ok || b.seq != seq || b.count != len(events) {
+			t.Fatalf("%s: NextAfter: ok=%v seq=%d count=%d", label, ok, b.seq, b.count)
+		}
+		for _, codec := range []Codec{CodecRaw, CodecDeflate, CodecSnappy} {
+			want, err := encodeBatch(seq, events, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := encodeBatchList(nil, b.seq, b.count, b.list, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: %v wire batch from the spooled list differs from encodeBatch", label, codec)
+			}
+		}
+	}
+	check("added", sp)
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sp, err = openSpool(nil, dir); err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	check("recovered", sp)
+}
+
+// TestSpoolRefusesCorruptEvent: a record whose frame is intact (its CRC
+// matches) but whose event list holds one event that does not decode is
+// refused at open, though the spool keeps only the list's bytes.
+func TestSpoolRefusesCorruptEvent(t *testing.T) {
+	payload, _, err := encodeSpoolBatch(nil, 1, testEvents(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second event's source address length: seq and count, then the
+	// first entry, then the second entry's length prefix and its time.
+	first := int(binary.LittleEndian.Uint32(payload[12:]))
+	payload[12+4+first+4+12] = 7
+	if _, err := decodeSpoolBatch(payload, nil); err == nil {
+		t.Fatal("the corrupted record decodes")
+	}
+	dir := t.TempDir()
+	file := wal.AppendFrame(append([]byte(nil), spoolMagic[:]...), payload)
+	if err := os.WriteFile(filepath.Join(dir, "spool.log"), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if sp, err := openSpool(nil, dir); err == nil {
+		sp.Close()
+		t.Fatal("a spool record holding a corrupt event opened")
 	}
 }

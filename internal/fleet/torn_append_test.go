@@ -98,7 +98,7 @@ func TestSpoolTornAppendThenSuccess(t *testing.T) {
 			t.Errorf("seed %d: reopened with LastSeq %d after syncing through %d (%d torn appends)", seed, got, last, failed)
 		}
 		for _, seq := range added {
-			if b, ok := sp.NextAfter(seq - 1); !ok || b.seq != seq || len(b.events) != len(events) {
+			if b, ok := sp.NextAfter(seq - 1); !ok || b.seq != seq || len(b.events()) != len(events) {
 				t.Errorf("seed %d: synced batch %d not recovered (got seq %d, ok=%v)", seed, seq, b.seq, ok)
 				break
 			}

@@ -60,6 +60,11 @@ type Replica struct {
 	mu sync.Mutex
 	st Status
 
+	// names shares the CVE and message strings of every event the tail
+	// loop decodes (fleet.DecodeEventBatchNames bounds it); only the tail
+	// goroutine touches it.
+	names map[string]string
+
 	link *fleet.Redialer
 }
 
@@ -70,7 +75,7 @@ func Start(cfg Config) (*Replica, error) {
 	if cfg.Store == nil || cfg.Addr == "" || cfg.ID == "" {
 		return nil, fmt.Errorf("replica: Config needs Addr, Store, and ID")
 	}
-	r := &Replica{cfg: cfg}
+	r := &Replica{cfg: cfg, names: make(map[string]string)}
 	r.st.ID = cfg.ID
 	r.link = fleet.Redial(fleet.RedialConfig{Addr: cfg.Addr, ID: cfg.ID}, r.tail)
 	return r, nil
@@ -132,7 +137,7 @@ func (r *Replica) tail(_ context.Context, conn net.Conn) (progressed bool, err e
 		progressed = true
 		switch buf[0] {
 		case fleet.MsgBatch:
-			_, events, err := fleet.DecodeEventBatch(buf)
+			_, events, err := fleet.DecodeEventBatchNames(buf, r.names)
 			if err != nil {
 				return true, err
 			}

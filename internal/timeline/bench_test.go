@@ -1,12 +1,16 @@
 package timeline_test
 
 import (
+	"fmt"
+	"math/rand"
+	"net/netip"
 	"testing"
 	"time"
 
 	"repro/internal/eventstore"
 	"repro/internal/fault"
 	"repro/internal/ids"
+	"repro/internal/packet"
 	"repro/internal/timeline"
 )
 
@@ -75,6 +79,63 @@ func BenchmarkSkillSeries(b *testing.B) {
 			b.Fatalf("series ends at %d events, want %d", last.Events, len(events))
 		}
 	}
+}
+
+// BenchmarkSeal measures one seal with its checkpoint (CheckpointEvery 1):
+// 16,384 committed events across the store's 4 shards, appended in arrival
+// rather than time order, are ordered, encoded, written and folded into the
+// checkpoint's aggregate. Each op seals a fresh store and timeline on a
+// simulated filesystem, built and torn down with the timer stopped. Its
+// ledger row gates allocs/op.
+func BenchmarkSeal(b *testing.B) {
+	events := sealBenchEvents(16384)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fs := fault.NewSimFS(1, fault.Profile{})
+		st := openStore(b, fs)
+		appendCommit(b, st, events)
+		eng, err := timeline.Open(timeline.Config{Dir: "tl", FS: fs, Store: st})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if sealed, err := eng.Seal(); err != nil || !sealed {
+			b.Fatalf("seal: sealed=%v err=%v", sealed, err)
+		}
+		b.StopTimer()
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
+// sealBenchEvents returns n events shaped like the study's: two years of
+// sessions in random order, 63 CVEs (one event in eight unattributed) under
+// a few hundred rule SIDs and messages, a few thousand sources.
+func sealBenchEvents(n int) []ids.Event {
+	rng := rand.New(rand.NewSource(1))
+	base := time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)
+	events := make([]ids.Event, n)
+	for i := range events {
+		sid := rng.Intn(300)
+		ev := ids.Event{
+			Time:      base.Add(time.Duration(rng.Int63n(int64(2 * 365 * 24 * time.Hour)))),
+			Src:       packet.Endpoint{Addr: netip.AddrFrom4([4]byte{203, 0, byte(rng.Intn(16)), byte(rng.Intn(256))}), Port: uint16(1024 + rng.Intn(60000))},
+			Dst:       packet.Endpoint{Addr: netip.AddrFrom4([4]byte{18, 204, byte(rng.Intn(4)), byte(rng.Intn(256))}), Port: 443},
+			SID:       50000 + sid,
+			Published: base.AddDate(0, 0, sid),
+			Msg:       fmt.Sprintf("SERVER-WEBAPP rule %d exploitation attempt", sid),
+			Bytes:     200 + rng.Intn(2000),
+		}
+		if rng.Intn(8) != 0 {
+			ev.CVE = fmt.Sprintf("2021-%d", 40000+sid%63)
+		}
+		events[i] = ev
+	}
+	return events
 }
 
 func lastEventTime(events []ids.Event) time.Time {

@@ -99,7 +99,26 @@ type timeIdxEntry struct {
 // encodeSegment builds the full segment file image. events must already be
 // in canonical order (eventstore.SortEvents).
 func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte {
-	buf := append([]byte(nil), segMagic[:]...)
+	refs := make([]*ids.Event, len(events))
+	for i := range events {
+		refs[i] = &events[i]
+	}
+	return encodeSegmentRefs(seq, sealedCounts, refs)
+}
+
+// encodeSegmentRefs is encodeSegment over events held by reference, as Seal
+// orders them in the store's own slices. The buffer is sized up front: event
+// frames are bounded by their strings' lengths, and the indexes take a few
+// bytes per event.
+func encodeSegmentRefs(seq uint64, sealedCounts []int64, events []*ids.Event) []byte {
+	size := len(segMagic) + 4096 + 8*len(sealedCounts)
+	for _, ev := range events {
+		// Frame header, tag, the fixed fields, two IPv6 addresses, strings,
+		// and an ordinal in the CVE index.
+		size += wal.FrameHeaderLen + 1 + eventstore.MinEventLen + 32 + len(ev.CVE) + len(ev.Msg) + 4
+	}
+	size += len(events) / timeIndexEvery * 24
+	buf := append(make([]byte, 0, size), segMagic[:]...)
 
 	var minT, maxT time.Time
 	for i := range events {
@@ -129,7 +148,7 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 		off     int64
 		ordinal uint32
 	}
-	var entries []idxe
+	entries := make([]idxe, 0, len(events)/timeIndexEvery+1)
 	cveOrds := map[string][]uint32{}
 	var payload []byte
 	for i := range events {
@@ -140,7 +159,7 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 			cveOrds[cve] = append(cveOrds[cve], uint32(i))
 		}
 		payload = append(payload[:0], tagEvent)
-		payload = eventstore.EncodeEvent(payload, &events[i])
+		payload = eventstore.EncodeEvent(payload, events[i])
 		buf = wal.AppendFrame(buf, payload)
 	}
 

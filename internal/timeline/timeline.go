@@ -35,6 +35,7 @@ package timeline
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -262,7 +263,9 @@ func (e *Engine) Seal() (bool, error) {
 	if e.sealed != nil && len(committed) != len(e.sealed) {
 		return false, fmt.Errorf("timeline: store shard count changed (%d -> %d)", len(e.sealed), len(committed))
 	}
-	var batch []ids.Event
+	// The new segment's events stay where the store holds them: the seal
+	// orders references into the committed slices and encodes through them.
+	unsealed := make([][]ids.Event, len(committed))
 	counts := make([]int64, len(committed))
 	for i, shard := range committed {
 		from := int64(0)
@@ -270,17 +273,21 @@ func (e *Engine) Seal() (bool, error) {
 			from = e.sealed[i]
 		}
 		counts[i] = int64(len(shard))
-		batch = append(batch, shard[from:]...)
+		unsealed[i] = shard[from:]
 	}
-	if len(batch) == 0 {
+	order := eventstore.CanonicalOrder(unsealed)
+	if len(order) == 0 {
 		return false, nil
 	}
-	eventstore.SortEvents(batch)
+	batch := make([]*ids.Event, len(order))
+	for i, r := range order {
+		batch[i] = &unsealed[r.Part][r.Index]
+	}
 
 	seq := uint64(len(e.segments))
 	path := e.dir + "/" + segmentName(seq)
 	tmp := e.dir + "/" + fmt.Sprintf("segment-%06d.tmp", seq)
-	data := encodeSegment(seq, counts, batch)
+	data := encodeSegmentRefs(seq, counts, batch)
 	if err := fault.WriteFileAtomic(e.fs, tmp, path, data); err != nil {
 		return false, fmt.Errorf("timeline: sealing segment %d: %w", seq, err)
 	}
@@ -296,7 +303,7 @@ func (e *Engine) Seal() (bool, error) {
 	e.sinceCkpt++
 
 	if e.ckEvery > 0 && e.sinceCkpt >= e.ckEvery {
-		if err := e.writeCheckpointLocked(); err != nil {
+		if err := e.writeCheckpointLocked(batch); err != nil {
 			// The segment is durable and counted; the checkpoint will be
 			// retried after the next seal. Queries fall back meanwhile.
 			return true, fmt.Errorf("timeline: checkpoint after segment %d: %w", seq, err)
@@ -314,14 +321,18 @@ func (e *Engine) Checkpoint() error {
 		(n > 0 && e.checkpoints[n-1].K == len(e.segments)) {
 		return nil
 	}
-	return e.writeCheckpointLocked()
+	return e.writeCheckpointLocked(nil)
 }
 
 // writeCheckpointLocked builds and durably writes a checkpoint covering all
 // current segments. Builds are incremental: start from the newest existing
 // checkpoint's aggregate and fold in only the segments (and late events)
-// past its cut. Caller holds e.mu.
-func (e *Engine) writeCheckpointLocked() error {
+// past its cut. newest, when non-nil, is the newest segment's events as Seal
+// just wrote them: if that segment is the only one the base aggregate does
+// not cover, they are folded from memory instead of read back, since every
+// event of it is at or before the new cut and every older segment's events
+// are at or before the base's. Caller holds e.mu.
+func (e *Engine) writeCheckpointLocked(newest []*ids.Event) error {
 	k := len(e.segments)
 	cut := e.maxSealedTime
 	agg := NewAggregate()
@@ -336,13 +347,20 @@ func (e *Engine) writeCheckpointLocked() error {
 		// Already covered up to prev.Cut; only late events count there.
 		h = held{k: prev.K, cut: prev.Cut}
 	}
-	sealed := &snapshot{segs: e.segments}
-	err := sealed.fold(e.fs, h, cut, func(ev *ids.Event) error {
-		agg.AddOne(ev, e.rulePub)
-		return nil
-	})
-	if err != nil {
-		return err
+	if newest != nil && h.k == k-1 {
+		var scratch ids.Event
+		for _, ev := range newest {
+			agg.AddOne(asSealed(ev, &scratch), e.rulePub)
+		}
+	} else {
+		sealed := &snapshot{segs: e.segments}
+		err := sealed.fold(e.fs, h, cut, func(ev *ids.Event) error {
+			agg.AddOne(ev, e.rulePub)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
 	}
 
 	seq := uint64(len(e.checkpoints))
@@ -363,6 +381,28 @@ func (e *Engine) writeCheckpointLocked() error {
 	e.cacheAggregate(seq, agg)
 	e.sinceCkpt = 0
 	return nil
+}
+
+// asSealed returns ev as a segment scan decodes it back, so an aggregate
+// folded from the store's events equals one folded from the file. The store
+// keeps events as they were appended, and the encoding drops what it cannot
+// hold: a time's Location and monotonic reading, an address zone, bits of
+// SID or Bytes past 32, string bytes past 65535. An event with none of those
+// is returned as it is; any other is round-tripped through the segment
+// encoding into *scratch.
+func asSealed(ev, scratch *ids.Event) *ids.Event {
+	// Comparing time.Time values with == is deliberate: UTC() strips the
+	// Location and monotonic reading, so equality means there were none.
+	if ev.Time == ev.Time.UTC() && ev.Published == ev.Published.UTC() &&
+		ev.Src.Addr.Zone() == "" && ev.Dst.Addr.Zone() == "" &&
+		uint64(ev.SID) <= math.MaxUint32 && uint64(ev.Bytes) <= math.MaxUint32 &&
+		len(ev.CVE) <= math.MaxUint16 && len(ev.Msg) <= math.MaxUint16 {
+		return ev
+	}
+	if err := eventstore.DecodeEventInto(eventstore.EncodeEvent(nil, ev), scratch, nil); err != nil {
+		panic(fmt.Sprintf("timeline: an encoded event does not decode: %v", err)) // EncodeEvent's output always decodes
+	}
+	return scratch
 }
 
 func (e *Engine) cacheAggregate(seq uint64, agg *Aggregate) {

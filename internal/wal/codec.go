@@ -29,8 +29,11 @@ import (
 // never panics; the first failure latches and every later read returns a
 // zero value, so a decoder reads all its fields and checks once, with Finish
 // or Err. A Cursor is a small value meant to live on the decoder's stack.
+// Reads advance an offset rather than re-slicing b, so a field read stores
+// no pointer and pays no GC write barrier.
 type Cursor struct {
 	b   []byte
+	off int // bytes of b consumed
 	err error
 }
 
@@ -48,7 +51,7 @@ func (c *Cursor) Fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
-	c.b = nil
+	c.b, c.off = nil, 0
 }
 
 // Finish returns the latched failure wrapped with what, or an error naming
@@ -57,16 +60,16 @@ func (c *Cursor) Finish(what string) error {
 	if c.err != nil {
 		return fmt.Errorf("%s: %w", what, c.err)
 	}
-	if len(c.b) != 0 {
-		return fmt.Errorf("wal: %d stray bytes after %s", len(c.b), what)
+	if n := len(c.b) - c.off; n != 0 {
+		return fmt.Errorf("wal: %d stray bytes after %s", n, what)
 	}
 	return nil
 }
 
 // Rest consumes and returns every unread byte.
 func (c *Cursor) Rest() []byte {
-	b := c.b
-	c.b = nil
+	b := c.b[c.off:]
+	c.b, c.off = nil, 0
 	return b
 }
 
@@ -76,13 +79,13 @@ var errTruncated = errors.New("wal: field runs past the end of its payload")
 
 // Take consumes the next n bytes, or fails when fewer remain.
 func (c *Cursor) Take(n int) []byte {
-	if uint(n) > uint(len(c.b)) {
+	off := c.off
+	if uint(n) > uint(len(c.b)-off) {
 		c.Fail(errTruncated)
 		return nil
 	}
-	b := c.b[:n]
-	c.b = c.b[n:]
-	return b
+	c.off = off + n
+	return c.b[off : off+n]
 }
 
 // U8 reads one byte.
@@ -123,8 +126,8 @@ func (c *Cursor) U64() uint64 {
 // instead of gigabytes.
 func (c *Cursor) Count(minElemBytes int) int {
 	n := c.U32()
-	if uint64(n)*uint64(minElemBytes) > uint64(len(c.b)) {
-		c.Fail(fmt.Errorf("wal: count %d of %d-byte elements exceeds the %d bytes left", n, minElemBytes, len(c.b)))
+	if left := len(c.b) - c.off; uint64(n)*uint64(minElemBytes) > uint64(left) {
+		c.Fail(fmt.Errorf("wal: count %d of %d-byte elements exceeds the %d bytes left", n, minElemBytes, left))
 		return 0
 	}
 	return int(n)
