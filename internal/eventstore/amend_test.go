@@ -56,27 +56,27 @@ func TestAmendmentsRelabelSnapshot(t *testing.T) {
 	if err := st.AppendAmendments([]Amendment{a1}); err != nil {
 		t.Fatal(err)
 	}
-	sn := st.Snapshot()
+	sn := mustSnapshot(t, st)
 	if sn.Len() != 1 || sn.Events()[0].SID != 900001 {
 		t.Fatalf("after gen-1 amendment: %+v", sn.Events())
 	}
 	if err := st.AppendAmendments([]Amendment{a2}); err != nil {
 		t.Fatal(err)
 	}
-	sn = st.Snapshot()
+	sn = mustSnapshot(t, st)
 	if sn.Len() != 1 || sn.Events()[0].SID != 900002 || sn.Events()[0].CVE != "2020-0002" {
 		t.Fatalf("max generation should win: %+v", sn.Events())
 	}
 	// Raw funnels stay un-amended: the timeline seals raw history.
 	raw := 0
 	for _, part := range st.PublishedEvents() {
-		raw += len(part)
+		raw += part.Len()
 	}
 	if raw != 1 {
 		t.Fatalf("raw events %d, want 1", raw)
 	}
 	for _, part := range st.PublishedEvents() {
-		for _, rev := range part {
+		for _, rev := range part.Events {
 			if rev.SID != ev.SID {
 				t.Fatalf("raw log was rewritten: %+v", rev)
 			}
@@ -111,7 +111,7 @@ func TestAmendmentsAddAndRetract(t *testing.T) {
 	if err := st.AppendAmendments([]Amendment{addAmend, retAmend}); err != nil {
 		t.Fatal(err)
 	}
-	sn := st.Snapshot()
+	sn := mustSnapshot(t, st)
 	if sn.Len() != 2 {
 		t.Fatalf("snapshot has %d events, want 2: %+v", sn.Len(), sn.Events())
 	}
@@ -164,7 +164,7 @@ func TestAmendmentsSurviveReopen(t *testing.T) {
 	if len(as) != 1 || as[0].Event.SID != 900100 || as[0].Gen != 1 {
 		t.Fatalf("recovered amendments: %+v", as)
 	}
-	sn := st2.Snapshot()
+	sn := mustSnapshot(t, st2)
 	if sn.Len() != 1 || sn.Events()[0].SID != 900100 {
 		t.Fatalf("recovered snapshot not amended: %+v", sn.Events())
 	}
@@ -172,7 +172,7 @@ func TestAmendmentsSurviveReopen(t *testing.T) {
 	if err := st2.AppendAmendments([]Amendment{amendFor(ev, 900101, ev.Published, "2020-0101", 2)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := st2.Snapshot().Events()[0].SID; got != 900101 {
+	if got := mustSnapshot(t, st2).Events()[0].SID; got != 900101 {
 		t.Fatalf("post-recovery amendment lost: SID %d", got)
 	}
 }

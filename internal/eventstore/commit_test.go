@@ -277,7 +277,10 @@ func TestConcurrentShardAppendsAndCommits(t *testing.T) {
 				return
 			default:
 			}
-			_ = st.Snapshot().Len()
+			if _, err := st.Snapshot(); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 	wg.Wait()

@@ -29,7 +29,7 @@ func TestCompatStoreOpens(t *testing.T) {
 		t.Fatalf("recovered %d events, %d amendments, meta %q; want 6, 2, %q",
 			st.Len(), len(st.Amendments()), st.CommitMeta(), "compat-meta-2")
 	}
-	if got := st.Snapshot().Events()[0]; !eventsEqual(got, amendFor(testEvent(0), 900001, got.Published, "2020-0001", 1).Event) {
+	if got := mustSnapshot(t, st).Events()[0]; !eventsEqual(got, amendFor(testEvent(0), 900001, got.Published, "2020-0001", 1).Event) {
 		t.Fatalf("first resolved event %+v is not testEvent(0) under its amendment", got)
 	}
 }

@@ -13,8 +13,16 @@
 //     truncates a torn tail — a torn append costs the torn record, nothing
 //     else.
 //   - Readers never block writers and vice versa: each shard publishes its
-//     event slice through an atomic pointer, and appends extend the slice
-//     before republishing, so a reader's view is an immutable prefix.
+//     resident events through an atomic pointer, and appends extend the
+//     slice before republishing, so a reader's view is an immutable prefix.
+//   - Memory holds only each shard's unsealed tail. Once the timeline has
+//     sealed a shard's prefix into a segment it calls Release, and the store
+//     keeps just the count of released events (the shard's base) and a
+//     sparse offset index into its log. History lives in the shard logs and
+//     the segments; every read of events below a base (ReadRange, Merge,
+//     Snapshot) decodes them back from the shard's own log, CRC-checked, so
+//     memory follows the work in flight rather than the length of the
+//     study. A store no timeline releases keeps everything, with base 0.
 //   - Every append bumps a store-wide generation. Snapshot() materializes
 //     (and caches, keyed by generation) a merged, time-ordered view —
 //     downstream analyses and the HTTP layer key their own caches off the
@@ -111,9 +119,10 @@ type shard struct {
 	mu         sync.Mutex
 	log        *wal.Log
 	synced     int64 // bytes covered by the last commit (guarded by Store.commitMu)
-	events     atomic.Pointer[[]ids.Event]
+	res        atomic.Pointer[resident]
 	committed  atomic.Int64 // events covered by the last commit record
 	lastAppend atomic.Int64 // UnixNano of the most recent append; 0 = none since open
+	appended   int          // events appended since the last release (guarded by mu)
 }
 
 // Open opens (creating if needed) the store in dir and recovers every
@@ -251,9 +260,11 @@ func trimNL(b []byte) []byte {
 // string.
 func openShard(fs fault.FS, path string, committed int64) (*shard, int, error) {
 	var events []ids.Event
+	var offs []int64
 	names := make(map[string]string)
 	end := int64(len(fileMagic))
 	log, err := wal.Open(fs, path, fileMagic, maxRecordLen, func(payload []byte) error {
+		off := end
 		end += int64(wal.FrameHeaderLen + len(payload))
 		if committed >= int64(len(fileMagic)) && end > committed {
 			return wal.ErrStop
@@ -262,6 +273,9 @@ func openShard(fs fault.FS, path string, committed int64) (*shard, int, error) {
 		if err := DecodeEventInto(payload, &ev, names); err != nil {
 			return err
 		}
+		if len(events)%indexEvery == 0 {
+			offs = append(offs, off)
+		}
 		events = append(events, ev)
 		return nil
 	})
@@ -269,7 +283,7 @@ func openShard(fs fault.FS, path string, committed int64) (*shard, int, error) {
 		return nil, 0, fmt.Errorf("eventstore: shard: %w", err)
 	}
 	sh := &shard{log: log, synced: log.Size()}
-	sh.events.Store(&events)
+	sh.res.Store(&resident{events: events, offs: offs})
 	// Recovery truncated to the committed cut, so everything recovered is
 	// committed by definition.
 	sh.committed.Store(int64(len(events)))
@@ -317,29 +331,14 @@ func (s *Store) AppendBatchFunc(events []ids.Event, applied func()) error {
 		}
 		return nil
 	}
-	groups := make(map[int][]ids.Event)
-	for i := range events {
-		si := s.shardFor(&events[i])
-		groups[si] = append(groups[si], events[i])
-	}
-	// Encode outside any lock: only the file writes and the publish need to
-	// serialize with other appenders.
-	order := make([]int, 0, len(groups))
-	for si := range groups {
-		order = append(order, si)
-	}
-	sort.Ints(order)
-	bufs := make([][]byte, len(order))
-	var payload []byte
-	for k, si := range order {
-		var buf []byte
-		for i := range groups[si] {
-			payload = EncodeEvent(payload[:0], &groups[si][i])
-			buf = wal.AppendFrame(buf, payload)
-		}
-		bufs[k] = buf
-	}
-	if err := s.appendLocked(order, bufs, groups, applied); err != nil {
+	// Route and encode outside any lock: only the file writes and the publish
+	// need to serialize with other appenders. The scratch is pooled — the
+	// log copies what it writes — so a batch allocates nothing here once the
+	// pool is warm.
+	b := appendScratchPool.Get().(*appendScratch)
+	defer appendScratchPool.Put(b)
+	b.encode(s, events)
+	if err := s.appendLocked(b, events, applied); err != nil {
 		return err
 	}
 	if n := s.opts.SyncEvery; n > 0 && s.appended.Add(1)%uint64(n) == 0 {
@@ -350,10 +349,48 @@ func (s *Store) AppendBatchFunc(events []ids.Event, applied func()) error {
 	return nil
 }
 
+// appendScratch is one batch's routing and encoding, reused across batches:
+// route[i] is event i's shard, frameOff[i] the offset of its frame in that
+// shard's buffer, and bufs[si] shard si's frames back to back.
+type appendScratch struct {
+	route    []int
+	frameOff []int
+	bufs     [][]byte
+	order    []int // shards the batch touches, ascending
+	payload  []byte
+}
+
+var appendScratchPool = sync.Pool{New: func() any { return new(appendScratch) }}
+
+// encode routes every event once and frames it into its shard's buffer.
+func (b *appendScratch) encode(s *Store, events []ids.Event) {
+	n := len(s.shards)
+	if len(b.bufs) != n {
+		b.bufs = make([][]byte, n)
+	}
+	for si := range b.bufs {
+		b.bufs[si] = b.bufs[si][:0]
+	}
+	b.route, b.frameOff = b.route[:0], b.frameOff[:0]
+	for i := range events {
+		si := s.shardFor(&events[i])
+		b.route = append(b.route, si)
+		b.frameOff = append(b.frameOff, len(b.bufs[si]))
+		b.payload = EncodeEvent(b.payload[:0], &events[i])
+		b.bufs[si] = wal.AppendFrame(b.bufs[si], b.payload)
+	}
+	b.order = b.order[:0]
+	for si := range b.bufs {
+		if len(b.bufs[si]) > 0 {
+			b.order = append(b.order, si)
+		}
+	}
+}
+
 // appendLocked writes one encoded batch under the append locks; the periodic
 // SyncEvery commit happens in the caller, after every lock is released (Sync
 // takes appendMu exclusively).
-func (s *Store) appendLocked(order []int, bufs [][]byte, groups map[int][]ids.Event, applied func()) error {
+func (s *Store) appendLocked(b *appendScratch, events []ids.Event, applied func()) error {
 	// The shared hold spans the whole batch so the committer's exclusive cut
 	// always lands on a batch boundary — a commit record can never cover half
 	// a batch's shards.
@@ -365,34 +402,46 @@ func (s *Store) appendLocked(order []int, bufs [][]byte, groups map[int][]ids.Ev
 	// boundary with nothing interleaved in between — otherwise the caller
 	// sees an error, redelivers, and the shards that had already taken their
 	// group apply it twice.
-	for _, si := range order {
+	for _, si := range b.order {
 		s.shards[si].mu.Lock()
 	}
 	defer func() {
-		for _, si := range order {
+		for _, si := range b.order {
 			s.shards[si].mu.Unlock()
 		}
 	}()
-	for k, si := range order {
-		if err := s.shards[si].log.Append(bufs[k]); err != nil {
+	for k, si := range b.order {
+		if err := s.shards[si].log.Append(b.bufs[si]); err != nil {
 			// The failing shard rolled itself back; undo the shards that had
 			// already taken their group, or a later commit would cover half a
 			// batch the caller was told failed.
-			for j, sj := range order[:k] {
+			for _, sj := range b.order[:k] {
 				l := s.shards[sj].log
-				l.Rollback(l.Size() - int64(len(bufs[j])))
+				l.Rollback(l.Size() - int64(len(b.bufs[sj])))
 			}
 			return fmt.Errorf("eventstore: appending: %w", err)
 		}
 	}
 	now := time.Now().UnixNano()
-	for _, si := range order {
+	for _, si := range b.order {
 		sh := s.shards[si]
+		// The batch's frames start where the log stood before it.
+		start := sh.log.Size() - int64(len(b.bufs[si]))
 		// Publish to readers: extending the slice only ever writes past every
 		// published length, so holders of older headers see a stable prefix.
-		cur := *sh.events.Load()
-		next := append(cur, groups[si]...)
-		sh.events.Store(&next)
+		cur := sh.res.Load()
+		next := *cur
+		for i := range events {
+			if b.route[i] != si {
+				continue
+			}
+			if next.len()%indexEvery == 0 {
+				next.offs = append(next.offs, start+int64(b.frameOff[i]))
+			}
+			next.events = append(next.events, events[i])
+			sh.appended++
+		}
+		sh.res.Store(&next)
 		sh.lastAppend.Store(now)
 	}
 	s.gen.Add(1)
@@ -406,11 +455,22 @@ func (s *Store) appendLocked(order []int, bufs [][]byte, groups map[int][]ids.Ev
 // new data lands, so it is a complete cache key for derived results.
 func (s *Store) Generation() uint64 { return s.gen.Load() }
 
-// Len returns the number of stored events.
+// Len returns the number of stored events, released ones included.
 func (s *Store) Len() int {
 	n := 0
 	for _, sh := range s.shards {
-		n += len(*sh.events.Load())
+		n += sh.res.Load().len()
+	}
+	return n
+}
+
+// Resident returns the number of events held in memory: the stored events
+// past every shard's base. Without a timeline releasing sealed prefixes it
+// equals Len.
+func (s *Store) Resident() int {
+	n := 0
+	for _, sh := range s.shards {
+		n += len(sh.res.Load().events)
 	}
 	return n
 }
@@ -430,8 +490,9 @@ func (s *Store) SizeBytes() int64 {
 func (s *Store) Dir() string { return s.dir }
 
 // ShardStats is one shard file's share of the store: how many records it
-// holds, its on-disk size, and when it last received an append (zero if
-// nothing has landed since open — recovered data does not count).
+// holds (released ones included), its on-disk size, and when it last
+// received an append (zero if nothing has landed since open — recovered
+// data does not count).
 type ShardStats struct {
 	Shard      int
 	Records    int
@@ -446,7 +507,7 @@ func (s *Store) ShardStats() []ShardStats {
 	out := make([]ShardStats, len(s.shards))
 	for i, sh := range s.shards {
 		out[i].Shard = i
-		out[i].Records = len(*sh.events.Load())
+		out[i].Records = sh.res.Load().len()
 		sh.mu.Lock()
 		out[i].SizeBytes = sh.log.Size()
 		sh.mu.Unlock()
@@ -525,7 +586,7 @@ func (s *Store) CommitFunc(metaFn func() []byte) error {
 	counts := make([]int64, len(s.shards))
 	for i, sh := range s.shards {
 		sizes[i] = sh.log.Size()
-		counts[i] = int64(len(*sh.events.Load()))
+		counts[i] = int64(sh.res.Load().len())
 	}
 	s.appendMu.Unlock()
 	dirty := false
@@ -593,79 +654,69 @@ func (s *Store) Close() error {
 	return first
 }
 
-// CommittedEvents returns, shard by shard, the event prefix covered by the
-// newest commit record — exactly what a crash right now is promised to
-// recover. Each returned slice is an immutable prefix of its shard's log
-// (appends only ever extend past every published length), so callers may
-// hold it indefinitely without copying. The timeline segmenter seals from
-// these prefixes: a sealed segment can then never contain an event a
-// recovered store would not.
-func (s *Store) CommittedEvents() [][]ids.Event {
-	out := make([][]ids.Event, len(s.shards))
+// CommittedEvents returns, shard by shard, the events covered by the newest
+// commit record — exactly what a crash right now is promised to recover — as
+// parts: each part's first Base events were released to the shard's log and
+// its Events are the resident rest, an immutable prefix of the shard's
+// resident slice (appends only ever extend past every published length and
+// a release publishes a new slice), so callers may hold a part indefinitely
+// without copying. Reading its released events goes through ReadRange or
+// Merge. The timeline segmenter seals from these parts: a sealed segment can
+// then never contain an event a recovered store would not.
+func (s *Store) CommittedEvents() []Part {
+	out := make([]Part, len(s.shards))
 	for i, sh := range s.shards {
-		events := *sh.events.Load()
+		r := sh.res.Load()
 		// The committed count is captured under the same exclusive cut as the
 		// committed sizes, so it can never exceed the published length; load
-		// order (events first) keeps that true even against a racing commit.
-		n := sh.committed.Load()
-		if n > int64(len(events)) {
-			n = int64(len(events))
-		}
-		out[i] = events[:n:n]
+		// order (resident first) keeps that true even against a racing
+		// commit, and a release never passes the committed count.
+		n := int(sh.committed.Load())
+		n = min(max(n, r.base), r.len())
+		out[i] = Part{Base: r.base, Events: r.events[: n-r.base : n-r.base]}
 	}
 	return out
 }
 
 // PublishedEvents returns, shard by shard, every readable event: the
 // committed prefix plus the appended-but-not-yet-committed tail (what
-// Snapshot merges). Slices are immutable prefixes, as for CommittedEvents.
-func (s *Store) PublishedEvents() [][]ids.Event {
-	out := make([][]ids.Event, len(s.shards))
+// Snapshot merges). Parts carry their base as for CommittedEvents.
+func (s *Store) PublishedEvents() []Part {
+	out := make([]Part, len(s.shards))
 	for i, sh := range s.shards {
-		events := *sh.events.Load()
-		out[i] = events[:len(events):len(events)]
+		out[i] = sh.res.Load().part()
 	}
 	return out
 }
 
-// MergeEvents materializes a read-side view, the one place that computation
-// is written: per-shard event prefixes concatenated in shard order,
-// stable-sorted into canonical order, with resolved amendments overlaid (so
-// consumers see post-rescan labels without the shard files ever rewriting).
-// Snapshot is this over the store's current view; read paths holding pinned
-// prefixes (PublishedEvents, Amendments) call it to replay the identical
-// computation later. The inputs are not modified.
-func MergeEvents(parts [][]ids.Event, amends []Amendment) []ids.Event {
-	order := CanonicalOrder(parts)
-	merged := make([]ids.Event, len(order))
-	for i, r := range order {
-		merged[i] = parts[r.Part][r.Index]
-	}
-	return applyAmendments(merged, amends)
-}
-
 // Snapshot returns a consistent point-in-time view of the store. Snapshots
 // are cheap when nothing changed (the previous one is reused) and immutable
-// forever; appends after the call are invisible to it.
-func (s *Store) Snapshot() *Snapshot {
+// forever; appends after the call are invisible to it. Building one reads
+// every released event back from the shard logs, so it fails, loudly, when
+// a log read does.
+func (s *Store) Snapshot() (*Snapshot, error) {
 	if sn := s.snap.Load(); sn != nil && sn.gen == s.gen.Load() {
-		return sn
+		return sn, nil
 	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	for {
 		gen := s.gen.Load()
 		if sn := s.snap.Load(); sn != nil && sn.gen == gen {
-			return sn
+			return sn, nil
 		}
 		parts := s.PublishedEvents()
 		amends := s.Amendments()
 		if s.gen.Load() != gen {
 			continue // an append raced the reads; retry for a stable view
 		}
-		sn := &Snapshot{gen: gen, events: MergeEvents(parts, amends)}
+		events, err := s.Merge(parts, amends)
+		if err != nil {
+			return nil, err
+		}
+		sn := &Snapshot{gen: gen, events: events}
 		s.snap.Store(sn)
-		return sn
+		return sn, nil
 	}
 }
 

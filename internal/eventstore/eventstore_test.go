@@ -99,7 +99,7 @@ func TestStoreAppendReopenQuery(t *testing.T) {
 	}
 	check := func(st *Store, stage string) {
 		t.Helper()
-		sn := st.Snapshot()
+		sn := mustSnapshot(t, st)
 		if sn.Len() != n {
 			t.Fatalf("%s: %d events, want %d", stage, sn.Len(), n)
 		}
@@ -197,7 +197,7 @@ func TestStoreCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	sn := st2.Snapshot()
+	sn := mustSnapshot(t, st2)
 	// Shard 0 lost exactly its final record; shard 1 lost nothing.
 	if sn.Len() != len(want)-1 {
 		t.Fatalf("recovered %d events, want %d", sn.Len(), len(want)-1)
@@ -216,7 +216,7 @@ func TestStoreCrashRecovery(t *testing.T) {
 	if err := st2.Append(testEvent(1000)); err != nil {
 		t.Fatal(err)
 	}
-	if got := st2.Snapshot().Len(); got != len(want) {
+	if got := mustSnapshot(t, st2).Len(); got != len(want) {
 		t.Fatalf("after post-recovery append: %d events", got)
 	}
 }
@@ -259,7 +259,11 @@ func TestStoreConcurrentAppendSnapshot(t *testing.T) {
 					return
 				default:
 				}
-				sn := st.Snapshot()
+				sn, err := st.Snapshot()
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				if sn.Generation() < lastGen {
 					t.Error("generation went backwards")
 					return
@@ -283,7 +287,7 @@ func TestStoreConcurrentAppendSnapshot(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	if got := st.Snapshot().Len(); got != writers*perWriter*2 {
+	if got := mustSnapshot(t, st).Len(); got != writers*perWriter*2 {
 		t.Fatalf("final count %d, want %d", got, writers*perWriter*2)
 	}
 }
@@ -297,15 +301,15 @@ func TestSnapshotCachedPerGeneration(t *testing.T) {
 	if err := st.Append(testEvent(1)); err != nil {
 		t.Fatal(err)
 	}
-	a := st.Snapshot()
-	b := st.Snapshot()
+	a := mustSnapshot(t, st)
+	b := mustSnapshot(t, st)
 	if a != b {
 		t.Fatal("unchanged store rebuilt its snapshot")
 	}
 	if err := st.Append(testEvent(2)); err != nil {
 		t.Fatal(err)
 	}
-	c := st.Snapshot()
+	c := mustSnapshot(t, st)
 	if c == a {
 		t.Fatal("stale snapshot served after append")
 	}
@@ -407,4 +411,14 @@ func BenchmarkAppendBatch(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*len(batch))/b.Elapsed().Seconds(), "events/s")
+}
+
+// mustSnapshot returns st's snapshot, failing the test if it cannot be read.
+func mustSnapshot(t testing.TB, st *Store) *Snapshot {
+	t.Helper()
+	sn, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sn
 }

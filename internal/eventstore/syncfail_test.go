@@ -177,7 +177,7 @@ func TestFailedBatchRollbackFailureStaysUncommitted(t *testing.T) {
 	if got := string(st.CommitMeta()); got != "after" {
 		t.Fatalf("recovered commit meta %q, want %q", got, "after")
 	}
-	got := st.Snapshot().Events()
+	got := mustSnapshot(t, st).Events()
 	if len(got) != len(base) {
 		t.Fatalf("recovered %d events, want only the %d acknowledged; the failed batch came back", len(got), len(base))
 	}

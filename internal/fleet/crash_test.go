@@ -145,7 +145,7 @@ func TestCrashBetweenAppendAndGroupCommit(t *testing.T) {
 	if err := l3.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got := recovered.Snapshot().Events()
+	got := mustSnapshot(t, recovered).Events()
 	if len(got) != 20 {
 		t.Fatalf("store holds %d events after redelivery, want exactly 20", len(got))
 	}
@@ -154,4 +154,14 @@ func TestCrashBetweenAppendAndGroupCommit(t *testing.T) {
 			t.Fatalf("event %d lost, duplicated, or corrupted across the crash", i)
 		}
 	}
+}
+
+// mustSnapshot returns st's snapshot, failing the test if it cannot be read.
+func mustSnapshot(t testing.TB, st *eventstore.Store) *eventstore.Snapshot {
+	t.Helper()
+	sn, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sn
 }

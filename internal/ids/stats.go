@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"repro/internal/tcpasm"
@@ -90,15 +91,18 @@ func (b *StatsBuilder) AppendBinary(buf []byte) []byte {
 	for _, cve := range cves {
 		buf = wal.AppendString16(buf, cve)
 	}
-	srcs := make([][]byte, 0, len(b.srcs))
+	srcs := make([]netip.Addr, 0, len(b.srcs))
 	for src := range b.srcs {
-		srcs = append(srcs, wal.AppendAddr(nil, src))
+		srcs = append(srcs, src)
 	}
-	// Sorting the encoded fields orders by length, then address bytes.
-	sort.Slice(srcs, func(i, j int) bool { return string(srcs[i]) < string(srcs[j]) })
+	// The sets are written in the order of their encoded fields: length,
+	// then address bytes. Addr.Compare orders by bit length, then address,
+	// then zone, which is that order; the encoding drops zones, and
+	// addresses that differ only by zone sort next to each other.
+	slices.SortFunc(srcs, netip.Addr.Compare)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(srcs)))
 	for _, src := range srcs {
-		buf = append(buf, src...)
+		buf = wal.AppendAddr(buf, src)
 	}
 	return buf
 }

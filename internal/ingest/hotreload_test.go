@@ -145,7 +145,7 @@ func TestHotReloadParity(t *testing.T) {
 			if _, err := reg.Rescan(store); err != nil {
 				t.Fatal(err)
 			}
-			got := collectLabelKeys(store.Snapshot().Events())
+			got := collectLabelKeys(mustSnapshot(t, store).Events())
 			if len(got) != len(want) {
 				t.Fatalf("resolved %d distinct labels, cold run %d", len(got), len(want))
 			}

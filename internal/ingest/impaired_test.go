@@ -90,7 +90,7 @@ func TestPipelineImpairedCaptureResume(t *testing.T) {
 		if err := p.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return store.Snapshot().Len(), p.Metrics()
+		return mustSnapshot(t, store).Len(), p.Metrics()
 	}
 
 	first, m := runOnce()

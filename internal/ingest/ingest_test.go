@@ -135,7 +135,7 @@ func TestPipelineMatchesBatchScan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sn := store.Snapshot()
+	sn := mustSnapshot(t, store)
 	got, want := collectKeys(sn.Events()), collectKeys(batchEvents)
 	if len(got) != len(want) {
 		t.Fatalf("stored %d distinct events, batch %d", len(got), len(want))
@@ -215,7 +215,7 @@ func TestPipelineTailsLiveWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 3 of every 4 fixture payloads match a rule.
-	if got := store.Snapshot().Len(); got != 180 {
+	if got := mustSnapshot(t, store).Len(); got != 180 {
 		t.Fatalf("stored %d events, want 180", got)
 	}
 	if p.Metrics().DecodeErrors != 0 {
@@ -262,7 +262,7 @@ func TestPipelineSkipsTornFinalSegment(t *testing.T) {
 	if !m.Idle() {
 		t.Fatalf("pipeline not idle after drain: %+v", m)
 	}
-	if store.Snapshot().Len() == 0 {
+	if mustSnapshot(t, store).Len() == 0 {
 		t.Fatal("no events recovered from intact records")
 	}
 }
@@ -317,7 +317,7 @@ func TestPipelineResumesFromCheckpoint(t *testing.T) {
 		if err := p.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return store.Snapshot().Len()
+		return mustSnapshot(t, store).Len()
 	}
 
 	first := runOnce()
@@ -387,7 +387,7 @@ func TestPipelineCheckpointsAtIdleFlush(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before := store.Snapshot().Len()
+	before := mustSnapshot(t, store).Len()
 	if before == 0 {
 		t.Fatal("nothing stored")
 	}
@@ -401,7 +401,7 @@ func TestPipelineCheckpointsAtIdleFlush(t *testing.T) {
 	if err := p2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if after := store.Snapshot().Len(); after != before {
+	if after := mustSnapshot(t, store).Len(); after != before {
 		t.Fatalf("resume re-ingested: %d -> %d events", before, after)
 	}
 }
@@ -493,4 +493,14 @@ func TestPipelineCountsDecodeErrors(t *testing.T) {
 				shards, m.DecodeErrors, m.Packets, want.DecodeErrors, want.Packets)
 		}
 	}
+}
+
+// mustSnapshot returns st's snapshot, failing the test if it cannot be read.
+func mustSnapshot(t testing.TB, st *eventstore.Store) *eventstore.Snapshot {
+	t.Helper()
+	sn, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sn
 }

@@ -266,8 +266,8 @@ func TestRescanReattributesHistory(t *testing.T) {
 	if err := r.SyncDigests(); err != nil {
 		t.Fatal(err)
 	}
-	if st.Snapshot().Len() != 1 {
-		t.Fatalf("pre-publish events: %d", st.Snapshot().Len())
+	if mustSnapshot(t, st).Len() != 1 {
+		t.Fatalf("pre-publish events: %d", mustSnapshot(t, st).Len())
 	}
 
 	// Publish: an earlier rule that outbids the base rule on session 0, and
@@ -301,7 +301,7 @@ func TestRescanReattributesHistory(t *testing.T) {
 		}
 	}
 	eventstore.SortEvents(cold)
-	got := st.Snapshot().Events()
+	got := mustSnapshot(t, st).Events()
 	if len(got) != len(cold) {
 		t.Fatalf("resolved %d events, cold run %d", len(got), len(cold))
 	}
@@ -316,7 +316,7 @@ func TestRescanReattributesHistory(t *testing.T) {
 	if _, err := r.Rescan(st); err != nil {
 		t.Fatal(err)
 	}
-	again := st.Snapshot().Events()
+	again := mustSnapshot(t, st).Events()
 	if len(again) != len(got) {
 		t.Fatalf("re-rescan changed history: %d vs %d events", len(again), len(got))
 	}
@@ -387,7 +387,7 @@ func TestRescanCatchesStaleBatch(t *testing.T) {
 	if !ok || cold.SID != 500002 {
 		t.Fatalf("cold label: %v %+v", ok, cold)
 	}
-	got := st.Snapshot().Events()
+	got := mustSnapshot(t, st).Events()
 	if len(got) != 1 || got[0].SID != cold.SID || got[0].CVE != cold.CVE {
 		t.Fatalf("stored history %+v, cold run says sid %d", got, cold.SID)
 	}
@@ -608,4 +608,14 @@ func TestRegenFuzzRulesetJournalCorpus(t *testing.T) {
 		append(append([]byte{}, b...), 0xde, 0xad, 0xbe, 0xef),
 	}
 	fuzzcorpus.Write(t, "FuzzRulesetJournal", seeds)
+}
+
+// mustSnapshot returns st's snapshot, failing the test if it cannot be read.
+func mustSnapshot(t testing.TB, st *eventstore.Store) *eventstore.Snapshot {
+	t.Helper()
+	sn, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sn
 }

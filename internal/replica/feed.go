@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/eventstore"
 	"repro/internal/fleet"
+	"repro/internal/ids"
 )
 
 // FeedConfig wires the coordinator-side replication feed.
@@ -162,6 +163,7 @@ func (f *Feed) serve(ctx context.Context, conn net.Conn) {
 	pos := append([]uint64(nil), hello.Counts...)
 	apos := hello.Amends
 	var seq uint64
+	var scratch []ids.Event // catch-up chunks read back from the store's log
 	lastState := time.Time{}
 	for {
 		// Make the published tail committed so it is shippable, without
@@ -175,7 +177,7 @@ func (f *Feed) serve(ctx context.Context, conn net.Conn) {
 		amends := f.cfg.Store.Amendments()
 		target := progress{Counts: make([]uint64, len(parts)), Amends: uint64(len(amends))}
 		for i, p := range parts {
-			target.Counts[i] = uint64(len(p))
+			target.Counts[i] = uint64(p.Len())
 		}
 
 		// Divergence is fatal, not recoverable: a replica claiming more
@@ -199,10 +201,11 @@ func (f *Feed) serve(ctx context.Context, conn net.Conn) {
 
 		var sentEvents, sentAmends uint64
 		for i, p := range parts {
-			for int(pos[i]) < len(p) {
-				chunk := p[pos[i]:]
-				if len(chunk) > feedBatchEvents {
-					chunk = chunk[:feedBatchEvents]
+			for int(pos[i]) < p.Len() {
+				chunk, err := f.chunk(i, p, int(pos[i]), &scratch)
+				if err != nil {
+					c.Send(encodeRErr("coordinator store: " + err.Error()))
+					return
 				}
 				seq++
 				payload, err := fleet.EncodeEventBatch(seq, chunk, feedCodec)
@@ -255,4 +258,25 @@ func (f *Feed) serve(ctx context.Context, conn net.Conn) {
 		case <-time.After(f.cfg.Poll):
 		}
 	}
+}
+
+// chunk returns the next batch of shard i's events to ship from position
+// pos: at most feedBatchEvents of them, ending at the part's length. Events
+// the store holds in memory are shipped as they stand; a replica catching
+// up on history the store has released gets it read back from the shard's
+// log into *scratch, one chunk at a time.
+func (f *Feed) chunk(i int, p eventstore.Part, pos int, scratch *[]ids.Event) ([]ids.Event, error) {
+	end := min(pos+feedBatchEvents, p.Len())
+	if pos >= p.Base {
+		tail, err := p.Tail(pos)
+		return tail[:end-pos], err
+	}
+	end = min(end, p.Base)
+	buf := (*scratch)[:0]
+	err := f.cfg.Store.ReadRange(i, pos, end, func(ev *ids.Event) error {
+		buf = append(buf, *ev)
+		return nil
+	})
+	*scratch = buf
+	return buf, err
 }

@@ -42,7 +42,7 @@ func TestReplicaNamesBounded(t *testing.T) {
 	if n := len(rep.names); n > fleet.MaxNames {
 		t.Errorf("replica holds %d names, bound %d", n, fleet.MaxNames)
 	}
-	want, got := coord.CommittedEvents(), repStore.CommittedEvents()
+	want, got := committedShards(t, coord), committedShards(t, repStore)
 	for i := range want {
 		if len(got[i]) != len(want[i]) {
 			t.Fatalf("shard %d: replica holds %d events, coordinator %d", i, len(got[i]), len(want[i]))
@@ -53,4 +53,22 @@ func TestReplicaNamesBounded(t *testing.T) {
 			}
 		}
 	}
+}
+
+// committedShards reads every committed event of st, shard by shard, through
+// the store's ranged read (released history included).
+func committedShards(t *testing.T, st *eventstore.Store) [][]ids.Event {
+	t.Helper()
+	parts := st.CommittedEvents()
+	out := make([][]ids.Event, len(parts))
+	for i, p := range parts {
+		err := st.ReadRange(i, 0, p.Len(), func(ev *ids.Event) error {
+			out[i] = append(out[i], *ev)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }

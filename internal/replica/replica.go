@@ -108,7 +108,7 @@ func (r *Replica) local() progress {
 	parts := r.cfg.Store.CommittedEvents()
 	p := progress{Counts: make([]uint64, len(parts))}
 	for i, part := range parts {
-		p.Counts[i] = uint64(len(part))
+		p.Counts[i] = uint64(part.Len())
 	}
 	p.Amends = uint64(len(r.cfg.Store.Amendments()))
 	return p

@@ -124,7 +124,7 @@ func TestReplicaEndToEnd(t *testing.T) {
 	assertParity("full", repSrv)
 
 	// A retroactive re-attribution replicates like any other record.
-	sn := coord.Snapshot()
+	sn := mustSnapshot(t, coord)
 	orig := sn.Events()[0]
 	relabeled := orig
 	for i := range sn.Events() {
@@ -282,4 +282,14 @@ func TestReplicaDivergence(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable || !strings.HasPrefix(rec.Body.String(), "diverged\n") {
 		t.Fatalf("diverged replica healthz: %d %q", rec.Code, rec.Body.String())
 	}
+}
+
+// mustSnapshot returns st's snapshot, failing the test if it cannot be read.
+func mustSnapshot(t testing.TB, st *eventstore.Store) *eventstore.Snapshot {
+	t.Helper()
+	sn, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sn
 }

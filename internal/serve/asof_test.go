@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -454,5 +455,30 @@ func TestFigure2Body(t *testing.T) {
 	after := check("after an append")
 	if before == "" || before == after {
 		t.Errorf("Figure 2's ETag did not move with the generation: %q then %q", before, after)
+	}
+}
+
+// TestReleasedStoreMetricsAndReadErrors: with every event sealed, the store
+// holds none of them in memory, which /metrics reports beside the total; a
+// read of the released history that fails answers 500, never a short body.
+func TestReleasedStoreMetricsAndReadErrors(t *testing.T) {
+	f := newAsofFixture(t)
+	body := f.getOK(t, "/metrics").Body.String()
+	for _, want := range []string{
+		fmt.Sprintf("waybackd_store_events %d\n", len(f.batch.Events)),
+		"waybackd_store_resident_events 0\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q:\n%s", want, body)
+		}
+	}
+	// Closing the store closes the shard logs the released events live in.
+	if err := f.est.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/events?limit=1", "/v1/tables/4"} {
+		if rec := f.get(t, path); rec.Code != http.StatusInternalServerError {
+			t.Errorf("%s over an unreadable log: %d %q, want 500", path, rec.Code, rec.Body.String())
+		}
 	}
 }

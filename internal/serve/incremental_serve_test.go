@@ -64,7 +64,7 @@ func getBody(t *testing.T, srv *Server, path string) string {
 // current snapshot to some other CVE present in the event set.
 func relabelAmendment(t *testing.T, est *eventstore.Store, gen uint64) eventstore.Amendment {
 	t.Helper()
-	sn := est.Snapshot()
+	sn := mustSnapshot(t, est)
 	events := sn.Events()
 	if len(events) == 0 {
 		t.Fatal("empty store")
@@ -322,4 +322,14 @@ func TestCacheEvictionKeepsCurrent(t *testing.T) {
 	if !put(2, "fresh") {
 		t.Fatal("current-generation entry was evicted")
 	}
+}
+
+// mustSnapshot returns st's snapshot, failing the test if it cannot be read.
+func mustSnapshot(t testing.TB, st *eventstore.Store) *eventstore.Snapshot {
+	t.Helper()
+	sn, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sn
 }

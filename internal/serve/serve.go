@@ -274,8 +274,9 @@ func (s *Server) CacheStats() (hits, misses uint64) {
 // results returns the Results for the store's current snapshot. The
 // incremental view folds only the events appended since the last call, so a
 // generation bump costs O(new events); amendments trigger its metered
-// fallback rebuild (see wayback.Incremental).
-func (s *Server) results() (*wayback.Results, uint64) {
+// fallback rebuild (see wayback.Incremental). It fails when history the
+// store released cannot be read back from its logs.
+func (s *Server) results() (*wayback.Results, uint64, error) {
 	return s.inc.Results()
 }
 
@@ -362,7 +363,10 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 		gen uint64
 	)
 	if asof.IsZero() {
-		res, gen = s.results()
+		if res, gen, err = s.results(); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 	} else {
 		if s.cfg.Timeline == nil {
 			http.Error(w, "time travel not enabled (no timeline engine)", http.StatusNotFound)
@@ -556,6 +560,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b bytes.Buffer
 	g := func(name string, v any) { fmt.Fprintf(&b, "waybackd_%s %v\n", name, v) }
 	g("store_events", s.cfg.Store.Len())
+	g("store_resident_events", s.cfg.Store.Resident())
 	g("store_bytes", s.cfg.Store.SizeBytes())
 	g("store_generation", s.cfg.Store.Generation())
 	for _, sh := range s.cfg.Store.ShardStats() {
@@ -857,7 +862,11 @@ func toEventJSON(ev ids.Event) eventJSON {
 // Filtered views are cheap slices of the snapshot, so they are built per
 // request rather than cached.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	sn := s.cfg.Store.Snapshot()
+	sn, err := s.cfg.Store.Snapshot()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	events := sn.Events()
 	q := r.URL.Query()
 	if cve := trimCVE(q.Get("cve")); cve != "" {

@@ -245,6 +245,13 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
 	}
+	// Without a timeline nothing is released: every event is resident.
+	n := len(f.batch.Events)
+	for _, want := range []string{fmt.Sprintf("waybackd_store_events %d\n", n), fmt.Sprintf("waybackd_store_resident_events %d\n", n)} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q:\n%s", want, body)
+		}
+	}
 	if strings.Contains(body, "waybackd_ingest_") {
 		t.Error("ingest metrics present without a pipeline")
 	}

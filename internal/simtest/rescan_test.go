@@ -178,7 +178,7 @@ func runRescanCrashSweep(t *testing.T, seed int64) {
 	store, reg = open()
 
 	got := map[string]int{}
-	events := store.Snapshot().Events()
+	events := mustSnapshot(t, store).Events()
 	for i := range events {
 		got[labelKeyOf(&events[i])]++
 	}
@@ -198,4 +198,14 @@ func runRescanCrashSweep(t *testing.T, seed int64) {
 // including the publication date the paper's analysis keys on.
 func labelKeyOf(ev *ids.Event) string {
 	return fmt.Sprintf("%d|%s|%s|%d|%s|%d", ev.Time.UnixNano(), ev.Src, ev.Dst, ev.SID, ev.CVE, ev.Published.UnixNano())
+}
+
+// mustSnapshot returns st's snapshot, failing the test if it cannot be read.
+func mustSnapshot(t testing.TB, st *eventstore.Store) *eventstore.Snapshot {
+	t.Helper()
+	sn, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sn
 }

@@ -599,7 +599,11 @@ func (s *sim) verify(res *Result, seqs []sensorSeqs, atLeastOnce bool) error {
 	for i := range s.tr.events {
 		want[eventKey(&s.tr.events[i])]++
 	}
-	got := store.Snapshot().Events()
+	sn, err := store.Snapshot()
+	if err != nil {
+		return fmt.Errorf("reading the recovered store: %w", err)
+	}
+	got := sn.Events()
 	res.StoreEvents = len(got)
 	have := map[string]int{}
 	for i := range got {

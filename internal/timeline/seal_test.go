@@ -96,11 +96,16 @@ func TestSealParity(t *testing.T) {
 				var concat []ids.Event
 				counts := make([]int64, len(committed))
 				for i, shard := range committed {
+					k := 0
 					if from != nil {
-						shard = shard[from[i]:]
+						k = int(from[i])
 					}
-					concat = append(concat, shard...)
-					counts[i] = int64(len(committed[i]))
+					unsealed, err := shard.Tail(k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					concat = append(concat, unsealed...)
+					counts[i] = int64(shard.Len())
 				}
 				eventstore.SortEvents(concat)
 				seq := uint64(len(eng.segments))

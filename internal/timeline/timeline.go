@@ -16,6 +16,12 @@
 //     contains an event a crash-recovered store would lack. Each segment is
 //     internally time-sorted and records its min/max event time; segments
 //     may overlap in time.
+//   - Once a segment is renamed in (and its checkpoint written), the engine
+//     releases the sealed prefixes from the store's memory (Store.Release):
+//     the segments and the shard logs hold that history, so the store keeps
+//     only the unsealed tail. Open does the same for the recovered sealed
+//     prefix. Releases and query snapshots serialize on the engine lock, so
+//     a query's unsealed tail is always resident.
 //   - A checkpoint over the first k segments records cut = the maximum event
 //     time across those segments, and an aggregate covering all their
 //     events. Because the aggregate is a commutative monoid (order- and
@@ -184,6 +190,11 @@ func Open(cfg Config) (*Engine, error) {
 	if err := e.checkStoreCoverage(); err != nil {
 		return nil, err
 	}
+	if e.sealed != nil {
+		if err := e.store.Release(e.sealed); err != nil {
+			return nil, fmt.Errorf("timeline: %w", err)
+		}
+	}
 	for _, path := range ckptPaths {
 		raw, err := fs.ReadFile(path)
 		if err != nil {
@@ -221,8 +232,8 @@ func (e *Engine) checkStoreCoverage() error {
 		return fmt.Errorf("timeline: store has %d shards but segments were sealed from %d; store and timeline directories are mismatched", len(committed), len(e.sealed))
 	}
 	for i, n := range e.sealed {
-		if int64(len(committed[i])) < n {
-			return fmt.Errorf("timeline: store shard %d has %d committed events but %d are sealed; store lost data after sealing", i, len(committed[i]), n)
+		if int64(committed[i].Len()) < n {
+			return fmt.Errorf("timeline: store shard %d has %d committed events but %d are sealed; store lost data after sealing", i, committed[i].Len(), n)
 		}
 	}
 	return nil
@@ -238,7 +249,7 @@ func (e *Engine) Tick() (bool, error) {
 	e.mu.RUnlock()
 	pending := 0
 	for i, shard := range e.store.CommittedEvents() {
-		n := len(shard)
+		n := shard.Len()
 		if sealed != nil && i < len(sealed) {
 			n -= int(sealed[i])
 		}
@@ -250,11 +261,12 @@ func (e *Engine) Tick() (bool, error) {
 	return e.Seal()
 }
 
-// Seal cuts every committed-but-unsealed event into one new segment file and
-// writes a checkpoint if one is due. It reports whether a segment was
-// written (false when nothing is pending). Seals are serialized; queries
-// proceed concurrently against the previous state until the new segment is
-// durably renamed in.
+// Seal cuts every committed-but-unsealed event into one new segment file,
+// writes a checkpoint if one is due, and releases the newly sealed events
+// from the store's memory. It reports whether a segment was written (false
+// when nothing is pending). Seals are serialized; queries proceed
+// concurrently against the previous state until the new segment is durably
+// renamed in.
 func (e *Engine) Seal() (bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -265,15 +277,20 @@ func (e *Engine) Seal() (bool, error) {
 	}
 	// The new segment's events stay where the store holds them: the seal
 	// orders references into the committed slices and encodes through them.
+	// Only sealed prefixes are ever released, so they are all resident.
 	unsealed := make([][]ids.Event, len(committed))
 	counts := make([]int64, len(committed))
 	for i, shard := range committed {
-		from := int64(0)
+		from := 0
 		if e.sealed != nil {
-			from = e.sealed[i]
+			from = int(e.sealed[i])
 		}
-		counts[i] = int64(len(shard))
-		unsealed[i] = shard[from:]
+		counts[i] = int64(shard.Len())
+		tail, err := shard.Tail(from)
+		if err != nil {
+			return false, fmt.Errorf("timeline: shard %d: %w", i, err)
+		}
+		unsealed[i] = tail
 	}
 	order := eventstore.CanonicalOrder(unsealed)
 	if len(order) == 0 {
@@ -302,14 +319,21 @@ func (e *Engine) Seal() (bool, error) {
 	}
 	e.sinceCkpt++
 
+	var ckErr error
 	if e.ckEvery > 0 && e.sinceCkpt >= e.ckEvery {
 		if err := e.writeCheckpointLocked(batch); err != nil {
 			// The segment is durable and counted; the checkpoint will be
 			// retried after the next seal. Queries fall back meanwhile.
-			return true, fmt.Errorf("timeline: checkpoint after segment %d: %w", seq, err)
+			ckErr = fmt.Errorf("timeline: checkpoint after segment %d: %w", seq, err)
 		}
 	}
-	return true, nil
+	// The segment holds these events now, and the checkpoint fold has read
+	// them; memory keeps only what is not sealed. Queries snapshot the store
+	// under e.mu, so none can see a base past its own sealed counts.
+	if err := e.store.Release(counts); err != nil {
+		return true, fmt.Errorf("timeline: %w", err)
+	}
+	return true, ckErr
 }
 
 // Checkpoint forces a checkpoint covering every sealed segment now,

@@ -389,7 +389,7 @@ func TestRestartRecovery(t *testing.T) {
 	defer st.Close()
 	eng = openEngine(t, fs, st, 1)
 	for i, cut := range cuts {
-		v := checkParity(t, study, eng, st.Snapshot().Events(), cut)
+		v := checkParity(t, study, eng, mustSnapshot(t, st).Events(), cut)
 		res := study.ResultsFromView(v)
 		b, err := json.Marshal(res.Table4())
 		if err != nil {
@@ -487,7 +487,7 @@ func TestStrandedTmpRecovery(t *testing.T) {
 		t.Fatalf("seal after recovery: sealed=%v err=%v", sealed, err)
 	}
 	cuts := cutPoints(events, 2)
-	checkParity(t, study, eng, st.Snapshot().Events(), cuts[len(cuts)-1])
+	checkParity(t, study, eng, mustSnapshot(t, st).Events(), cuts[len(cuts)-1])
 }
 
 // TestCheckpointENOSPC fails checkpoint writes with ENOSPC: the segment must
@@ -541,7 +541,7 @@ func TestCheckpointENOSPC(t *testing.T) {
 	st = openStore(t, fs)
 	t.Cleanup(func() { st.Close() })
 	eng = openEngine(t, fs, st, 1)
-	checkParity(t, study, eng, st.Snapshot().Events(), cuts[len(cuts)-1])
+	checkParity(t, study, eng, mustSnapshot(t, st).Events(), cuts[len(cuts)-1])
 
 	// The next seal retries and the checkpoint ladder catches up.
 	appendCommit(t, st, events[2*third:])
@@ -587,7 +587,7 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 		}
 	}
 	cuts := cutPoints(events, 3)
-	checkParity(t, study, eng, st.Snapshot().Events(), cuts[len(cuts)-1])
+	checkParity(t, study, eng, mustSnapshot(t, st).Events(), cuts[len(cuts)-1])
 }
 
 // TestCrashRestartSweep drives random crash points through the whole stack
@@ -666,7 +666,17 @@ func TestCrashRestartSweep(t *testing.T) {
 				if attempt > 500 {
 					t.Fatal("verification never completed without crashing")
 				}
-				recovered := st.Snapshot().Events()
+				sn, err := st.Snapshot()
+				if err != nil {
+					// Released history is read back from the store's log,
+					// where the crash point can fire too.
+					if !fs.Crashed() {
+						t.Fatalf("snapshot failed without a crash: %v", err)
+					}
+					reopen()
+					continue
+				}
+				recovered := sn.Events()
 				if len(recovered) == 0 {
 					t.Fatal("store recovered no events; the sweep exercised nothing")
 				}
@@ -782,4 +792,14 @@ func TestSkillSeries(t *testing.T) {
 	if _, err := eng.SkillSeries(first, last, 0); err == nil {
 		t.Fatal("zero step accepted")
 	}
+}
+
+// mustSnapshot returns st's snapshot, failing the test if it cannot be read.
+func mustSnapshot(t testing.TB, st *eventstore.Store) *eventstore.Snapshot {
+	t.Helper()
+	sn, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sn
 }

@@ -52,25 +52,30 @@ type snapshot struct {
 	amends []eventstore.Amendment
 }
 
-func (e *Engine) snapshot() *snapshot {
+func (e *Engine) snapshot() (*snapshot, error) {
+	// The store's parts are read under the lock Seal releases under, so no
+	// release can pass the sealed counts read with them: the tail past them
+	// is resident. Published slices are immutable prefixes, so the tail is
+	// safe to keep once the lock is dropped.
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	s := &snapshot{
 		segs:  e.segments[:len(e.segments):len(e.segments)],
 		ckpts: e.checkpoints[:len(e.checkpoints):len(e.checkpoints)],
 	}
-	sealed := e.sealed
-	e.mu.RUnlock()
-	// Published slices are immutable prefixes, so the tail is safe to keep
-	// without store locks.
 	for i, shard := range e.store.PublishedEvents() {
 		from := 0
-		if sealed != nil && i < len(sealed) {
-			from = min(int(sealed[i]), len(shard))
+		if e.sealed != nil && i < len(e.sealed) {
+			from = min(int(e.sealed[i]), shard.Len())
 		}
-		s.tail = append(s.tail, shard[from:])
+		tail, err := shard.Tail(from)
+		if err != nil {
+			return nil, fmt.Errorf("timeline: shard %d: %w", i, err)
+		}
+		s.tail = append(s.tail, tail)
 	}
 	s.amends = e.store.Amendments()
-	return s
+	return s, nil
 }
 
 // held is what an aggregate already holds, so a fold adds every other event
@@ -120,7 +125,11 @@ func (s *snapshot) fold(fs fault.FS, h held, hi time.Time, fn func(*ids.Event) e
 // events after the nearest checkpoint at or before t (plus the unsealed
 // tail), not the full log.
 func (e *Engine) AsOf(t time.Time) (*View, error) {
-	return e.viewAt(e.snapshot(), t)
+	s, err := e.snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return e.viewAt(s, t)
 }
 
 // viewAt builds the view at t over a snapshot: the newest checkpoint whose
@@ -388,7 +397,10 @@ func (e *Engine) SkillSeries(from, to time.Time, step time.Duration) ([]SkillPoi
 	if to.Before(from) {
 		return nil, fmt.Errorf("timeline: skill series range is inverted")
 	}
-	s := e.snapshot()
+	s, err := e.snapshot()
+	if err != nil {
+		return nil, err
+	}
 	perStep := len(amendmentsBy(s.amends, to)) > 0
 	baselines := core.PublishedBaselines()
 	var out []SkillPoint

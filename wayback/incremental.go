@@ -27,7 +27,10 @@ import (
 // Results handed out are byte-for-byte identical to a cold
 // Study.ResultsFromStore at the same generation (proven by parity tests):
 // the aggregates commute, and the lazy event set replays exactly Snapshot's
-// computation (eventstore.MergeEvents) over pinned immutable shard prefixes.
+// computation (Store.Merge) over pinned immutable shard parts. Events the
+// store released from memory since the last call (a timeline seal can
+// overtake a slow reader) are read back from the shard logs by range; only
+// a rebuild reads the whole released history.
 type Incremental struct {
 	study *Study
 	store *eventstore.Store
@@ -79,14 +82,15 @@ func (inc *Incremental) Metrics() IncrementalMetrics {
 // Results returns the Results for the store's current generation, folding
 // only the events appended since the previous call. Safe for concurrent use;
 // callers must treat the returned Results as shared and read-only, exactly
-// like Study.ResultsFromStore's output under the daemon's cache.
-func (inc *Incremental) Results() (*Results, uint64) {
+// like Study.ResultsFromStore's output under the daemon's cache. It fails
+// when released history it needs cannot be read back from the store.
+func (inc *Incremental) Results() (*Results, uint64, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	for {
 		gen := inc.store.Generation()
 		if inc.valid && gen == inc.gen {
-			return inc.res, inc.gen
+			return inc.res, inc.gen, nil
 		}
 		parts := inc.store.PublishedEvents()
 		amends := inc.store.Amendments()
@@ -94,11 +98,15 @@ func (inc *Incremental) Results() (*Results, uint64) {
 			continue // an append raced the reads; retry for a stable view
 		}
 		var merged []ids.Event // set when a rebuild already paid for the merge
-		if !inc.fold(parts, amends) {
-			merged = inc.rebuild(parts, amends, gen)
+		folded, err := inc.fold(parts, amends)
+		if err == nil && !folded {
+			merged, err = inc.rebuild(parts, amends, gen)
+		}
+		if err != nil {
+			return nil, 0, err
 		}
 		inc.res, inc.gen, inc.valid = inc.materialize(parts, amends, merged), gen, true
-		return inc.res, inc.gen
+		return inc.res, inc.gen, nil
 	}
 }
 
@@ -107,40 +115,67 @@ func (inc *Incremental) Results() (*Results, uint64) {
 // is correct: the first build, a changed amendment log, or a new raw event
 // whose session an existing amendment claims (the overlay would replace or
 // retract it, so counting its raw label would diverge from the cold path).
-func (inc *Incremental) fold(parts [][]ids.Event, amends []eventstore.Amendment) bool {
+func (inc *Incremental) fold(parts []eventstore.Part, amends []eventstore.Amendment) (bool, error) {
 	if !inc.valid || len(parts) != len(inc.positions) || len(amends) != inc.amendCount {
-		return false
+		return false, nil
+	}
+	suffixes := make([][]ids.Event, len(parts))
+	for i, p := range parts {
+		suffix, err := inc.suffix(i, p)
+		if err != nil {
+			return false, err
+		}
+		suffixes[i] = suffix
 	}
 	if len(inc.wins) > 0 {
-		for i, p := range parts {
-			for j := inc.positions[i]; j < len(p); j++ {
-				if _, hit := inc.wins[eventstore.SessionKeyOf(&p[j])]; hit {
-					return false
+		for _, suffix := range suffixes {
+			for j := range suffix {
+				if _, hit := inc.wins[eventstore.SessionKeyOf(&suffix[j])]; hit {
+					return false, nil
 				}
 			}
 		}
 	}
 	n := 0
-	for i, p := range parts {
-		suffix := p[inc.positions[i]:]
+	for i, suffix := range suffixes {
 		if len(suffix) == 0 {
 			continue
 		}
 		inc.stats.AddEvents(suffix)
 		inc.lc.AddEvents(suffix, inc.study.ruleset)
-		inc.positions[i] = len(p)
+		inc.positions[i] = parts[i].Len()
 		n += len(suffix)
 	}
 	inc.folds.Add(1)
 	inc.foldedEvents.Add(uint64(n))
-	return true
+	return true, nil
+}
+
+// suffix returns shard i's events past the fold position. They are the
+// part's resident events unless a release overtook the position; then the
+// released stretch is read back from the shard's log and the suffix is a
+// copy.
+func (inc *Incremental) suffix(i int, p eventstore.Part) ([]ids.Event, error) {
+	pos := inc.positions[i]
+	if pos >= p.Base {
+		return p.Tail(pos)
+	}
+	out := make([]ids.Event, 0, p.Len()-pos)
+	err := inc.store.ReadRange(i, pos, p.Base, func(ev *ids.Event) error {
+		out = append(out, *ev)
+		return nil
+	})
+	return append(out, p.Events...), err
 }
 
 // rebuild recomputes the aggregates from scratch over the pinned view —
 // exactly the cold path's merge, sort, and amendment overlay — and resets the
 // fold positions to the view's edge. It returns the merged events.
-func (inc *Incremental) rebuild(parts [][]ids.Event, amends []eventstore.Amendment, gen uint64) []ids.Event {
-	merged := eventstore.MergeEvents(parts, amends)
+func (inc *Incremental) rebuild(parts []eventstore.Part, amends []eventstore.Amendment, gen uint64) ([]ids.Event, error) {
+	merged, err := inc.store.Merge(parts, amends)
+	if err != nil {
+		return nil, err
+	}
 	inc.stats = ids.NewStatsBuilder()
 	inc.stats.AddEvents(merged)
 	inc.lc = lifecycle.NewBuilder()
@@ -149,7 +184,7 @@ func (inc *Incremental) rebuild(parts [][]ids.Event, amends []eventstore.Amendme
 		inc.positions = make([]int, len(parts))
 	}
 	for i, p := range parts {
-		inc.positions[i] = len(p)
+		inc.positions[i] = p.Len()
 	}
 	inc.amendCount = len(amends)
 	inc.wins = eventstore.ResolveAmendments(amends)
@@ -162,20 +197,22 @@ func (inc *Incremental) rebuild(parts [][]ids.Event, amends []eventstore.Amendme
 		log.Printf("wayback: incremental fallback: full rebuild at generation %d (%d events, %d amendment records)",
 			gen, len(merged), len(amends))
 	}
-	return merged
+	return merged, nil
 }
 
 // materialize builds the Results for the current aggregates through the same
 // finisher as the cold path. merged is the event set when the rebuild already
 // paid for it; otherwise the set is lazy (figures and Table 5 pay the merge
 // only if asked for), replaying Snapshot's exact computation over this view's
-// pinned shard and amendment prefixes — appends only ever extend past the
-// pinned lengths, so the closure's inputs never change under it.
-func (inc *Incremental) materialize(parts [][]ids.Event, amends []eventstore.Amendment, merged []ids.Event) *Results {
+// pinned shard parts and amendment prefix — appends only ever extend past
+// the pinned lengths and released events stay in the logs, so the closure's
+// inputs never change under it.
+func (inc *Incremental) materialize(parts []eventstore.Part, amends []eventstore.Amendment, merged []ids.Event) *Results {
 	res := &Results{Stats: inc.stats.Stats(), Events: merged}
 	if merged == nil {
+		store := inc.store
 		res.eventsFn = func() ([]ids.Event, error) {
-			return eventstore.MergeEvents(parts, amends), nil
+			return store.Merge(parts, amends)
 		}
 	}
 	return inc.study.finish(res, inc.lc.Timelines)

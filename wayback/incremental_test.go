@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/eventstore"
 	"repro/internal/ids"
+	"repro/internal/timeline"
 )
 
 // assertParity checks that an incremental Results is byte-for-byte
@@ -14,8 +15,15 @@ import (
 // exercise each of them.
 func assertParity(t *testing.T, step string, study *Study, inc *Incremental, store *eventstore.Store) {
 	t.Helper()
-	incRes, incGen := inc.Results()
-	coldRes, coldGen := study.ResultsFromStore(store)
+	incRes, incGen, err := inc.Results()
+	if err != nil {
+		t.Fatalf("%s: incremental results: %v", step, err)
+	}
+	coldGen := store.Generation()
+	coldRes, err := study.ResultsFromStore(store)
+	if err != nil {
+		t.Fatalf("%s: cold results: %v", step, err)
+	}
 	if incGen != coldGen {
 		t.Fatalf("%s: incremental generation %d, cold %d", step, incGen, coldGen)
 	}
@@ -101,7 +109,7 @@ func TestIncrementalParity(t *testing.T) {
 
 	// Amendment rescan: re-label one session, retract another. This must
 	// trigger the loud fallback rebuild and still match cold exactly.
-	sn := store.Snapshot()
+	sn := mustSnapshot(t, store)
 	orig := sn.Events()[0]
 	relabeled := orig
 	for i := range sn.Events() {
@@ -151,8 +159,11 @@ func TestIncrementalParity(t *testing.T) {
 	}
 
 	// Quiet store: repeated queries reuse the cached Results.
-	r1, g1 := inc.Results()
-	r2, g2 := inc.Results()
+	r1, g1, err1 := inc.Results()
+	r2, g2, err2 := inc.Results()
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
 	if r1 != r2 || g1 != g2 {
 		t.Fatal("quiet-store queries did not reuse the cached Results")
 	}
@@ -181,5 +192,102 @@ func TestIncrementalAppendixTimelines(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertParity(t, "appendix", study, inc, store)
+	}
+}
+
+// mustSnapshot returns st's snapshot, failing the test if it cannot be read.
+func mustSnapshot(t testing.TB, st *eventstore.Store) *eventstore.Snapshot {
+	t.Helper()
+	sn, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sn
+}
+
+// TestIncrementalReleaseLag: the timeline releases sealed history from the
+// store's memory, and a seal can overtake the incremental view — events the
+// view has not folded yet may already live only in the shard logs. The view
+// must read that stretch back and fold it, without a rebuild, and stay equal
+// to a cold recompute; a Results handed out before the release must still
+// materialize its events.
+func TestIncrementalReleaseLag(t *testing.T) {
+	study, err := NewStudy(Config{Seed: 1, PipelineTimelines: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := study.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := batch.Events
+	store, err := eventstore.Open(t.TempDir(), eventstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	eng, err := study.OpenTimeline(t.TempDir(), store, timeline.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc := study.NewIncremental(store)
+	appendCommit := func(evs []ids.Event) {
+		t.Helper()
+		if err := store.AppendBatch(evs); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Commit(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seal := func() {
+		t.Helper()
+		if sealed, err := eng.Seal(); err != nil || !sealed {
+			t.Fatalf("seal: sealed=%v err=%v", sealed, err)
+		}
+	}
+	third := len(events) / 3
+
+	appendCommit(events[:third])
+	assertParity(t, "first third", study, inc, store)
+	early, _, err := inc.Results() // its event set stays lazy until after the release
+	if err != nil {
+		t.Fatal(err)
+	}
+	earlyCold := mustSnapshot(t, store).Events()
+	seal()
+
+	// The second third is committed and sealed before the view looks: its
+	// fold position now lies below every shard's base.
+	appendCommit(events[third : 2*third])
+	seal()
+	released := 0
+	for i, p := range store.PublishedEvents() {
+		if len(p.Events) != 0 {
+			t.Fatalf("shard %d: %d events resident after sealing everything", i, len(p.Events))
+		}
+		released += p.Base
+	}
+	if released != 2*third {
+		t.Fatalf("released %d events, sealed %d", released, 2*third)
+	}
+	assertParity(t, "lagging behind a release", study, inc, store)
+
+	if err := early.MaterializeEvents(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(early.Events, earlyCold) {
+		t.Fatal("a Results from before the release materialized a different event set")
+	}
+
+	// The rest arrives partly uncommitted, on top of the released history.
+	appendCommit(events[2*third : len(events)-5])
+	if err := store.AppendBatch(events[len(events)-5:]); err != nil {
+		t.Fatal(err)
+	}
+	assertParity(t, "unsealed tail", study, inc, store)
+	// The initial build took the first third; everything after it folded.
+	if m := inc.Metrics(); m.Rebuilds != 1 || m.FoldedEvents != uint64(len(events)-third) {
+		t.Fatalf("rebuilds %d (want 1, the initial build), folded %d events (want %d)", m.Rebuilds, m.FoldedEvents, len(events)-third)
 	}
 }

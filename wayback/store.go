@@ -30,11 +30,15 @@ func (s *Study) ResultsFromEvents(events []ids.Event) *Results {
 	return s.finish(&Results{Events: events, Stats: b.Stats()}, nil)
 }
 
-// ResultsFromStore builds a Results from the store's current snapshot and
-// returns the snapshot generation alongside it. The generation changes
-// exactly when new events land, so callers (the daemon's query layer) can
-// cache the Results — and everything derived from it — keyed by generation.
-func (s *Study) ResultsFromStore(st *eventstore.Store) (*Results, uint64) {
-	sn := st.Snapshot()
-	return s.ResultsFromEvents(sn.Events()), sn.Generation()
+// ResultsFromStore builds a Results from the store's current snapshot — the
+// cold path the incremental view (Study.NewIncremental) must match. It fails
+// when the snapshot cannot read the store's released history back from its
+// logs. Callers that key caches by generation take Store.Snapshot's
+// Generation and call ResultsFromEvents.
+func (s *Study) ResultsFromStore(st *eventstore.Store) (*Results, error) {
+	sn, err := st.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return s.ResultsFromEvents(sn.Events()), nil
 }
