@@ -26,12 +26,14 @@
 // it. -rescan-backlog bounds how many pending digests healthz tolerates
 // before degrading to 503.
 //
-// With -timeline the daemon runs a time-travel engine over the store: a
-// background sealer cuts committed events into immutable time-partitioned
-// segments and snapshot checkpoints, and the HTTP API grows ?asof=DATE on the
-// table/figure/lifecycle endpoints plus /v1/diff and /v1/skill. On drain the
-// pending tail is sealed, so a restarted daemon answers as-of queries without
-// replaying the log.
+// The daemon always runs a time-travel engine over the store, in -timeline
+// (default <store>/timeline): a background sealer cuts committed events into
+// immutable time-partitioned segments and snapshot checkpoints, and the
+// store then keeps only the unsealed tail in memory. The HTTP API answers
+// /v1/events from the timeline, and takes ?asof=DATE on the
+// event/table/figure/lifecycle endpoints plus /v1/diff and /v1/skill. On
+// drain the pending tail is sealed, so a restarted daemon answers as-of
+// queries without replaying the log.
 //
 // With -fleet-listen the daemon is also (or, without -watch, purely) a fleet
 // coordinator: waybacksensor nodes connect over the fleet wire protocol and
@@ -75,6 +77,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"sync"
 	"syscall"
 	"time"
@@ -102,9 +105,9 @@ func main() {
 type daemon struct {
 	study    *wayback.Study
 	store    *eventstore.Store
-	pipeline *ingest.Pipeline   // nil in coordinator-only mode
-	fleet    *fleet.Listener    // nil without -fleet-listen
-	timeline *timeline.Engine   // nil without -timeline
+	pipeline *ingest.Pipeline // nil in coordinator-only mode
+	fleet    *fleet.Listener  // nil without -fleet-listen
+	timeline *timeline.Engine
 	registry *registry.Registry // nil without -rules-dir
 	replica  *replica.Replica   // nil without -replica-of
 	feed     *replica.Feed      // nil without -replica-listen
@@ -139,8 +142,8 @@ type daemonConfig struct {
 	// batches before one coalesced fsync; zero lets the fsync itself pace
 	// grouping (adaptive group commit).
 	commitInterval time.Duration
-	// timelineDir, when set, enables the time-travel engine: sealed segments
-	// and checkpoints live there, and the API grows as-of queries.
+	// timelineDir is where the time-travel engine keeps its sealed segments
+	// and checkpoints; empty means <storeDir>/timeline.
 	timelineDir  string
 	tlSegment    int           // events per sealed segment; 0 = engine default
 	tlCheckpoint int           // checkpoint every N segments; negative = never
@@ -298,16 +301,17 @@ func openDaemon(cfg daemonConfig) (*daemon, error) {
 		}
 		store.Close()
 	}
-	var tl *timeline.Engine
-	if cfg.timelineDir != "" {
-		tl, err = study.OpenTimeline(cfg.timelineDir, store, timeline.Config{
-			SegmentEvents:   cfg.tlSegment,
-			CheckpointEvery: cfg.tlCheckpoint,
-		})
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
+	tlDir := cfg.timelineDir
+	if tlDir == "" {
+		tlDir = filepath.Join(cfg.storeDir, "timeline")
+	}
+	tl, err := study.OpenTimeline(tlDir, store, timeline.Config{
+		SegmentEvents:   cfg.tlSegment,
+		CheckpointEvery: cfg.tlCheckpoint,
+	})
+	if err != nil {
+		cleanup()
+		return nil, err
 	}
 	srvCfg := serve.Config{
 		Study: study, Store: store, Ingest: pipeline,
@@ -331,29 +335,27 @@ func openDaemon(cfg daemonConfig) (*daemon, error) {
 		return nil, err
 	}
 	d := &daemon{study: study, store: store, pipeline: pipeline, fleet: fl, timeline: tl, registry: reg, replica: rep, feed: feed, server: server}
-	if tl != nil {
-		interval := cfg.tlSeal
-		if interval <= 0 {
-			interval = 5 * time.Second
-		}
-		d.sealStop = make(chan struct{})
-		d.sealDone = make(chan struct{})
-		go func() {
-			defer close(d.sealDone)
-			t := time.NewTicker(interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-d.sealStop:
-					return
-				case <-t.C:
-					if _, err := tl.Tick(); err != nil {
-						fmt.Fprintln(os.Stderr, "waybackd: timeline:", err)
-					}
+	interval := cfg.tlSeal
+	if interval <= 0 {
+		interval = 5 * time.Second
+	}
+	d.sealStop = make(chan struct{})
+	d.sealDone = make(chan struct{})
+	go func() {
+		defer close(d.sealDone)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-d.sealStop:
+				return
+			case <-t.C:
+				if _, err := tl.Tick(); err != nil {
+					fmt.Fprintln(os.Stderr, "waybackd: timeline:", err)
 				}
 			}
-		}()
-	}
+		}
+	}()
 	if reg != nil {
 		interval := cfg.rulesReload
 		if interval <= 0 {
@@ -410,13 +412,10 @@ func (d *daemon) stopRules() {
 
 // stopTimeline halts the background sealer and seals the committed tail into
 // a final segment, so a restart can answer as-of queries from segments alone.
-// Idempotent; a nil engine makes it a no-op.
+// Idempotent.
 func (d *daemon) stopTimeline() error {
 	var err error
 	d.sealOnce.Do(func() {
-		if d.timeline == nil {
-			return
-		}
 		close(d.sealStop)
 		<-d.sealDone
 		_, err = d.timeline.Seal()
@@ -481,7 +480,7 @@ func run(args []string) error {
 	staleAfter := fs.Duration("stale-after", 0, "healthz answers 503 after this long without new events; 0 = never")
 	commitInterval := fs.Duration("commit-interval", 0, "fleet group-commit gather window; 0 = adaptive (fsync-paced)")
 	pprofListen := fs.String("pprof-listen", "", "serve net/http/pprof on this address (\"localhost:6060\"); empty = off")
-	timelineDir := fs.String("timeline", "", "time-travel engine directory (segments + checkpoints); empty = off")
+	timelineDir := fs.String("timeline", "", "time-travel engine directory (segments + checkpoints); default STORE/timeline")
 	tlSegment := fs.Int("timeline-segment", 0, "events per sealed segment (0 = engine default)")
 	tlCheckpoint := fs.Int("timeline-checkpoint", 1, "checkpoint every N sealed segments (negative = never)")
 	tlSeal := fs.Duration("timeline-seal", 5*time.Second, "background sealer poll interval")

@@ -21,6 +21,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/tcpasm"
 	"repro/internal/telescope"
+	"repro/internal/timeline"
 	"repro/wayback"
 )
 
@@ -129,7 +130,7 @@ func openCoordinator(t *testing.T, study *wayback.Study, storeDir string, ln net
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(serve.Config{Study: study, Store: store, Fleet: fl})
+	srv, err := serve.New(withTimeline(t, study, serve.Config{Study: study, Store: store, Fleet: fl}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,4 +401,16 @@ func TestRunFlagValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("out-of-range shard accepted")
 	}
+}
+
+// withTimeline gives cfg a timeline engine over its store, in a fresh
+// directory: serve.New requires one.
+func withTimeline(t *testing.T, study *wayback.Study, cfg serve.Config) serve.Config {
+	t.Helper()
+	eng, err := study.OpenTimeline(t.TempDir(), cfg.Store, timeline.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Timeline = eng
+	return cfg
 }

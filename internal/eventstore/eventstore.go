@@ -6,8 +6,7 @@
 // Design:
 //
 //   - Events are routed to a shard by their CVE (falling back to SID), so
-//     one CVE's history lives in one shard file and per-CVE queries touch a
-//     single log.
+//     one CVE's history lives in one shard file.
 //   - Each shard file is a wal.Log: length-prefixed, CRC-checked records
 //     behind a magic header. Opening a store replays every shard and
 //     truncates a torn tail — a torn append costs the torn record, nothing
@@ -23,10 +22,12 @@
 //     Snapshot) decodes them back from the shard's own log, CRC-checked, so
 //     memory follows the work in flight rather than the length of the
 //     study. A store no timeline releases keeps everything, with base 0.
-//   - Every append bumps a store-wide generation. Snapshot() materializes
-//     (and caches, keyed by generation) a merged, time-ordered view —
-//     downstream analyses and the HTTP layer key their own caches off the
-//     same generation, so nothing is recomputed until new data lands.
+//   - Every append bumps a store-wide generation. Downstream analyses and
+//     the HTTP layer key their caches off it, so nothing is recomputed until
+//     new data lands. Snapshot() merges the whole store into one
+//     time-ordered slice at one generation, uncached: it is the reference
+//     computation tests and the batch bridge (wayback.ResultsFromStore)
+//     read, while the daemon reads events through the timeline.
 //   - Durability is group-committed: appends land in shard files (and in
 //     readers' views) immediately, but only Commit/Sync makes them crash
 //     durable — it fsyncs just the shards dirtied since the last commit,
@@ -44,7 +45,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -101,9 +101,6 @@ type Store struct {
 	commitMu sync.Mutex
 	cj       *commitJournal
 	meta     []byte // opaque payload of the newest commit record
-
-	snapMu sync.Mutex
-	snap   atomic.Pointer[Snapshot]
 
 	// Amendment log state (see amend.go). amendMu serializes appends; the
 	// published slice is lock-free for readers like the shard event slices.
@@ -689,22 +686,16 @@ func (s *Store) PublishedEvents() []Part {
 	return out
 }
 
-// Snapshot returns a consistent point-in-time view of the store. Snapshots
-// are cheap when nothing changed (the previous one is reused) and immutable
-// forever; appends after the call are invisible to it. Building one reads
+// Snapshot returns a consistent point-in-time view of the store: every
+// event at one generation, merged into canonical order with amendments
+// applied (Merge over the published parts). It is immutable; appends after
+// the call are invisible to it. Each call merges anew and the store keeps
+// nothing of it, so a dropped snapshot costs no memory. Building one reads
 // every released event back from the shard logs, so it fails, loudly, when
 // a log read does.
 func (s *Store) Snapshot() (*Snapshot, error) {
-	if sn := s.snap.Load(); sn != nil && sn.gen == s.gen.Load() {
-		return sn, nil
-	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
 	for {
 		gen := s.gen.Load()
-		if sn := s.snap.Load(); sn != nil && sn.gen == gen {
-			return sn, nil
-		}
 		parts := s.PublishedEvents()
 		amends := s.Amendments()
 		if s.gen.Load() != gen {
@@ -714,9 +705,7 @@ func (s *Store) Snapshot() (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		sn := &Snapshot{gen: gen, events: events}
-		s.snap.Store(sn)
-		return sn, nil
+		return &Snapshot{gen: gen, events: events}, nil
 	}
 }
 
@@ -725,9 +714,6 @@ func (s *Store) Snapshot() (*Snapshot, error) {
 type Snapshot struct {
 	gen    uint64
 	events []ids.Event
-
-	once  sync.Once
-	byCVE map[string][]ids.Event
 }
 
 // Generation identifies the store state this snapshot reflects.
@@ -737,34 +723,5 @@ func (sn *Snapshot) Generation() uint64 { return sn.gen }
 func (sn *Snapshot) Len() int { return len(sn.events) }
 
 // Events returns the full time-ordered event slice. Callers must treat it
-// as read-only; it is shared by every user of the snapshot.
+// as read-only.
 func (sn *Snapshot) Events() []ids.Event { return sn.events }
-
-// CVE returns the events attributed to one CVE (in "YYYY-NNNN" form), in
-// time order. The per-CVE index is built lazily on first use.
-func (sn *Snapshot) CVE(cve string) []ids.Event {
-	sn.index()
-	return sn.byCVE[cve]
-}
-
-// CVEs returns the attributed CVE identifiers present, sorted.
-func (sn *Snapshot) CVEs() []string {
-	sn.index()
-	out := make([]string, 0, len(sn.byCVE))
-	for cve := range sn.byCVE {
-		out = append(out, cve)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (sn *Snapshot) index() {
-	sn.once.Do(func() {
-		sn.byCVE = make(map[string][]ids.Event)
-		for i := range sn.events {
-			if cve := sn.events[i].CVE; cve != "" {
-				sn.byCVE[cve] = append(sn.byCVE[cve], sn.events[i])
-			}
-		}
-	})
-}

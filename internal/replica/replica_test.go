@@ -11,6 +11,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/replica"
 	"repro/internal/serve"
+	"repro/internal/timeline"
 	"repro/wayback"
 )
 
@@ -97,11 +98,11 @@ func TestReplicaEndToEnd(t *testing.T) {
 	}
 	waitFor(t, "initial catch-up", caughtUp(uint64(half), 0))
 
-	coordSrv, err := serve.New(serve.Config{Study: study, Store: coord, ReplicaFeed: feed})
+	coordSrv, err := serve.New(withTimeline(t, study, serve.Config{Study: study, Store: coord, ReplicaFeed: feed}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	repSrv, err := serve.New(serve.Config{Study: study, Store: repStore, Replica: rep})
+	repSrv, err := serve.New(withTimeline(t, study, serve.Config{Study: study, Store: repStore, Replica: rep}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestReplicaEndToEnd(t *testing.T) {
 		t.Fatalf("feed shipped %d events in total after restart, want %d (delta-only resume)", got, total)
 	}
 
-	repSrv2, err := serve.New(serve.Config{Study: study, Store: repStore2, Replica: rep2})
+	repSrv2, err := serve.New(withTimeline(t, study, serve.Config{Study: study, Store: repStore2, Replica: rep2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestReplicaDivergence(t *testing.T) {
 		t.Fatalf("divergence error %q does not name the cause", got)
 	}
 
-	srv, err := serve.New(serve.Config{Study: study, Store: repStore, Replica: rep})
+	srv, err := serve.New(withTimeline(t, study, serve.Config{Study: study, Store: repStore, Replica: rep}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,4 +293,16 @@ func mustSnapshot(t testing.TB, st *eventstore.Store) *eventstore.Snapshot {
 		t.Fatal(err)
 	}
 	return sn
+}
+
+// withTimeline gives cfg a timeline engine over its store, in a fresh
+// directory: serve.New requires one.
+func withTimeline(t *testing.T, study *wayback.Study, cfg serve.Config) serve.Config {
+	t.Helper()
+	eng, err := study.OpenTimeline(t.TempDir(), cfg.Store, timeline.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Timeline = eng
+	return cfg
 }

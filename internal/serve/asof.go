@@ -71,20 +71,13 @@ func (s *Server) asofResults(t time.Time) (*wayback.Results, uint64, error) {
 
 // serveTimeline is serveCached's sibling for the endpoints that query the
 // timeline engine directly (diff, skill) rather than through a Results: same
-// generation-keyed response cache, same ETag/304 contract, 404 when time
-// travel is not enabled.
+// generation-keyed response cache, same ETag/304 contract.
 func (s *Server) serveTimeline(w http.ResponseWriter, r *http.Request, key string, build func() ([]byte, string, error)) {
-	if s.cfg.Timeline == nil {
-		http.Error(w, "time travel not enabled (no timeline engine)", http.StatusNotFound)
-		return
-	}
 	gen := s.cfg.Store.Generation()
 	etag := responseETag(gen, key)
 	if notModified(r, etag) {
 		s.hits.Add(1)
-		w.Header().Set("ETag", etag)
-		w.Header().Set("X-Store-Generation", strconv.FormatUint(gen, 10))
-		w.WriteHeader(http.StatusNotModified)
+		writeNotModified(w, gen, etag)
 		return
 	}
 	body, ctype, hit, err := s.cachedBody(gen, key, build)

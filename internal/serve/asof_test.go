@@ -134,22 +134,6 @@ func TestAsOfEndpoints(t *testing.T) {
 	}
 }
 
-// TestAsOfDisabled: without a timeline engine, ?asof= and the diff/skill
-// endpoints answer 404, and plain queries still work.
-func TestAsOfDisabled(t *testing.T) {
-	f := newFixture(t)
-	f.getOK(t, "/v1/tables/4")
-	for _, path := range []string{
-		"/v1/tables/4?asof=2022-01-01",
-		"/v1/diff?from=2022-01-01&to=2022-06-01",
-		"/v1/skill?from=2022-01-01&to=2022-06-01",
-	} {
-		if rec := f.get(t, path); rec.Code != http.StatusNotFound {
-			t.Errorf("GET %s without a timeline gave %d, want 404", path, rec.Code)
-		}
-	}
-}
-
 // TestETag: responses carry a strong ETag; If-None-Match answers 304 with no
 // body; the tag moves with the generation and with the as-of date.
 func TestETag(t *testing.T) {
@@ -275,8 +259,8 @@ func TestSkillEndpoint(t *testing.T) {
 	}
 }
 
-// TestTimelineMetrics: the timeline gauges appear exactly when an engine is
-// configured.
+// TestTimelineMetrics: /metrics reports the timeline engine's segments and
+// checkpoints.
 func TestTimelineMetrics(t *testing.T) {
 	f := newAsofFixture(t)
 	body := f.getOK(t, "/metrics").Body.String()
@@ -293,11 +277,6 @@ func TestTimelineMetrics(t *testing.T) {
 	}
 	if strings.Contains(body, "timeline_checkpoint_age_seconds -1") {
 		t.Error("checkpoint age reported as none despite a checkpoint")
-	}
-
-	plain := newFixture(t)
-	if body := plain.getOK(t, "/metrics").Body.String(); strings.Contains(body, "waybackd_timeline_") {
-		t.Error("timeline gauges present without an engine")
 	}
 }
 
@@ -355,7 +334,7 @@ func (g *gatedFS) awaitOpen() bool {
 func TestAsOfMissesReplayConcurrently(t *testing.T) {
 	fs := newGatedFS()
 	f := newAsofFixtureWith(t, timeline.Config{FS: fs, CheckpointEvery: -1})
-	if n := f.eng.SegmentCount(); n != 1 {
+	if n := f.eng.Metrics().Segments; n != 1 {
 		t.Fatalf("fixture sealed %d segments, want 1 (one replay = one segment open)", n)
 	}
 	get := func(wg *sync.WaitGroup, at time.Time, codes chan<- int) {
@@ -461,6 +440,8 @@ func TestFigure2Body(t *testing.T) {
 // TestReleasedStoreMetricsAndReadErrors: with every event sealed, the store
 // holds none of them in memory, which /metrics reports beside the total; a
 // read of the released history that fails answers 500, never a short body.
+// (/v1/events reads the sealed segments instead; timeline's
+// TestCorruptSegmentFailsLoud covers its read errors.)
 func TestReleasedStoreMetricsAndReadErrors(t *testing.T) {
 	f := newAsofFixture(t)
 	body := f.getOK(t, "/metrics").Body.String()
@@ -476,9 +457,7 @@ func TestReleasedStoreMetricsAndReadErrors(t *testing.T) {
 	if err := f.est.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{"/v1/events?limit=1", "/v1/tables/4"} {
-		if rec := f.get(t, path); rec.Code != http.StatusInternalServerError {
-			t.Errorf("%s over an unreadable log: %d %q, want 500", path, rec.Code, rec.Body.String())
-		}
+	if rec := f.get(t, "/v1/tables/4"); rec.Code != http.StatusInternalServerError {
+		t.Errorf("/v1/tables/4 over an unreadable log: %d %q, want 500", rec.Code, rec.Body.String())
 	}
 }

@@ -33,7 +33,7 @@ func newBenchFixture(b *testing.B, scale int) (*wayback.Study, *eventstore.Store
 	if err := store.AppendBatch(batch.Events); err != nil {
 		b.Fatal(err)
 	}
-	srv, err := New(Config{Study: study, Store: store})
+	srv, err := New(withTimeline(b, Config{Study: study, Store: store}))
 	if err != nil {
 		b.Fatal(err)
 	}

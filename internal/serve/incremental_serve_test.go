@@ -39,7 +39,7 @@ func newIncFixture(t *testing.T) *incFixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	srv, err := New(Config{Study: study, Store: store})
+	srv, err := New(withTimeline(t, Config{Study: study, Store: store}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestServeParityAcrossGenerations(t *testing.T) {
 	paths := []string{"/v1/tables/4", "/v1/tables/5", "/v1/figures/3", "/v1/figures/7"}
 	check := func(step string) {
 		t.Helper()
-		fresh, err := New(Config{Study: f.study, Store: f.est})
+		fresh, err := New(withTimeline(t, Config{Study: f.study, Store: f.est}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func TestCacheEvictionKeepsCurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	srv, err := New(Config{Study: study, Store: store})
+	srv, err := New(withTimeline(t, Config{Study: study, Store: store}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,10 +20,10 @@ func TestRulesetEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { reg.Close() })
-	srv, err := New(Config{
+	srv, err := New(withTimeline(t, Config{
 		Study: f.study, Store: f.srv.cfg.Store,
 		Registry: reg, RescanBacklogMax: 1,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

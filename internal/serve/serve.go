@@ -1,6 +1,6 @@
 // Package serve is waybackd's query layer: an HTTP API that computes the
-// paper's tables and figures from live event-store snapshots instead of a
-// one-shot batch run.
+// paper's tables and figures from the live event store and its timeline
+// instead of a one-shot batch run.
 //
 // Every analysis endpoint is generation-cached: the event store bumps a
 // generation exactly when new events land, so a response body computed at
@@ -14,7 +14,8 @@
 //	GET /healthz                 liveness + staleness (503 once the store has
 //	                             received nothing past Config.StaleAfter)
 //	GET /metrics                 ingest + store + fleet + cache metrics (Prometheus text)
-//	GET /v1/events               attributed events (filters: cve, since, until, limit)
+//	GET /v1/events               attributed events, read from the timeline
+//	                             (filters: cve, since, until, limit)
 //	GET /v1/fleet                per-sensor liveness, watermarks, and lag
 //	GET /v1/lifecycles/{cve}     one CVE's lifecycle events
 //	GET /v1/tables/{n}           paper table n (1-6, E) as rendered text
@@ -27,14 +28,17 @@
 //	                             swaps the live engine and queues re-attribution
 //	POST /v1/ruleset/rescan      run the queued rescan now; responds with its stats
 //
-// With a timeline engine configured (Config.Timeline), the lifecycle, table,
-// and figure endpoints accept ?asof=DATE (RFC 3339 or 2006-01-02) and answer
-// from the event log as it stood at that instant — a time-travel query whose
-// cost is the events since the nearest checkpoint, not a full replay.
+// The event, lifecycle, table, and figure endpoints accept ?asof=DATE
+// (RFC 3339 or 2006-01-02) and answer from the event log as it stood at that
+// instant — a time-travel query on the timeline engine (Config.Timeline)
+// whose cost is the events since the nearest checkpoint, not a full replay.
+// /v1/events reads a timeline view with or without ?asof=: sealed segments
+// plus the store's unsealed tail, under the amendments that apply.
 //
-// Analysis responses carry a strong ETag keyed on (store generation, as-of
-// date, endpoint); If-None-Match answers 304 with an empty body, so pollers
-// pay nothing while the store is quiet.
+// Responses other than /healthz, /metrics and the fleet and ruleset
+// endpoints carry a strong ETag keyed on (store generation, as-of date,
+// endpoint and query); If-None-Match answers 304 with an empty body, so
+// pollers pay nothing while the store is quiet.
 //
 // When the store does move, the first read of each body is served by
 // wayback.Incremental, which folds only the newly appended events into the
@@ -86,14 +90,15 @@ type Config struct {
 	// Study supplies the analysis configuration (timeline mode, seed for the
 	// KEV catalog). Required.
 	Study *wayback.Study
-	// Store is the event store snapshots come from. Required.
+	// Store is the event store the analyses read. Required.
 	Store *eventstore.Store
 	// Ingest, when set, contributes pipeline metrics to /metrics.
 	Ingest *ingest.Pipeline
 	// Fleet, when set, backs GET /v1/fleet and per-sensor /metrics gauges.
 	Fleet FleetSource
-	// Timeline, when set, enables time travel: ?asof= on the analysis
-	// endpoints, /v1/diff, /v1/skill, and the timeline /metrics gauges.
+	// Timeline is the time-travel engine over Store. Required: /v1/events
+	// reads it, and so do ?asof= on the analysis endpoints, /v1/diff,
+	// /v1/skill, and the timeline /metrics gauges.
 	Timeline *timeline.Engine
 	// StaleAfter, when positive, makes /healthz answer 503 once the store
 	// has received nothing for this long (measured from the later of server
@@ -203,8 +208,8 @@ const maxCacheEntries = 1024
 
 // New builds a Server.
 func New(cfg Config) (*Server, error) {
-	if cfg.Study == nil || cfg.Store == nil {
-		return nil, fmt.Errorf("serve: Config needs Study and Store")
+	if cfg.Study == nil || cfg.Store == nil || cfg.Timeline == nil {
+		return nil, fmt.Errorf("serve: Config needs Study, Store and Timeline")
 	}
 	s := &Server{
 		cfg: cfg, mux: http.NewServeMux(), start: time.Now(),
@@ -368,10 +373,6 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 			return
 		}
 	} else {
-		if s.cfg.Timeline == nil {
-			http.Error(w, "time travel not enabled (no timeline engine)", http.StatusNotFound)
-			return
-		}
 		key += "?asof=" + asof.UTC().Format(time.RFC3339Nano)
 		res, gen, err = s.asofResults(asof)
 		if err != nil {
@@ -382,9 +383,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 	etag := responseETag(gen, key)
 	if notModified(r, etag) {
 		s.hits.Add(1)
-		w.Header().Set("ETag", etag)
-		w.Header().Set("X-Store-Generation", strconv.FormatUint(gen, 10))
-		w.WriteHeader(http.StatusNotModified)
+		writeNotModified(w, gen, etag)
 		return
 	}
 	body, ctype, hit, err := s.cachedBody(gen, key, func() ([]byte, string, error) {
@@ -429,6 +428,13 @@ func notModified(r *http.Request, etag string) bool {
 		}
 	}
 	return false
+}
+
+// writeNotModified answers a request whose If-None-Match named etag.
+func writeNotModified(w http.ResponseWriter, gen uint64, etag string) {
+	w.Header().Set("ETag", etag)
+	w.Header().Set("X-Store-Generation", strconv.FormatUint(gen, 10))
+	w.WriteHeader(http.StatusNotModified)
 }
 
 func (s *Server) write(w http.ResponseWriter, gen uint64, etag string, body []byte, ctype string) {
@@ -589,20 +595,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		g("store_amendment_records", as.Records)
 		g("store_amended_sessions", as.Sessions)
 	}
-	if eng := s.cfg.Timeline; eng != nil {
-		m := eng.Metrics()
-		g("timeline_segments", m.Segments)
-		g("timeline_sealed_events", m.SealedEvents)
-		g("timeline_sealed_bytes", m.SealedBytes)
-		g("timeline_checkpoints", m.Checkpoints)
-		g("timeline_checkpoint_events", m.CheckpointEvents)
-		// -1 means "no checkpoint yet" — distinguishable from a fresh one.
-		age := -1.0
-		if !m.CheckpointAt.IsZero() {
-			age = time.Since(m.CheckpointAt).Seconds()
-		}
-		g("timeline_checkpoint_age_seconds", age)
+	tm := s.cfg.Timeline.Metrics()
+	g("timeline_segments", tm.Segments)
+	g("timeline_sealed_events", tm.SealedEvents)
+	g("timeline_sealed_bytes", tm.SealedBytes)
+	g("timeline_checkpoints", tm.Checkpoints)
+	g("timeline_checkpoint_events", tm.CheckpointEvents)
+	// -1 means "no checkpoint yet" — distinguishable from a fresh one.
+	age := -1.0
+	if !tm.CheckpointAt.IsZero() {
+		age = time.Since(tm.CheckpointAt).Seconds()
 	}
+	g("timeline_checkpoint_age_seconds", age)
 	if f := s.cfg.Fleet; f != nil {
 		sensors := f.Sensors()
 		batches, events, dups := f.Totals()
@@ -858,27 +862,24 @@ func toEventJSON(ev ids.Event) eventJSON {
 	}
 }
 
-// handleEvents serves the raw attributed events off the current snapshot.
-// Filtered views are cheap slices of the snapshot, so they are built per
-// request rather than cached.
+// handleEvents serves raw attributed events from a timeline view: the whole
+// log, or the log as it stood at ?asof=. The cve, since and until filters
+// narrow the read itself; limit caps the events listed, not the total. The
+// body's generation and ETag are the ones the view read at; bodies are built
+// per request rather than cached.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	sn, err := s.cfg.Store.Snapshot()
+	q := r.URL.Query()
+	asof, err := parseDateParam(q.Get("asof"))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		http.Error(w, "bad asof: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	events := sn.Events()
-	q := r.URL.Query()
-	if cve := trimCVE(q.Get("cve")); cve != "" {
-		events = sn.CVE(cve)
-	}
-	since, err := parseTimeParam(q.Get("since"))
-	if err != nil {
+	f := timeline.Filter{CVE: trimCVE(q.Get("cve"))}
+	if f.Since, err = parseTimeParam(q.Get("since")); err != nil {
 		http.Error(w, "bad since: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	until, err := parseTimeParam(q.Get("until"))
-	if err != nil {
+	if f.Until, err = parseTimeParam(q.Get("until")); err != nil {
 		http.Error(w, "bad until: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -890,29 +891,45 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	at := timeline.Forever
+	if !asof.IsZero() {
+		at = asof
+	}
+	v, err := s.cfg.Timeline.AsOf(at)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	key := fmt.Sprintf("events?cve=%s&since=%s&until=%s&limit=%d&asof=%s", f.CVE,
+		f.Since.UTC().Format(time.RFC3339Nano), f.Until.UTC().Format(time.RFC3339Nano),
+		limit, asof.UTC().Format(time.RFC3339Nano))
+	etag := responseETag(v.Generation(), key)
+	if notModified(r, etag) {
+		writeNotModified(w, v.Generation(), etag)
+		return
+	}
+	events, err := v.Read(f)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	out := struct {
 		Generation uint64      `json:"generation"`
 		Total      int         `json:"total"`
 		Events     []eventJSON `json:"events"`
-	}{Generation: sn.Generation(), Events: []eventJSON{}}
+	}{Generation: v.Generation(), Total: len(events), Events: []eventJSON{}}
+	if limit > 0 && limit < len(events) {
+		events = events[:limit]
+	}
 	for _, ev := range events {
-		if !since.IsZero() && ev.Time.Before(since) {
-			continue
-		}
-		if !until.IsZero() && !ev.Time.Before(until) {
-			continue
-		}
-		out.Total++
-		if limit == 0 || len(out.Events) < limit {
-			out.Events = append(out.Events, toEventJSON(ev))
-		}
+		out.Events = append(out.Events, toEventJSON(ev))
 	}
 	body, err := json.Marshal(out)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.write(w, sn.Generation(), "", body, "application/json")
+	s.write(w, v.Generation(), etag, body, "application/json")
 }
 
 func parseTimeParam(v string) (time.Time, error) {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/eventstore"
 	"repro/internal/fleet"
 	"repro/internal/ids"
+	"repro/internal/timeline"
 	"repro/wayback"
 )
 
@@ -43,11 +44,23 @@ func newFixture(t *testing.T) *fixture {
 	if err := store.AppendBatch(batch.Events); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Study: study, Store: store})
+	srv, err := New(withTimeline(t, Config{Study: study, Store: store}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &fixture{study: study, batch: batch, srv: srv, store: store}
+}
+
+// withTimeline gives cfg a timeline engine over its store, in a fresh
+// directory: New requires one.
+func withTimeline(tb testing.TB, cfg Config) Config {
+	tb.Helper()
+	eng, err := cfg.Study.OpenTimeline(tb.TempDir(), cfg.Store, timeline.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg.Timeline = eng
+	return cfg
 }
 
 func (f *fixture) get(t *testing.T, path string) *httptest.ResponseRecorder {
@@ -245,7 +258,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
 	}
-	// Without a timeline nothing is released: every event is resident.
+	// Nothing is sealed yet, so nothing is released: every event is resident.
 	n := len(f.batch.Events)
 	for _, want := range []string{fmt.Sprintf("waybackd_store_events %d\n", n), fmt.Sprintf("waybackd_store_resident_events %d\n", n)} {
 		if !strings.Contains(body, want) {
@@ -276,7 +289,7 @@ func TestFleetEndpoint(t *testing.T) {
 		{ID: "s0", Shard: 0, Shards: 3, Codec: "snappy", Connected: true, Watermark: 40, Events: 1000},
 		{ID: "s1", Shard: 1, Shards: 3, Codec: "snappy", Connected: false, Watermark: 38, Events: 900, SpooledBatches: 4, IngestLag: 2},
 	}}
-	srv, err := New(Config{Study: f.study, Store: f.store.(*eventstore.Store), Fleet: ff})
+	srv, err := New(withTimeline(t, Config{Study: f.study, Store: f.store.(*eventstore.Store), Fleet: ff}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +356,7 @@ func TestMetricsCommitGauges(t *testing.T) {
 
 	// A source without CommitStats (the minimal interface) emits no commit
 	// gauges rather than zeros that would look like a stalled committer.
-	srv, err := New(Config{Study: f.study, Store: f.store.(*eventstore.Store), Fleet: &fakeFleet{}})
+	srv, err := New(withTimeline(t, Config{Study: f.study, Store: f.store.(*eventstore.Store), Fleet: &fakeFleet{}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +367,7 @@ func TestMetricsCommitGauges(t *testing.T) {
 		t.Fatalf("commit gauges emitted without a CommitStats source:\n%s", rec.Body.String())
 	}
 
-	srv, err = New(Config{Study: f.study, Store: f.store.(*eventstore.Store), Fleet: &commitFleet{}})
+	srv, err = New(withTimeline(t, Config{Study: f.study, Store: f.store.(*eventstore.Store), Fleet: &commitFleet{}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +389,7 @@ func TestMetricsCommitGauges(t *testing.T) {
 
 func TestHealthzStaleness(t *testing.T) {
 	f := newFixture(t)
-	srv, err := New(Config{Study: f.study, Store: f.store.(*eventstore.Store), StaleAfter: 50 * time.Millisecond})
+	srv, err := New(withTimeline(t, Config{Study: f.study, Store: f.store.(*eventstore.Store), StaleAfter: 50 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,14 +103,14 @@ func TestViewOverlaysAmendments(t *testing.T) {
 	if len(events) != 2 || events[0].SID != 200 || events[1].SID != 201 {
 		t.Fatalf("amended events: %+v", events)
 	}
-	got, err := after.CVEEvents("2022-1000")
+	got, err := after.Read(timeline.Filter{CVE: "2022-1000"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 0 {
 		t.Fatalf("raw CVE still visible after re-label: %+v", got)
 	}
-	got, err = after.CVEEvents("2021-2000")
+	got, err = after.Read(timeline.Filter{CVE: "2021-2000"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,9 +185,9 @@ func TestSkillSeriesMatchesAsOfAmended(t *testing.T) {
 }
 
 // TestCorruptSegmentFailsLoud flips one byte inside a sealed segment's event
-// frame. Every read that covers the frame must fail — AsOf, CVEEvents,
-// Events, a checkpoint build, and the serve endpoints over them — instead of
-// answering from the events before the damage.
+// frame. Every read that covers the frame must fail — AsOf, Read, Events, a
+// checkpoint build, and the serve endpoints over them — instead of answering
+// from the events before the damage.
 func TestCorruptSegmentFailsLoud(t *testing.T) {
 	study, batch := studyFixture(t)
 	events := batch.Events
@@ -246,8 +246,8 @@ func TestCorruptSegmentFailsLoud(t *testing.T) {
 			t.Fatalf("AsOf(%s) over a corrupt segment answered %d events, no error", at, v.EventCount())
 		}
 	}
-	if got, err := before.CVEEvents(ev.CVE); err == nil {
-		t.Fatalf("CVEEvents(%s) over a corrupt segment answered %d events, no error", ev.CVE, len(got))
+	if got, err := before.Read(timeline.Filter{CVE: ev.CVE}); err == nil {
+		t.Fatalf("Read(CVE %s) over a corrupt segment answered %d events, no error", ev.CVE, len(got))
 	}
 	if got, err := before.Events(); err == nil {
 		t.Fatalf("Events over a corrupt segment answered %d events, no error", len(got))
@@ -271,6 +271,8 @@ func TestCorruptSegmentFailsLoud(t *testing.T) {
 		"/v1/tables/4?asof=" + stamp,
 		"/v1/lifecycles/CVE-" + ev.CVE + "?asof=" + stamp,
 		"/v1/skill?from=" + url.QueryEscape(ev.Time.Format(time.RFC3339)) + "&to=" + stamp + "&step_days=30",
+		"/v1/events",
+		"/v1/events?cve=CVE-" + ev.CVE + "&asof=" + stamp,
 	} {
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))

@@ -30,8 +30,7 @@ func TestLyingCountsRejected(t *testing.T) {
 	}{
 		{"time index 2^28 entries", u32([]byte{tagTime}, timeIndexEvery, 1<<28)},
 		{"time index 2^32-1 entries", u32([]byte{tagTime}, timeIndexEvery, 0xFFFFFFFF)},
-		{"CVE index 2^24 entries", u32([]byte{tagCVE}, 1<<24)},
-		{"CVE ordinals 2^32-1", u32(wal.AppendString16(u32([]byte{tagCVE}, 1), "2021-44228"), 0xFFFFFFFF)},
+		{"version 1 CVE index in a version 2 segment", u32([]byte{tagCVEv1}, 1<<24)},
 		{"header 4096 shards in 4 bytes", lyingHeader},
 	}
 	for _, c := range cases {

@@ -227,3 +227,55 @@ func (g *eventGen) batch(n int) []ids.Event {
 	}
 	return out
 }
+
+// TestSnapshotKeepsNoHistory: Store.Snapshot reads the released history back
+// from the logs for its caller alone. Once the caller drops the snapshot,
+// the live heap of a fully sealed store is back to its resident tail, where
+// a store that kept the merged history would hold every event again.
+func TestSnapshotKeepsNoHistory(t *testing.T) {
+	const segment, n = 4096, 80000
+	dir := t.TempDir()
+	st, err := eventstore.Open(filepath.Join(dir, "store"), eventstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	eng, err := timeline.Open(timeline.Config{Dir: filepath.Join(dir, "tl"), Store: st, SegmentEvents: segment})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := newEventGen(2)
+	for i := 0; i < n; i += 500 {
+		appendCommit(t, st, gen.batch(500))
+		if _, err := eng.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := liveHeapBytes()
+	sn, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sn.Len() != n {
+		t.Fatalf("snapshot of %d events, want %d", sn.Len(), n)
+	}
+	sn = nil
+	after := liveHeapBytes()
+	bound := uint64(segment * unsafe.Sizeof(ids.Event{}))
+	t.Logf("live heap %d -> %d bytes after a dropped snapshot of %d events, %d resident (bound +%d)",
+		before, after, n, st.Resident(), bound)
+	if after > before+bound {
+		t.Fatalf("a dropped snapshot left the live heap %d bytes larger; one segment's events are %d bytes",
+			after-before, bound)
+	}
+	runtime.KeepAlive(eng)
+}
+
+// liveHeapBytes returns the heap still reachable after two collections.
+func liveHeapBytes() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"slices"
 	"sync"
@@ -35,12 +34,11 @@ const maxRecord = 1 << 20
 //	  'T' index    u32 every | count n | n x (time | u64 frameOffset | u32 ordinal)
 //	               — every `every`-th event's time and the byte offset of its
 //	               frame, for locating a time cut without decoding the prefix
-//	  'C' index    count n | n x (string16 cve | count k | k x u32 ordinal)
-//	               — which events carry each CVE, for per-CVE reads
-//	  'B' bloom    u32 k | u64 mBits | bit bytes — CVE membership filter, so
-//	               a per-CVE query skips whole segments without reading them
 //
 // Fields use the wal field codec (times, strings and bounded counts).
+// Version 1 files also carry a per-CVE ordinal index ('C') and a CVE bloom
+// filter ('B') after the time index; the parser skips both, since per-CVE
+// reads filter a time-bounded scan.
 //
 // The header's cumulative counts are the per-shard committed-event counts
 // the store had sealed after this segment, making segments self-describing:
@@ -53,22 +51,19 @@ const maxRecord = 1 << 20
 var segMagic = [8]byte{'T', 'L', 'S', 'E', 'G', 0x00, 0x01, '\n'}
 
 const (
-	segVersion = 1
+	segVersion = 2
 	// timeIndexEvery is the sparse time-index stride: one entry per this
 	// many events.
 	timeIndexEvery = 64
-	// bloomBitsPerCVE sizes the CVE bloom filter (~1% false positives at 10
-	// bits/element with 4 hashes).
-	bloomBitsPerCVE = 10
-	bloomHashes     = 4
 )
 
 const (
 	tagHeader = 'H'
 	tagEvent  = 'E'
 	tagTime   = 'T'
-	tagCVE    = 'C'
-	tagBloom  = 'B'
+	// Version 1 index frames, skipped on read.
+	tagCVEv1   = 'C'
+	tagBloomv1 = 'B'
 )
 
 func segmentName(seq uint64) string { return fmt.Sprintf("segment-%06d.seg", seq) }
@@ -82,18 +77,16 @@ type segmentMeta struct {
 	MinTime      time.Time
 	MaxTime      time.Time
 	SizeBytes    int64
+	version      uint32
 	eventsStart  int64 // offset of the first event frame
 	eventsEnd    int64 // offset just past the last event frame
 	timeIdx      []timeIdxEntry
-	cveIdx       map[string][]uint32
-	bloom        bloomFilter
 	path         string
 }
 
 type timeIdxEntry struct {
-	at      time.Time
-	offset  int64 // frame start, relative to file start
-	ordinal uint32
+	at     time.Time
+	offset int64 // frame start, relative to file start
 }
 
 // encodeSegment builds the full segment file image. events must already be
@@ -113,9 +106,8 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 func encodeSegmentRefs(seq uint64, sealedCounts []int64, events []*ids.Event) []byte {
 	size := len(segMagic) + 4096 + 8*len(sealedCounts)
 	for _, ev := range events {
-		// Frame header, tag, the fixed fields, two IPv6 addresses, strings,
-		// and an ordinal in the CVE index.
-		size += wal.FrameHeaderLen + 1 + eventstore.MinEventLen + 32 + len(ev.CVE) + len(ev.Msg) + 4
+		// Frame header, tag, the fixed fields, two IPv6 addresses, strings.
+		size += wal.FrameHeaderLen + 1 + eventstore.MinEventLen + 32 + len(ev.CVE) + len(ev.Msg)
 	}
 	size += len(events) / timeIndexEvery * 24
 	buf := append(make([]byte, 0, size), segMagic[:]...)
@@ -142,21 +134,17 @@ func encodeSegmentRefs(seq uint64, sealedCounts []int64, events []*ids.Event) []
 	buf = wal.AppendFrame(buf, header)
 
 	// Event frames, recording every timeIndexEvery-th frame's offset for the
-	// sparse index, and per-CVE ordinals for the CVE index.
+	// sparse index.
 	type idxe struct {
 		at      time.Time
 		off     int64
 		ordinal uint32
 	}
 	entries := make([]idxe, 0, len(events)/timeIndexEvery+1)
-	cveOrds := map[string][]uint32{}
 	var payload []byte
 	for i := range events {
 		if i%timeIndexEvery == 0 {
 			entries = append(entries, idxe{at: events[i].Time, off: int64(len(buf)), ordinal: uint32(i)})
-		}
-		if cve := events[i].CVE; cve != "" {
-			cveOrds[cve] = append(cveOrds[cve], uint32(i))
 		}
 		payload = append(payload[:0], tagEvent)
 		payload = eventstore.EncodeEvent(payload, events[i])
@@ -172,45 +160,7 @@ func encodeSegmentRefs(seq uint64, sealedCounts []int64, events []*ids.Event) []
 		tIdx = binary.LittleEndian.AppendUint32(tIdx, e.ordinal)
 	}
 	buf = wal.AppendFrame(buf, tIdx)
-
-	cves := make([]string, 0, len(cveOrds))
-	for cve := range cveOrds {
-		cves = append(cves, cve)
-	}
-	sortStrings(cves)
-	cIdx := []byte{tagCVE}
-	cIdx = binary.LittleEndian.AppendUint32(cIdx, uint32(len(cves)))
-	for _, cve := range cves {
-		cIdx = wal.AppendString16(cIdx, cve)
-		ords := cveOrds[cve]
-		cIdx = binary.LittleEndian.AppendUint32(cIdx, uint32(len(ords)))
-		for _, o := range ords {
-			cIdx = binary.LittleEndian.AppendUint32(cIdx, o)
-		}
-	}
-	buf = wal.AppendFrame(buf, cIdx)
-
-	bloom := newBloom(len(cves))
-	for _, cve := range cves {
-		bloom.add(cve)
-	}
-	bIdx := []byte{tagBloom}
-	bIdx = binary.LittleEndian.AppendUint32(bIdx, bloomHashes)
-	bIdx = binary.LittleEndian.AppendUint64(bIdx, uint64(bloom.mBits))
-	bIdx = append(bIdx, bloom.bits...)
-	buf = wal.AppendFrame(buf, bIdx)
-
 	return buf
-}
-
-func sortStrings(s []string) {
-	// Tiny insertion sort keeps segment.go free of a sort import fight with
-	// the hot decode path; CVE counts per segment are small.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // parseSegment reads a segment file image into its metadata summary. The
@@ -240,10 +190,10 @@ func parseSegment(path string, raw []byte) (*segmentMeta, error) {
 			m.eventsEnd = end
 		case tagTime:
 			return m.parseTimeIdx(payload[1:])
-		case tagCVE:
-			return m.parseCVEIdx(payload[1:])
-		case tagBloom:
-			return m.parseBloom(payload[1:])
+		case tagCVEv1, tagBloomv1:
+			if m.version != 1 {
+				return fmt.Errorf("frame tag %q in a version %d segment", payload[0], m.version)
+			}
 		default:
 			return fmt.Errorf("unknown frame tag %q", payload[0])
 		}
@@ -258,16 +208,16 @@ func parseSegment(path string, raw []byte) (*segmentMeta, error) {
 	if m.Count < 0 || m.SealedCounts == nil {
 		return nil, fmt.Errorf("timeline: %s: missing header frame", path)
 	}
-	if m.timeIdx == nil || m.cveIdx == nil || m.bloom.bits == nil {
-		return nil, fmt.Errorf("timeline: %s: missing index frames", path)
+	if m.timeIdx == nil {
+		return nil, fmt.Errorf("timeline: %s: missing time index frame", path)
 	}
 	return m, nil
 }
 
 func (m *segmentMeta) parseHeader(b []byte) error {
 	c := wal.NewCursor(b)
-	if v := c.U32(); v != segVersion {
-		c.Fail(fmt.Errorf("unsupported segment version %d", v))
+	if m.version = c.U32(); m.version != 1 && m.version != segVersion {
+		c.Fail(fmt.Errorf("unsupported segment version %d", m.version))
 	}
 	m.Seq = c.U64()
 	m.SealedCounts = make([]int64, c.Count(8))
@@ -288,42 +238,10 @@ func (m *segmentMeta) parseTimeIdx(b []byte) error {
 		e := &m.timeIdx[i]
 		e.at = c.Time()
 		e.offset = int64(c.U64())
-		e.ordinal = c.U32()
+		c.U32() // the entry's ordinal
 	}
 	return c.Finish("time index")
 }
-
-func (m *segmentMeta) parseCVEIdx(b []byte) error {
-	c := wal.NewCursor(b)
-	n := c.Count(2 + 4) // an empty CVE with no ordinals
-	m.cveIdx = make(map[string][]uint32, n)
-	for ; n > 0; n-- {
-		cve := c.String16()
-		ords := make([]uint32, c.Count(4))
-		for j := range ords {
-			ords[j] = c.U32()
-		}
-		m.cveIdx[cve] = ords
-	}
-	return c.Finish("CVE index")
-}
-
-func (m *segmentMeta) parseBloom(b []byte) error {
-	c := wal.NewCursor(b)
-	k, mBits := c.U32(), c.U64()
-	bits := c.Rest()
-	if err := c.Err(); err != nil {
-		return err
-	}
-	if k == 0 || k > 16 || mBits > uint64(len(bits))*8 {
-		return fmt.Errorf("bad bloom geometry (k=%d mBits=%d bytes=%d)", k, mBits, len(bits))
-	}
-	m.bloom = bloomFilter{k: int(k), mBits: int(mBits), bits: append([]byte(nil), bits...)}
-	return nil
-}
-
-// mayContainCVE consults the bloom filter (false = definitely absent).
-func (m *segmentMeta) mayContainCVE(cve string) bool { return m.bloom.has(cve) }
 
 // segBufs recycles the buffers segment byte ranges are read into.
 var segBufs = sync.Pool{New: func() any { return new([]byte) }}
@@ -407,106 +325,4 @@ func (m *segmentMeta) scanRange(fs fault.FS, names map[string]string, hasLo bool
 		}
 		return fn(&ev)
 	})
-}
-
-// scanCVE calls fn for only the named CVE's events with Time <= hi, using
-// the per-CVE ordinal index and the sparse time index to read the one byte
-// range that holds them. Returns nothing quickly when the bloom filter rules
-// the CVE out. Events are decoded as in scanRange: fn must not keep ev.
-func (m *segmentMeta) scanCVE(fs fault.FS, names map[string]string, cve string, hi time.Time, fn func(*ids.Event) error) error {
-	if !m.mayContainCVE(cve) || m.MinTime.After(hi) {
-		return nil
-	}
-	ords := m.cveIdx[cve] // ascending: the encoder appends them in order
-	if len(ords) == 0 {
-		return nil
-	}
-	// From the index entry covering the first wanted ordinal to the first
-	// entry past the last one or past hi.
-	first, last := ords[0], ords[len(ords)-1]
-	start, end, ordinal := m.eventsStart, m.eventsEnd, uint32(0)
-	for _, e := range m.timeIdx {
-		if e.ordinal > last || e.at.After(hi) {
-			end = e.offset
-			break
-		}
-		if e.ordinal <= first {
-			start, ordinal = e.offset, e.ordinal
-		}
-	}
-	next := 0 // the next wanted ordinal, as an index into ords
-	var ev ids.Event
-	return m.scanEvents(fs, start, end, func(b []byte) error {
-		o := ordinal
-		ordinal++
-		for next < len(ords) && ords[next] < o {
-			next++
-		}
-		if next == len(ords) {
-			return errStopScan
-		}
-		if ords[next] != o {
-			return nil
-		}
-		if err := eventstore.DecodeEventInto(b, &ev, names); err != nil {
-			return err
-		}
-		if ev.Time.After(hi) {
-			return errStopScan // events are time-ordered; nothing later qualifies
-		}
-		return fn(&ev)
-	})
-}
-
-// bloomFilter is a standard double-hashed bloom filter over CVE strings.
-type bloomFilter struct {
-	k     int
-	mBits int
-	bits  []byte
-}
-
-func newBloom(n int) bloomFilter {
-	bits := n * bloomBitsPerCVE
-	if bits < 64 {
-		bits = 64
-	}
-	bits = (bits + 63) / 64 * 64
-	return bloomFilter{k: bloomHashes, mBits: bits, bits: make([]byte, bits/8)}
-}
-
-func bloomHash(s string) (uint64, uint64) {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	h1 := h.Sum64()
-	// SplitMix64 finalizer as the second, independent hash.
-	z := h1 + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	h2 := z ^ (z >> 31)
-	if h2%2 == 0 { // keep the stride odd so it cycles the whole table
-		h2++
-	}
-	return h1, h2
-}
-
-func (b *bloomFilter) add(s string) {
-	h1, h2 := bloomHash(s)
-	for i := 0; i < b.k; i++ {
-		bit := (h1 + uint64(i)*h2) % uint64(b.mBits)
-		b.bits[bit/8] |= 1 << (bit % 8)
-	}
-}
-
-func (b *bloomFilter) has(s string) bool {
-	if b.mBits == 0 {
-		return false
-	}
-	h1, h2 := bloomHash(s)
-	for i := 0; i < b.k; i++ {
-		bit := (h1 + uint64(i)*h2) % uint64(b.mBits)
-		if b.bits[bit/8]&(1<<(bit%8)) == 0 {
-			return false
-		}
-	}
-	return true
 }

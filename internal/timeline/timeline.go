@@ -31,6 +31,10 @@
 //     none — their max times are <= cut), events <= t from newer segments,
 //     and the store's unsealed committed-and-published tail. Segments whose
 //     min time exceeds t are skipped without touching the file.
+//   - Raw events come from the same fold: View.Read selects a view's events
+//     by CVE and time range, the time bounds narrowing the byte ranges read.
+//     It is the daemon's one event read path (/v1/events, now or as of a
+//     cut); segments carry no per-CVE index.
 //
 // All files become visible only by renaming a fully fsynced temp file, so
 // recovery is: list the directory, delete stranded *.tmp, trust every *.seg,
@@ -66,7 +70,7 @@ type Config struct {
 	RulePub map[int]time.Time
 	// SegmentEvents is the seal threshold: Tick seals a segment once this
 	// many committed events are unsealed. 0 means 4096; the cap is 65536 so
-	// per-segment index frames stay well under the record size limit.
+	// a segment's time index frame stays well under the record size limit.
 	SegmentEvents int
 	// CheckpointEvery writes a checkpoint after every N new segments.
 	// 0 means every segment (N=1); negative disables checkpoints entirely
@@ -489,11 +493,4 @@ func (e *Engine) Metrics() Metrics {
 // (loadAggregate itself takes no engine lock, just the cache mutex).
 func (e *Engine) loadAggregateRLocked(c *ckptMeta) (*Aggregate, error) {
 	return e.loadAggregate(c)
-}
-
-// SegmentCount reports the number of sealed segments.
-func (e *Engine) SegmentCount() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.segments)
 }

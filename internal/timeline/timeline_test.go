@@ -269,47 +269,66 @@ func TestAsOfCheckpointCost(t *testing.T) {
 	}
 }
 
-// TestCVEEvents checks the bloom-and-ordinal indexed per-CVE read path
-// against a plain filter.
-func TestCVEEvents(t *testing.T) {
+// TestViewRead checks the filtered event read against a plain filter of the
+// events, in canonical order, at cuts across the log: each filter (a CVE, a
+// time range, both) reads checkpointed and fresh segments and the committed
+// and volatile tails, and the unfiltered read is Events.
+func TestViewRead(t *testing.T) {
 	_, batch := studyFixture(t)
 	events := batch.Events
 	fs := fault.NewSimFS(7, fault.Profile{})
 	st := openStore(t, fs)
 	defer st.Close()
-	eng := openEngine(t, fs, st, 1)
+	eng := openEngine(t, fs, st, 2)
 	feed(t, st, eng, events, 9)
 
-	cuts := cutPoints(events, 3)
-	cut := cuts[len(cuts)/2]
-	v, err := eng.AsOf(cut)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cuts := cutPoints(events, 5) // before the first event, 5 quantiles, after the last
+	var cves []string
 	seen := map[string]bool{}
-	tested := 0
 	for _, ev := range events {
-		if ev.CVE == "" || seen[ev.CVE] {
-			continue
+		if ev.CVE != "" && !seen[ev.CVE] && len(cves) < 5 {
+			seen[ev.CVE] = true
+			cves = append(cves, ev.CVE)
 		}
-		seen[ev.CVE] = true
-		if tested++; tested > 5 {
-			break
-		}
-		var want []ids.Event
-		for _, e := range filterAsOf(events, cut) {
-			if e.CVE == ev.CVE {
-				want = append(want, e)
-			}
-		}
-		got, err := v.CVEEvents(ev.CVE)
+	}
+	q1, q3 := cuts[2], cuts[4]
+	filters := []timeline.Filter{{}, {CVE: "1999-99999"}, {Since: q1}, {Until: q3}, {Since: q1, Until: q3}, {Since: q3, Until: q1}}
+	for _, cve := range cves {
+		filters = append(filters, timeline.Filter{CVE: cve}, timeline.Filter{CVE: cve, Since: q1, Until: q3})
+	}
+	for _, cut := range []time.Time{cuts[3], timeline.Forever} {
+		v, err := eng.AsOf(cut)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameEventSet(t, "CVEEvents("+ev.CVE+")", got, want)
-	}
-	if got, err := v.CVEEvents("1999-99999"); err != nil || len(got) != 0 {
-		t.Fatalf("absent CVE returned %d events, err %v", len(got), err)
+		for _, f := range filters {
+			var want []ids.Event
+			for _, ev := range filterAsOf(events, cut) {
+				if (f.CVE == "" || ev.CVE == f.CVE) && (f.Since.IsZero() || !ev.Time.Before(f.Since)) &&
+					(f.Until.IsZero() || ev.Time.Before(f.Until)) {
+					want = append(want, ev)
+				}
+			}
+			eventstore.SortEvents(want)
+			got, err := v.Read(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("Read(%+v) at %s", f, cut)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d events, want %d", label, len(got), len(want))
+			}
+			for i := range got {
+				if eventKey(got[i]) != eventKey(want[i]) {
+					t.Fatalf("%s: event %d is %s, want %s", label, i, eventKey(got[i]), eventKey(want[i]))
+				}
+			}
+		}
+		all, err := v.Events()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameEventSet(t, "Events", all, filterAsOf(events, cut))
 	}
 }
 

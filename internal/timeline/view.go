@@ -16,8 +16,8 @@ import (
 // View is the study's state as of a fixed time t: every event with
 // Event.Time <= t, regardless of when it arrived. The aggregate (stats and
 // lifecycle timelines) is computed eagerly at AsOf time from a checkpoint
-// plus its delta; the raw event list is materialized only if Events is
-// called, since tables and lifecycles never need it.
+// plus its delta; raw events are read only if Read or Events is called,
+// since tables and lifecycles never need them.
 type View struct {
 	t   time.Time
 	eng *Engine
@@ -43,9 +43,11 @@ type View struct {
 }
 
 // snapshot is the engine state one query reads: the sealed segments and
-// checkpoints, the published events past the sealed counts, and the
-// amendment log. A skill series takes one and reads every step from it.
+// checkpoints, the published events past the sealed counts, the amendment
+// log, and the store generation all of them reflect. A skill series takes
+// one and reads every step from it.
 type snapshot struct {
+	gen    uint64
 	segs   []*segmentMeta
 	ckpts  []*ckptMeta
 	tail   [][]ids.Event // per shard: published events not yet sealed
@@ -59,23 +61,32 @@ func (e *Engine) snapshot() (*snapshot, error) {
 	// safe to keep once the lock is dropped.
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	s := &snapshot{
-		segs:  e.segments[:len(e.segments):len(e.segments)],
-		ckpts: e.checkpoints[:len(e.checkpoints):len(e.checkpoints)],
-	}
-	for i, shard := range e.store.PublishedEvents() {
-		from := 0
-		if e.sealed != nil && i < len(e.sealed) {
-			from = min(int(e.sealed[i]), shard.Len())
+	for {
+		gen := e.store.Generation()
+		parts := e.store.PublishedEvents()
+		amends := e.store.Amendments()
+		if e.store.Generation() != gen {
+			continue // an append raced the reads; retry for a stable view
 		}
-		tail, err := shard.Tail(from)
-		if err != nil {
-			return nil, fmt.Errorf("timeline: shard %d: %w", i, err)
+		s := &snapshot{
+			gen:    gen,
+			segs:   e.segments[:len(e.segments):len(e.segments)],
+			ckpts:  e.checkpoints[:len(e.checkpoints):len(e.checkpoints)],
+			amends: amends,
 		}
-		s.tail = append(s.tail, tail)
+		for i, shard := range parts {
+			from := 0
+			if e.sealed != nil && i < len(e.sealed) {
+				from = min(int(e.sealed[i]), shard.Len())
+			}
+			tail, err := shard.Tail(from)
+			if err != nil {
+				return nil, fmt.Errorf("timeline: shard %d: %w", i, err)
+			}
+			s.tail = append(s.tail, tail)
+		}
+		return s, nil
 	}
-	s.amends = e.store.Amendments()
-	return s, nil
 }
 
 // held is what an aggregate already holds, so a fold adds every other event
@@ -91,7 +102,7 @@ type held struct {
 
 // fold calls fn for every event of the snapshot with Time <= hi that h does
 // not hold. It is the one scan behind as-of views, forward sweeps, event
-// materialization and checkpoint builds. Segments wholly outside a bound
+// reads and checkpoint builds. Segments wholly outside a bound
 // are skipped on their metadata alone. Nothing is copied on the way: a
 // segment's events are decoded in place into one reused Event whose CVE and
 // message strings are shared across the fold, and the unsealed tail's are
@@ -176,13 +187,13 @@ func (e *Engine) viewAt(s *snapshot, t time.Time) (*View, error) {
 // amendments pay one full materialization: sealed segments stay raw — the
 // original record is never rewritten — so exactness has to come from a
 // replay. Re-attribution is an operator-triggered exception, not the steady
-// state, and the cost is the same full scan Events() already performs.
+// state, and the cost is the same full scan Events already performs.
 func (v *View) overlayAmendments() error {
 	appl := amendmentsBy(v.snap.amends, v.t)
 	if len(appl) == 0 {
 		return nil
 	}
-	raw, err := v.rawEvents()
+	raw, err := v.snap.read(v.eng.fs, v.t, Filter{})
 	if err != nil {
 		return err
 	}
@@ -213,6 +224,11 @@ func amendmentsBy(all []eventstore.Amendment, t time.Time) []eventstore.Amendmen
 // Time returns the as-of instant.
 func (v *View) Time() time.Time { return v.t }
 
+// Generation returns the store generation the view reflects: the events,
+// sealed or not, and the amendments it reads are exactly the store's at
+// that generation.
+func (v *View) Generation() uint64 { return v.snap.gen }
+
 // Replayed reports how many events were folded in beyond the checkpoint —
 // the incremental work this view cost.
 func (v *View) Replayed() int { return v.replayed }
@@ -234,67 +250,73 @@ func (v *View) Stats() ids.ScanStats { return v.agg.Stats.Stats() }
 // Time <= t.
 func (v *View) Timelines() []lifecycle.Timeline { return v.agg.Life.Timelines() }
 
-// Events materializes every event in the view, canonically ordered
-// (eventstore.SortEvents). This is the slow path — figure endpoints need
-// the raw distribution — and is computed once per view, on demand.
-func (v *View) Events() ([]ids.Event, error) {
-	v.eventsOnce.Do(func() {
-		if v.resolved != nil {
-			v.events = v.resolved
-			return
+// Forever is an instant after every event: AsOf(Forever) is the view of
+// everything stored.
+var Forever = time.Unix(1<<62, 0).UTC()
+
+// Filter selects events by CVE and by a half-open time range. Its zero value
+// selects every event.
+type Filter struct {
+	CVE   string    // only events attributed to this CVE ("YYYY-NNNN"); "" = any
+	Since time.Time // only events with Time >= Since; zero = no lower bound
+	Until time.Time // only events with Time < Until; zero = no upper bound
+}
+
+func (f Filter) keep(ev *ids.Event) bool {
+	return (f.CVE == "" || ev.CVE == f.CVE) &&
+		(f.Since.IsZero() || !ev.Time.Before(f.Since)) &&
+		(f.Until.IsZero() || ev.Time.Before(f.Until))
+}
+
+// Read returns the view's events that f selects, canonically ordered
+// (eventstore.SortEvents), under the amendments that apply at the view's
+// time. Over unamended history it is one fold of the segments and the
+// unsealed tail, which reads only the segment byte ranges the time bounds
+// reach. An amended view selects from its resolved event list instead.
+func (v *View) Read(f Filter) ([]ids.Event, error) {
+	if v.resolved == nil {
+		return v.snap.read(v.eng.fs, v.t, f)
+	}
+	if f == (Filter{}) {
+		return v.resolved, nil
+	}
+	var out []ids.Event
+	for i := range v.resolved {
+		if f.keep(&v.resolved[i]) {
+			out = append(out, v.resolved[i])
 		}
-		v.events, v.eventsErr = v.rawEvents()
-	})
+	}
+	return out, nil
+}
+
+// Events returns every event in the view: Read with no filter, computed
+// once per view. Callers must treat the slice as read-only.
+func (v *View) Events() ([]ids.Event, error) {
+	v.eventsOnce.Do(func() { v.events, v.eventsErr = v.Read(Filter{}) })
 	return v.events, v.eventsErr
 }
 
-// rawEvents materializes the sealed-history event list with Time <= t,
-// before any amendment overlay, canonically ordered.
-func (v *View) rawEvents() ([]ids.Event, error) {
+// read collects the snapshot's raw events with Time <= t that f selects,
+// before any amendment overlay, canonically ordered. f's time bounds narrow
+// the fold itself, so segments wholly outside them are not read.
+func (s *snapshot) read(fs fault.FS, t time.Time, f Filter) ([]ids.Event, error) {
+	var h held
+	if !f.Since.IsZero() {
+		// Times are whole nanoseconds: Time > Since-1ns is Time >= Since.
+		h = held{hasLo: true, lo: f.Since.Add(-time.Nanosecond)}
+	}
+	if !f.Until.IsZero() && f.Until.Add(-time.Nanosecond).Before(t) {
+		t = f.Until.Add(-time.Nanosecond)
+	}
 	var out []ids.Event
-	err := v.snap.fold(v.eng.fs, held{}, v.t, func(ev *ids.Event) error {
-		out = append(out, *ev)
+	err := s.fold(fs, h, t, func(ev *ids.Event) error {
+		if f.keep(ev) {
+			out = append(out, *ev)
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	eventstore.SortEvents(out)
-	return out, nil
-}
-
-// CVEEvents returns only the named CVE's events with Time <= t, canonically
-// ordered. Segments whose bloom filter rules the CVE out are skipped
-// without being read.
-func (v *View) CVEEvents(cve string) ([]ids.Event, error) {
-	if v.resolved != nil {
-		// Amended view: the resolved list is already materialized and
-		// sorted; segment bloom filters cannot answer for re-labeled events.
-		var out []ids.Event
-		for _, ev := range v.resolved {
-			if ev.CVE == cve {
-				out = append(out, ev)
-			}
-		}
-		return out, nil
-	}
-	var out []ids.Event
-	collect := func(ev *ids.Event) error {
-		out = append(out, *ev)
-		return nil
-	}
-	names := make(map[string]string)
-	for _, m := range v.snap.segs {
-		if err := m.scanCVE(v.eng.fs, names, cve, v.t, collect); err != nil {
-			return nil, err
-		}
-	}
-	for _, shard := range v.snap.tail {
-		for i := range shard {
-			if ev := &shard[i]; ev.CVE == cve && !ev.Time.After(v.t) {
-				out = append(out, *ev)
-			}
-		}
 	}
 	eventstore.SortEvents(out)
 	return out, nil

@@ -30,7 +30,8 @@ import (
 // computation (Store.Merge) over pinned immutable shard parts. Events the
 // store released from memory since the last call (a timeline seal can
 // overtake a slow reader) are read back from the shard logs by range; only
-// a rebuild reads the whole released history.
+// a rebuild reads the whole released history, and it folds that history
+// into the aggregates without keeping it.
 type Incremental struct {
 	study *Study
 	store *eventstore.Store
@@ -97,15 +98,14 @@ func (inc *Incremental) Results() (*Results, uint64, error) {
 		if inc.store.Generation() != gen {
 			continue // an append raced the reads; retry for a stable view
 		}
-		var merged []ids.Event // set when a rebuild already paid for the merge
 		folded, err := inc.fold(parts, amends)
 		if err == nil && !folded {
-			merged, err = inc.rebuild(parts, amends, gen)
+			err = inc.rebuild(parts, amends, gen)
 		}
 		if err != nil {
 			return nil, 0, err
 		}
-		inc.res, inc.gen, inc.valid = inc.materialize(parts, amends, merged), gen, true
+		inc.res, inc.gen, inc.valid = inc.materialize(parts, amends), gen, true
 		return inc.res, inc.gen, nil
 	}
 }
@@ -170,11 +170,12 @@ func (inc *Incremental) suffix(i int, p eventstore.Part) ([]ids.Event, error) {
 
 // rebuild recomputes the aggregates from scratch over the pinned view —
 // exactly the cold path's merge, sort, and amendment overlay — and resets the
-// fold positions to the view's edge. It returns the merged events.
-func (inc *Incremental) rebuild(parts []eventstore.Part, amends []eventstore.Amendment, gen uint64) ([]ids.Event, error) {
+// fold positions to the view's edge. The merged events are dropped once
+// folded: after releases they are the whole history read back from the logs.
+func (inc *Incremental) rebuild(parts []eventstore.Part, amends []eventstore.Amendment, gen uint64) error {
 	merged, err := inc.store.Merge(parts, amends)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	inc.stats = ids.NewStatsBuilder()
 	inc.stats.AddEvents(merged)
@@ -197,23 +198,19 @@ func (inc *Incremental) rebuild(parts []eventstore.Part, amends []eventstore.Ame
 		log.Printf("wayback: incremental fallback: full rebuild at generation %d (%d events, %d amendment records)",
 			gen, len(merged), len(amends))
 	}
-	return merged, nil
+	return nil
 }
 
 // materialize builds the Results for the current aggregates through the same
-// finisher as the cold path. merged is the event set when the rebuild already
-// paid for it; otherwise the set is lazy (figures and Table 5 pay the merge
-// only if asked for), replaying Snapshot's exact computation over this view's
-// pinned shard parts and amendment prefix — appends only ever extend past
-// the pinned lengths and released events stay in the logs, so the closure's
-// inputs never change under it.
-func (inc *Incremental) materialize(parts []eventstore.Part, amends []eventstore.Amendment, merged []ids.Event) *Results {
-	res := &Results{Stats: inc.stats.Stats(), Events: merged}
-	if merged == nil {
-		store := inc.store
-		res.eventsFn = func() ([]ids.Event, error) {
-			return store.Merge(parts, amends)
-		}
-	}
+// finisher as the cold path. The event set is lazy (figures and Table 5 pay
+// the merge only if asked for), replaying Snapshot's exact computation over
+// this view's pinned shard parts and amendment prefix — appends only ever
+// extend past the pinned lengths and released events stay in the logs, so
+// the closure's inputs never change under it.
+func (inc *Incremental) materialize(parts []eventstore.Part, amends []eventstore.Amendment) *Results {
+	store := inc.store
+	res := &Results{Stats: inc.stats.Stats(), eventsFn: func() ([]ids.Event, error) {
+		return store.Merge(parts, amends)
+	}}
 	return inc.study.finish(res, inc.lc.Timelines)
 }

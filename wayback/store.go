@@ -6,10 +6,11 @@ import (
 )
 
 // OpenStore opens (creating if needed) a waybackd event store — the
-// append-only log the streaming ingest daemon writes. The returned store is
-// the bridge between continuous capture and the paper's batch analyses: feed
-// its snapshots to Study.ResultsFromEvents and every table and figure method
-// works on live data.
+// append-only log the streaming ingest daemon writes. The daemon reads it
+// through a timeline engine (Study.OpenTimeline): tables, figures and raw
+// events, now or as of a cut, from sealed segments plus the store's unsealed
+// tail. Study.ResultsFromStore is the batch bridge: it merges the whole store
+// once, and every table and figure method works on the result.
 func OpenStore(dir string) (*eventstore.Store, error) {
 	return eventstore.Open(dir, eventstore.Options{})
 }
