@@ -212,20 +212,25 @@ func (r *Reader) Next() (Packet, error) {
 
 // NextInto reads the next record into p, reusing p.Data's backing array when
 // its capacity suffices — the allocation-free read path for the streaming
-// front-end. On a non-nil error (including io.EOF after the last record) the
-// contents of p are unspecified.
+// front-end. The header is parsed in the read buffer and the body copied
+// straight out of it, so a record that fits the buffer costs one copy;
+// only a larger one is read through. On a non-nil error (io.EOF at a clean
+// end of file after the last record, ErrShortRecord for a partial header or
+// body) the contents of p are unspecified.
 func (r *Reader) NextInto(p *Packet) error {
-	var hdr [recordHeaderLen]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if err == io.EOF {
+	hdr, err := r.r.Peek(recordHeaderLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) == 0 {
 			return io.EOF
 		}
-		return fmt.Errorf("pcapio: %w: %v", ErrShortRecord, err)
+		return shortRecord(len(hdr), err)
 	}
 	sec := r.order.Uint32(hdr[0:4])
 	frac := r.order.Uint32(hdr[4:8])
 	capLen := r.order.Uint32(hdr[8:12])
 	origLen := r.order.Uint32(hdr[12:16])
+	// Discard cannot fail for bytes Peek has just returned.
+	r.r.Discard(recordHeaderLen)
 	if r.snaplen > 0 && capLen > r.snaplen {
 		return fmt.Errorf("%w: caplen %d > snaplen %d", ErrSnaplenAbuse, capLen, r.snaplen)
 	}
@@ -234,8 +239,16 @@ func (r *Reader) NextInto(p *Packet) error {
 	if capLen > maxRecordBytes {
 		return fmt.Errorf("%w: caplen %d exceeds limit %d", ErrSnaplenAbuse, capLen, maxRecordBytes)
 	}
-	growData(p, int(capLen))
-	if _, err := io.ReadFull(r.r, p.Data); err != nil {
+	n := int(capLen)
+	growData(p, n)
+	if n <= r.r.Size() {
+		body, err := r.r.Peek(n)
+		if err != nil {
+			return shortRecord(len(body), err)
+		}
+		copy(p.Data, body)
+		r.r.Discard(n)
+	} else if _, err := io.ReadFull(r.r, p.Data); err != nil {
 		return fmt.Errorf("pcapio: %w: %v", ErrShortRecord, err)
 	}
 	nanos := int64(frac)
@@ -245,6 +258,15 @@ func (r *Reader) NextInto(p *Packet) error {
 	p.Timestamp = time.Unix(int64(sec), nanos).UTC()
 	p.OrigLen = int(origLen)
 	return nil
+}
+
+// shortRecord is the error for a record whose header or body stopped after
+// got bytes, worded as io.ReadFull would have reported it.
+func shortRecord(got int, err error) error {
+	if err == io.EOF && got > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("pcapio: %w: %v", ErrShortRecord, err)
 }
 
 // growData resizes p.Data to n bytes, reusing the backing array when its

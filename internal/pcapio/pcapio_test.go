@@ -3,6 +3,8 @@ package pcapio
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"testing/quick"
@@ -280,6 +282,148 @@ func BenchmarkWritePacket(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := w.WritePacket(ts, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestReaderNextIntoEdges pins the classic Reader's record boundaries: a
+// clean end of file is io.EOF, any partial header or body is
+// ErrShortRecord, and a record larger than the read buffer comes back whole.
+func TestReaderNextIntoEdges(t *testing.T) {
+	file := func(t *testing.T, sizes ...int) ([]byte, [][]byte) {
+		t.Helper()
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, LinkTypeEthernet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bodies [][]byte
+		for i, n := range sizes {
+			body := make([]byte, n)
+			for j := range body {
+				body[j] = byte(i*31 + j*7)
+			}
+			if err := w.WritePacket(time.Unix(int64(1600000000+i), 0), body); err != nil {
+				t.Fatal(err)
+			}
+			bodies = append(bodies, body)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), bodies
+	}
+	const bufSize = 4096 // bufio's default, which NewReader uses
+	type tc struct {
+		name    string
+		sizes   []int // records written in full
+		tail    int   // then drop this many bytes off the end (<0: append -tail header bytes)
+		wantErr error // the error after the whole records
+	}
+	cases := []tc{
+		{name: "eof at boundary", sizes: []int{60, 1500, 0, 72}, wantErr: io.EOF},
+		{name: "empty body record", sizes: []int{0}, wantErr: io.EOF},
+		{name: "short body", sizes: []int{72, 11}, tail: 3, wantErr: ErrShortRecord},
+		{name: "body missing", sizes: []int{72, 11}, tail: 11, wantErr: ErrShortRecord},
+		{name: "larger than buffer", sizes: []int{72, bufSize, bufSize + 1, 3 * bufSize, 72}, wantErr: io.EOF},
+		{name: "short large body", sizes: []int{72, 3 * bufSize}, tail: 1, wantErr: ErrShortRecord},
+	}
+	for h := 1; h < recordHeaderLen; h++ {
+		cases = append(cases, tc{name: fmt.Sprintf("header %d bytes", h), sizes: []int{72}, tail: -h, wantErr: ErrShortRecord})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			raw, bodies := file(t, c.sizes...)
+			whole := len(bodies)
+			switch {
+			case c.tail > 0:
+				raw = raw[:len(raw)-c.tail]
+				whole--
+			case c.tail < 0:
+				hdr := make([]byte, -c.tail)
+				for i := range hdr {
+					hdr[i] = 0xff
+				}
+				raw = append(raw, hdr...)
+			}
+			r, err := NewReader(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var p Packet
+			for i := 0; i < whole; i++ {
+				if err := r.NextInto(&p); err != nil {
+					t.Fatalf("record %d: %v", i, err)
+				}
+				if !bytes.Equal(p.Data, bodies[i]) || p.OrigLen != len(bodies[i]) {
+					t.Fatalf("record %d: %d bytes (orig %d), want %d identical bytes", i, len(p.Data), p.OrigLen, len(bodies[i]))
+				}
+				if want := time.Unix(int64(1600000000+i), 0).UTC(); p.Timestamp != want {
+					t.Fatalf("record %d: timestamp %v, want %v", i, p.Timestamp, want)
+				}
+			}
+			err = r.NextInto(&p)
+			if c.wantErr == io.EOF {
+				if err != io.EOF {
+					t.Fatalf("after %d records: %v, want io.EOF itself", whole, err)
+				}
+				return
+			}
+			if !errors.Is(err, c.wantErr) {
+				t.Fatalf("after %d records: %v, want %v", whole, err, c.wantErr)
+			}
+		})
+	}
+}
+
+// recordLoop serves a pcap file header once and then its records over and
+// over, so a benchmark reads records forever without re-opening anything.
+type recordLoop struct {
+	hdr, recs []byte
+	off       int
+}
+
+func (l *recordLoop) Read(p []byte) (int, error) {
+	if len(l.hdr) > 0 {
+		n := copy(p, l.hdr)
+		l.hdr = l.hdr[n:]
+		return n, nil
+	}
+	n := copy(p, l.recs[l.off:])
+	l.off = (l.off + n) % len(l.recs)
+	return n, nil
+}
+
+// BenchmarkReaderNextInto reads one 72-byte record per op (the telescope's
+// mean frame size) into a reused Packet: the streamed scan's read path,
+// which must not allocate.
+func BenchmarkReaderNextInto(b *testing.B) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, LinkTypeEthernet)
+	if err != nil {
+		b.Fatal(err)
+	}
+	frame := bytes.Repeat([]byte{0x45}, 72)
+	for i := 0; i < 64; i++ {
+		if err := w.WritePacket(time.Unix(int64(1600000000+i), 0), frame); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	raw := buf.Bytes()
+	r, err := NewReader(&recordLoop{hdr: raw[:fileHeaderLen], recs: raw[fileHeaderLen:]})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := Packet{Data: make([]byte, 0, 128)}
+	b.SetBytes(recordHeaderLen + int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.NextInto(&p); err != nil {
 			b.Fatal(err)
 		}
 	}

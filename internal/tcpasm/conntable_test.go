@@ -119,6 +119,7 @@ func TestConnTableFinishDuringAdvance(t *testing.T) {
 		if i%2 == 1 {
 			c.last = t0.Add(time.Hour) // still active at the horizon below
 		}
+		c.lastNs = c.last.UnixNano()
 		a.conns.insert(c)
 		conns = append(conns, c)
 	}

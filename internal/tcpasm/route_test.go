@@ -47,8 +47,10 @@ func fuzzRouteSeeds() [][]byte {
 }
 
 // FuzzRouteFrame: whenever DecodeInto accepts a frame, the feeder's raw
-// route must send it where shardOf its decoded flow does, for every width;
-// any other input must still route in range without panicking.
+// route must send it where shardOf its decoded flow does, for every width,
+// and the word it hands the shard must be flowWord of that flow — the
+// shard keys its connection table by it; any other input must still route
+// in range without panicking.
 func FuzzRouteFrame(f *testing.F) {
 	for _, seed := range fuzzRouteSeeds() {
 		f.Add(seed)
@@ -57,13 +59,16 @@ func FuzzRouteFrame(f *testing.F) {
 		var p packet.Packet
 		decoded := packet.DecodeInto(&p, frame) == nil
 		for n := 1; n <= 8; n++ {
-			got := routeFrame(frame, n)
+			got, h := routeFrame(frame, n)
 			if got < 0 || got >= n {
 				t.Fatalf("routeFrame(%d shards) = %d", n, got)
 			}
 			if decoded {
 				if want := shardOf(p.Flow(), n); got != want {
 					t.Fatalf("flow %v, %d shards: raw route %d, decoded route %d", p.Flow(), n, got, want)
+				}
+				if want := flowWord(p.Flow()); h != want {
+					t.Fatalf("flow %v: handed word %#x, flowWord %#x", p.Flow(), h, want)
 				}
 			}
 		}
