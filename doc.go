@@ -7,10 +7,12 @@
 // repro/internal. The capture-to-session front-end is one scan spine
 // (internal/ids/scan.go), parallel end to end — allocation-free packet
 // decode (packet.DecodeInto), flow-sharded TCP reassembly (tcpasm.Sharded),
-// and per-segment pcap fan-out (ids.ScanCaptureSharded, or
-// ids.ScanCaptureStreamed to emit as it goes) — and provably
-// output-identical to the serial reference ids.ScanCapture: scan_parity_test.go asserts byte-identical events and Table 4 for
-// every shard width. Everything durable is an internal/wal log — one frame
+// and per-segment pcap fan-out, which streams sessions to the match stage
+// as they complete (ids.ScanCaptureStreamed hands each batch to a sink,
+// ids.ScanCaptureSharded collects and sorts the events) — and provably
+// output-identical to the serial reference ids.ScanCapture:
+// scan_parity_test.go asserts byte-identical events and Table 4 for every
+// shard width. Everything durable is an internal/wal log — one frame
 // codec, one field codec (wal.Cursor) for the records inside the frames,
 // one open/recover routine, one append-with-rollback and one compaction
 // behind the event shards, commit journal, amendment log, fleet spool and

@@ -3,6 +3,7 @@ package ids
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,11 +14,13 @@ import (
 
 // The capture scan spine: one decoder goroutine per capture segment feeds a
 // flow-sharded assembler (see tcpasm.Sharded), or its own Assembler when
-// every segment is a pcapio.FlowPartitionedSource, and a match stage (see
-// MatchStage) matches the sessions — all of them once the capture ends under
-// ScanCaptureSharded, batch by batch as reassembly emits them under
-// ScanCaptureStreamed. Output equals the serial ScanCapture's — same events,
-// same stats — for any shard, segment or worker count.
+// every segment is a pcapio.FlowPartitionedSource, and completed sessions
+// stream, batch by batch as reassembly emits them, to a match stage (see
+// MatchStage). There is one driver, scan: ScanCaptureStreamed hands each
+// matched batch to a sink, and ScanCaptureSharded collects the events and
+// sorts them once into session order. Output equals the serial
+// ScanCapture's — same events, same stats — for any shard, segment or
+// worker count.
 
 // ScanConfig tunes the capture scan. The zero value picks sensible defaults
 // for the host.
@@ -26,8 +29,8 @@ type ScanConfig struct {
 	// means the tcpasm default of min(8, GOMAXPROCS). Flow-partitioned
 	// sources ignore it: there the width is the source count.
 	Shards int
-	// MatchWorkers is the match stage's worker count under both scan
-	// drivers; zero means GOMAXPROCS.
+	// MatchWorkers is the match stage's worker count under both capture
+	// scans; zero means GOMAXPROCS.
 	MatchWorkers int
 	// Assembler overrides reassembly limits (idle timeout, stream caps,
 	// overlap policy). The scan sets its Emit field, and its Shards field
@@ -68,21 +71,33 @@ func FeedRecords(src pcapio.PacketSource, it *tcpasm.FeedItem, feed func(*tcpasm
 	return packets, last, nil
 }
 
-// scan drives srcs through decode and reassembly, one reading goroutine per
-// source. With emit set, session batches stream to it (concurrently, all
-// delivered before scan returns) and none are returned; without, every
-// session is returned in canonical order. Only the capture-side stats are
-// filled in.
-func scan(srcs []pcapio.PacketSource, cfg ScanConfig, emit func([]tcpasm.Session)) ([]tcpasm.Session, ScanStats, error) {
+// scan is the one capture scan driver: one reading goroutine per source
+// feeds reassembly, which streams completed sessions to a match stage, so
+// peak memory is bounded by the in-flight window, not the capture size.
+// collect sees each matched batch, never concurrently, in completion order;
+// its sessions, payloads included, are dropped once collect returns unless
+// it keeps them. Exact stats come from the order-independent StatsBuilder.
+func scan(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig, collect func(*MatchBatch)) (ScanStats, error) {
 	var stats ScanStats
 	if len(srcs) == 0 {
-		return nil, stats, fmt.Errorf("ids: no capture sources")
+		return stats, fmt.Errorf("ids: no capture sources")
+	}
+	// Deliveries never overlap, so sb needs no lock of its own, and the
+	// stage's bounded queue backpressures reassembly.
+	stage := NewMatchStage(cfg.MatchWorkers)
+	sb := NewStatsBuilder()
+	deliver := func(b *MatchBatch) {
+		sb.AddSessionBatch(b.Sessions)
+		sb.AddEvents(b.Events)
+		collect(b)
 	}
 	acfg := cfg.Assembler
 	if cfg.Shards != 0 {
 		acfg.Shards = cfg.Shards
 	}
-	acfg.Emit = emit
+	acfg.Emit = func(batch []tcpasm.Session) {
+		stage.Submit(&MatchBatch{Sessions: batch, Engine: e}, deliver)
+	}
 
 	var asm *tcpasm.Sharded // nil: all sources hold whole flows, reassembled where read
 	for _, src := range srcs {
@@ -94,7 +109,6 @@ func scan(srcs []pcapio.PacketSource, cfg ScanConfig, emit func([]tcpasm.Session
 
 	type fed struct {
 		packets, decodeErrs int
-		sessions            []tcpasm.Session // a local Assembler's, without emit
 		err                 error
 	}
 	feds := make([]fed, len(srcs))
@@ -104,7 +118,7 @@ func scan(srcs []pcapio.PacketSource, cfg ScanConfig, emit func([]tcpasm.Session
 		go func(r *fed) {
 			defer wg.Done()
 			if asm == nil {
-				r.sessions, r.packets, r.decodeErrs, r.err = reassembleLocal(src, acfg)
+				r.packets, r.decodeErrs, r.err = reassembleLocal(src, acfg)
 				return
 			}
 			f := asm.Feeder(i)
@@ -114,38 +128,33 @@ func scan(srcs []pcapio.PacketSource, cfg ScanConfig, emit func([]tcpasm.Session
 	}
 	wg.Wait()
 
-	var sessions []tcpasm.Session
 	if asm != nil {
-		sessions = asm.Wait() // under emit: nil, after the final flush batches
+		asm.Wait() // the final flush batches are emitted
 		stats.DecodeErrors = asm.DecodeErrors()
 	}
+	stage.Close()
 	var err error
 	for i, r := range feds {
 		stats.Packets += r.packets
 		stats.DecodeErrors += r.decodeErrs
-		sessions = append(sessions, r.sessions...)
 		if r.err != io.EOF && err == nil {
 			err = fmt.Errorf("ids: segment %d: reading capture: %w", i, r.err)
 		}
 	}
-	if asm == nil {
-		tcpasm.SortSessions(sessions)
-	}
-	return sessions, stats, err
+	sb.fillMatchStats(&stats)
+	return stats, err
 }
 
 // reassembleLocal reads one flow-partitioned source to EOF into its own
 // Assembler. Records of different flows need not be in time order, so it
 // runs no idle Advance (Feed's gap split still ends idle sessions exactly as
 // the serial scan does). Sessions go to cfg.Emit every 128 decoded frames
-// and at EOF, or are returned without it.
-func reassembleLocal(src pcapio.PacketSource, cfg tcpasm.Config) (sessions []tcpasm.Session, packets, decodeErrs int, err error) {
+// and at EOF.
+func reassembleLocal(src pcapio.PacketSource, cfg tcpasm.Config) (packets, decodeErrs int, err error) {
 	const handOffEvery = 128 // frames, as in a tcpasm.Feeder batch
 	asm := tcpasm.NewAssembler(cfg)
 	handOff := func() {
-		if out := asm.Sessions(); cfg.Emit == nil {
-			sessions = append(sessions, out...)
-		} else if len(out) > 0 {
+		if out := asm.Sessions(); len(out) > 0 {
 			cfg.Emit(out)
 		}
 	}
@@ -162,7 +171,7 @@ func reassembleLocal(src pcapio.PacketSource, cfg tcpasm.Config) (sessions []tcp
 	}, 0)
 	asm.Flush()
 	handOff()
-	return sessions, packets, decodeErrs, err
+	return packets, decodeErrs, err
 }
 
 // ScanCaptureSharded replays one or more capture segments through the scan
@@ -170,21 +179,39 @@ func reassembleLocal(src pcapio.PacketSource, cfg tcpasm.Config) (sessions []tcp
 // concatenation. srcs must be time-ordered (segment N captured before
 // segment N+1) — pcapio.OpenFiles order, or a one-element slice — unless
 // all are pcapio.FlowPartitionedSources, whose order does not matter.
+//
+// It is the streamed scan with a sorted collector: each event is kept with
+// its session, the sort key, and the events are ordered once by
+// tcpasm.CompareSessions at the end. Unmatched sessions are released batch
+// by batch; only matched ones stay, their streams by reference.
 func ScanCaptureSharded(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig) ([]Event, ScanStats, error) {
-	sessions, stats, err := scan(srcs, cfg, nil)
+	type hit struct {
+		s  *tcpasm.Session // in a per-batch copy of the matched sessions
+		ev *Event          // in the batch's own Events
+	}
+	var hits []hit
+	stats, err := scan(srcs, e, cfg, func(b *MatchBatch) {
+		matched := make([]tcpasm.Session, len(b.Hits))
+		for k, i := range b.Hits {
+			matched[k] = b.Sessions[i]
+			hits = append(hits, hit{&matched[k], &b.Events[k]})
+		}
+	})
 	if err != nil {
 		return nil, stats, err
 	}
-	return MatchSessionsParallel(sessions, e, &stats, cfg.MatchWorkers), stats, nil
+	slices.SortFunc(hits, func(a, b hit) int { return tcpasm.CompareSessions(a.s, b.s) })
+	events := slices.Grow([]Event(nil), len(hits)) // nil when nothing matched, as in ScanCapture
+	for _, h := range hits {
+		events = append(events, *h.ev)
+	}
+	return events, stats, nil
 }
 
-// ScanCaptureStreamed is ScanCaptureSharded with streaming emission: instead
-// of accumulating every session until the capture ends, completed sessions
-// flow straight from reassembly to the match stage and on to sink,
-// so peak memory is bounded by the in-flight window rather than the capture
-// size. The trade: events reach sink in completion order, not the canonical
-// (End, Start, Client, Server) order, and no event slice is returned — exact
-// aggregate stats still are, via the order-independent StatsBuilder.
+// ScanCaptureStreamed is ScanCaptureSharded without the collector: events
+// go to sink batch by batch as the match stage completes them. The trade:
+// they arrive in completion order, not the canonical session order, and no
+// event slice is returned — exact aggregate stats still are.
 //
 // sink is never called concurrently (calls may come from different
 // goroutines) and each call owns its slice; nil drops the events. A sink
@@ -192,24 +219,12 @@ func ScanCaptureSharded(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig) (
 // drained, so the pipeline cannot deadlock) — and is returned after the
 // scan's own errors.
 func ScanCaptureStreamed(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig, sink func([]Event) error) (ScanStats, error) {
-	// Deliveries never overlap, so sb and sinkErr need no lock of their own,
-	// and the stage's bounded queue backpressures reassembly.
-	stage := NewMatchStage(cfg.MatchWorkers)
-	sb := NewStatsBuilder()
 	var sinkErr error // the first sink error
-	deliver := func(b *MatchBatch) {
-		sb.AddSessionBatch(b.Sessions)
-		sb.AddEvents(b.Events)
+	stats, err := scan(srcs, e, cfg, func(b *MatchBatch) {
 		if sink != nil && sinkErr == nil && len(b.Events) > 0 {
 			sinkErr = sink(b.Events)
 		}
-	}
-	_, stats, err := scan(srcs, cfg, func(batch []tcpasm.Session) {
-		stage.Submit(&MatchBatch{Sessions: batch, Engine: e}, deliver)
 	})
-	stage.Close()
-
-	sb.fillMatchStats(&stats)
 	if err == nil {
 		err = sinkErr
 	}

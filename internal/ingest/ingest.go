@@ -185,6 +185,9 @@ type Pipeline struct {
 	feeder *tcpasm.Feeder // owned by the tailer goroutine
 	stage  *ids.MatchStage
 
+	emitMu  sync.Mutex
+	emitted []tcpasm.Session // what the shards emitted since the last barrier
+
 	batchCh chan []tcpasm.Session
 	stop    chan struct{}
 	tailerD chan struct{}
@@ -237,13 +240,18 @@ func Start(cfg Config) (*Pipeline, error) {
 	}
 	p := &Pipeline{
 		cfg:     cfg,
-		asm:     tcpasm.NewSharded(acfg, 1),
 		stage:   ids.NewMatchStage(cfg.MatchWorkers),
 		batchCh: make(chan []tcpasm.Session, queueDepth),
 		stop:    make(chan struct{}),
 		tailerD: make(chan struct{}),
 		matchD:  make(chan struct{}),
 	}
+	acfg.Emit = func(batch []tcpasm.Session) {
+		p.emitMu.Lock()
+		p.emitted = append(p.emitted, batch...)
+		p.emitMu.Unlock()
+	}
+	p.asm = tcpasm.NewSharded(acfg, 1)
 	p.feeder = p.asm.Feeder(0)
 	go p.tailer()
 	go p.matcher()
@@ -533,10 +541,11 @@ func (p *Pipeline) tailer() {
 		// Caught up. If the directory has been quiet long enough, flush
 		// connections idling in the assembler and ship even a partial
 		// batch — neither should be held hostage by a stalled writer. The
-		// FlushSessions barrier also settles any batches still queued to
-		// shard workers, so the checkpoint below is exact.
+		// Flush barrier also settles any batches still queued to shard
+		// workers, so the checkpoint below is exact.
 		if time.Since(lastProgress) >= p.cfg.FlushIdle {
-			p.emit(st, p.asm.FlushSessions())
+			p.asm.Flush()
+			p.emit(st)
 			p.flushPending(st, 0)
 			// The assembler is empty and every session is with the matcher:
 			// this position is drain-consistent, so a crash past this point
@@ -565,12 +574,11 @@ func (p *Pipeline) drain(st *tailState) {
 			break
 		}
 	}
-	p.emit(st, p.asm.FlushSessions())
-	// Shut the shard workers down. Everything was flushed at the barrier
-	// above, so Wait's leftovers are empty; collect them anyway so a future
-	// change there cannot silently lose sessions.
+	// Shut the shard workers down: they flush every open connection and
+	// emit the sessions before they exit.
 	p.feeder.Close()
-	p.emit(st, p.asm.Wait())
+	p.asm.Wait()
+	p.emit(st)
 	p.flushPending(st, 0)
 	// The assembler is empty and every session has been handed to the
 	// matcher; the position persists once the matcher drains too (Close
@@ -643,14 +651,21 @@ func (p *Pipeline) pump(st *tailState, draining bool) (bool, error) {
 	// Hand completed sessions downstream. Drain is a shard barrier: cheap
 	// relative to the up-to-8192 records fed above.
 	if !st.lastTS.IsZero() {
-		p.emit(st, p.asm.Drain(st.lastTS))
+		p.asm.Drain(st.lastTS)
+		p.emit(st)
 	}
 	return progress, nil
 }
 
-// emit queues completed sessions (from a Drain/FlushSessions/Wait barrier)
-// and ships any full batches.
-func (p *Pipeline) emit(st *tailState, sessions []tcpasm.Session) {
+// emit queues what the shards emitted up to a Drain, Flush or Wait barrier,
+// sorted so the batches do not depend on their schedule, and ships any full
+// batches.
+func (p *Pipeline) emit(st *tailState) {
+	p.emitMu.Lock()
+	sessions := p.emitted
+	p.emitted = nil
+	p.emitMu.Unlock()
+	tcpasm.SortSessions(sessions)
 	if len(sessions) > 0 {
 		p.sessions.Add(uint64(len(sessions)))
 		st.pending = append(st.pending, sessions...)

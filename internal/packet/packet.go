@@ -105,16 +105,6 @@ func (e *Ethernet) DecodeFrom(data []byte) error {
 	return nil
 }
 
-// DecodeEthernet parses an Ethernet II frame. The returned layer's payload
-// aliases data; callers that retain it across buffer reuse must copy.
-func DecodeEthernet(data []byte) (*Ethernet, error) {
-	e := new(Ethernet)
-	if err := e.DecodeFrom(data); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
 // LayerType implements Layer.
 func (e *Ethernet) LayerType() LayerType { return LayerTypeEthernet }
 
@@ -306,16 +296,6 @@ func (t *TCP) DecodeFrom(data []byte) error {
 	}
 	t.payload = data[hdrLen:]
 	return nil
-}
-
-// DecodeTCP parses a TCP header. Checksum validation requires the IP
-// pseudo-header, so it is performed separately by VerifyTCPChecksum.
-func DecodeTCP(data []byte) (*TCP, error) {
-	t := new(TCP)
-	if err := t.DecodeFrom(data); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // LayerType implements Layer.

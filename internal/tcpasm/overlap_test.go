@@ -1,6 +1,7 @@
 package tcpasm
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -137,6 +138,28 @@ func TestOverlapConflictPendingDrain(t *testing.T) {
 	}
 }
 
+// TestOverlapSuffixDrainsPending: a retransmit that overlaps the head and
+// extends it up to a buffered segment must drain that segment too; the
+// stream ends whole, with nothing dropped.
+func TestOverlapSuffixDrainsPending(t *testing.T) {
+	a := NewAssembler(Config{})
+	f := newFlow(t, a)
+	f.handshake()
+	base := f.cliSeq
+	data := []byte("0123456789abcdefghijABCDEFGHIJ")
+	f.sendClientAt(base, 0, data[:10])  // in order: head at 10
+	f.sendClientAt(base, 20, data[20:]) // buffered: hole at [10,20)
+	f.sendClientAt(base, 5, data[5:20]) // overlaps [5,10), fills the hole
+	f.cliSeq += uint32(len(data))
+	f.closeBoth()
+
+	s := singleSession(t, a)
+	if !bytes.Equal(s.ClientData, data) || s.DroppedBytes != 0 || s.Ambiguous {
+		t.Errorf("ClientData = %q (dropped %d, ambiguous %v), want %q whole",
+			s.ClientData, s.DroppedBytes, s.Ambiguous, data)
+	}
+}
+
 // TestOverlapConflictBothDirections: per-direction counts sum into the
 // session total.
 func TestOverlapConflictBothDirections(t *testing.T) {
@@ -241,10 +264,10 @@ func TestOverlapConflictShardedParity(t *testing.T) {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			cfg := cfg
 			cfg.Shards = shards
-			s := NewSharded(cfg, 1)
+			s, c := newCollecting(cfg, 1)
 			feedSharded(t, s.Feeder(0), events)
 			s.Feeder(0).Close()
-			diffSessions(t, s.Wait(), want)
+			diffSessions(t, c.wait(s), want)
 		})
 	}
 }
@@ -330,10 +353,10 @@ func FuzzReassemblyOverlap(f *testing.F) {
 			for _, shards := range []int{1, 3} {
 				scfg := cfg
 				scfg.Shards = shards
-				sh := NewSharded(scfg, 1)
+				sh, c := newCollecting(scfg, 1)
 				feedSharded(t, sh.Feeder(0), events)
 				sh.Feeder(0).Close()
-				diffSessions(t, sh.Wait(), want)
+				diffSessions(t, c.wait(sh), want)
 			}
 		}
 	})

@@ -118,7 +118,7 @@ func TestShardedCountsDecodeErrors(t *testing.T) {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			scfg := cfg
 			scfg.Shards = shards
-			s := NewSharded(scfg, 1)
+			s, c := newCollecting(scfg, 1)
 			f := s.Feeder(0)
 			it := f.Get()
 			for i, ev := range events {
@@ -131,7 +131,7 @@ func TestShardedCountsDecodeErrors(t *testing.T) {
 				f.Feed(it)
 			}
 			f.Close()
-			diffSessions(t, s.Wait(), want)
+			diffSessions(t, c.wait(s), want)
 			if got := s.DecodeErrors(); got != len(bad) {
 				t.Errorf("DecodeErrors = %d, want %d", got, len(bad))
 			}

@@ -18,9 +18,10 @@ import (
 // shard sees complete conversations and the shards never share state on the
 // hot path.
 //
-// Determinism. Session output is byte-identical to one serial Assembler over
-// the same packets, for any shard count, provided capture timestamps are
-// non-decreasing in feed order (pcap files are written in capture order):
+// Determinism. The sessions emitted are byte-identical to one serial
+// Assembler's over the same packets, for any shard count, provided capture
+// timestamps are non-decreasing in feed order (pcap files are written in
+// capture order):
 //
 //   - Flow affinity: all packets of a connection land on one shard, in their
 //     original relative order (feeders preserve order; workers consume each
@@ -29,15 +30,19 @@ import (
 //     splits a connection whose gap reaches IdleTimeout, so the per-shard
 //     Advance cadence (which differs from the serial scan's) can only change
 //     *when* an idle session is emitted, never its contents.
-//   - Merge order is total: sessions are merged and sorted by
-//     (End, Start, Client, Server), the same order the serial path uses.
+//   - Order is the consumer's: every session leaves through Config.Emit, in
+//     completion order across shards. CompareSessions is a total order, so
+//     a consumer that sorts what it collected gets the serial path's order.
 //
-// Two usage modes:
+// One output discipline, Emit, and two feeding patterns:
 //
-//	batch scan (N feeders):   feeders Feed until EOF, Close; Wait() merges.
-//	streaming (one feeder):   the feeder interleaves Feed with Drain /
-//	                          FlushSessions barriers (ingest's idle flushes
-//	                          and checkpoints).
+//	scan (N feeders):       feeders Feed until EOF and Close; Wait returns
+//	                        once every session has been emitted.
+//	streaming (one feeder): the feeder interleaves Feed with Drain / Flush
+//	                        barriers (ingest's idle flushes and
+//	                        checkpoints), each an acknowledgement that every
+//	                        frame fed before it has been applied and its
+//	                        sessions emitted.
 type Sharded struct {
 	cfg    Config
 	shards []*shard
@@ -92,12 +97,13 @@ const (
 )
 
 // shardMsg is one unit of work on a shard queue: a frame batch, or a
-// control barrier carrying a reply channel.
+// control barrier the shard acknowledges on ack once its sessions are
+// emitted.
 type shardMsg struct {
 	op    ctlOp
 	batch *frameBatch
 	now   time.Time
-	reply chan []Session
+	ack   *sync.WaitGroup
 }
 
 // frameBatch packs the raw frames bound for one shard back to back: frame i
@@ -133,13 +139,12 @@ type shard struct {
 	pkt     packet.Packet // each batched frame is decoded into this, once
 	applied int           // packets since the last self-advance
 	maxTS   time.Time     // newest capture timestamp seen
-	done    []Session     // final sessions, parked for Wait
 }
 
 // NewSharded starts cfg.Shards shard workers and creates one Feeder per
 // producer (feeders < 1 is treated as 1). Each producer goroutine must own
 // exactly one Feeder; producers map to time-ordered capture segments, feeder
-// 0 being the earliest.
+// 0 being the earliest. cfg.Emit must be set.
 func NewSharded(cfg Config, feeders int) *Sharded {
 	cfg = cfg.withDefaults()
 	if feeders < 1 {
@@ -180,15 +185,15 @@ func (s *Sharded) run(sh *shard) {
 		}
 	}
 	sh.asm.Flush()
-	out := sh.asm.Sessions()
-	if s.cfg.Emit != nil {
-		if len(out) > 0 {
-			s.cfg.Emit(out)
-		}
-	} else {
-		sh.done = out
-	}
+	s.emit(sh)
 	sh.open.Store(0)
+}
+
+// emit hands over whatever the shard's assembler has completed.
+func (s *Sharded) emit(sh *shard) {
+	if out := sh.asm.Sessions(); len(out) > 0 {
+		s.cfg.Emit(out)
+	}
 }
 
 func (s *Sharded) apply(sh *shard, msg shardMsg) {
@@ -226,80 +231,57 @@ func (s *Sharded) apply(sh *shard, msg shardMsg) {
 			// which time-ordered feeders give.
 			sh.asm.Advance(sh.maxTS)
 		}
-		if s.cfg.Emit != nil {
-			// Streaming emission: hand over whatever this batch completed
-			// (closed connections plus anything the periodic Advance decided)
-			// so downstream matching overlaps with reassembly and no shard
-			// accumulates its whole output.
-			if out := sh.asm.Sessions(); len(out) > 0 {
-				s.cfg.Emit(out)
-			}
-		}
 	case opAdvance:
 		sh.asm.Advance(msg.now)
-		if msg.reply != nil {
-			msg.reply <- sh.asm.Sessions()
-		}
 	case opFlush:
 		sh.asm.Flush()
-		if msg.reply != nil {
-			msg.reply <- sh.asm.Sessions()
-		}
 	}
+	// Hand over whatever this message completed (closed connections plus
+	// anything an Advance or Flush decided), so downstream matching overlaps
+	// with reassembly and no shard accumulates its output.
+	s.emit(sh)
 	sh.open.Store(int64(sh.asm.OpenConns()))
+	if msg.ack != nil {
+		msg.ack.Done()
+	}
 }
 
-// Drain advances every shard's idle horizon to now and returns all sessions
-// completed so far in deterministic order — the sharded counterpart of
-// Assembler.Drain. Barrier semantics: it blocks until every shard has
-// applied everything fed before the call. Streaming mode only: it must be
+// Drain advances every shard's idle horizon to now and emits every session
+// that completes — the sharded counterpart of Assembler.Drain. Barrier
+// semantics: it returns once every frame fed before the call has been
+// applied and its sessions emitted. Streaming pattern only: it must be
 // called from the goroutine owning the sole feeder.
-func (s *Sharded) Drain(now time.Time) []Session {
-	return s.barrier(shardMsg{op: opAdvance, now: now})
+func (s *Sharded) Drain(now time.Time) {
+	s.barrier(shardMsg{op: opAdvance, now: now})
 }
 
-// FlushSessions closes every open connection on every shard and returns the
-// completed sessions in deterministic order — the sharded counterpart of
-// Assembler.Flush + Sessions. Same calling constraints as Drain.
-func (s *Sharded) FlushSessions() []Session {
-	return s.barrier(shardMsg{op: opFlush})
+// Flush closes every open connection on every shard and emits the sessions
+// — the sharded counterpart of Assembler.Flush. Same barrier semantics and
+// calling constraints as Drain.
+func (s *Sharded) Flush() {
+	s.barrier(shardMsg{op: opFlush})
 }
 
-func (s *Sharded) barrier(msg shardMsg) []Session {
+func (s *Sharded) barrier(msg shardMsg) {
 	s.fdrs[0].FlushBatches()
-	replies := make([]chan []Session, len(s.shards))
-	for i, sh := range s.shards {
-		m := msg
-		m.reply = make(chan []Session, 1)
-		replies[i] = m.reply
+	var ack sync.WaitGroup
+	ack.Add(len(s.shards))
+	msg.ack = &ack
+	for _, sh := range s.shards {
 		sh.queued.Add(1)
-		sh.in[0] <- m
+		sh.in[0] <- msg
 	}
-	var out []Session
-	for _, r := range replies {
-		out = append(out, <-r...)
-	}
-	SortSessions(out)
-	return out
+	ack.Wait()
 }
 
 // Wait blocks until every shard worker has exited — every Feeder must have
-// been Closed first — and returns the merged remaining sessions (open
-// connections are flushed at worker exit) in deterministic order.
-func (s *Sharded) Wait() []Session {
-	s.wg.Wait()
-	var out []Session
-	for _, sh := range s.shards {
-		out = append(out, sh.done...)
-		sh.done = nil
-	}
-	SortSessions(out)
-	return out
-}
+// been Closed first. Open connections are flushed at worker exit, so every
+// session has been emitted when Wait returns.
+func (s *Sharded) Wait() { s.wg.Wait() }
 
 // DecodeErrors reports how many routed frames failed to decode on their
 // shard. The count is exact once every frame fed so far has been applied:
-// after Wait, or after a Drain or FlushSessions barrier.
+// after Wait, or after a Drain or Flush barrier.
 func (s *Sharded) DecodeErrors() int {
 	var n uint64
 	for _, sh := range s.shards {
@@ -399,7 +381,7 @@ func (f *Feeder) FlushBatches() {
 
 // Close flushes pending batches and closes this feeder's queues; the Feeder
 // must not be used afterwards. Once every feeder has closed, shard workers
-// flush their assemblers and exit — collect the results with Wait.
+// flush their assemblers, emit the sessions and exit — Wait for them.
 func (f *Feeder) Close() {
 	if f.closed {
 		return

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -153,6 +154,41 @@ func feedSharded(t testing.TB, f *Feeder, events []feedEvent) {
 	}
 }
 
+// collector gathers what a Sharded emits, the way the scan and ingest do.
+type collector struct {
+	mu  sync.Mutex
+	got []Session
+}
+
+// newCollecting starts a Sharded whose Emit feeds a collector.
+func newCollecting(cfg Config, feeders int) (*Sharded, *collector) {
+	c := new(collector)
+	cfg.Emit = func(batch []Session) {
+		c.mu.Lock()
+		c.got = append(c.got, batch...)
+		c.mu.Unlock()
+	}
+	return NewSharded(cfg, feeders), c
+}
+
+// take returns the sessions emitted since the last take, in canonical
+// order.
+func (c *collector) take() []Session {
+	c.mu.Lock()
+	out := c.got
+	c.got = nil
+	c.mu.Unlock()
+	SortSessions(out)
+	return out
+}
+
+// wait waits for s's workers, which emit every remaining session, and takes
+// what they emitted.
+func (c *collector) wait(s *Sharded) []Session {
+	s.Wait()
+	return c.take()
+}
+
 func diffSessions(t *testing.T, got, want []Session) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -179,10 +215,10 @@ func TestShardedParity(t *testing.T) {
 			t.Run(fmt.Sprintf("seed%d_shards%d", seed, shards), func(t *testing.T) {
 				cfg := cfg
 				cfg.Shards = shards
-				s := NewSharded(cfg, 1)
+				s, c := newCollecting(cfg, 1)
 				feedSharded(t, s.Feeder(0), events)
 				s.Feeder(0).Close()
-				diffSessions(t, s.Wait(), want)
+				diffSessions(t, c.wait(s), want)
 			})
 		}
 	}
@@ -199,7 +235,7 @@ func TestShardedParityMultiFeeder(t *testing.T) {
 
 	for _, feeders := range []int{2, 3, 5} {
 		t.Run(fmt.Sprintf("feeders%d", feeders), func(t *testing.T) {
-			s := NewSharded(cfg, feeders)
+			s, c := newCollecting(cfg, feeders)
 			chunk := (len(events) + feeders - 1) / feeders
 			var wg sync.WaitGroup
 			for i := 0; i < feeders; i++ {
@@ -216,20 +252,20 @@ func TestShardedParityMultiFeeder(t *testing.T) {
 				}(s.Feeder(i), events[lo:hi])
 			}
 			wg.Wait()
-			diffSessions(t, s.Wait(), want)
+			diffSessions(t, c.wait(s), want)
 		})
 	}
 }
 
-// TestShardedStreamingBarriers interleaves Drain and FlushSessions with
-// feeding — the ingest pipeline's cadence — and checks every batch against
-// the serial assembler draining at the same points.
+// TestShardedStreamingBarriers interleaves Drain and Flush with feeding —
+// the ingest pipeline's cadence — and checks what each barrier leaves
+// emitted against the serial assembler draining at the same points.
 func TestShardedStreamingBarriers(t *testing.T) {
 	events := genTraffic(t, 11, 32)
 	cfg := Config{IdleTimeout: 2 * time.Second, Shards: 3}
 
 	ref := NewAssembler(cfg)
-	s := NewSharded(cfg, 1)
+	s, c := newCollecting(cfg, 1)
 	f := s.Feeder(0)
 	const batch = 150
 	for lo := 0; lo < len(events); lo += batch {
@@ -247,14 +283,49 @@ func TestShardedStreamingBarriers(t *testing.T) {
 		feedSharded(t, f, events[lo:hi])
 		now := events[hi-1].ts
 		want := ref.Drain(now)
-		got := s.Drain(now)
-		diffSessions(t, got, want)
+		s.Drain(now)
+		diffSessions(t, c.take(), want)
 	}
 	ref.Flush()
-	diffSessions(t, s.FlushSessions(), ref.Sessions())
+	s.Flush()
+	diffSessions(t, c.take(), ref.Sessions())
 	f.Close()
-	if leftover := s.Wait(); len(leftover) != 0 {
+	if leftover := c.wait(s); len(leftover) != 0 {
 		t.Fatalf("sessions after final flush: %d", len(leftover))
+	}
+}
+
+// TestShardedTieOrder: two sessions of one 4-tuple can share Start and End
+// — an RST and then a SYN in one capture tick — and differ only in the
+// fields after the 4-tuple. The sorted output must not depend on which path
+// produced it, so serial and sharded agree at every shard count.
+func TestShardedTieOrder(t *testing.T) {
+	events := genTraffic(t, 3, 40)
+	ts := events[len(events)-1].ts.Add(time.Second)
+	c := packet.Endpoint{Addr: packet.MustAddr("192.0.2.77"), Port: 40777}
+	s := packet.Endpoint{Addr: packet.MustAddr("198.51.100.77"), Port: 80}
+	bld := packet.NewBuilder(3)
+	for _, seg := range []packet.Segment{
+		{Src: c, Dst: s, Seq: 7000, Flags: packet.FlagRST},
+		{Src: c, Dst: s, Seq: 9000, Flags: packet.FlagSYN},
+	} {
+		frame, err := bld.Build(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, feedEvent{ts: ts, frame: frame})
+	}
+	cfg := Config{IdleTimeout: 2 * time.Second}
+	want := serialSessions(t, cfg, events)
+	for _, shards := range []int{1, 2, 3, 4} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			cfg := cfg
+			cfg.Shards = shards
+			sh, col := newCollecting(cfg, 1)
+			feedSharded(t, sh.Feeder(0), events)
+			sh.Feeder(0).Close()
+			diffSessions(t, col.wait(sh), want)
+		})
 	}
 }
 
@@ -264,7 +335,7 @@ func TestShardedStreamingBarriers(t *testing.T) {
 func TestShardedStatsAndRace(t *testing.T) {
 	events := genTraffic(t, 5, 64)
 	cfg := Config{IdleTimeout: 2 * time.Second, Shards: 4}
-	s := NewSharded(cfg, 4)
+	s, c := newCollecting(cfg, 4)
 
 	stop := make(chan struct{})
 	var poller sync.WaitGroup
@@ -303,7 +374,7 @@ func TestShardedStatsAndRace(t *testing.T) {
 		}(s.Feeder(i), events[lo:hi])
 	}
 	wg.Wait()
-	got := s.Wait()
+	got := c.wait(s)
 	close(stop)
 	poller.Wait()
 
@@ -434,7 +505,10 @@ func BenchmarkAssemblerFeed(b *testing.B) {
 			b.SetBytes(total)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s := NewSharded(Config{Shards: shards}, 1)
+				var sessions atomic.Int64
+				s := NewSharded(Config{Shards: shards, Emit: func(b []Session) {
+					sessions.Add(int64(len(b)))
+				}}, 1)
 				f := s.Feeder(0)
 				for _, ev := range events {
 					// The feeder reads only Buf and TS; the shard decodes.
@@ -444,7 +518,7 @@ func BenchmarkAssemblerFeed(b *testing.B) {
 					f.Feed(it)
 				}
 				f.Close()
-				if len(s.Wait()) == 0 {
+				if s.Wait(); sessions.Load() == 0 {
 					b.Fatal("no sessions")
 				}
 			}
@@ -498,10 +572,10 @@ func edgeParity(t *testing.T, cfg Config, events []feedEvent) []Session {
 	for _, shards := range []int{1, 2, 4, 8} {
 		scfg := cfg
 		scfg.Shards = shards
-		s := NewSharded(scfg, 1)
+		s, c := newCollecting(scfg, 1)
 		feedSharded(t, s.Feeder(0), events)
 		s.Feeder(0).Close()
-		got := s.Wait()
+		got := c.wait(s)
 		if len(got) != len(want) {
 			t.Fatalf("shards=%d: got %d sessions, want %d", shards, len(got), len(want))
 		}
@@ -641,11 +715,10 @@ func TestShardedIdleSplitParity(t *testing.T) {
 	}
 }
 
-// TestShardedEmitDeliversEveryFullSessionOnce: with Config.Emit set, the
-// sharded front-end streams batches out as workers complete sessions; the
+// TestShardedEmitDeliversEveryFullSessionOnce: the sharded front-end
+// streams batches out through Config.Emit as workers complete sessions; the
 // union of all batches must equal the serial output exactly (after imposing
-// the canonical order, which streaming emission intentionally gives up), and
-// Wait must return nothing.
+// the canonical order, which streaming emission intentionally gives up).
 func TestShardedEmitDeliversEveryFullSessionOnce(t *testing.T) {
 	events := genTraffic(t, 5, 48)
 	base := Config{IdleTimeout: 2 * time.Second}
@@ -653,23 +726,12 @@ func TestShardedEmitDeliversEveryFullSessionOnce(t *testing.T) {
 
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			var mu sync.Mutex
-			var got []Session
 			cfg := base
 			cfg.Shards = shards
-			cfg.Emit = func(batch []Session) {
-				mu.Lock()
-				got = append(got, batch...)
-				mu.Unlock()
-			}
-			s := NewSharded(cfg, 1)
+			s, c := newCollecting(cfg, 1)
 			feedSharded(t, s.Feeder(0), events)
 			s.Feeder(0).Close()
-			if leftover := s.Wait(); len(leftover) != 0 {
-				t.Fatalf("Wait returned %d sessions despite Emit", len(leftover))
-			}
-			SortSessions(got)
-			diffSessions(t, got, want)
+			diffSessions(t, c.wait(s), want)
 		})
 	}
 }
@@ -746,7 +808,7 @@ func feederModes(t *testing.T, cfg Config, events []feedEvent) {
 			t.Run(fmt.Sprintf("shards%d_%s", shards, mode.name), func(t *testing.T) {
 				scfg := cfg
 				scfg.Shards = shards
-				s := NewSharded(scfg, len(mode.parts))
+				s, c := newCollecting(scfg, len(mode.parts))
 				var wg sync.WaitGroup
 				for i, part := range mode.parts {
 					wg.Add(1)
@@ -757,7 +819,7 @@ func feederModes(t *testing.T, cfg Config, events []feedEvent) {
 					}(s.Feeder(i), part)
 				}
 				wg.Wait()
-				diffSessions(t, s.Wait(), want)
+				diffSessions(t, c.wait(s), want)
 			})
 		}
 	}

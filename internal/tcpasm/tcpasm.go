@@ -29,6 +29,7 @@
 package tcpasm
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"runtime"
@@ -134,12 +135,12 @@ type Config struct {
 	// min(8, GOMAXPROCS); session output is identical for every value (see
 	// Sharded).
 	Shards int
-	// Emit, when set, switches the sharded front-end to streaming emission:
-	// completed sessions are handed to Emit in batches as shard workers
-	// produce them instead of accumulating until Wait (which then returns
-	// nil). Emit is called concurrently from the shard workers with no
-	// cross-shard ordering guarantee; each call owns its slice. Every
-	// session is delivered exactly once. The serial Assembler ignores it.
+	// Emit is the sharded front-end's one output, and NewSharded requires
+	// it: completed sessions are handed to Emit in batches as shard workers
+	// produce them. Emit is called concurrently from the shard workers with
+	// no cross-shard ordering guarantee; each call owns its slice, sorted by
+	// CompareSessions. Every session is delivered exactly once. The serial
+	// Assembler ignores it.
 	Emit func([]Session)
 }
 
@@ -317,11 +318,11 @@ func (a *Assembler) insert(h *halfStream, seq uint32, payload []byte) {
 	case diff < 0:
 		// Retransmission or partial overlap: compare the overlapping prefix
 		// against what was already delivered (flagging a conflict when they
-		// disagree), then deliver only the new suffix.
+		// disagree), then deliver only the new suffix — which may make
+		// buffered segments contiguous, so the drain below runs too.
 		if rest := a.resolveOverlap(h, uint32(-diff), payload); len(rest) > 0 {
 			a.deliver(h, rest)
 		}
-		return
 	default:
 		// Future segment: buffer a copy (the decode buffer may be reused).
 		if len(h.pending) < a.cfg.MaxPending {
@@ -512,30 +513,43 @@ func (a *Assembler) Sessions() []Session {
 	return s
 }
 
-// SortSessions orders sessions by (End, Start, Client, Server) — a total
-// order over distinct conversations, so the serial path and any merge of
-// per-shard or per-source outputs land in exactly the same order.
+// SortSessions orders sessions by CompareSessions, so the serial path and
+// any merge of per-shard or per-source outputs land in exactly the same
+// order.
 func SortSessions(s []Session) {
-	slices.SortFunc(s, func(a, b Session) int { return compareSessions(&a, &b) })
+	slices.SortFunc(s, func(a, b Session) int { return CompareSessions(&a, &b) })
 }
 
-func compareSessions(a, b *Session) int {
+// CompareSessions is a total order over sessions: (End, Start, Client,
+// Server), then the remaining fields, streams bytewise. Two sessions of one
+// 4-tuple can share their timestamps (an RST and a SYN in one capture
+// tick), and only a total order makes the sorted output independent of the
+// order the sessions arrived in; sessions it calls equal are identical.
+func CompareSessions(a, b *Session) int {
 	if c := a.End.Compare(b.End); c != 0 {
+		return c // the common case, so the rest is evaluated only on a tie
+	}
+	if c := cmp.Or(
+		a.Start.Compare(b.Start),
+		a.Client.Addr.Compare(b.Client.Addr), cmp.Compare(a.Client.Port, b.Client.Port),
+		a.Server.Addr.Compare(b.Server.Addr), cmp.Compare(a.Server.Port, b.Server.Port),
+		compareBool(a.Closed, b.Closed), compareBool(a.Complete, b.Complete),
+		cmp.Compare(a.Packets, b.Packets), cmp.Compare(a.DroppedBytes, b.DroppedBytes),
+		cmp.Compare(a.OverlapConflicts, b.OverlapConflicts), compareBool(a.Ambiguous, b.Ambiguous),
+	); c != 0 {
 		return c
 	}
-	if c := a.Start.Compare(b.Start); c != 0 {
-		return c
+	return cmp.Or(bytes.Compare(a.ClientData, b.ClientData), bytes.Compare(a.ServerData, b.ServerData))
+}
+
+func compareBool(a, b bool) int {
+	if a == b {
+		return 0
 	}
-	if c := a.Client.Addr.Compare(b.Client.Addr); c != 0 {
-		return c
+	if a {
+		return 1
 	}
-	if c := cmp.Compare(a.Client.Port, b.Client.Port); c != 0 {
-		return c
-	}
-	if c := a.Server.Addr.Compare(b.Server.Addr); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Server.Port, b.Server.Port)
+	return -1
 }
 
 // OpenConns reports the number of connections still being tracked.

@@ -26,8 +26,8 @@
 // Stream goes one step further: it splits the synthetic capture into
 // StreamConfig.Segments virtual capture segments, partitioned by the
 // reassembler's own flow hash (tcpasm.FlowShard), and exposes each as a
-// pcapio.PacketSource. ids.ScanCaptureSharded consumes the segments exactly
-// as it would K pcap files — but the frames are synthesized on demand inside
+// pcapio.PacketSource. The ids capture scans consume the segments exactly
+// as they would K pcap files — but the frames are synthesized on demand inside
 // the decoder's NextInto call, into the decoder's own lent buffer, so a
 // paper-scale study runs end to end with no capture bytes ever materialized
 // in memory or on disk. Frame bytes depend only on the session (one builder
