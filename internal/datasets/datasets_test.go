@@ -124,10 +124,14 @@ func TestStudyCVEsPaperAggregates(t *testing.T) {
 
 	// Vendor and CWE diversity (Section 4 reports 40 vendors, 25 CWEs; the
 	// reconstruction must preserve strong diversity).
-	if v := len(StudyVendors()); v < 30 {
+	vendors, cwes := map[string]bool{}, map[string]bool{}
+	for _, c := range StudyCVEs() {
+		vendors[c.Vendor], cwes[c.CWE] = true, true
+	}
+	if v := len(vendors); v < 30 {
 		t.Errorf("distinct vendors = %d, want >= 30", v)
 	}
-	if w := len(StudyCWEs()); w < 15 {
+	if w := len(cwes); w < 15 {
 		t.Errorf("distinct CWEs = %d, want >= 15", w)
 	}
 

@@ -172,29 +172,3 @@ func TotalStudyEvents() int {
 	}
 	return n
 }
-
-// StudyVendors returns the distinct vendor names across study CVEs.
-func StudyVendors() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, c := range studyTable().rows {
-		if !seen[c.Vendor] {
-			seen[c.Vendor] = true
-			out = append(out, c.Vendor)
-		}
-	}
-	return out
-}
-
-// StudyCWEs returns the distinct CWE categories across study CVEs.
-func StudyCWEs() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, c := range studyTable().rows {
-		if !seen[c.CWE] {
-			seen[c.CWE] = true
-			out = append(out, c.CWE)
-		}
-	}
-	return out
-}

@@ -207,7 +207,7 @@ func (s *Shipper) session(ctx context.Context, conn net.Conn) (shipped bool, err
 	// From here AckTimeout, not a read deadline, judges the link: an idle
 	// coordinator sends nothing.
 	conn.SetReadDeadline(time.Time{})
-	if err := s.spool.AckTo(ack.Watermark); err != nil {
+	if err := s.spool.Reconcile(ack.Watermark); err != nil {
 		return true, err
 	}
 	s.connected.Store(true)

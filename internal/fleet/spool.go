@@ -28,6 +28,11 @@ type spool struct {
 	pending []spoolBatch // unacked, ascending seq
 	acked   uint64       // highest acked (and pruned) sequence
 	lastSeq uint64       // highest assigned sequence
+	// recovered is lastSeq as opened. Until the first handshake (reconciled)
+	// batches are numbered past it, although a coordinator that applied
+	// batches this spool then lost may already hold those numbers.
+	recovered  uint64
+	reconciled bool
 	// ackedBytes estimates the on-disk bytes belonging to acked batches,
 	// the compaction trigger.
 	ackedBytes int64
@@ -83,6 +88,7 @@ func openSpool(fs fault.FS, dir string) (*spool, error) {
 		return nil, fmt.Errorf("fleet: spool: %w", err)
 	}
 	sp.log = log
+	sp.recovered = sp.lastSeq
 	return sp, nil
 }
 
@@ -135,25 +141,71 @@ func (sp *spool) Add(events []ids.Event) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		sp.encBuf = payload
-		frame := wal.AppendFrame(sp.frameBuf[:0], payload)
-		sp.frameBuf = frame
-		if err := sp.log.Append(frame); err != nil {
-			return 0, fmt.Errorf("fleet: spooling batch %d: %w", seq, err)
+		if err := sp.appendLocked(seq, len(events)-len(rest), payload); err != nil {
+			return 0, err
 		}
-		// Keep the record's event list, cloned out of the reused encode
-		// buffer: the shipper sends these bytes, so pending holds each event
-		// once, encoded, and never aliases the caller's slice.
-		sp.lastSeq = seq
-		sp.pending = append(sp.pending, spoolBatch{
-			seq:   seq,
-			count: len(events) - len(rest),
-			list:  bytes.Clone(payload[12:]),
-			bytes: int64(len(frame)),
-		})
 		events = rest
 	}
 	return sp.lastSeq, nil
+}
+
+// appendLocked writes one encoded record (payload, built in encBuf) and
+// queues it as pending batch seq.
+func (sp *spool) appendLocked(seq uint64, count int, payload []byte) error {
+	sp.encBuf = payload
+	frame := wal.AppendFrame(sp.frameBuf[:0], payload)
+	sp.frameBuf = frame
+	if err := sp.log.Append(frame); err != nil {
+		return fmt.Errorf("fleet: spooling batch %d: %w", seq, err)
+	}
+	// Keep the record's event list, cloned out of the reused encode buffer:
+	// the shipper sends these bytes, so pending holds each event once,
+	// encoded, and never aliases the caller's slice.
+	sp.lastSeq = seq
+	sp.pending = append(sp.pending, spoolBatch{
+		seq:   seq,
+		count: count,
+		list:  bytes.Clone(payload[12:]),
+		bytes: int64(len(frame)),
+	})
+	return nil
+}
+
+// Reconcile takes the watermark from a handshake's answer. The first one a
+// process gets may be ahead of everything the spool recovered: batches were
+// shipped, applied, and then lost with a torn tail or a fresh StateDir. The
+// batches spooled since open took the numbers after the recovered ones, so
+// those numbered at or below w collide with batches the coordinator already
+// holds, and the ack would drop them as duplicates — their events lost. They
+// are spooled again under numbers past w, durably, before the ack prunes
+// the originals. Later handshakes only ack: by then every number past the
+// watermark is this process's own.
+func (sp *spool) Reconcile(w uint64) error {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if !sp.reconciled {
+		var collide []spoolBatch
+		for _, b := range sp.pending {
+			if b.seq > sp.recovered && b.seq <= w {
+				collide = append(collide, b)
+			}
+		}
+		for _, b := range collide {
+			seq := max(sp.lastSeq, w) + 1
+			payload := binary.LittleEndian.AppendUint64(sp.encBuf[:0], seq)
+			payload = binary.LittleEndian.AppendUint32(payload, uint32(b.count))
+			if err := sp.appendLocked(seq, b.count, append(payload, b.list...)); err != nil {
+				return err
+			}
+		}
+		if len(collide) > 0 {
+			if err := sp.log.Sync(); err != nil {
+				return err
+			}
+		}
+		sp.reconciled = true
+	}
+	return sp.ackToLocked(w)
 }
 
 // AckTo drops every batch with seq <= w. Compaction happens opportunistically
@@ -164,6 +216,10 @@ func (sp *spool) Add(events []ids.Event) (uint64, error) {
 func (sp *spool) AckTo(w uint64) error {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
+	return sp.ackToLocked(w)
+}
+
+func (sp *spool) ackToLocked(w uint64) error {
 	if w <= sp.acked {
 		return nil
 	}

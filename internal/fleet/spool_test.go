@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -271,6 +272,61 @@ func TestSpoolAdoptsForeignWatermark(t *testing.T) {
 	}
 	if seq != 8 {
 		t.Fatalf("next batch got seq %d, want 8 (would be dropped as a duplicate)", seq)
+	}
+}
+
+// TestSpoolReconcileRespoolsCollidingBatches: a coordinator that applied
+// batches this spool then lost (here a fresh state dir against watermark 2)
+// already holds sequences 1 and 2, which batches spooled before the first
+// handshake took. Reconcile must spool them again past the watermark, durably,
+// instead of letting the ack drop them as duplicates; a later handshake only
+// acks.
+func TestSpoolReconcileRespoolsCollidingBatches(t *testing.T) {
+	fs := fault.NewSimFS(1, fault.Profile{})
+	sp, err := openSpool(fs, "state")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= 3; n++ { // seqs 1, 2, 3 holding 1, 2 and 3 events
+		if _, err := sp.Add(testEvents(t, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sp.Reconcile(2); err != nil {
+		t.Fatal(err)
+	}
+	pendingCounts := func(sp *spool) map[uint64]int {
+		out := map[uint64]int{}
+		for _, b := range sp.pending {
+			out[b.seq] = b.count
+		}
+		return out
+	}
+	want := map[uint64]int{3: 3, 4: 1, 5: 2}
+	if got := pendingCounts(sp); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after reconciling at 2: pending seq->events %v, want %v", got, want)
+	}
+	if err := sp.Reconcile(4); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pendingCounts(sp), map[uint64]int{5: 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("a later handshake at 4: pending %v, want %v", got, want)
+	}
+	// The copies survive a crash: the next process recovers them and its
+	// handshake, at the coordinator's watermark 3, prunes only the originals.
+	fs.Crash()
+	sp.Close()
+	fs.Restart()
+	sp, err = openSpool(fs, "state")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	if err := sp.Reconcile(3); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pendingCounts(sp), map[uint64]int{4: 1, 5: 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a crash: pending %v, want %v", got, want)
 	}
 }
 

@@ -12,7 +12,7 @@ const (
 	// blocks beyond it, so a slow deliver callback backpressures the
 	// producer while the in-flight window, and so memory, stays small.
 	stageQueue    = 4
-	matchAllChunk = 256 // the most sessions per batch MatchAll submits
+	parallelChunk = 256 // the most sessions per batch MatchSessionsParallel submits
 )
 
 // MatchBatch is one unit of work for a MatchStage: Sessions evaluated
@@ -91,40 +91,26 @@ func (s *MatchStage) Close() {
 	s.wg.Wait()
 }
 
-// MatchAll matches sessions against e on the stage and returns the matched
-// events in session order, with hits[k] the index of events[k]'s session —
-// exactly what MatchSessions would return, plus the pairing. The sessions go
-// out in chunks of min(256, ⌈n/workers⌉), so every worker gets a share of
-// even a small input.
-func (s *MatchStage) MatchAll(sessions []tcpasm.Session, e *Engine) (events []Event, hits []int) {
-	n := len(sessions)
-	size := max(1, min(matchAllChunk, (n+s.workers-1)/s.workers))
-	parts := make([]MatchBatch, (n+size-1)/size)
-	var wg sync.WaitGroup
-	wg.Add(len(parts))
-	done := func(*MatchBatch) { wg.Done() }
-	for k := range parts {
-		parts[k] = MatchBatch{Sessions: sessions[k*size : min((k+1)*size, n)], Engine: e}
-		s.Submit(&parts[k], done)
-	}
-	wg.Wait()
-	for k := range parts {
-		events = append(events, parts[k].Events...)
-		for _, h := range parts[k].Hits {
-			hits = append(hits, k*size+h)
-		}
-	}
-	return events, hits
-}
-
 // MatchSessionsParallel is MatchSessions on a match stage of the given
-// width (workers <= 0: GOMAXPROCS). The engine is immutable after
-// construction, so workers share it without locking, and MatchAll keeps
-// session order, so the events and stats are identical to the serial path.
+// width (workers <= 0: GOMAXPROCS). The sessions go out in chunks of
+// min(256, ⌈n/workers⌉), so every worker gets a share of even a small
+// input, and the chunks' events are joined in chunk order. The engine is
+// immutable after construction, so workers share it without locking, and
+// the events and stats are identical to the serial path's.
 func MatchSessionsParallel(sessions []tcpasm.Session, e *Engine, stats *ScanStats, workers int) []Event {
 	stage := NewMatchStage(workers)
-	events, _ := stage.MatchAll(sessions, e)
-	stage.Close()
+	n := len(sessions)
+	size := max(1, min(parallelChunk, (n+stage.workers-1)/stage.workers))
+	parts := make([]MatchBatch, (n+size-1)/size)
+	for k := range parts {
+		parts[k] = MatchBatch{Sessions: sessions[k*size : min((k+1)*size, n)], Engine: e}
+		stage.Submit(&parts[k], func(*MatchBatch) {})
+	}
+	stage.Close() // every part is delivered
+	var events []Event
+	for k := range parts {
+		events = append(events, parts[k].Events...)
+	}
 	setMatchStats(stats, sessions, events)
 	return events
 }

@@ -78,28 +78,22 @@ func TestParallelSmallInputFallsBack(t *testing.T) {
 	}
 }
 
-// TestMatchAllMatchesSerial: MatchAll returns exactly MatchSessions' events,
-// in the same order, and hits pairs each with its session, for inputs
-// smaller and larger than the stage and every width.
+// TestMatchAllMatchesSerial: MatchSessionsParallel's fan-out of all the
+// sessions over a match stage returns exactly MatchSessions' events and
+// stats, in the same order, for inputs smaller and larger than the stage and
+// every width.
 func TestMatchAllMatchesSerial(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 503} {
 		sessions, engine := parallelFixture(t, n)
-		serial := MatchSessions(sessions, engine, nil)
-		var wantHits []int
-		for i := range sessions {
-			if _, ok := MatchSession(&sessions[i], engine); ok {
-				wantHits = append(wantHits, i)
-			}
-		}
+		var serialStats, parStats ScanStats
+		serial := MatchSessions(sessions, engine, &serialStats)
 		for _, workers := range []int{0, 1, 2, 7} {
-			stage := NewMatchStage(workers)
-			events, hits := stage.MatchAll(sessions, engine)
-			stage.Close()
+			events := MatchSessionsParallel(sessions, engine, &parStats, workers)
 			if !reflect.DeepEqual(events, serial) {
 				t.Fatalf("n=%d workers=%d: events differ from MatchSessions", n, workers)
 			}
-			if !reflect.DeepEqual(hits, wantHits) {
-				t.Fatalf("n=%d workers=%d: hits %v, want %v", n, workers, hits, wantHits)
+			if parStats != serialStats {
+				t.Fatalf("n=%d workers=%d: stats %+v, want %+v", n, workers, parStats, serialStats)
 			}
 		}
 	}
@@ -148,6 +142,15 @@ func TestMatchStageConcurrentSubmit(t *testing.T) {
 		if want := MatchSessions(b.Sessions, engine, nil); !reflect.DeepEqual(b.Events, want) {
 			t.Fatalf("batch events %+v, want %+v", b.Events, want)
 		}
+		var wantHits []int
+		for i := range b.Sessions {
+			if _, ok := MatchSession(&b.Sessions[i], engine); ok {
+				wantHits = append(wantHits, i)
+			}
+		}
+		if !reflect.DeepEqual(b.Hits, wantHits) {
+			t.Fatalf("batch hits %v, want %v", b.Hits, wantHits)
+		}
 	}
 }
 
@@ -156,7 +159,7 @@ func TestMatchStageNoLeak(t *testing.T) {
 	sessions, engine := parallelFixture(t, 100)
 	before := runtime.NumGoroutine()
 	stage := NewMatchStage(7)
-	stage.MatchAll(sessions, engine)
+	stage.Submit(&MatchBatch{Sessions: sessions, Engine: engine}, func(*MatchBatch) {})
 	stage.Close()
 	checkNoLeak(t, before)
 }

@@ -7,16 +7,24 @@
 //
 // Shape:
 //
-//	tailer goroutine:   segments -> zero-copy decode -> flow-sharded tcpasm
-//	shard workers:      per-flow reassembly (tcpasm.Sharded, DecodeShards)
-//	matcher goroutine:  session batches -> ids.MatchStage.MatchAll -> store
+//	tailer goroutine:  segments -> flow-sharded tcpasm (raw frames)
+//	shard workers:     decode + per-flow reassembly (tcpasm.Sharded,
+//	                   DecodeShards); Emit fills the open batch and
+//	                   submits it to the match stage when it is full
+//	match stage:       ids.MatchStage workers match each batch and deliver
+//	                   it: digests, then the store
 //
-// The two stages are joined by a bounded channel, so a slow matcher
-// backpressures the tailer instead of buffering unboundedly. The matcher is
-// a single goroutine (parallelism lives in its long-lived match stage), so
-// events reach the store in session order. Close drains: everything already
-// on disk is consumed, open connections are flushed, the final batches are
-// matched and appended, then the goroutines exit.
+// Reassembly submits straight to the match stage, as the capture scan does:
+// no sort and no copy beyond filling the open batch. The stage's bounded
+// queue (4 batches) backpressures the shards, and through them the tailer,
+// instead of buffering unboundedly. Batches reach the store in match-
+// completion order; reads order events canonically, so nothing depends on
+// the order of the store's log. The tailer alone writes the checkpoint: at
+// an idle flush and at the final drain it submits the partial batch, waits
+// until every submitted batch has been delivered, syncs the sinks and saves
+// its position. Close drains: everything already on disk is consumed, open
+// connections are flushed, the final batches are matched and appended, then
+// the goroutines exit.
 package ingest
 
 import (
@@ -116,9 +124,6 @@ type DigestSink interface {
 // capture whose events were lost with the page cache.
 type syncer interface{ Sync() error }
 
-// queueDepth bounds the batches in flight between tailer and matcher.
-const queueDepth = 4
-
 func (c Config) withDefaults() Config {
 	if c.Prefix == "" {
 		c.Prefix = "dscope"
@@ -160,10 +165,11 @@ type Metrics struct {
 	AmbiguousSessions uint64
 	// Gauges.
 	OpenConns       int   // connections still assembling
-	PendingSessions int   // assembled sessions not yet handed to the matcher
-	QueuedBatches   int   // batches waiting for the matcher
+	PendingSessions int   // assembled sessions in the open batch
+	QueuedBatches   int   // batches submitted to the match stage, not yet delivered
 	PendingBytes    int64 // capture bytes on disk not yet consumed
-	// LastBatchLatency is the match+append time of the most recent batch.
+	// LastBatchLatency is the time from the most recently delivered batch's
+	// cut to the end of its delivery: queueing, matching, digests, append.
 	LastBatchLatency time.Duration
 }
 
@@ -185,19 +191,21 @@ type Pipeline struct {
 	feeder *tcpasm.Feeder // owned by the tailer goroutine
 	stage  *ids.MatchStage
 
-	emitMu  sync.Mutex
-	emitted []tcpasm.Session // what the shards emitted since the last barrier
+	emitMu sync.Mutex
+	open   []tcpasm.Session // the batch being filled, submitted when full
+	// inflight counts batches cut but not yet delivered. take adds to it;
+	// the tailer waits on it right after a Flush or Wait barrier, when no
+	// shard is emitting, so no Add races that Wait.
+	inflight sync.WaitGroup
 
-	batchCh chan []tcpasm.Session
 	stop    chan struct{}
 	tailerD chan struct{}
-	matchD  chan struct{}
 
 	packets      atomic.Uint64
 	sessions     atomic.Uint64
 	events       atomic.Uint64
-	shipped      atomic.Uint64 // batches handed to the matcher
-	batches      atomic.Uint64 // batches fully matched and appended
+	submitted    atomic.Uint64 // batches submitted to the match stage
+	batches      atomic.Uint64 // batches delivered: matched and appended
 	segmentsDone atomic.Uint64
 	skippedBytes atomic.Uint64
 	ambiguous    atomic.Uint64
@@ -208,15 +216,6 @@ type Pipeline struct {
 
 	errMu    sync.Mutex
 	firstErr error
-
-	// Checkpoint plumbing: the tailer proposes a candidate at each drain-
-	// consistent point (idle flush, final drain) along with how many batches
-	// had been shipped by then; the checkpoint is persisted once the matcher
-	// has applied that many, by whichever side gets there second.
-	ckptMu      sync.Mutex
-	candCkpt    checkpoint
-	candShipped uint64
-	savedCkpt   checkpoint
 
 	closeOnce sync.Once
 	closeErr  error
@@ -241,20 +240,14 @@ func Start(cfg Config) (*Pipeline, error) {
 	p := &Pipeline{
 		cfg:     cfg,
 		stage:   ids.NewMatchStage(cfg.MatchWorkers),
-		batchCh: make(chan []tcpasm.Session, queueDepth),
+		open:    make([]tcpasm.Session, 0, cfg.BatchSessions),
 		stop:    make(chan struct{}),
 		tailerD: make(chan struct{}),
-		matchD:  make(chan struct{}),
 	}
-	acfg.Emit = func(batch []tcpasm.Session) {
-		p.emitMu.Lock()
-		p.emitted = append(p.emitted, batch...)
-		p.emitMu.Unlock()
-	}
+	acfg.Emit = p.collect
 	p.asm = tcpasm.NewSharded(acfg, 1)
 	p.feeder = p.asm.Feeder(0)
 	go p.tailer()
-	go p.matcher()
 	return p, nil
 }
 
@@ -281,10 +274,6 @@ func (p *Pipeline) Close() error {
 	p.closeOnce.Do(func() {
 		close(p.stop)
 		<-p.tailerD
-		<-p.matchD
-		// Every drained event is now applied; the final candidate from the
-		// drain is safe to persist.
-		p.maybeCheckpoint()
 		p.closeErr = p.Err()
 	})
 	return p.closeErr
@@ -311,11 +300,10 @@ func (p *Pipeline) Metrics() Metrics {
 		PendingSessions:   int(p.pendingSess.Load()),
 		LastBatchLatency:  time.Duration(p.lastBatchNs.Load()),
 	}
-	// Loading done before shipped keeps the difference non-negative; the
-	// counter pair (rather than len(batchCh)) also covers the batch the
-	// matcher is working on right now.
+	// A batch counts as submitted before it can count as delivered, so
+	// loading delivered first keeps the difference non-negative.
 	done := p.batches.Load()
-	m.QueuedBatches = int(p.shipped.Load() - done)
+	m.QueuedBatches = int(p.submitted.Load() - done)
 	var onDisk int64
 	if segs, err := pcapio.Segments(p.cfg.Dir, p.cfg.Prefix); err == nil {
 		for _, seg := range segs {
@@ -338,14 +326,14 @@ type tailState struct {
 	path    string
 	lastOff int64
 	lastTS  time.Time
-	pending []tcpasm.Session
-	ckpt    checkpoint
+	ckpt    checkpoint // the position consumed through
+	saved   checkpoint // the last position persisted
 }
 
 // checkpoint records a drain-consistent ingest position: every segment
 // sorting before Segment is fully consumed, and Segment itself is consumed
 // through Offset. One is persisted only when the assembler has been flushed,
-// every session handed to the matcher has been matched and appended, and a
+// every batch submitted to the match stage has been delivered, and a
 // durable sink has fsynced — which holds at each idle flush while running
 // and at the final drain on Close — so resuming from it is exact.
 //
@@ -403,35 +391,23 @@ func (p *Pipeline) saveCheckpoint(ck checkpoint) error {
 	return fault.WriteFileAtomic(fault.Or(p.cfg.FS), path+".tmp", path, []byte(data))
 }
 
-// noteCheckpoint records a candidate position. The caller (the tailer)
-// guarantees the drain-consistency half: the assembler is flushed and every
-// session from capture before ck has been handed to the matcher. The shipped
-// count captures the other half — once that many batches are applied, the
-// candidate is exact.
-func (p *Pipeline) noteCheckpoint(ck checkpoint) {
-	if ck.Segment == "" {
-		return
+// settle runs on the tailer right after a Flush or Wait barrier, when every
+// session from capture before st.ckpt has been emitted: it submits the
+// partial batch, waits until every submitted batch has been delivered, then
+// syncs a durable sink and the digests and persists st.ckpt. The tailer is
+// the checkpoint's only writer.
+func (p *Pipeline) settle(st *tailState) {
+	p.openConns.Store(int64(p.asm.OpenConns()))
+	p.emitMu.Lock()
+	partial := p.take()
+	p.pendingSess.Store(0)
+	p.emitMu.Unlock()
+	if partial != nil {
+		p.submit(partial)
 	}
-	p.ckptMu.Lock()
-	p.candCkpt = ck
-	p.candShipped = p.shipped.Load()
-	p.ckptMu.Unlock()
-	// The matcher may already have applied everything (and so will never
-	// call maybeCheckpoint again for this candidate) — try here too.
-	p.maybeCheckpoint()
-}
-
-// maybeCheckpoint persists the candidate once the matcher has applied every
-// batch it covers, syncing a durable sink first. Called by the tailer right
-// after proposing a candidate and by the matcher after each batch; the mutex
-// makes the save single-writer.
-func (p *Pipeline) maybeCheckpoint() {
-	if p.Err() != nil {
-		return // a failed append may sit below the candidate; don't skip it
-	}
-	p.ckptMu.Lock()
-	defer p.ckptMu.Unlock()
-	if p.candCkpt.Segment == "" || p.candCkpt == p.savedCkpt || p.batches.Load() < p.candShipped {
+	p.inflight.Wait()
+	// A failed delivery may sit below the position; don't skip past it.
+	if st.ckpt.Segment == "" || st.ckpt == st.saved || p.Err() != nil {
 		return
 	}
 	if s, ok := p.cfg.Sink.(syncer); ok {
@@ -446,11 +422,11 @@ func (p *Pipeline) maybeCheckpoint() {
 			return
 		}
 	}
-	if err := p.saveCheckpoint(p.candCkpt); err != nil {
+	if err := p.saveCheckpoint(st.ckpt); err != nil {
 		p.fail(err)
 		return
 	}
-	p.savedCkpt = p.candCkpt
+	st.saved = st.ckpt
 }
 
 // restore positions the tailer at the stored checkpoint: fully-consumed
@@ -508,7 +484,6 @@ func (p *Pipeline) restore(st *tailState) error {
 
 func (p *Pipeline) tailer() {
 	defer close(p.tailerD)
-	defer close(p.batchCh)
 	st := &tailState{}
 	defer func() {
 		if st.file != nil {
@@ -539,18 +514,13 @@ func (p *Pipeline) tailer() {
 			continue
 		}
 		// Caught up. If the directory has been quiet long enough, flush
-		// connections idling in the assembler and ship even a partial
-		// batch — neither should be held hostage by a stalled writer. The
-		// Flush barrier also settles any batches still queued to shard
-		// workers, so the checkpoint below is exact.
+		// connections idling in the assembler and submit even a partial
+		// batch — neither should be held hostage by a stalled writer. Once
+		// every batch is delivered the position is drain-consistent, so a
+		// crash past this point re-ingests only capture newer than it.
 		if time.Since(lastProgress) >= p.cfg.FlushIdle {
 			p.asm.Flush()
-			p.emit(st)
-			p.flushPending(st, 0)
-			// The assembler is empty and every session is with the matcher:
-			// this position is drain-consistent, so a crash past this point
-			// re-ingests only capture newer than the idle flush.
-			p.noteCheckpoint(st.ckpt)
+			p.settle(st)
 		}
 		select {
 		case <-p.stop:
@@ -561,8 +531,9 @@ func (p *Pipeline) tailer() {
 	}
 }
 
-// drain consumes every byte already on disk, flushes the assembler, ships
-// all remaining sessions, and retires the shard workers.
+// drain consumes every byte already on disk, flushes the assembler, matches
+// and delivers all remaining sessions, persists the final position, and
+// retires the shard workers and the match stage.
 func (p *Pipeline) drain(st *tailState) {
 	for {
 		progress, err := p.pump(st, true)
@@ -578,12 +549,8 @@ func (p *Pipeline) drain(st *tailState) {
 	// emit the sessions before they exit.
 	p.feeder.Close()
 	p.asm.Wait()
-	p.emit(st)
-	p.flushPending(st, 0)
-	// The assembler is empty and every session has been handed to the
-	// matcher; the position persists once the matcher drains too (Close
-	// calls maybeCheckpoint again after both goroutines exit).
-	p.noteCheckpoint(st.ckpt)
+	p.settle(st)
+	p.stage.Close()
 }
 
 // pump consumes currently-available records, feeding the assembler and
@@ -648,53 +615,63 @@ func (p *Pipeline) pump(st *tailState, draining bool) (bool, error) {
 			progress = true // a further segment is ready right now
 		}
 	}
-	// Hand completed sessions downstream. Drain is a shard barrier: cheap
+	// Let idle connections complete. Drain is a shard barrier: cheap
 	// relative to the up-to-8192 records fed above.
 	if !st.lastTS.IsZero() {
 		p.asm.Drain(st.lastTS)
-		p.emit(st)
+		p.openConns.Store(int64(p.asm.OpenConns()))
 	}
 	return progress, nil
 }
 
-// emit queues what the shards emitted up to a Drain, Flush or Wait barrier,
-// sorted so the batches do not depend on their schedule, and ships any full
-// batches.
-func (p *Pipeline) emit(st *tailState) {
+// collect is the shards' Emit hook: it appends emitted sessions to the open
+// batch and submits the batch each time it fills. Shards emit concurrently
+// and emitMu orders them; the submit happens after the lock is released, so
+// a full stage queue blocks only the emitting shard, and through that
+// shard's input queue the tailer — the backpressure.
+func (p *Pipeline) collect(sessions []tcpasm.Session) {
+	p.sessions.Add(uint64(len(sessions)))
+	var full [][]tcpasm.Session
 	p.emitMu.Lock()
-	sessions := p.emitted
-	p.emitted = nil
-	p.emitMu.Unlock()
-	tcpasm.SortSessions(sessions)
-	if len(sessions) > 0 {
-		p.sessions.Add(uint64(len(sessions)))
-		st.pending = append(st.pending, sessions...)
-		p.pendingSess.Store(int64(len(st.pending)))
-	}
-	p.openConns.Store(int64(p.asm.OpenConns()))
-	p.flushPending(st, p.cfg.BatchSessions)
-}
-
-// flushPending ships batches while at least min sessions are pending (min 0
-// ships everything). The send blocks when the matcher is behind — that is
-// the backpressure.
-func (p *Pipeline) flushPending(st *tailState, min int) {
-	for len(st.pending) > 0 && len(st.pending) >= min {
-		n := p.cfg.BatchSessions
-		if n > len(st.pending) {
-			n = len(st.pending)
+	for len(sessions) > 0 {
+		n := min(len(sessions), p.cfg.BatchSessions-len(p.open))
+		p.open = append(p.open, sessions[:n]...)
+		sessions = sessions[n:]
+		if len(p.open) == p.cfg.BatchSessions {
+			full = append(full, p.take())
 		}
-		batch := make([]tcpasm.Session, n)
-		copy(batch, st.pending[:n])
-		st.pending = st.pending[n:]
-		p.pendingSess.Store(int64(len(st.pending)))
-		p.shipped.Add(1)
-		p.batchCh <- batch
+	}
+	p.pendingSess.Store(int64(len(p.open)))
+	p.emitMu.Unlock()
+	for _, batch := range full {
+		p.submit(batch)
 	}
 }
 
-// engine resolves the engine for the next batch: the EngineSource (hot
-// reload) when present, the static Engine otherwise.
+// take cuts the open batch, nil if it holds no session, and counts it as
+// submitted from here on, so no gauge loses sight of it before submit. The
+// caller holds emitMu.
+func (p *Pipeline) take() []tcpasm.Session {
+	if len(p.open) == 0 {
+		return nil
+	}
+	batch := p.open
+	p.open = make([]tcpasm.Session, 0, p.cfg.BatchSessions)
+	p.submitted.Add(1)
+	p.inflight.Add(1)
+	return batch
+}
+
+// submit hands a cut batch to the match stage under the engine current now:
+// a hot reload swaps engines between batches, never within one.
+func (p *Pipeline) submit(batch []tcpasm.Session) {
+	cutAt := time.Now()
+	b := &ids.MatchBatch{Sessions: batch, Engine: p.engine()}
+	p.stage.Submit(b, func(b *ids.MatchBatch) { p.deliver(b, cutAt) })
+}
+
+// engine resolves the engine for a batch as it is submitted: the
+// EngineSource (hot reload) when present, the static Engine otherwise.
 func (p *Pipeline) engine() *ids.Engine {
 	if p.cfg.EngineSource != nil {
 		if e := p.cfg.EngineSource(); e != nil {
@@ -704,39 +681,38 @@ func (p *Pipeline) engine() *ids.Engine {
 	return p.cfg.Engine
 }
 
-func (p *Pipeline) matcher() {
-	defer close(p.matchD)
-	defer p.stage.Close()
-	for batch := range p.batchCh {
-		start := time.Now()
-		eng := p.engine()
-		for i := range batch {
-			if batch[i].Ambiguous {
-				p.ambiguous.Add(1)
-			}
+// deliver runs on a match-stage worker, never concurrently with another
+// delivery: it records one digest per session under the engine that
+// labelled the batch, appends the batch's events to the sink, and retires
+// the batch. cutAt is when the batch was submitted.
+func (p *Pipeline) deliver(b *ids.MatchBatch, cutAt time.Time) {
+	defer p.inflight.Done()
+	for i := range b.Sessions {
+		if b.Sessions[i].Ambiguous {
+			p.ambiguous.Add(1)
 		}
-		events, hits := p.stage.MatchAll(batch, eng)
-		if p.cfg.Digests != nil {
-			evs := make([]*ids.Event, len(batch))
-			for k, i := range hits {
-				evs[i] = &events[k]
-			}
-			digests := make([]registry.Digest, len(batch))
-			for i := range batch {
-				digests[i] = registry.DigestOf(&batch[i], evs[i], p.cfg.Digests.SampleLimit())
-			}
-			if err := p.cfg.Digests.RecordDigests(eng, digests); err != nil {
-				p.fail(err)
-			}
-		}
-		if len(events) > 0 {
-			if err := p.cfg.Sink.AppendBatch(events); err != nil {
-				p.fail(err)
-			}
-			p.events.Add(uint64(len(events)))
-		}
-		p.batches.Add(1)
-		p.lastBatchNs.Store(int64(time.Since(start)))
-		p.maybeCheckpoint()
 	}
+	if p.cfg.Digests != nil {
+		digests := make([]registry.Digest, len(b.Sessions))
+		k := 0 // Hits ascend, so the next hit is the only candidate
+		for i := range b.Sessions {
+			var ev *ids.Event
+			if k < len(b.Hits) && b.Hits[k] == i {
+				ev = &b.Events[k]
+				k++
+			}
+			digests[i] = registry.DigestOf(&b.Sessions[i], ev, p.cfg.Digests.SampleLimit())
+		}
+		if err := p.cfg.Digests.RecordDigests(b.Engine, digests); err != nil {
+			p.fail(err)
+		}
+	}
+	if len(b.Events) > 0 {
+		if err := p.cfg.Sink.AppendBatch(b.Events); err != nil {
+			p.fail(err)
+		}
+		p.events.Add(uint64(len(b.Events)))
+	}
+	p.batches.Add(1)
+	p.lastBatchNs.Store(int64(time.Since(cutAt)))
 }

@@ -221,26 +221,3 @@ func (c CampaignTimes) Sample(rng *rand.Rand, n int) []time.Time {
 		out = append(out, t)
 	}
 }
-
-// PoissonTimes samples event times from a homogeneous Poisson process with
-// the given mean inter-arrival over [start, end]. Used for background
-// radiation (credential stuffing, generic crawling) that the IDS must not
-// attribute to any CVE.
-func PoissonTimes(rng *rand.Rand, start, end time.Time, meanGap time.Duration) []time.Time {
-	if meanGap <= 0 || !start.Before(end) {
-		return nil
-	}
-	var out []time.Time
-	t := start
-	for {
-		gap := time.Duration(rng.ExpFloat64() * float64(meanGap))
-		if gap <= 0 {
-			gap = time.Nanosecond
-		}
-		t = t.Add(gap)
-		if !t.Before(end) {
-			return out
-		}
-		out = append(out, t)
-	}
-}

@@ -155,31 +155,3 @@ func TestCampaignTimesZeroAndOne(t *testing.T) {
 		t.Errorf("Sample(1) = %v", one)
 	}
 }
-
-func TestPoissonTimes(t *testing.T) {
-	start := time.Date(2021, 3, 1, 0, 0, 0, 0, time.UTC)
-	end := start.Add(100 * time.Hour)
-	rng := rand.New(rand.NewSource(5))
-	ts := PoissonTimes(rng, start, end, time.Hour)
-	if len(ts) < 60 || len(ts) > 150 {
-		t.Errorf("Poisson count = %d, want ~100", len(ts))
-	}
-	for i, tm := range ts {
-		if tm.Before(start) || !tm.Before(end) {
-			t.Fatalf("event %v outside window", tm)
-		}
-		if i > 0 && tm.Before(ts[i-1]) {
-			t.Fatal("Poisson times not increasing")
-		}
-	}
-}
-
-func TestPoissonTimesEmptyWindow(t *testing.T) {
-	now := time.Now()
-	if got := PoissonTimes(rand.New(rand.NewSource(1)), now, now, time.Hour); got != nil {
-		t.Errorf("empty window produced %d events", len(got))
-	}
-	if got := PoissonTimes(rand.New(rand.NewSource(1)), now, now.Add(time.Hour), 0); got != nil {
-		t.Error("zero meanGap produced events")
-	}
-}

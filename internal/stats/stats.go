@@ -148,18 +148,6 @@ func (h *Histogram) Add(x float64) {
 	}
 }
 
-// AddN tallies a sample with multiplicity n.
-func (h *Histogram) AddN(x float64, n int) {
-	switch i := h.binIndex(x); {
-	case i < 0:
-		h.Under += n
-	case i >= len(h.Counts):
-		h.Over += n
-	default:
-		h.Counts[i] += n
-	}
-}
-
 func (h *Histogram) binIndex(x float64) int {
 	return int(math.Floor((x - h.Lo) / h.Width))
 }
@@ -175,51 +163,6 @@ func (h *Histogram) Total() int {
 
 // BinStart returns the inclusive lower edge of bin i.
 func (h *Histogram) BinStart(i int) float64 { return h.Lo + float64(i)*h.Width }
-
-// Summary holds the usual five-number-plus summary of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Stddev float64
-	Min    float64
-	P25    float64
-	Median float64
-	P75    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of the samples. It returns ErrNoSamples for
-// empty input.
-func Summarize(samples []float64) (Summary, error) {
-	e, err := NewECDF(samples)
-	if err != nil {
-		return Summary{}, err
-	}
-	var sum float64
-	for _, v := range samples {
-		sum += v
-	}
-	mean := sum / float64(len(samples))
-	var ss float64
-	for _, v := range samples {
-		d := v - mean
-		ss += d * d
-	}
-	var sd float64
-	if len(samples) > 1 {
-		sd = math.Sqrt(ss / float64(len(samples)-1))
-	}
-	return Summary{
-		N:      len(samples),
-		Mean:   mean,
-		Stddev: sd,
-		Min:    e.Min(),
-		P25:    e.Quantile(0.25),
-		Median: e.Median(),
-		P75:    e.Quantile(0.75),
-		Max:    e.Max(),
-	}, nil
-}
 
 // Fraction returns the fraction of samples for which pred holds. It returns
 // 0 for an empty slice; callers that must distinguish "no data" should check

@@ -184,16 +184,6 @@ func TestHistogramAdd(t *testing.T) {
 	}
 }
 
-func TestHistogramAddN(t *testing.T) {
-	h, _ := NewHistogram(0, 1, 2)
-	h.AddN(0.5, 7)
-	h.AddN(-3, 2)
-	h.AddN(9, 4)
-	if h.Counts[0] != 7 || h.Under != 2 || h.Over != 4 {
-		t.Errorf("got counts=%v under=%d over=%d", h.Counts, h.Under, h.Over)
-	}
-}
-
 func TestHistogramBinStart(t *testing.T) {
 	h, _ := NewHistogram(-10, 5, 4)
 	if got := h.BinStart(0); got != -10 {
@@ -216,48 +206,6 @@ func TestHistogramTotalProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 8 {
-		t.Errorf("N = %d, want 8", s.N)
-	}
-	if s.Mean != 5 {
-		t.Errorf("Mean = %v, want 5", s.Mean)
-	}
-	// Sample stddev of this classic dataset is sqrt(32/7).
-	if want := math.Sqrt(32.0 / 7.0); math.Abs(s.Stddev-want) > 1e-12 {
-		t.Errorf("Stddev = %v, want %v", s.Stddev, want)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Errorf("Min/Max = %v/%v, want 2/9", s.Min, s.Max)
-	}
-	if s.Median != 4 {
-		t.Errorf("Median = %v, want 4", s.Median)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if _, err := Summarize(nil); err != ErrNoSamples {
-		t.Fatalf("Summarize(nil) err = %v, want ErrNoSamples", err)
-	}
-}
-
-func TestSummarizeSingle(t *testing.T) {
-	s, err := Summarize([]float64{42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Stddev != 0 {
-		t.Errorf("Stddev of single sample = %v, want 0", s.Stddev)
-	}
-	if s.Min != 42 || s.Max != 42 || s.Median != 42 {
-		t.Errorf("unexpected summary for single sample: %+v", s)
 	}
 }
 
